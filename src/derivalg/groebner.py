@@ -8,6 +8,7 @@ a basis yields an identical object, and normal forms are unique.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -20,6 +21,7 @@ from .poly import (
     monomial_div,
     monomial_divides,
     monomial_lcm,
+    monomial_mul,
 )
 
 DEFAULT_BUDGET = 20_000
@@ -64,15 +66,17 @@ class GroebnerBasis:
     Reduced means: every element is monic, and no leading monomial divides
     any term of another element.  Such a basis is unique for (ideal, order),
     which makes ideal equality and membership decidable by normal forms.
+    The (LM, LC) pair of each element is computed once, into ``leads``.
     """
 
-    __slots__ = ("context", "order", "polys")
+    __slots__ = ("context", "order", "polys", "leads")
 
     def __init__(self, context: VarContext, order: TermOrder,
                  polys: Sequence[Poly]):
         self.context = context
         self.order = order
         self.polys = tuple(polys)
+        self.leads = tuple(g.leading_term(order) for g in self.polys)
 
     def __iter__(self):
         return iter(self.polys)
@@ -85,7 +89,7 @@ class GroebnerBasis:
         return len(self.polys) == 1 and self.polys[0] == self.context.one
 
     def leading_monomials(self):
-        return [g.leading_monomial(self.order) for g in self.polys]
+        return [m for m, _ in self.leads]
 
     def __eq__(self, other):
         return (isinstance(other, GroebnerBasis)
@@ -100,32 +104,76 @@ class GroebnerBasis:
         return "{" + ", ".join(str(g) for g in self.polys) + "}"
 
 
+def _heap_key(order: TermOrder):
+    """A key on monomials whose smallest value is the largest monomial under
+    `order`: the negated ``order.key``, built directly."""
+    if order is TermOrder.LEX:
+        return lambda m: tuple([-e for e in m])
+    # negated grevlex key: (-degree, e_n, ..., e_1)
+    return lambda m: (-sum(m),) + m[::-1]
+
+
 def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
-            want_cofactors: bool = False):
+            want_cofactors: bool = False, lead=None):
     """Multivariate division: f = sum(q_i * divisors[i]) + r.
 
-    No term of r is divisible by any divisor's leading monomial.  The
+    Heap-driven (Monagan & Pearce, *Sparse polynomial division using a
+    heap*, 2011): the dividend is a mutable {monomial: coeff} map beside a
+    heap of its monomials keyed by the order, so each step pops the leading
+    term instead of rescanning the dividend.  A monomial that cancels to
+    zero stays in the map, and on the heap, until it is popped and skipped.
+    The popped term c*m is cancelled by the first divisor, in list order,
+    whose leading monomial divides m: t*(g - LT(g)) is subtracted in place,
+    with t = c*m / LT(g), which touches only the divisor's tail.  When no
+    leading monomial divides m, the term moves to the remainder.  The
     divisor list order is part of the determinism contract.
+
+    No term of r is divisible by any divisor's leading monomial.  The terms
+    of r and of each q_i are produced in descending order.  `lead` is the
+    divisors' (LM, LC) list, when the caller has it cached.
     """
     context = f.context
-    lead = [g.leading_term(order) for g in divisors]
-    cofactors = [context.zero] * len(divisors) if want_cofactors else None
-    remainder = context.zero
-    p = f
-    while not p.is_zero():
-        m, c = p.leading_term(order)
+    if lead is None:
+        lead = [g.leading_term(order) for g in divisors]
+    heap_key = _heap_key(order)
+    p = dict(f._terms)
+    heap = [(heap_key(m), m) for m in p]
+    heapify(heap)
+    tails = {}               # divisor index -> (1/LC, [(m, -c) for the tail])
+    remainder = {}
+    quotients = [{} for _ in divisors] if want_cofactors else None
+    while heap:
+        m = heappop(heap)[1]
+        c = p.pop(m)
+        if c.is_zero():
+            continue
         for i, (mg, cg) in enumerate(lead):
             if monomial_divides(mg, m):
-                t = Poly._raw(context, {monomial_div(m, mg): c / cg})
-                p = p - t * divisors[i]
-                if want_cofactors:
-                    cofactors[i] = cofactors[i] + t
                 break
         else:
-            t = Poly._raw(context, {m: c})
-            remainder = remainder + t
-            p = p - t
-    return remainder, cofactors
+            remainder[m] = c
+            continue
+        if i not in tails:
+            tail = [(mk, -ck) for mk, ck in divisors[i]._terms.items()
+                    if mk != mg]
+            tails[i] = (cg.inverse(), tail)
+        inverse, tail = tails[i]
+        q = c * inverse
+        u = monomial_div(m, mg)
+        if want_cofactors:
+            quotients[i][u] = q
+        for mk, ck in tail:
+            mono = monomial_mul(u, mk)
+            d = q * ck
+            acc = p.get(mono)
+            if acc is None:
+                p[mono] = d
+                heappush(heap, (heap_key(mono), mono))
+            else:
+                p[mono] = acc + d
+    cofactors = ([Poly._raw(context, q) for q in quotients]
+                 if want_cofactors else None)
+    return Poly._raw(context, remainder), cofactors
 
 
 def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
@@ -134,7 +182,7 @@ def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
         raise ContextMismatchError("polynomial and basis contexts differ")
     if not basis.polys:
         return f
-    return _divide(f, basis.polys, basis.order)[0]
+    return _divide(f, basis.polys, basis.order, lead=basis.leads)[0]
 
 
 def normal_form_with_cofactors(f: Poly, basis: GroebnerBasis):
@@ -143,13 +191,13 @@ def normal_form_with_cofactors(f: Poly, basis: GroebnerBasis):
         raise ContextMismatchError("polynomial and basis contexts differ")
     if not basis.polys:
         return f, []
-    r, q = _divide(f, basis.polys, basis.order, want_cofactors=True)
-    return r, q
+    return _divide(f, basis.polys, basis.order, want_cofactors=True,
+                   lead=basis.leads)
 
 
-def _s_poly(f: Poly, g: Poly, order: TermOrder) -> Poly:
-    mf, cf = f.leading_term(order)
-    mg, cg = g.leading_term(order)
+def _s_poly(f: Poly, g: Poly, lead_f, lead_g) -> Poly:
+    """S(f, g), from the cached (LM, LC) pairs of f and g."""
+    (mf, cf), (mg, cg) = lead_f, lead_g
     lcm = monomial_lcm(mf, mg)
     tf = Poly._raw(f.context, {monomial_div(lcm, mf): cf.inverse()})
     tg = Poly._raw(g.context, {monomial_div(lcm, mg): cg.inverse()})
@@ -162,9 +210,13 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
 
     Normal selection strategy (lowest lcm degree first, ties broken by the
     order and then by index), with the coprime-leading-term criterion and the
-    standard lcm chain criterion for pair elimination.  Exceeding `budget`
-    S-polynomial reductions raises BudgetExceededError rather than returning
-    anything partial.
+    standard lcm chain criterion for pair elimination.  Each basis element's
+    (LM, LC) is cached when it is appended; pending pairs sit in a heap keyed
+    by (deg lcm, order.key(lcm), i, j), with a set of the same pairs beside
+    it for the chain criterion's membership tests.  S-polynomials are reduced
+    by the heap-driven `_divide` against the cached leads.  Exceeding
+    `budget` S-polynomial reductions raises BudgetExceededError rather than
+    returning anything partial.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -175,35 +227,40 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
             raise ContextMismatchError("generators live in different contexts")
 
     basis = []
+    lead = []
     for g in gens:
         g = g.monic(order)
         if g not in basis:
             basis.append(g)
+            lead.append(g.leading_term(order))
 
-    def pair_key(pair):
-        i, j = pair
-        lcm = monomial_lcm(basis[i].leading_monomial(order),
-                           basis[j].leading_monomial(order))
-        return (monomial_degree(lcm), order.key(lcm), i, j)
+    queue = []               # (deg lcm, order key of lcm, i, j, lcm)
+    pending = set()          # the (i, j) pairs in the queue
 
-    pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    def add_pairs(j):
+        mj = lead[j][0]
+        for i in range(j):
+            lcm = monomial_lcm(lead[i][0], mj)
+            heappush(queue, (monomial_degree(lcm), order.key(lcm), i, j, lcm))
+            pending.add((i, j))
+
+    for j in range(1, len(basis)):
+        add_pairs(j)
     steps = 0
-    while pending:
-        pair = min(pending, key=pair_key)
-        pending.discard(pair)
-        i, j = pair
-        mi = basis[i].leading_monomial(order)
-        mj = basis[j].leading_monomial(order)
-        lcm = monomial_lcm(mi, mj)
+    while queue:
+        _, _, i, j, lcm = heappop(queue)
+        pending.discard((i, j))
+        mi = lead[i][0]
+        mj = lead[j][0]
         # coprime criterion: S-poly reduces to zero automatically
         if all(a == 0 or b == 0 for a, b in zip(mi, mj)):
             continue
         # chain criterion: some k with LM_k | lcm and both mixed pairs done
         skip = False
-        for k in range(len(basis)):
+        for k, (mk, _) in enumerate(lead):
             if k == i or k == j:
                 continue
-            if not monomial_divides(basis[k].leading_monomial(order), lcm):
+            if not monomial_divides(mk, lcm):
                 continue
             if (min(i, k), max(i, k)) in pending:
                 continue
@@ -217,35 +274,41 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
         if steps > budget:
             raise BudgetExceededError(
                 f"Buchberger step budget ({budget}) exhausted")
-        h, _ = _divide(_s_poly(basis[i], basis[j], order), basis, order)
+        h, _ = _divide(_s_poly(basis[i], basis[j], lead[i], lead[j]), basis,
+                       order, lead=lead)
         if h.is_zero():
             continue
         h = h.monic(order)
         basis.append(h)
-        new = len(basis) - 1
-        for t in range(new):
-            pending.add((t, new))
+        lead.append(h.leading_term(order))
+        add_pairs(len(basis) - 1)
 
-    return GroebnerBasis(context, order, _reduce_basis(basis, order))
+    return GroebnerBasis(context, order, _reduce_basis(basis, order, lead))
 
 
-def _reduce_basis(basis, order: TermOrder):
-    """Minimalize, then inter-reduce to the unique reduced basis."""
-    context = basis[0].context
+def _reduce_basis(basis, order: TermOrder, lead):
+    """Minimalize, then inter-reduce to the unique reduced basis.
+
+    The elements must be monic; `lead` is their (LM, LC) list.
+    """
     # minimal: drop any element whose LM is divisible by another's LM
     minimal = []
-    lead = [g.leading_monomial(order) for g in basis]
+    minimal_lead = []
     for i, g in enumerate(basis):
+        mi = lead[i][0]
         keep = True
-        for j, m in enumerate(lead):
+        for j, (m, _) in enumerate(lead):
             if i == j:
                 continue
-            if monomial_divides(m, lead[i]) and (lead[i] != m or j < i):
+            if monomial_divides(m, mi) and (mi != m or j < i):
                 keep = False
                 break
         if keep:
             minimal.append(g)
-    # inter-reduce tails to the fixpoint
+            minimal_lead.append(lead[i])
+    # inter-reduce tails to the fixpoint; no other leading monomial divides
+    # an element's own, so its monic leading term passes to the remainder
+    # unchanged and the cached leads stay valid
     changed = True
     while changed:
         changed = False
@@ -253,13 +316,14 @@ def _reduce_basis(basis, order: TermOrder):
             others = minimal[:i] + minimal[i + 1:]
             if not others:
                 continue
-            r, _ = _divide(minimal[i], others, order)
-            r = r.monic(order)
+            r, _ = _divide(minimal[i], others, order,
+                           lead=minimal_lead[:i] + minimal_lead[i + 1:])
             if r != minimal[i]:
                 minimal[i] = r
                 changed = True
-    minimal.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
-    return minimal
+    ranked = sorted(zip(minimal_lead, minimal),
+                    key=lambda pair: order.key(pair[0][0]), reverse=True)
+    return [g for _, g in ranked]
 
 
 def groebner_basis(ideal: IdealHandle, order: TermOrder = TermOrder.GREVLEX,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -28,20 +29,20 @@ Monomial = tuple  # exponent vector; length == number of context variables
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """True when a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_degree(a: Monomial) -> int:

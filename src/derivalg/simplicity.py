@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -611,7 +612,7 @@ def _rational_roots(g: Poly, var: int):
     # clear denominators to integer coefficients
     denom = 1
     for c in coeffs.values():
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
+        denom = math.lcm(denom, c.denominator)
     ints = {e: int(c * denom) for e, c in coeffs.items()}
     roots = []
     field = g.context.field
@@ -653,9 +654,3 @@ def _divisors(n: int):
                 big.append(n // d)
         d += 1
     return small + big[::-1]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

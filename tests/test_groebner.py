@@ -8,12 +8,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from derivalg import (
     GF,
     QQ,
     BudgetExceededError,
     IdealHandle,
+    Poly,
     QuotientRing,
     TermOrder,
     UnitIdealError,
@@ -253,6 +256,110 @@ def test_budget_exhaustion_reported(ctx_xy):
         buchberger([x * y - 1, y ** 2 - 1], TermOrder.LEX, budget=0)
 
 
+def _katsura3(ctx):
+    u0, u1, u2, u3 = (ctx.var(i) for i in range(4))
+    return [u0 + 2 * u1 + 2 * u2 + 2 * u3 - 1,
+            u0 ** 2 - u0 + 2 * u1 ** 2 + 2 * u2 ** 2 + 2 * u3 ** 2,
+            2 * u0 * u1 + 2 * u1 * u2 - u1 + 2 * u2 * u3,
+            2 * u0 * u2 + u1 ** 2 + 2 * u1 * u3 - u2]
+
+
+def _cyclic4(ctx):
+    u0, u1, u2, u3 = (ctx.var(i) for i in range(4))
+    return [u0 + u1 + u2 + u3,
+            u0 * u1 + u1 * u2 + u2 * u3 + u3 * u0,
+            u0 * u1 * u2 + u1 * u2 * u3 + u2 * u3 * u0 + u3 * u0 * u1,
+            u0 * u1 * u2 * u3 - 1]
+
+
+@pytest.mark.parametrize("system, order, steps", [
+    (_katsura3, TermOrder.GREVLEX, 10),
+    (_katsura3, TermOrder.LEX, 22),
+    (_cyclic4, TermOrder.GREVLEX, 11),
+    (_cyclic4, TermOrder.LEX, 14),
+], ids=["katsura3-grevlex", "katsura3-lex", "cyclic4-grevlex", "cyclic4-lex"])
+def test_budget_pins_s_polynomial_path(system, order, steps):
+    # the budget counts S-polynomial reductions, so the smallest budget that
+    # succeeds pins the pairs reduced: selection order and both criteria
+    ctx = VarContext(("u0", "u1", "u2", "u3"), QQ)
+    gens = system(ctx)
+    with pytest.raises(BudgetExceededError):
+        buchberger(gens, order, budget=steps - 1)
+    assert not buchberger(gens, order, budget=steps).is_unit
+
+
+@st.composite
+def _division_problems(draw):
+    """(reduced basis of a small random ideal, dividend) over QQ or GF(32003)."""
+    field = draw(st.sampled_from([QQ, GF(32003)]))
+    nvars = draw(st.integers(1, 3))
+    ctx = VarContext(tuple("xyz"[:nvars]), field)
+    monomials = st.sampled_from(
+        [m for m in itertools.product(range(4), repeat=nvars) if sum(m) <= 3])
+
+    def polys(coefficients, max_terms):
+        terms = st.dictionaries(monomials, coefficients,
+                                min_size=1, max_size=max_terms)
+        return terms.map(lambda t: Poly(ctx, t))
+
+    nonzero = st.sampled_from([c for c in range(-5, 6) if c])
+    gens = draw(st.lists(polys(nonzero, 3), min_size=1, max_size=3))
+    order = draw(st.sampled_from(list(TermOrder)))
+    return buchberger(gens, order), draw(polys(st.integers(-5, 5), 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_division_problems())
+def test_division_property(problem):
+    from derivalg.poly import monomial_divides
+
+    basis, f = problem
+    r, cofactors = normal_form_with_cofactors(f, basis)
+    assert len(cofactors) == len(basis)
+    rebuilt = r
+    for q, g in zip(cofactors, basis.polys):
+        rebuilt = rebuilt + q * g
+    assert rebuilt == f
+    for mono, _ in r.terms():
+        assert not any(monomial_divides(lead, mono)
+                       for lead in basis.leading_monomials())
+
+
+def test_division_cofactors_golden():
+    # `member --cofactors` prints these; the division order fixes them
+    ctx = VarContext(("x", "y", "z"), QQ)
+    x, y, z = (ctx.var(i) for i in range(3))
+    gens = [x * y - z ** 2, y * z - x ** 2 + y, x * z - y ** 2 + 1]
+    f = x ** 3 * y ** 2 * z + 3 * x ** 2 * y ** 2 - y * z ** 2 + 5
+    expected = {
+        TermOrder.GREVLEX: (
+            ["-x + y + z^3", "x^2 + x - y", "x*y - z^2", "y^2 + z",
+             "x*z + z + 1", "x + y*z"],
+            "2*x + z^2 - z + 3",
+            ["y^2 + y", "x*y^2*z - y^2*z + 3*y^2", "y^2*z + y*z - 2*y + 1",
+             "-y*z + 2*y - 1", "2", "-2*z - 2"]),
+        TermOrder.LEX: (
+            ["x - z^4 - z - 1", "y - z^4 + z^3 - z - 1",
+             "z^5 + z^2 + 2*z + 1"],
+            "2*z^4 + z^2 + z + 5",
+            ["x^2*y^2*z + x*y^2*z^5 + x*y^2*z^2 + x*y^2*z + 3*x*y^2"
+             " + y^2*z^9 + 2*y^2*z^6 + 2*y^2*z^5 + 3*y^2*z^4 + y^2*z^3"
+             " + 2*y^2*z^2 + 4*y^2*z + 3*y^2",
+             "y*z^13 + 3*y*z^10 + 3*y*z^9 + 3*y*z^8 + 3*y*z^7 + 6*y*z^6"
+             " + 9*y*z^5 + 7*y*z^4 + 3*y*z^3 + 6*y*z^2 + 7*y*z + 3*y + z^17"
+             " - z^16 + 4*z^14 + z^13 + 3*z^11 + 9*z^10 + 9*z^9 + 4*z^8"
+             " + 5*z^7 + 18*z^6 + 17*z^5 + 6*z^4 + 6*z^3 + 12*z^2 + 10*z + 3",
+             "z^16 - 2*z^15 + z^14 + 4*z^13 - 3*z^12 + 3*z^10 + 5*z^9 + 3*z^8"
+             " - 2*z^7 + 2*z^6 + 15*z^5 + 3*z^4 - 3*z^3 + 6*z^2 + 6*z + 3"]),
+    }
+    for order, (polys, remainder, cofactors) in expected.items():
+        basis = buchberger(gens, order)
+        assert [str(g) for g in basis.polys] == polys
+        r, q = normal_form_with_cofactors(f, basis)
+        assert str(r) == remainder
+        assert [str(c) for c in q] == cofactors
+
+
 def test_membership_agrees_with_linear_algebra_oracle():
     rng = random.Random(2024)
     agree = 0
@@ -315,16 +422,20 @@ def test_reduced_basis_structural_invariants():
 
 def test_reduced_basis_matches_sympy():
     sympy = pytest.importorskip("sympy")
+    modulus = 32003
     rng = random.Random(424242)
     for trial in range(20):
         nvars = rng.randint(1, 3)
         names = tuple("xyz"[:nvars])
         ctx = VarContext(names, QQ)
+        ctx_p = VarContext(names, GF(modulus))
         syms = sympy.symbols(" ".join(names))
         if nvars == 1:
             syms = (syms,)
         gens = [rand_poly(rng, ctx, max_degree=rng.randint(1, 3), max_terms=3,
                           nonzero=True) for _ in range(rng.randint(1, 3))]
+        gens_p = [Poly(ctx_p, {m: c.numerator for m, c in g.terms()})
+                  for g in gens]
 
         def to_sympy(p):
             expr = sympy.Integer(0)
@@ -334,6 +445,13 @@ def test_reduced_basis_matches_sympy():
                     term *= s ** e
                 expr += term
             return expr
+
+        def monic_terms_mod_p(e, sympy_order):
+            # the sympy element as a {monomial: residue} map scaled to LC 1
+            poly = sympy.Poly(e, *syms, modulus=modulus)
+            lc = int(poly.LC(order=sympy_order)) % modulus
+            inverse = pow(lc, -1, modulus)
+            return {m: int(c) * inverse % modulus for m, c in poly.terms()}
 
         for mine_order, sympy_order in ((TermOrder.LEX, "lex"),
                                         (TermOrder.GREVLEX, "grevlex")):
@@ -347,3 +465,11 @@ def test_reduced_basis_matches_sympy():
 
             assert (sorted(str(monic(e)) for e in reference.exprs)
                     == sorted(str(sympy.expand(to_sympy(g))) for g in mine.polys))
+
+            mine_p = buchberger(gens_p, mine_order)
+            reference_p = sympy.groebner([to_sympy(g) for g in gens], *syms,
+                                         order=sympy_order, modulus=modulus)
+            assert (sorted(sorted(monic_terms_mod_p(e, sympy_order).items())
+                           for e in reference_p.exprs)
+                    == sorted(sorted((m, c.value) for m, c in g.terms())
+                              for g in mine_p.polys))
