@@ -14,8 +14,7 @@ path.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     ContextMismatchError,
@@ -114,7 +113,9 @@ def _chain_rule(f: Poly, images: Sequence[Poly]) -> Poly:
             continue
         p = f.partial(i)
         if not p.is_zero():
-            total = total + p * g
+            # a constant image (a partial derivative, say) only scales
+            total = total + (p.scale(g.constant_value()) if g.is_constant()
+                             else p * g)
     return total
 
 
@@ -127,8 +128,7 @@ def commutator(d1: Derivation, d2: Derivation) -> Derivation:
     return Derivation(d1.ring, images)
 
 
-@dataclass(frozen=True)
-class CommuteReport:
+class CommuteReport(NamedTuple):
     """Outcome of a pairwise commutation check over a derivation list."""
 
     commute: bool

@@ -6,6 +6,13 @@ values are stdlib ``Fraction`` instances, which are always in lowest terms
 with a positive denominator, so the canonical form is maintained for free.
 Prime-field values are ints in ``[0, p)``.
 
+``FieldElement`` is the boundary type: what users pass in and get back.
+Inside polynomials, coefficients are *raw* Python numbers, with no wrapper
+and no field tag: over QQ an ``int`` when the value is integral and a
+``Fraction`` otherwise, over F_p an ``int`` in ``[0, p)``.
+:meth:`FieldSpec.raw` coerces a value to that form, :meth:`FieldSpec.element`
+wraps a raw value again, and :meth:`FieldSpec.raw_inverse` inverts one.
+
 No floating point is used anywhere: Groebner intermediates blow up and only
 exact results are acceptable.
 """
@@ -68,6 +75,42 @@ class FieldSpec:
                 return FieldElement(self, Fraction(value))
             return FieldElement(self, value % self.p)
         raise TypeError(f"cannot coerce {value!r} into {self}")
+
+    def raw(self, value):
+        """The raw coefficient of an int, Fraction, or element of this field.
+
+        Over QQ an integral value comes back as an ``int`` and any other as a
+        ``Fraction``; over F_p the value is an ``int`` in ``[0, p)``, and a
+        Fraction whose denominator vanishes mod p raises ZeroDivisionError.
+        """
+        if isinstance(value, FieldElement):
+            if value.spec != self:
+                raise FieldMismatchError(f"{value} is not an element of {self}")
+            value = value.value
+        p = self.p
+        if isinstance(value, int):
+            return int(value) if p is None else value % p
+        if isinstance(value, Fraction):
+            if p is None:
+                return value.numerator if value.denominator == 1 else value
+            d = value.denominator % p
+            if d == 0:
+                raise ZeroDivisionError(f"denominator {value.denominator} vanishes in {self}")
+            return value.numerator * pow(d, -1, p) % p
+        raise TypeError(f"cannot coerce {value!r} into {self}")
+
+    def raw_inverse(self, c):
+        """The inverse of a nonzero raw coefficient, as a raw coefficient."""
+        if not c:
+            raise ZeroDivisionError(f"division by zero in {self}")
+        if self.p is not None:
+            return pow(c, -1, self.p)
+        n, d = c.numerator, c.denominator
+        if n == 1:
+            return d
+        if n == -1:
+            return -d
+        return Fraction(d, n)
 
     def from_ratio(self, numerator: int, denominator: int) -> "FieldElement":
         """The canonical element numerator/denominator.

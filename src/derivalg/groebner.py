@@ -66,7 +66,7 @@ class GroebnerBasis:
     Reduced means: every element is monic, and no leading monomial divides
     any term of another element.  Such a basis is unique for (ideal, order),
     which makes ideal equality and membership decidable by normal forms.
-    The (LM, LC) pair of each element is computed once, into ``leads``.
+    The (LM, raw LC) pair of each element is computed once, into ``leads``.
     """
 
     __slots__ = ("context", "order", "polys", "leads")
@@ -76,7 +76,7 @@ class GroebnerBasis:
         self.context = context
         self.order = order
         self.polys = tuple(polys)
-        self.leads = tuple(g.leading_term(order) for g in self.polys)
+        self.leads = tuple(g._lead(order) for g in self.polys)
 
     def __iter__(self):
         return iter(self.polys)
@@ -130,11 +130,18 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
 
     No term of r is divisible by any divisor's leading monomial.  The terms
     of r and of each q_i are produced in descending order.  `lead` is the
-    divisors' (LM, LC) list, when the caller has it cached.
+    divisors' (LM, raw LC) list, when the caller has it cached.
+
+    Coefficients are raw (see :mod:`derivalg.field`).  Over F_p the
+    dividend's entries accumulate unreduced, possibly negative, products
+    and are reduced once, when popped; over QQ an integral Fraction is
+    demoted to int there.
     """
     context = f.context
+    field = context.field
+    modulus = field.p
     if lead is None:
-        lead = [g.leading_term(order) for g in divisors]
+        lead = [g._lead(order) for g in divisors]
     heap_key = _heap_key(order)
     p = dict(f._terms)
     heap = [(heap_key(m), m) for m in p]
@@ -145,8 +152,15 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
     while heap:
         m = heappop(heap)[1]
         c = p.pop(m)
-        if c.is_zero():
-            continue
+        if modulus is None:
+            if not c:
+                continue
+            if c.denominator == 1:
+                c = c.numerator
+        else:
+            c %= modulus
+            if not c:
+                continue
         for i, (mg, cg) in enumerate(lead):
             if monomial_divides(mg, m):
                 break
@@ -156,9 +170,14 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
         if i not in tails:
             tail = [(mk, -ck) for mk, ck in divisors[i]._terms.items()
                     if mk != mg]
-            tails[i] = (cg.inverse(), tail)
+            tails[i] = (field.raw_inverse(cg), tail)
         inverse, tail = tails[i]
         q = c * inverse
+        if modulus is None:
+            if q.denominator == 1:
+                q = q.numerator
+        else:
+            q %= modulus
         u = monomial_div(m, mg)
         if want_cofactors:
             quotients[i][u] = q
@@ -196,11 +215,12 @@ def normal_form_with_cofactors(f: Poly, basis: GroebnerBasis):
 
 
 def _s_poly(f: Poly, g: Poly, lead_f, lead_g) -> Poly:
-    """S(f, g), from the cached (LM, LC) pairs of f and g."""
+    """S(f, g), from the cached (LM, raw LC) pairs of f and g."""
     (mf, cf), (mg, cg) = lead_f, lead_g
+    raw_inverse = f.context.field.raw_inverse
     lcm = monomial_lcm(mf, mg)
-    tf = Poly._raw(f.context, {monomial_div(lcm, mf): cf.inverse()})
-    tg = Poly._raw(g.context, {monomial_div(lcm, mg): cg.inverse()})
+    tf = Poly._raw(f.context, {monomial_div(lcm, mf): raw_inverse(cf)})
+    tg = Poly._raw(g.context, {monomial_div(lcm, mg): raw_inverse(cg)})
     return tf * f - tg * g
 
 
@@ -211,7 +231,7 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
     Normal selection strategy (lowest lcm degree first, ties broken by the
     order and then by index), with the coprime-leading-term criterion and the
     standard lcm chain criterion for pair elimination.  Each basis element's
-    (LM, LC) is cached when it is appended; pending pairs sit in a heap keyed
+    (LM, raw LC) is cached when it is appended; pending pairs sit in a heap keyed
     by (deg lcm, order.key(lcm), i, j), with a set of the same pairs beside
     it for the chain criterion's membership tests.  S-polynomials are reduced
     by the heap-driven `_divide` against the cached leads.  Exceeding
@@ -232,7 +252,7 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
         g = g.monic(order)
         if g not in basis:
             basis.append(g)
-            lead.append(g.leading_term(order))
+            lead.append(g._lead(order))
 
     queue = []               # (deg lcm, order key of lcm, i, j, lcm)
     pending = set()          # the (i, j) pairs in the queue
@@ -280,7 +300,7 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
             continue
         h = h.monic(order)
         basis.append(h)
-        lead.append(h.leading_term(order))
+        lead.append(h._lead(order))
         add_pairs(len(basis) - 1)
 
     return GroebnerBasis(context, order, _reduce_basis(basis, order, lead))
@@ -289,7 +309,7 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
 def _reduce_basis(basis, order: TermOrder, lead):
     """Minimalize, then inter-reduce to the unique reduced basis.
 
-    The elements must be monic; `lead` is their (LM, LC) list.
+    The elements must be monic; `lead` is their (LM, raw LC) list.
     """
     # minimal: drop any element whose LM is divisible by another's LM
     minimal = []

@@ -1,10 +1,17 @@
 """Canonical multivariate commutative polynomials over an exact field.
 
 A polynomial is a map from exponent vectors (plain int tuples, one entry per
-context variable) to nonzero :class:`~derivalg.field.FieldElement`
-coefficients.  The empty map is zero.  Two polynomials are equal exactly when
-their term maps are identical, so structural equality is mathematical
-equality.
+context variable) to nonzero *raw* coefficients: over QQ an ``int`` when the
+value is integral and a ``Fraction`` otherwise, over F_p an ``int`` in
+``[0, p)`` (see :mod:`derivalg.field`).  The empty map is zero.  Two
+polynomials are equal exactly when their term maps are identical, so
+structural equality is mathematical equality.
+
+Arithmetic works on the raw numbers and branches once per operation on the
+field's modulus; a product over F_p accumulates unreduced and reduces once
+per output term.  :class:`~derivalg.field.FieldElement` is the boundary type:
+constructors accept it, and ``terms``, ``coeff``, ``leading_term``,
+``constant_value`` and ``evaluate`` return it.
 
 Contexts are small (a handful of variables at desk scale), so exponent
 vectors are dense tuples rather than sparse maps.
@@ -13,7 +20,6 @@ vectors are dense tuples rather than sparse maps.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
 from typing import Iterable, Iterator, Sequence
@@ -67,24 +73,46 @@ class TermOrder(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
 class VarContext:
     """An ordered tuple of distinct variable names plus the coefficient field.
 
     The order is fixed at creation; every polynomial operation below assumes
-    both operands share one context object (compared by value).
+    both operands share one context object (compared by value).  Instances
+    are immutable.
     """
 
-    names: tuple
-    field: FieldSpec
+    __slots__ = ("names", "field")
 
-    def __post_init__(self):
-        names = tuple(self.names)
-        object.__setattr__(self, "names", names)
+    def __init__(self, names, field: FieldSpec):
+        names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
         if any(not n for n in names):
             raise ValueError("variable names must be nonempty")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "field", field)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of VarContext")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of VarContext")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not VarContext:
+            return NotImplemented
+        return self.names == other.names and self.field == other.field
+
+    def __hash__(self):
+        return hash((self.names, self.field))
+
+    def __repr__(self):
+        return f"VarContext(names={self.names!r}, field={self.field!r})"
+
+    def __reduce__(self):
+        return (VarContext, (self.names, self.field))
 
     @property
     def nvars(self) -> int:
@@ -99,14 +127,14 @@ class VarContext:
     def var(self, i: int) -> "Poly":
         exp = [0] * self.nvars
         exp[i] = 1
-        return Poly._raw(self, {tuple(exp): self.field.one})
+        return Poly._raw(self, {tuple(exp): 1})
 
     def var_by_name(self, name: str) -> "Poly":
         return self.var(self.index(name))
 
     def const(self, value) -> "Poly":
-        c = self.field.element(value)
-        if c.is_zero():
+        c = self.field.raw(value)
+        if not c:
             return Poly._raw(self, {})
         return Poly._raw(self, {(0,) * self.nvars: c})
 
@@ -133,20 +161,22 @@ class Poly:
 
     def __init__(self, context: VarContext, terms: dict):
         n = context.nvars
+        raw = context.field.raw
         clean = {}
         for mono, coeff in terms.items():
             mono = tuple(mono)
             if len(mono) != n or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono} for {context}")
-            c = context.field.element(coeff)
-            if not c.is_zero():
+            c = raw(coeff)
+            if c:
                 clean[mono] = c
         self.context = context
         self._terms = clean
 
     @classmethod
     def _raw(cls, context: VarContext, terms: dict) -> "Poly":
-        # Internal fast path: terms already canonical (no zeros, valid keys).
+        # Internal fast path: terms already canonical (valid keys, nonzero
+        # raw coefficients in the field's canonical form).
         self = object.__new__(cls)
         self.context = context
         self._terms = terms
@@ -164,12 +194,15 @@ class Poly:
         return len(self._terms)
 
     def terms(self) -> Iterator:
-        """Term pairs sorted descending by the context's lex order."""
-        return iter(sorted(self._terms.items(),
-                           key=lambda kv: kv[0], reverse=True))
+        """(monomial, FieldElement) pairs sorted descending by lex order."""
+        element = self.context.field.element
+        return iter([(m, element(c)) for m, c in self._sorted_items()])
+
+    def _sorted_items(self):
+        return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def coeff(self, mono: Monomial) -> FieldElement:
-        return self._terms.get(tuple(mono), self.context.field.zero)
+        return self.context.field.element(self._terms.get(tuple(mono), 0))
 
     def total_degree(self) -> int:
         """Max term degree; -1 for the zero polynomial."""
@@ -197,13 +230,18 @@ class Poly:
 
     def leading_term(self, order: TermOrder):
         """(monomial, coefficient) maximal under `order`; zero poly raises."""
+        m, c = self._lead(order)
+        return m, self.context.field.element(c)
+
+    def _lead(self, order: TermOrder):
+        """(monomial, raw coefficient) maximal under `order`."""
         if not self._terms:
             raise ZeroPolynomialError("the zero polynomial has no leading term")
         m = max(self._terms, key=order.key)
         return m, self._terms[m]
 
     def leading_monomial(self, order: TermOrder) -> Monomial:
-        return self.leading_term(order)[0]
+        return self._lead(order)[0]
 
     # -- arithmetic ------------------------------------------------------
 
@@ -221,48 +259,54 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for m, c in o._terms.items():
-            acc = terms.get(m)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return Poly._raw(self.context, terms)
+        return Poly._raw(self.context, _add_terms(self._terms, o._terms,
+                                                  self.context.field.p))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._raw(self.context, {m: -c for m, c in self._terms.items()})
+        p = self.context.field.p
+        if p is None:
+            return Poly._raw(self.context, {m: -c for m, c in self._terms.items()})
+        return Poly._raw(self.context, {m: p - c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return Poly._raw(self.context, _add_terms(self._terms, (-o)._terms,
+                                                  self.context.field.p))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return Poly._raw(self.context, _add_terms(o._terms, (-self)._terms,
+                                                  self.context.field.p))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = {}
+        acc = {}
+        get = acc.get
         for ma, ca in self._terms.items():
             for mb, cb in o._terms.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
-                c = ca * cb
-                acc = terms.get(m)
-                s = c if acc is None else acc + c
-                if s.is_zero():
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
+                m = tuple(map(add, ma, mb))
+                c = get(m)
+                acc[m] = ca * cb if c is None else c + ca * cb
+        # one reduction and zero test per output term
+        p = self.context.field.p
+        terms = {}
+        if p is None:
+            for m, c in acc.items():
+                if c:
+                    terms[m] = c.numerator if c.denominator == 1 else c
+        else:
+            for m, c in acc.items():
+                c %= p
+                if c:
+                    terms[m] = c
         return Poly._raw(self.context, terms)
 
     __rmul__ = __mul__
@@ -279,18 +323,29 @@ class Poly:
             n >>= 1
         return result
 
-    def scale(self, c: FieldElement) -> "Poly":
-        c = self.context.field.element(c)
-        if c.is_zero():
+    def scale(self, c) -> "Poly":
+        """The product with a constant (an int, Fraction or FieldElement)."""
+        field = self.context.field
+        c = field.raw(c)
+        if not c:
             return self.context.zero
-        return Poly._raw(self.context,
-                         {m: v * c for m, v in self._terms.items()})
+        if c == 1:
+            return self
+        p = field.p
+        if p is not None:
+            return Poly._raw(self.context,
+                             {m: v * c % p for m, v in self._terms.items()})
+        terms = {}
+        for m, v in self._terms.items():
+            v *= c
+            terms[m] = v.numerator if v.denominator == 1 else v
+        return Poly._raw(self.context, terms)
 
     def monic(self, order: TermOrder) -> "Poly":
-        _, lc = self.leading_term(order)
-        if lc.is_one():
+        _, lc = self._lead(order)
+        if lc == 1:
             return self
-        return self.scale(lc.inverse())
+        return self.scale(self.context.field.raw_inverse(lc))
 
     # -- calculus and evaluation -----------------------------------------
 
@@ -302,31 +357,36 @@ class Poly:
         """
         if not 0 <= i < self.context.nvars:
             raise IndexError(f"variable index {i} out of range")
-        field = self.context.field
+        p = self.context.field.p
         terms = {}
         for m, c in self._terms.items():
             e = m[i]
             if e == 0:
                 continue
-            nc = c * field.element(e)
-            if nc.is_zero():
-                continue
-            terms[m[:i] + (e - 1,) + m[i + 1:]] = nc
+            c *= e
+            if p is None:
+                if c.denominator == 1:
+                    c = c.numerator
+            else:
+                c %= p
+                if not c:
+                    continue
+            terms[m[:i] + (e - 1,) + m[i + 1:]] = c
         return Poly._raw(self.context, terms)
 
     def evaluate(self, point: Sequence) -> FieldElement:
         field = self.context.field
-        values = [field.element(v) for v in point]
+        values = [field.raw(v) for v in point]
         if len(values) != self.context.nvars:
             raise ValueError("point arity does not match the context")
-        total = field.zero
+        p = field.p
+        total = 0
         for m, c in self._terms.items():
-            acc = c
             for v, e in zip(values, m):
-                for _ in range(e):
-                    acc = acc * v
-            total = total + acc
-        return total
+                if e:
+                    c *= v ** e if p is None else pow(v, e, p)
+            total += c
+        return field.element(total)
 
     # -- identity --------------------------------------------------------
 
@@ -346,16 +406,15 @@ class Poly:
         if not self._terms:
             return "0"
         chunks = []
-        for m, c in self.terms():
+        for m, c in self._sorted_items():
             factors = []
             for name, e in zip(self.context.names, m):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            value = c.value
-            negative = self.context.field.is_rationals and value < 0
-            mag = -value if negative else value
+            negative = self.context.field.is_rationals and c < 0
+            mag = -c if negative else c
             if factors:
                 if mag == 1:
                     body = "*".join(factors)
@@ -371,6 +430,35 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _add_terms(a: dict, b: dict, p) -> dict:
+    """The term map of a + b for canonical raw term maps over QQ or F_p."""
+    terms = dict(a)
+    get = terms.get
+    if p is None:
+        for m, c in b.items():
+            acc = get(m)
+            if acc is None:
+                terms[m] = c
+                continue
+            s = acc + c
+            if s:
+                terms[m] = s.numerator if s.denominator == 1 else s
+            else:
+                del terms[m]
+    else:
+        for m, c in b.items():
+            acc = get(m)
+            if acc is None:
+                terms[m] = c
+                continue
+            s = (acc + c) % p
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+    return terms
 
 
 class InjectivityStatus(enum.Enum):
@@ -440,7 +528,7 @@ class RingEndomorphism:
                 if len(items) != 1:
                     return InjectivityStatus.UNKNOWN
                 mono, coeff = items[0]
-                if sum(mono) != 1 or not coeff.is_one():
+                if sum(mono) != 1 or coeff != 1:
                     return InjectivityStatus.UNKNOWN
                 seen.add(mono.index(1))
             if seen == set(range(n)):
@@ -476,14 +564,16 @@ def exact_div(f: Poly, g: Poly, order: TermOrder = TermOrder.GREVLEX) -> Poly:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.context != g.context:
         raise ContextMismatchError("exact_div operands share no context")
-    mg, cg = g.leading_term(order)
+    field = f.context.field
+    mg, cg = g._lead(order)
+    inverse = field.raw_inverse(cg)
     quotient = f.context.zero
     rem = f
     while not rem.is_zero():
-        m, c = rem.leading_term(order)
+        m, c = rem._lead(order)
         if not monomial_divides(mg, m):
             raise InexactDivisionError(f"({g}) does not divide ({f})")
-        t = Poly._raw(f.context, {monomial_div(m, mg): c / cg})
+        t = Poly._raw(f.context, {monomial_div(m, mg): field.raw(c * inverse)})
         quotient = quotient + t
         rem = rem - t * g
     return quotient

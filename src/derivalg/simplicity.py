@@ -19,8 +19,8 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .derivation import Derivation, _chain_rule
 from .errors import (
@@ -43,8 +43,7 @@ from .groebner import (
 from .poly import Poly, VarContext
 
 
-@dataclass(frozen=True)
-class SimplicityCertificate:
+class SimplicityCertificate(NamedTuple):
     """A replayable reduction of a ring element to a nonzero constant.
 
     `word` lists 0-based variable indices in application order: applying the
@@ -62,8 +61,7 @@ class SimplicityStatus(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class SimplicityVerdict:
+class SimplicityVerdict(NamedTuple):
     status: SimplicityStatus
     witness: IdealHandle | None = None
     reason: str | None = None
@@ -85,8 +83,7 @@ class DarbouxStatus(enum.Enum):
     NONE_UP_TO_BOUND = "none_up_to_bound"
 
 
-@dataclass(frozen=True)
-class DarbouxResult:
+class DarbouxResult(NamedTuple):
     status: DarbouxStatus
     h: Poly | None
     cofactor: Poly | None
@@ -361,7 +358,7 @@ def darboux_search(F: Poly, bound: int,
         xy = (m[0], m[1])
         rest = m[2:]
         eq = equations.setdefault(xy, {})
-        eq[rest] = eq.get(rest, ctx.field.zero) + c
+        eq[rest] = eq.get(rest, 0) + c
     system = [Poly(unknowns, eq) for eq in equations.values()]
     system = [e for e in system if not e.is_zero()]
 
@@ -416,30 +413,18 @@ def _fresh_names(prefix: str, count: int, taken) -> list:
 def _substitute_constants(f: Poly, values: dict) -> Poly:
     """Substitute field constants for a subset of variables, by name."""
     ctx = f.context
-    idx = {ctx.index(name): val for name, val in values.items()}
+    idx = {ctx.index(name): ctx.field.raw(val) for name, val in values.items()}
     terms = {}
     for m, c in f._terms.items():
-        coeff = c
         mono = list(m)
         for i, val in idx.items():
             e = mono[i]
             if e:
-                if val.is_zero():
-                    coeff = None
-                    break
-                for _ in range(e):
-                    coeff = coeff * val
+                c *= val ** e
                 mono[i] = 0
-        if coeff is None or coeff.is_zero():
-            continue
         key = tuple(mono)
-        acc = terms.get(key)
-        s = coeff if acc is None else acc + coeff
-        if s.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = s
-    return Poly._raw(ctx, terms)
+        terms[key] = terms.get(key, 0) + c
+    return Poly(ctx, terms)
 
 
 def _solve_rational(equations, context: VarContext, budget: int):
@@ -511,8 +496,8 @@ def _linear_solvable(e: Poly):
                 ok = False
                 break
         if ok and coeff is not None:
-            inv = -coeff.inverse()
-            value = Poly._raw(ctx, {m: c * inv for m, c in rest.items()})
+            inv = -ctx.field.raw_inverse(coeff)
+            value = Poly(ctx, {m: c * inv for m, c in rest.items()})
             return ctx.names[i], value
     return None
 
@@ -549,7 +534,7 @@ def _extract_point(gens, context: VarContext, budget: int, depth: int):
         var = _sole_variable(g)
         if var is None:
             continue
-        for root in _rational_roots(g, var):
+        for root in _rational_roots(g, var, budget):
             reduced = [_substitute_constants(q, {context.names[var]: root})
                        for q in gens]
             reduced = [q for q in reduced if not q.is_zero()]
@@ -601,11 +586,17 @@ def _sole_variable(g: Poly):
     return seen
 
 
-def _rational_roots(g: Poly, var: int):
-    """All rational roots of a univariate (in `var`) polynomial over QQ."""
+def _rational_roots(g: Poly, var: int, budget: int):
+    """All rational roots of a univariate (in `var`) polynomial over QQ.
+
+    Candidates p/q come from the divisors of the constant and leading
+    integer coefficients.  Finding them takes sqrt(|a0|) + sqrt(|an|) trial
+    divisions; when that exceeds `budget`, BudgetExceededError is raised
+    before any is made.
+    """
     coeffs = {}
     for m, c in g._terms.items():
-        coeffs[m[var]] = c.value
+        coeffs[m[var]] = c
     degree = max(coeffs)
     if degree == 0:
         return []
@@ -624,8 +615,14 @@ def _rational_roots(g: Poly, var: int):
             return _dedup_roots(roots)
     a0 = abs(ints.get(0, 0))
     an = abs(ints[max(ints)])
+    trials = math.isqrt(a0) + math.isqrt(an)
+    if trials > budget:
+        raise BudgetExceededError(
+            f"rational root search needs {trials} trial divisions, "
+            f"over the budget of {budget}")
+    denominators = _divisors(an)
     for p in _divisors(a0):
-        for q in _divisors(an):
+        for q in denominators:
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 value = sum(Fraction(c) * cand ** e for e, c in ints.items())
                 if value == 0:

@@ -19,9 +19,8 @@ coefficient field, so characteristic-p pushes reduce them mod p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .derivation import Derivation, SkewDerivation, _as_ring, commutator, commuting_set_check
 from .errors import (
@@ -296,8 +295,7 @@ def binomial_push(ring: SkewRingDescriptor, i: int, n: int, r: Poly) -> SkewPoly
     for k in range(n + 1):
         if current.is_zero():
             break
-        coeff = current * ring.base.context.field.element(math.comb(n, k))
-        coeff = ring.base.reduce(coeff)
+        coeff = ring.base.reduce(current.scale(math.comb(n, k)))
         if not coeff.is_zero():
             e = [0] * ring.nskew
             e[i] = n - k
@@ -414,8 +412,7 @@ def extend_derivation(d1: Derivation, ring: SkewRingDescriptor) -> SkewRingDeriv
     return SkewRingDerivation(ring, d1)
 
 
-@dataclass(frozen=True)
-class InnerAnalysis:
+class InnerAnalysis(NamedTuple):
     """Outcome of testing whether conjugation by an element induces a base derivation."""
 
     element: SkewPoly
@@ -469,7 +466,6 @@ def inner_residuals(ring: SkewRingDescriptor, f: SkewPoly, r: Poly):
     if n < 1:
         return []
     coeffs = {e[0]: c for e, c in f.terms.items()}
-    field = ring.base.context.field
     out = []
     for k in range(1, n + 1):
         total = ring.base.context.zero
@@ -477,8 +473,7 @@ def inner_residuals(ring: SkewRingDescriptor, f: SkewPoly, r: Poly):
         for i in range(k, n + 1):
             a_i = coeffs.get(i)
             if a_i is not None:
-                binom = field.element(math.comb(i, i - k))
-                total = total + a_i * derived * binom
+                total = total + (a_i * derived).scale(math.comb(i, i - k))
             derived = d.apply(derived)
         a_k = coeffs.get(k, ring.base.context.zero)
         total = total - r * a_k

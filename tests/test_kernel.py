@@ -1,0 +1,148 @@
+"""The raw-coefficient polynomial kernel against boxed field arithmetic.
+
+``Poly`` keeps raw coefficients (int or Fraction over QQ, int mod p over
+F_p); the references below rebuild every result from the
+``FieldElement`` values that ``terms()`` hands out, using only the
+field's own operators.
+"""
+
+import itertools
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import derivalg
+from derivalg import GF, QQ, FieldElement, Poly, TermOrder, VarContext
+from derivalg.poly import exact_div
+
+FIELDS = [QQ, GF(32003)]
+
+
+def _reference(ctx, pairs):
+    """A Poly from (monomial, FieldElement) pairs, summed with field `+`."""
+    acc = {}
+    for m, c in pairs:
+        acc[m] = acc[m] + c if m in acc else c
+    return Poly(ctx, {m: c for m, c in acc.items() if not c.is_zero()})
+
+
+def _assert_canonical(f):
+    p = f.context.field.p
+    for c in f._terms.values():
+        if p is None:
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        else:
+            assert type(c) is int and 0 < c < p
+
+
+@st.composite
+def _polys(draw, count):
+    field = draw(st.sampled_from(FIELDS))
+    nvars = draw(st.integers(1, 3))
+    ctx = VarContext(tuple("xyz"[:nvars]), field)
+    monomials = st.sampled_from(
+        [m for m in itertools.product(range(4), repeat=nvars) if sum(m) <= 3])
+    coefficients = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    polys = [Poly(ctx, draw(st.dictionaries(monomials, coefficients, max_size=4)))
+             for _ in range(count)]
+    return ctx, polys, draw(coefficients)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys(2))
+def test_ring_operations_match_boxed_reference(problem):
+    ctx, (f, g), _ = problem
+    ft, gt = list(f.terms()), list(g.terms())
+    cases = [
+        (f + g, ft + gt),
+        (f - g, ft + [(m, -c) for m, c in gt]),
+        (-f, [(m, -c) for m, c in ft]),
+        (f * g, [(tuple(a + b for a, b in zip(mf, mg)), cf * cg)
+                 for mf, cf in ft for mg, cg in gt]),
+    ]
+    for got, pairs in cases:
+        _assert_canonical(got)
+        assert got == _reference(ctx, pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys(1))
+def test_scale_monic_partial_match_boxed_reference(problem):
+    ctx, (f,), c = problem
+    field = ctx.field
+    ft = list(f.terms())
+    boxed = field.element(c)
+    got = f.scale(c)
+    _assert_canonical(got)
+    assert got == _reference(ctx, [(m, v * boxed) for m, v in ft])
+    for i in range(ctx.nvars):
+        got = f.partial(i)
+        _assert_canonical(got)
+        assert got == _reference(ctx, [
+            (m[:i] + (m[i] - 1,) + m[i + 1:], v * field.element(m[i]))
+            for m, v in ft if m[i]])
+    if f.is_zero():
+        return
+    for order in TermOrder:
+        got = f.monic(order)
+        _assert_canonical(got)
+        inverse = f.leading_term(order)[1].inverse()
+        assert got == _reference(ctx, [(m, v * inverse) for m, v in ft])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys(2))
+def test_exact_div_recovers_the_cofactor(problem):
+    ctx, (f, g), _ = problem
+    if g.is_zero():
+        return
+    for order in TermOrder:
+        q = exact_div(f * g, g, order)
+        _assert_canonical(q)
+        assert q == f
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_integral_fraction_is_the_same_coefficient(field):
+    ctx = VarContext(("x", "y"), field)
+    m = (1, 2)
+    a, b = Poly(ctx, {m: Fraction(2, 1)}), Poly(ctx, {m: 2})
+    assert a == b
+    assert hash(a) == hash(b)
+    assert str(a) == str(b)
+    thirds = Poly(ctx, {m: Fraction(1, 3), (0, 0): Fraction(-4, 3)})
+    assert thirds.scale(3) == Poly(ctx, {m: 1, (0, 0): -4})
+    assert str(thirds.scale(3)) == str(Poly(ctx, {m: 1, (0, 0): -4}))
+
+
+def test_boundary_values_are_fractions_over_qq():
+    ctx = VarContext(("x", "y"), QQ)
+    x, y = ctx.var(0), ctx.var(1)
+    f = 3 * x ** 2 * y + Fraction(1, 2) * y - 5
+    boxed = [f.coeff((2, 1)), f.coeff((0, 1)), f.coeff((1, 1)), f.constant_value(),
+             f.leading_term(TermOrder.LEX)[1], f.leading_term(TermOrder.GREVLEX)[1],
+             f.evaluate([1, 2])]
+    boxed += [c for _, c in f.terms()]
+    for c in boxed:
+        assert isinstance(c, FieldElement) and c.spec == QQ
+        assert type(c.value) is Fraction
+        if not c.is_zero():
+            assert type(c.inverse().value) is Fraction
+    assert f.coeff((2, 1)).inverse() == Fraction(1, 3)
+
+
+def test_import_leaves_out_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize at import time
+    src = str(Path(derivalg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, derivalg; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -2,12 +2,15 @@
 obstruction, and the bounded Darboux search."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from derivalg import (
+    DEFAULT_BUDGET,
     GF,
     QQ,
+    BudgetExceededError,
     DarbouxStatus,
     Derivation,
     IdealHandle,
@@ -28,6 +31,7 @@ from derivalg import (
     replay_certificate,
     truncated_certificate,
 )
+from derivalg.simplicity import _rational_roots
 
 from conftest import rand_poly
 
@@ -312,3 +316,13 @@ def test_darboux_preconditions(ctx_xyz, ctx_xy):
     gf_ctx = VarContext(("x", "y"), GF(5))
     with pytest.raises(PreconditionError):
         darboux_search(gf_ctx.var(1), 2)
+
+
+def test_rational_roots_respects_the_budget():
+    # the Mersenne prime 2^61 - 1 would take ~1.5e9 trial divisions unbudgeted
+    ctx = VarContext(("t",), QQ)
+    t = ctx.var(0)
+    with pytest.raises(BudgetExceededError):
+        _rational_roots(t ** 2 - (2 ** 61 - 1), 0, DEFAULT_BUDGET)
+    roots = _rational_roots(4 * t ** 2 - 9, 0, DEFAULT_BUDGET)
+    assert roots == [QQ.element(Fraction(3, 2)), QQ.element(Fraction(-3, 2))]
