@@ -74,14 +74,12 @@ from .simplicity import (
 )
 from .skew import (
     InnerAnalysis,
-    OrePoly,
     SingleOreDescriptor,
     SkewPoly,
     SkewRingDerivation,
     SkewRingDescriptor,
     binomial_push,
     build_skew_ring,
-    endo_skew_mul,
     extend_derivation,
     inner_induced,
     inner_residuals,

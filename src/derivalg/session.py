@@ -31,6 +31,7 @@ from .simplicity import (
     DarbouxStatus,
     SimplicityStatus,
     SimplicityVerdict,
+    _all_partials_present,
     darboux_search,
     dim1_simplicity,
     partials_certificate,
@@ -391,7 +392,7 @@ class Session:
             verdict = dim1_simplicity(ring, ders[0], self.order, self.budget)
         elif p != 0:
             verdict = prime_char_obstruction(ring, ders, self.order, self.budget)
-        elif ring.is_trivial and _contains_all_partials(ring, ders):
+        elif _all_partials_present(ring, ders):
             verdict = SimplicityVerdict(
                 SimplicityStatus.SIMPLE,
                 criterion="polynomial ring with all partial derivatives")
@@ -463,11 +464,6 @@ class Session:
         P.InnerCommand: _do_inner,
         P.ExtendCommand: _do_extend,
     }
-
-
-def _contains_all_partials(ring: QuotientRing, derivations) -> bool:
-    partials = {Derivation.partial(ring, i) for i in range(ring.context.nvars)}
-    return partials <= set(derivations)
 
 
 def _is_truncated_ring(ring: QuotientRing) -> bool:

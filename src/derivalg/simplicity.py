@@ -102,17 +102,7 @@ def partials_certificate(f: Poly) -> SimplicityCertificate:
         raise PreconditionError("partials certificate needs characteristic 0")
     if f.is_zero():
         raise ZeroPolynomialError("cannot certify the zero element")
-    word = []
-    g = f
-    while not g.is_constant():
-        i = g.lowest_var_present()
-        m = g.degree_in(i)
-        for _ in range(m):
-            g = g.partial(i)
-            word.append(i)
-    constant = g.constant_value()
-    assert not constant.is_zero()
-    return SimplicityCertificate(tuple(word), constant)
+    return _reduce_to_constant(f)
 
 
 def truncated_certificate(f: Poly) -> SimplicityCertificate:
@@ -131,6 +121,15 @@ def truncated_certificate(f: Poly) -> SimplicityCertificate:
         if any(e >= p for e in mono):
             raise PreconditionError(
                 f"representative has an exponent >= {p}; reduce it first")
+    return _reduce_to_constant(f)
+
+
+def _reduce_to_constant(f: Poly) -> SimplicityCertificate:
+    """A word of partials taking f to a nonzero constant.
+
+    Differentiates the lowest variable present at its maximal exponent m
+    until f is constant; callers guarantee that m! never vanishes.
+    """
     word = []
     g = f
     while not g.is_constant():
@@ -152,6 +151,14 @@ def replay_certificate(cert: SimplicityCertificate, f: Poly) -> FieldElement:
     if not g.is_constant():
         raise ValueError("certificate word does not reduce the element to a constant")
     return g.constant_value()
+
+
+def _all_partials_present(ring: QuotientRing, derivations) -> bool:
+    """True when ring is a polynomial ring and every partial is among derivations."""
+    if not ring.is_trivial:
+        return False
+    partials = {Derivation.partial(ring, i) for i in range(ring.context.nvars)}
+    return partials <= set(derivations)
 
 
 def _lifted_image_ideal(ring: QuotientRing, d: Derivation) -> IdealHandle:

@@ -1,14 +1,19 @@
 """Iterated skew polynomial rings of derivation type, and single Ore extensions.
 
-Elements are kept in left-coefficient normal form: every element is a sum of
-base-ring coefficients times monomials in the skew variables,
+Both rings share one element type, `SkewPoly`, kept in left-coefficient
+normal form: every element is a sum of base-ring coefficients times monomials
+in the skew variables,
 
     u = sum  r_(a) * x1^a1 ... xn^an,
 
-and multiplication pushes skew powers rightward through coefficients with
+and `skew_mul` multiplies by asking the ring descriptor's `push(a, r)` for
+x^(a) * r in normal form.  `SkewRingDescriptor` pushes one variable at a time
+with
 
     x_i * r = r * x_i + d_i(r),
-    x_i^n * r = sum_k  C(n, k) * d_i^k(r) * x_i^(n-k).
+    x_i^n * r = sum_k  C(n, k) * d_i^k(r) * x_i^(n-k);
+
+`SingleOreDescriptor` pushes with x * r = f(r) * x + d(r).
 
 The construction demands pairwise commuting derivations; a non-commuting
 pair is refused at descriptor construction with the violating pair and a
@@ -35,6 +40,7 @@ from .poly import InjectivityStatus, Poly, RingEndomorphism, VarContext
 from .simplicity import (
     SimplicityStatus,
     SimplicityVerdict,
+    _all_partials_present,
     _principal_witness,
     dim1_simplicity,
 )
@@ -44,7 +50,45 @@ def _graded_lex_key(exponents):
     return (sum(exponents), exponents)
 
 
-class SkewRingDescriptor:
+class _SkewRing:
+    """Element constructors shared by the skew ring descriptors.
+
+    Subclasses provide `base`, `names` and `push(exponents, r)`.
+    """
+
+    __slots__ = ()
+
+    @property
+    def nskew(self) -> int:
+        return len(self.names)
+
+    def zero(self) -> "SkewPoly":
+        return SkewPoly._raw(self, {})
+
+    def one(self) -> "SkewPoly":
+        return self.from_base(self.base.context.one)
+
+    def from_base(self, r: Poly) -> "SkewPoly":
+        r = self.base.reduce(r)
+        if r.is_zero():
+            return SkewPoly._raw(self, {})
+        return SkewPoly._raw(self, {(0,) * self.nskew: r})
+
+    def skew_var(self, i: int = 0) -> "SkewPoly":
+        e = [0] * self.nskew
+        e[i] = 1
+        return SkewPoly._raw(self, {tuple(e): self.base.context.one})
+
+    def base_var(self, i: int) -> "SkewPoly":
+        return self.from_base(self.base.context.var(i))
+
+    def variable(self, name: str) -> "SkewPoly":
+        if name in self.names:
+            return self.skew_var(self.names.index(name))
+        return self.base_var(self.base.context.index(name))
+
+
+class SkewRingDescriptor(_SkewRing):
     """R[x1; d1]...[xn; dn] with commuting derivations of a commutative base R."""
 
     __slots__ = ("base", "names", "derivations", "commuting_certified")
@@ -75,34 +119,25 @@ class SkewRingDescriptor:
         self.derivations = derivations
         self.commuting_certified = True
 
-    @property
-    def nskew(self) -> int:
-        return len(self.names)
-
-    def zero(self) -> "SkewPoly":
-        return SkewPoly._raw(self, {})
-
-    def one(self) -> "SkewPoly":
-        return self.from_base(self.base.context.one)
-
-    def from_base(self, r: Poly) -> "SkewPoly":
-        r = self.base.reduce(r)
-        if r.is_zero():
-            return SkewPoly._raw(self, {})
-        return SkewPoly._raw(self, {(0,) * self.nskew: r})
-
-    def skew_var(self, i: int) -> "SkewPoly":
-        e = [0] * self.nskew
-        e[i] = 1
-        return SkewPoly._raw(self, {tuple(e): self.base.context.one})
-
-    def base_var(self, i: int) -> "SkewPoly":
-        return self.from_base(self.base.context.var(i))
-
-    def variable(self, name: str) -> "SkewPoly":
-        if name in self.names:
-            return self.skew_var(self.names.index(name))
-        return self.base_var(self.base.context.index(name))
+    def push(self, exponents, r: Poly) -> dict:
+        """x^(a) * r as {exponent: coefficient}; variables pushed one at a time."""
+        acc = {(0,) * self.nskew: r}
+        for i, power in enumerate(exponents):
+            if power == 0:
+                continue
+            nxt = {}
+            for e, coeff in acc.items():
+                pushed = binomial_push(self, i, power, coeff)
+                for pe, pc in pushed.terms.items():
+                    key = tuple(a + b for a, b in zip(e, pe))
+                    have = nxt.get(key)
+                    s = pc if have is None else have + pc
+                    if s.is_zero():
+                        nxt.pop(key, None)
+                    else:
+                        nxt[key] = s
+            acc = nxt
+        return acc
 
     def __eq__(self, other):
         return (isinstance(other, SkewRingDescriptor)
@@ -125,7 +160,11 @@ def build_skew_ring(base, names: Sequence[str],
 
 
 class SkewPoly:
-    """An element of a skew ring in left-coefficient normal form."""
+    """An element of a skew ring or Ore extension in left-coefficient normal form.
+
+    `terms` maps exponent tuples (one entry per skew variable) to nonzero
+    base-ring coefficients.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -305,35 +344,15 @@ def binomial_push(ring: SkewRingDescriptor, i: int, n: int, r: Poly) -> SkewPoly
     return SkewPoly._raw(ring, terms)
 
 
-def _push_monomial(ring: SkewRingDescriptor, exponents, r: Poly) -> dict:
-    """x^(a) * r as {exponent: coefficient}; variables pushed one at a time."""
-    acc = {(0,) * ring.nskew: r}
-    for i, power in enumerate(exponents):
-        if power == 0:
-            continue
-        nxt = {}
-        for e, coeff in acc.items():
-            pushed = binomial_push(ring, i, power, coeff)
-            for pe, pc in pushed.terms.items():
-                key = tuple(a + b for a, b in zip(e, pe))
-                have = nxt.get(key)
-                s = pc if have is None else have + pc
-                if s.is_zero():
-                    nxt.pop(key, None)
-                else:
-                    nxt[key] = s
-        acc = nxt
-    return acc
-
-
-def skew_mul(ring: SkewRingDescriptor, u: SkewPoly, v: SkewPoly) -> SkewPoly:
+def skew_mul(ring: SkewRingDescriptor | SingleOreDescriptor,
+             u: SkewPoly, v: SkewPoly) -> SkewPoly:
     """Normal-form product; restricts to base multiplication in degree 0."""
     if u.ring != ring or v.ring != ring:
         raise ContextMismatchError("operands live in a different skew ring")
     terms = {}
     for a, r in u.terms.items():
         for b, s in v.terms.items():
-            for e, coeff in _push_monomial(ring, a, s).items():
+            for e, coeff in ring.push(a, s).items():
                 key = tuple(x + y for x, y in zip(e, b))
                 prod = ring.base.mul(r, coeff)
                 if prod.is_zero():
@@ -481,7 +500,7 @@ def inner_residuals(ring: SkewRingDescriptor, f: SkewPoly, r: Poly):
     return out
 
 
-class SingleOreDescriptor:
+class SingleOreDescriptor(_SkewRing):
     """R[x; f, d] in one variable: multiplication rule x r = f(r) x + d(r).
 
     Three shapes are supported: f = id with an ordinary derivation (the
@@ -519,50 +538,34 @@ class SingleOreDescriptor:
         self.endo = endo
         self.derivation = derivation
 
-    def _d(self, r: Poly) -> Poly:
-        if self.derivation is None:
-            return self.base.context.zero
-        return self.derivation.apply(r)
+    @property
+    def names(self) -> tuple:
+        return (self.name,)
 
-    def zero(self) -> "OrePoly":
-        return OrePoly(self, {})
-
-    def one(self) -> "OrePoly":
-        return self.from_base(self.base.context.one)
-
-    def from_base(self, r: Poly) -> "OrePoly":
-        if r.is_zero():
-            return OrePoly(self, {})
-        return OrePoly(self, {0: r})
-
-    def skew_var(self) -> "OrePoly":
-        return OrePoly(self, {1: self.base.context.one})
-
-    def push(self, n: int, r: Poly) -> dict:
-        """x^n * r as {exponent: coefficient}.
+    def push(self, exponents, r: Poly) -> dict:
+        """x^n * r as {(exponent,): coefficient}.
 
         With d = 0 the closed form x^n r = f^n(r) x^n applies; otherwise the
         rule x r = f(r) x + d(r) is applied recursively.
         """
-        if n == 0:
-            return {0: r} if not r.is_zero() else {}
+        (n,) = exponents
         if self.derivation is None:
             img = r
             for _ in range(n):
                 img = self.endo(img)
-            return {n: img} if not img.is_zero() else {}
-        acc = {0: r}
+            return {(n,): img} if not img.is_zero() else {}
+        acc = {0: r} if not r.is_zero() else {}
         for _ in range(n):
             nxt = {}
             for k, c in acc.items():
                 up = self.endo(c)
                 if not up.is_zero():
                     nxt[k + 1] = nxt.get(k + 1, self.base.context.zero) + up
-                down = self._d(c)
+                down = self.derivation.apply(c)
                 if not down.is_zero():
                     nxt[k] = nxt.get(k, self.base.context.zero) + down
             acc = {k: c for k, c in nxt.items() if not c.is_zero()}
-        return acc
+        return {(k,): c for k, c in acc.items()}
 
     def __eq__(self, other):
         return (isinstance(other, SingleOreDescriptor)
@@ -576,116 +579,6 @@ class SingleOreDescriptor:
         if self.derivation is None:
             return f"{self.base}[{self.name}; {self.endo}]"
         return f"{self.base}[{self.name}; {self.endo}, d]"
-
-
-class OrePoly:
-    """An element of a single Ore extension, left-coefficient normal form."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: SingleOreDescriptor, terms: dict):
-        clean = {}
-        for e, r in terms.items():
-            if e < 0:
-                raise ValueError("negative skew exponent")
-            if not r.is_zero():
-                clean[e] = r
-        self.ring = ring
-        self.terms = clean
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def x_degree(self) -> int:
-        return max(self.terms) if self.terms else -1
-
-    def _coerce(self, other):
-        if isinstance(other, OrePoly):
-            if other.ring != self.ring:
-                raise ContextMismatchError("elements of different Ore rings")
-            return other
-        if isinstance(other, Poly):
-            return self.ring.from_base(other)
-        if isinstance(other, (int, Fraction, FieldElement)):
-            return self.ring.from_base(self.ring.base.context.const(other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for e, r in o.terms.items():
-            s = terms.get(e, self.ring.base.context.zero) + r
-            if s.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return OrePoly(self.ring, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return OrePoly(self.ring, {e: -r for e, r in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return endo_skew_mul(self.ring, self, o)
-
-    def __rmul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return endo_skew_mul(self.ring, o, self)
-
-    def __eq__(self, other):
-        if isinstance(other, OrePoly):
-            return self.ring == other.ring and self.terms == other.terms
-        return NotImplemented
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for e in sorted(self.terms, reverse=True):
-            r = self.terms[e]
-            mono = ""
-            if e == 1:
-                mono = self.ring.name
-            elif e > 1:
-                mono = f"{self.ring.name}^{e}"
-            chunks.append(_signed_chunk(r, mono, first=not chunks))
-        return " ".join(chunks)
-
-    __repr__ = __str__
-
-
-def endo_skew_mul(ring: SingleOreDescriptor, u: OrePoly, v: OrePoly) -> OrePoly:
-    """Normal-form product in R[x; f, d] by term-by-term rightward rewriting."""
-    if u.ring != ring or v.ring != ring:
-        raise ContextMismatchError("operands live in a different Ore ring")
-    terms = {}
-    for a, r in u.terms.items():
-        for b, s in v.terms.items():
-            for e, coeff in ring.push(a, s).items():
-                key = e + b
-                prod = r * coeff
-                if prod.is_zero():
-                    continue
-                total = terms.get(key, ring.base.context.zero) + prod
-                if total.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = total
-    return OrePoly(ring, terms)
 
 
 def skew_simplicity(ring: SkewRingDescriptor,
@@ -719,13 +612,10 @@ def skew_simplicity(ring: SkewRingDescriptor,
         return SimplicityVerdict(SimplicityStatus.SIMPLE,
                                  criterion="field base")
 
-    if base.is_trivial:
-        partials = {Derivation.partial(base, i)
-                    for i in range(base.context.nvars)}
-        if partials <= set(derivations):
-            return SimplicityVerdict(
-                SimplicityStatus.SIMPLE,
-                criterion="polynomial base with all partial derivatives")
+    if _all_partials_present(base, derivations):
+        return SimplicityVerdict(
+            SimplicityStatus.SIMPLE,
+            criterion="polynomial base with all partial derivatives")
 
     if base.dimension(budget) == 1:
         for d in derivations:

@@ -230,3 +230,24 @@ def test_family_skew_identity_random_pairs():
         a = rand_poly(rng, ctx)
         b = rand_poly(rng, ctx)
         assert d.apply(a * b) == a * d.apply(b) + d.apply(a) * phi(b)
+
+
+def _twists():
+    cy = VarContext(("y",), QQ)
+    y = cy.var(0)
+    cxy = VarContext(("x", "y"), QQ)
+    x2, y2 = cxy.var(0), cxy.var(1)
+    return [(RingEndomorphism(cy, [y ** 2]), y ** 2 + 3 * y - 1),
+            (RingEndomorphism(cxy, [x2 + y2, y2]), x2 * y2 - 2)]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["y_squared", "shear"])
+def test_skew_derivation_twisted_leibniz(case):
+    # holds by algebra, so family_skew_derivation does not check it
+    phi, c = _twists()[case]
+    d = family_skew_derivation(c, phi)
+    rng = random.Random(20240 + case)
+    for _ in range(25):
+        a = rand_poly(rng, phi.context, max_degree=3)
+        b = rand_poly(rng, phi.context, max_degree=3)
+        assert d.apply(a * b) == a * d.apply(b) + d.apply(a) * phi(b)

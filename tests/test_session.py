@@ -10,6 +10,7 @@ from derivalg import (
     QQ,
     RingEndomorphism,
     SingleOreDescriptor,
+    SkewPoly,
     VarContext,
     family_skew_derivation,
 )
@@ -158,10 +159,9 @@ def test_ore_products_associate_randomly():
     def rand_elt():
         terms = {}
         for _ in range(rng.randint(1, 2)):
-            terms[rng.randint(0, 2)] = rand_poly(rng, ctx, max_degree=2,
-                                                 max_terms=2)
-        from derivalg import OrePoly
-        return OrePoly(ring, {e: r for e, r in terms.items() if not r.is_zero()})
+            terms[(rng.randint(0, 2),)] = rand_poly(rng, ctx, max_degree=2,
+                                                    max_terms=2)
+        return SkewPoly(ring, {e: r for e, r in terms.items() if not r.is_zero()})
 
     for _ in range(25):
         u, v, w = rand_elt(), rand_elt(), rand_elt()

@@ -2,6 +2,7 @@
 inner derivations, and the simplicity verdict."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from derivalg import (
     RingEndomorphism,
     SimplicityStatus,
     SingleOreDescriptor,
+    SkewPoly,
     VarContext,
     binomial_push,
     build_skew_ring,
@@ -344,7 +346,7 @@ def test_endo_skew_mul_closed_form_matches_recursion():
     for n in range(5):
         for _ in range(5):
             r = rand_poly(rng, ctx, max_degree=2, max_terms=2)
-            closed = zero_d.push(n, r)
+            closed = zero_d.push((n,), r)
             # recursion oracle: repeated x * (.) steps
             acc = {0: r} if not r.is_zero() else {}
             for _ in range(n):
@@ -354,7 +356,7 @@ def test_endo_skew_mul_closed_form_matches_recursion():
                     if not up.is_zero():
                         nxt[k + 1] = nxt.get(k + 1, ctx.zero) + up
                 acc = nxt
-            assert closed == acc
+            assert closed == {(k,): c for k, c in acc.items()}
 
 
 def test_endo_skew_mul_identity_twist_matches_weyl(A1):
@@ -369,8 +371,18 @@ def test_endo_skew_mul_identity_twist_matches_weyl(A1):
     # same computation in the Weyl algebra
     wx, wy = A1.skew_var(0), A1.base_var(0)
     weyl_prod = wx * wy
-    assert {e[0]: c for e, c in weyl_prod.terms.items()} == {
-        k: v for k, v in prod.terms.items()}
+    assert weyl_prod.terms == prod.terms
+    rng = random.Random(361)
+
+    def rand_terms():
+        return {(rng.randint(0, 3),): rand_poly(rng, ctx, max_degree=3)
+                for _ in range(rng.randint(1, 3))}
+
+    for _ in range(20):
+        terms_u, terms_v = rand_terms(), rand_terms()
+        ore_prod = SkewPoly(ring, terms_u) * SkewPoly(ring, terms_v)
+        weyl_prod = SkewPoly(A1, terms_u) * SkewPoly(A1, terms_v)
+        assert ore_prod.terms == weyl_prod.terms
 
 
 def test_endo_skew_mul_family_derivation():
@@ -382,8 +394,53 @@ def test_endo_skew_mul_family_derivation():
     x = ring.skew_var()
     # x y = phi(y) x + d(y) = y^2 x + (y^2 - y)
     prod = x * ring.from_base(y)
-    assert prod.terms[1] == y ** 2
-    assert prod.terms[0] == y ** 2 - y
+    assert prod.terms[(1,)] == y ** 2
+    assert prod.terms[(0,)] == y ** 2 - y
+
+
+def test_ore_family_power_rsub_and_hash():
+    ctx = VarContext(("y",), QQ)
+    y = ctx.var(0)
+    phi = RingEndomorphism(ctx, [y ** 2])
+    ring = SingleOreDescriptor(ctx, "x", phi, family_skew_derivation(y + 1, phi))
+    x = ring.skew_var()
+    u = (y - 1) * x ** 2 + x + 3 * y
+    assert u ** 3 == u * u * u
+    assert 2 - u == -(u - 2)
+    twin = SkewPoly(ring, {(2,): y - 1, (1,): ctx.one, (0,): 3 * y})
+    assert twin == u
+    assert hash(twin) == hash(u)
+    assert len({u, twin, u * x}) == 2
+
+
+def test_ore_products_golden_output():
+    ctx = VarContext(("y",), QQ)
+    y = ctx.var(0)
+    sq = RingEndomorphism(ctx, [y ** 2])
+    closed = SingleOreDescriptor(ctx, "x", sq)
+    family = SingleOreDescriptor(ctx, "x", sq, family_skew_derivation(y + 1, sq))
+    base = QuotientRing.trivial(ctx)
+    ident = SingleOreDescriptor(base, "x", RingEndomorphism.identity(ctx),
+                                Derivation.partial(base, 0))
+    one = ctx.one
+    products = [
+        SkewPoly(closed, {(2,): y + 1, (1,): -3 * one, (0,): 2 * one})
+        * SkewPoly(closed, {(1,): y ** 2 - 2, (0,): y}),
+        SkewPoly(family, {(2,): one, (0,): y})
+        * SkewPoly(family, {(1,): y - 1, (0,): 2 * y ** 2}),
+        SkewPoly(ident, {(3,): one, (1,): y, (0,): ctx.const(Fraction(-1, 2))})
+        * SkewPoly(ident, {(1,): y ** 2, (0,): y}),
+    ]
+    # printed by the implementation with a separate Ore element type
+    expected = [
+        "(y^9 + y^8 - 2*y - 2)*x^3 + (y^5 - 2*y^4 + 6)*x^2 + (-y^2 - 4)*x + 2*y",
+        "(y^4 - 1)*x^3 + (2*y^8 + y^6 + y^5 + y^4 - y^3 - 2*y^2)*x^2 + "
+        "(2*y^10 + 2*y^9 + 4*y^8 + y^7 - y^6 - 2*y^5 - 5*y^4 - 2*y^3 + y^2)*x + "
+        "(2*y^11 + 2*y^10 + 2*y^9 + 2*y^8 - 2*y^7 - 4*y^6 - 6*y^5 - 2*y^4 "
+        "+ 6*y^3 + 2*y^2)",
+        "y^2*x^4 + 7*y*x^3 + (y^3 + 9)*x^2 + 5/2*y^2*x + 1/2*y",
+    ]
+    assert [str(p) for p in products] == expected
 
 
 def test_skew_simplicity_weyl(A1):
