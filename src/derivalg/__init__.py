@@ -63,6 +63,7 @@ from .simplicity import (
     SimplicityCertificate,
     SimplicityStatus,
     SimplicityVerdict,
+    d_simplicity,
     darboux_search,
     dim1_simplicity,
     necessary_unit_condition,

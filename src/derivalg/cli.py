@@ -320,7 +320,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="skew variable name for check simple (repeatable)")
     check.add_argument("--weyl", type=int, help="use the n-th Weyl algebra")
     check.add_argument("--dim1", action="store_true",
-                       help="insist on the dimension-1 criterion")
+                       help="check dsimple: one derivation; Unknown unless the "
+                            "ring has characteristic 0 and dimension 1")
     check.set_defaults(func=_cmd_check)
 
     return top

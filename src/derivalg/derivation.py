@@ -217,6 +217,13 @@ class SkewDerivation:
     def is_zero(self) -> bool:
         return self.scale.is_zero() or self.endo.is_identity
 
+    def __eq__(self, other):
+        return (isinstance(other, SkewDerivation)
+                and self.endo == other.endo and self.scale == other.scale)
+
+    def __hash__(self):
+        return hash((self.endo, self.scale))
+
     def __str__(self):
         return f"r -> ({self.scale}) * (phi(r) - r) with phi: {self.endo}"
 

@@ -372,16 +372,20 @@ def krull_dimension(ideal: IdealHandle, order: TermOrder = TermOrder.GREVLEX,
                     budget: int = DEFAULT_BUDGET) -> int:
     """dim k[x_1..x_n]/I via the initial ideal.
 
-    The dimension equals the largest size of a variable subset S such that no
-    leading monomial of the reduced basis involves only variables from S.
     The answer is independent of the chosen term order.
     """
     basis = groebner_basis(ideal, order, budget)
     if basis.is_unit:
         raise UnitIdealError("the unit ideal has no Krull dimension")
+    return _initial_dimension(basis)
+
+
+def _initial_dimension(basis: GroebnerBasis) -> int:
+    """Largest size of a variable subset S such that no leading monomial of
+    the (non-unit) basis involves only variables from S."""
     supports = [frozenset(i for i, e in enumerate(m) if e > 0)
                 for m in basis.leading_monomials()]
-    n = ideal.context.nvars
+    n = basis.context.nvars
     for size in range(n, -1, -1):
         for subset in combinations(range(n), size):
             s = set(subset)
@@ -434,8 +438,9 @@ class QuotientRing:
     def mul(self, a: Poly, b: Poly) -> Poly:
         return self.reduce(a * b)
 
-    def dimension(self, budget: int = DEFAULT_BUDGET) -> int:
-        return krull_dimension(self.defining, self.basis.order, budget)
+    def dimension(self) -> int:
+        """Krull dimension, read off the defining basis."""
+        return _initial_dimension(self.basis)
 
     def generator(self, i: int) -> Poly:
         return self.context.var(i)

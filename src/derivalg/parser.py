@@ -22,6 +22,10 @@ Grammar (one statement per line, `#` starts a comment):
     inner EXPR [in SKEWRING]
     extend DER into SKEWRING
 
+`check dsimple` runs `simplicity.d_simplicity`, as does `check simple` on the
+skew ring's base (characteristic 0 only); `--dim1` takes one derivation and
+answers Unknown unless the ring has characteristic 0 and dimension 1.
+
 Expressions: integers, `a/b` rationals, identifiers, `+ - * ^`, parentheses;
 `*` is mandatory between factors and `^` takes a non-negative integer.
 """
@@ -133,9 +137,6 @@ class _Stream:
     def at_op(self, text: str) -> bool:
         t = self.peek()
         return t.kind == "op" and t.text == text
-
-    def at_end_of_statement(self) -> bool:
-        return self.peek().kind in ("newline", "eof")
 
 
 def parse_expression(stream: _Stream):

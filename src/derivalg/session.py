@@ -29,13 +29,11 @@ from .groebner import (
 from .poly import Poly, VarContext
 from .simplicity import (
     DarbouxStatus,
-    SimplicityStatus,
     SimplicityVerdict,
-    _all_partials_present,
+    d_simplicity,
     darboux_search,
     dim1_simplicity,
     partials_certificate,
-    prime_char_obstruction,
     truncated_certificate,
 )
 from .skew import (
@@ -384,23 +382,13 @@ class Session:
             if d.ring != ring:
                 raise PreconditionError(
                     f"derivation does not live on ring {stmt.ring!r}")
-        p = ring.context.field.characteristic
         if stmt.dim1:
             if len(ders) != 1:
                 raise PreconditionError(
                     "the dimension-1 criterion takes a single derivation")
             verdict = dim1_simplicity(ring, ders[0], self.order, self.budget)
-        elif p != 0:
-            verdict = prime_char_obstruction(ring, ders, self.order, self.budget)
-        elif _all_partials_present(ring, ders):
-            verdict = SimplicityVerdict(
-                SimplicityStatus.SIMPLE,
-                criterion="polynomial ring with all partial derivatives")
-        elif len(ders) == 1:
-            verdict = dim1_simplicity(ring, ders[0], self.order, self.budget)
         else:
-            verdict = SimplicityVerdict(SimplicityStatus.UNKNOWN,
-                                        reason="no applicable criterion")
+            verdict = d_simplicity(ring, ders, self.order, self.budget)
         record = {"command": "check_dsimple", "ring": stmt.ring,
                   "derivations": list(stmt.derivations)}
         record.update(verdict_json(verdict))

@@ -11,6 +11,8 @@ Positive answers are constructive wherever the theory allows:
 * in characteristic p, a D-stable proper witness ideal of p-th powers
   whenever the Krull dimension is positive (simplicity is impossible there).
 
+`d_simplicity` is the one decider that orders these criteria; the CLI's
+`check dsimple`, `dim1_simplicity` and `skew_simplicity` all end in it.
 Everything else is an honest Unknown carrying its reason.
 """
 
@@ -217,11 +219,54 @@ def _principal_witness(ring: QuotientRing, derivations,
         if ring.reduce(g).is_zero():
             continue
         handle = IdealHandle(ring.context, [g] + list(ring.defining.generators))
-        if is_unit_ideal(handle, order, budget):
+        basis = groebner_basis(handle, order, budget)
+        if basis.is_unit:
             continue
-        if principal_stability_check(g, derivations, order, budget):
+        if all(normal_form(_chain_rule(g, d.images), basis).is_zero()
+               for d in derivations):
             return handle
     return None
+
+
+def d_simplicity(ring: QuotientRing, derivations,
+                 order: TermOrder = TermOrder.GREVLEX,
+                 budget: int = DEFAULT_BUDGET) -> SimplicityVerdict:
+    """D-simplicity of R = k[x_1..x_n]/I; the first criterion that applies decides:
+
+    1. characteristic p: prime_char_obstruction;
+    2. a polynomial ring with every partial in D: Simple;
+    3. a variable or image generating a proper nonzero D-stable ideal: NotSimple;
+    4. dimension 1 and 1 in J_d = (d(x_1), ..., d(x_n)) + I for a d in D: Simple
+       (R is not checked to be a domain);
+    5. dimension 1 and D = {d}: NotSimple, witnessed by the D-stable proper
+       J_d unless d is zero on R;
+    6. anything else: Unknown.
+    """
+    derivations = list(derivations)
+    for d in derivations:
+        if d.ring != ring:
+            raise ContextMismatchError("derivation does not live on the given ring")
+    if ring.context.field.characteristic != 0:
+        return prime_char_obstruction(ring, derivations, order, budget)
+    if _all_partials_present(ring, derivations):
+        return SimplicityVerdict(
+            SimplicityStatus.SIMPLE,
+            criterion="polynomial base with all partial derivatives")
+    witness = _principal_witness(ring, derivations, order, budget)
+    if witness is not None:
+        return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=witness,
+                                 criterion="stable principal ideal witness")
+    if ring.dimension() == 1:
+        images = [_lifted_image_ideal(ring, d) for d in derivations]
+        if any(is_unit_ideal(J, order, budget) for J in images):
+            return SimplicityVerdict(SimplicityStatus.SIMPLE,
+                                     criterion="dimension-1 unit-ideal criterion")
+        if len(derivations) == 1:
+            witness = None if derivations[0].is_zero() else images[0]
+            return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=witness,
+                                     criterion="dimension-1 unit-ideal criterion")
+    return SimplicityVerdict(SimplicityStatus.UNKNOWN,
+                             reason="no applicable criterion")
 
 
 def dim1_simplicity(ring: QuotientRing, d: Derivation,
@@ -229,25 +274,18 @@ def dim1_simplicity(ring: QuotientRing, d: Derivation,
                     budget: int = DEFAULT_BUDGET) -> SimplicityVerdict:
     """d-simplicity of a 1-dimensional finitely generated algebra (char 0).
 
-    Simple iff 1 in (d(x_1), ..., d(x_n)) + I.  Any unmet precondition
-    (nonzero characteristic, dimension != 1) yields Unknown with the reason.
-    The unit-ideal test is applied literally; inputs whose variety has
-    several dimension-1 components are not detected separately.
+    Any unmet precondition (nonzero characteristic, dimension != 1) yields
+    Unknown with the reason; past them the verdict is d_simplicity's for
+    D = {d}.
     """
     if ring.context.field.characteristic != 0:
         return SimplicityVerdict(SimplicityStatus.UNKNOWN,
                                  reason="characteristic is not 0")
     if d.ring != ring:
         raise ContextMismatchError("derivation does not live on the given ring")
-    dim = ring.dimension(budget)
-    if dim != 1:
+    if ring.dimension() != 1:
         return SimplicityVerdict(SimplicityStatus.UNKNOWN, reason="dimension != 1")
-    if is_unit_ideal(_lifted_image_ideal(ring, d), order, budget):
-        return SimplicityVerdict(SimplicityStatus.SIMPLE,
-                                 criterion="dimension-1 unit-ideal criterion")
-    witness = _principal_witness(ring, [d], order, budget)
-    return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=witness,
-                             criterion="dimension-1 unit-ideal criterion")
+    return d_simplicity(ring, [d], order, budget)
 
 
 def prime_char_obstruction(ring: QuotientRing, derivations,
@@ -267,17 +305,15 @@ def prime_char_obstruction(ring: QuotientRing, derivations,
     if p == 0:
         return SimplicityVerdict(SimplicityStatus.UNKNOWN,
                                  reason="characteristic is 0")
-    dim = ring.dimension(budget)
-    if dim == 0:
+    if ring.dimension() == 0:
         return SimplicityVerdict(SimplicityStatus.UNKNOWN,
                                  reason="necessary condition passed")
     witness = _charp_witness(ring, order, budget, point_budget)
     reason = None if witness is not None else (
         "positive dimension forces NotSimple; no rational-point witness found")
-    verdict = SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=witness,
-                                reason=reason,
-                                criterion="positive Krull dimension in characteristic p")
-    return verdict
+    return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=witness,
+                             reason=reason,
+                             criterion="positive Krull dimension in characteristic p")
 
 
 def _charp_witness(ring: QuotientRing, order: TermOrder, budget: int,

@@ -35,15 +35,9 @@ from .errors import (
     PreconditionError,
 )
 from .field import FieldElement, FieldSpec, QQ
-from .groebner import DEFAULT_BUDGET, IdealHandle, QuotientRing, TermOrder, is_unit_ideal
+from .groebner import DEFAULT_BUDGET, QuotientRing, TermOrder
 from .poly import InjectivityStatus, Poly, RingEndomorphism, VarContext
-from .simplicity import (
-    SimplicityStatus,
-    SimplicityVerdict,
-    _all_partials_present,
-    _principal_witness,
-    dim1_simplicity,
-)
+from .simplicity import SimplicityStatus, SimplicityVerdict, d_simplicity
 
 
 def _graded_lex_key(exponents):
@@ -477,8 +471,9 @@ def inner_residuals(ring: SkewRingDescriptor, f: SkewPoly, r: Poly):
     inner_induced).  Returns the k = 1..n list; all zero on every generator
     exactly when conjugation by f lands in the base ring.
     """
-    if ring.nskew != 1:
-        raise PreconditionError("residuals are defined for single-variable rings")
+    if not isinstance(ring, SkewRingDescriptor) or ring.nskew != 1:
+        raise PreconditionError(
+            "residuals are defined for single-variable rings of derivation type")
     r = ring.base.reduce(r)
     d = ring.derivations[0]
     n = f.x_degree()
@@ -570,10 +565,10 @@ class SingleOreDescriptor(_SkewRing):
     def __eq__(self, other):
         return (isinstance(other, SingleOreDescriptor)
                 and self.base == other.base and self.name == other.name
-                and self.endo == other.endo and self.derivation is other.derivation)
+                and self.endo == other.endo and self.derivation == other.derivation)
 
     def __hash__(self):
-        return hash((self.base, self.name, self.endo, id(self.derivation)))
+        return hash((self.base, self.name, self.endo, self.derivation))
 
     def __str__(self):
         if self.derivation is None:
@@ -587,50 +582,13 @@ def skew_simplicity(ring: SkewRingDescriptor,
     """Simplicity of R[x; D] for commutative R, via D-simplicity of the base.
 
     For a commutative base of characteristic 0 the skew ring is simple
-    exactly when the base is D-simple, so the verdict delegates:
-
-    * NotSimple with a replayable witness when some variable or derivation
-      image generates a proper nonzero D-stable ideal;
-    * Simple when the base is a field, is a full polynomial ring with all
-      partials present in D, or is 1-dimensional and some d in D has
-      unit-ideal images (sufficient there);
-    * Unknown otherwise — no Simple verdict is ever guessed.
+    exactly when the base is D-simple, so the verdict is d_simplicity's on
+    the base.  A prime-characteristic base is Unknown: the transfer is out
+    of scope there.
     """
     base = ring.base
     if base.context.field.characteristic != 0:
         return SimplicityVerdict(
             SimplicityStatus.UNKNOWN,
             reason="prime-characteristic base: simplicity transfer out of scope")
-    derivations = list(ring.derivations)
-
-    witness = _principal_witness(base, derivations, order, budget)
-    if witness is not None:
-        return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=witness,
-                                 criterion="stable principal ideal witness")
-
-    if base.context.nvars == 0:
-        return SimplicityVerdict(SimplicityStatus.SIMPLE,
-                                 criterion="field base")
-
-    if _all_partials_present(base, derivations):
-        return SimplicityVerdict(
-            SimplicityStatus.SIMPLE,
-            criterion="polynomial base with all partial derivatives")
-
-    if base.dimension(budget) == 1:
-        for d in derivations:
-            handle = IdealHandle(base.context,
-                                 list(d.images) + list(base.defining.generators))
-            if is_unit_ideal(handle, order, budget):
-                return SimplicityVerdict(
-                    SimplicityStatus.SIMPLE,
-                    criterion="dimension-1 unit-ideal criterion")
-        if len(derivations) == 1:
-            verdict = dim1_simplicity(base, derivations[0], order, budget)
-            if verdict.status is SimplicityStatus.NOT_SIMPLE:
-                return SimplicityVerdict(
-                    SimplicityStatus.NOT_SIMPLE, witness=verdict.witness,
-                    criterion="dimension-1 unit-ideal criterion")
-
-    return SimplicityVerdict(SimplicityStatus.UNKNOWN,
-                             reason="no applicable criterion")
+    return d_simplicity(base, ring.derivations, order, budget)

@@ -123,6 +123,35 @@ def test_check_dsimple_charp():
     assert record["witness"] == ["x^2"]
 
 
+def test_check_dsimple_nilpotent_base_not_simple():
+    # (y) is a stable ideal of QQ[x, y]/(y^2) under d/dx
+    for extra in ((), ("--dim1",)):
+        out = run_cli("--json", "check", "dsimple", "--ring", "QQ[x, y]",
+                      "--ideal", "y^2", "--der", "x -> 1, y -> 0", *extra)
+        assert out.returncode == 0
+        record = json.loads(out.stdout.splitlines()[-1])
+        assert record["status"] == "NotSimple"
+        assert record["witness"] == ["y", "y^2"]
+
+
+def test_check_dsimple_polynomial_ring_one_partial():
+    out = run_cli("--json", "check", "dsimple", "--ring", "QQ[x, y]",
+                  "--der", "x -> 1, y -> 0")
+    assert out.returncode == 0
+    record = json.loads(out.stdout.splitlines()[-1])
+    assert record["status"] == "NotSimple"
+    assert record["witness"] == ["y"]
+
+
+def test_acceptance_transcript_matches_golden():
+    session = str(DATA / "acceptance_session.dsl")
+    for flags, golden in (((), "acceptance_transcript.txt"),
+                          (("--json",), "acceptance_transcript.jsonl")):
+        out = run_cli(*flags, "run", session)
+        assert out.returncode == 0
+        assert out.stdout == (DATA / golden).read_text()
+
+
 def test_check_simple_weyl():
     out = run_cli("--json", "check", "simple", "--weyl", "1")
     record = json.loads(out.stdout.splitlines()[-1])

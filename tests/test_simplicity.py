@@ -19,16 +19,20 @@ from derivalg import (
     SimplicityStatus,
     VarContext,
     ZeroPolynomialError,
+    build_skew_ring,
     d_ideal_check,
+    d_simplicity,
     darboux_search,
     dim1_simplicity,
     induce_on_quotient,
     is_unit_ideal,
+    krull_dimension,
     necessary_unit_condition,
     partials_certificate,
     prime_char_obstruction,
     principal_stability_check,
     replay_certificate,
+    skew_simplicity,
     truncated_certificate,
 )
 from derivalg.simplicity import _rational_roots
@@ -181,6 +185,111 @@ def test_simple_implies_necessary_condition(circle_rotation):
     ring, rot = circle_rotation
     if dim1_simplicity(ring, rot).status is SimplicityStatus.SIMPLE:
         assert necessary_unit_condition(ring, rot)
+
+
+# --------------------------------------------------------------------------
+# the one decider: d_simplicity
+# --------------------------------------------------------------------------
+
+
+def test_d_simplicity_nilpotent_base_has_stable_witness(ctx_xy):
+    # QQ[x, y]/(y^2) with d/dx: the nilradical (y) is stable, so the
+    # dimension-1 unit-ideal test (which passes) must not be reached
+    x, y = ctx_xy.var(0), ctx_xy.var(1)
+    ring = QuotientRing.of(IdealHandle(ctx_xy, [y ** 2]))
+    d = Derivation(ring, [ctx_xy.one, ctx_xy.zero])
+    assert necessary_unit_condition(ring, d)
+    for verdict in (d_simplicity(ring, [d]), dim1_simplicity(ring, d)):
+        assert verdict.status is SimplicityStatus.NOT_SIMPLE
+        assert list(verdict.witness.generators) == [y, y ** 2]
+        assert verdict.criterion == "stable principal ideal witness"
+
+
+def test_d_simplicity_polynomial_ring_missing_a_partial(ctx_xy):
+    ring = QuotientRing.trivial(ctx_xy)
+    verdict = d_simplicity(ring, [Derivation.partial(ring, 0)])
+    assert verdict.status is SimplicityStatus.NOT_SIMPLE
+    assert list(verdict.witness.generators) == [ctx_xy.var(1)]
+
+
+def test_d_simplicity_ellipse_attaches_image_ideal(ctx_xy):
+    # no variable or image generates a stable ideal, so the dimension-1
+    # NotSimple carries J = (d(x), d(y)) + I
+    x, y = ctx_xy.var(0), ctx_xy.var(1)
+    relation = 6 * x ** 2 + 7 * y ** 2 - 7
+    ring = QuotientRing.of(IdealHandle(ctx_xy, [relation]))
+    k = 8 * x - 4
+    d = Derivation(ring, [7 * k * y, -6 * k * x])
+    verdict = d_simplicity(ring, [d])
+    assert verdict.status is SimplicityStatus.NOT_SIMPLE
+    assert verdict.criterion == "dimension-1 unit-ideal criterion"
+    J = verdict.witness
+    assert J is not None
+    assert list(J.generators) == list(d.images) + [relation]
+    assert d_ideal_check(J, [d])
+    assert not is_unit_ideal(J)
+    assert any(not ring.reduce(g).is_zero() for g in J.generators)
+    assert dim1_simplicity(ring, d) == verdict
+
+
+def test_d_simplicity_zero_derivation_attaches_nothing(ctx_xy):
+    # on the hyperbola both variables are units, so no principal witness
+    x, y = ctx_xy.var(0), ctx_xy.var(1)
+    ring = QuotientRing.of(IdealHandle(ctx_xy, [x * y - 1]))
+    verdict = d_simplicity(ring, [Derivation(ring, [ctx_xy.zero] * 2)])
+    assert verdict.status is SimplicityStatus.NOT_SIMPLE
+    assert verdict.witness is None
+    assert verdict.criterion == "dimension-1 unit-ideal criterion"
+
+
+def test_d_simplicity_no_applicable_criterion(ctx_xyz):
+    x, y, z = ctx_xyz.var(0), ctx_xyz.var(1), ctx_xyz.var(2)
+    ring = QuotientRing.trivial(ctx_xyz)
+    D = [Derivation(ring, [ctx_xyz.one, ctx_xyz.zero, y]),
+         Derivation(ring, [ctx_xyz.zero, ctx_xyz.one, x])]
+    verdict = d_simplicity(ring, D)
+    assert verdict.status is SimplicityStatus.UNKNOWN
+    assert verdict.reason == "no applicable criterion"
+
+
+def test_d_simplicity_prime_characteristic_delegates():
+    ctx = VarContext(("x",), GF(2))
+    ring = QuotientRing.trivial(ctx)
+    D = [Derivation.partial(ring, 0)]
+    assert d_simplicity(ring, D) == prime_char_obstruction(ring, D)
+
+
+def test_d_simplicity_agrees_with_skew_simplicity(ctx_xy, circle_rotation):
+    # R[t; D] is simple exactly when R is D-simple: one decider, one answer
+    x, y = ctx_xy.var(0), ctx_xy.var(1)
+    plane = QuotientRing.trivial(ctx_xy)
+    nilpotent = QuotientRing.of(IdealHandle(ctx_xy, [y ** 2]))
+    ellipse = QuotientRing.of(IdealHandle(ctx_xy, [6 * x ** 2 + 7 * y ** 2 - 7]))
+    cases = [
+        circle_rotation,
+        (plane, Derivation.partial(plane, 0)),
+        (plane, Derivation(plane, [y, x])),
+        (nilpotent, Derivation(nilpotent, [ctx_xy.one, ctx_xy.zero])),
+        (ellipse, Derivation(ellipse, [7 * (8 * x - 4) * y, -6 * (8 * x - 4) * x])),
+    ]
+    for ring, d in cases:
+        skew = build_skew_ring(ring, ["t"], [d])
+        assert skew_simplicity(skew) == d_simplicity(ring, [d])
+    partials = [Derivation.partial(plane, i) for i in range(2)]
+    skew = build_skew_ring(plane, ["t1", "t2"], partials)
+    assert skew_simplicity(skew) == d_simplicity(plane, partials)
+    assert skew_simplicity(skew).status is SimplicityStatus.SIMPLE
+
+
+def test_quotient_dimension_matches_krull_dimension(ctx_xy, ctx_xyz):
+    x, y = ctx_xy.var(0), ctx_xy.var(1)
+    assert QuotientRing.trivial(ctx_xy).dimension() == 2
+    for gens in ([x * y], [x ** 2 + y ** 2 - 1], [x - 1, y ** 3]):
+        handle = IdealHandle(ctx_xy, gens)
+        assert QuotientRing.of(handle).dimension() == krull_dimension(handle)
+    z = ctx_xyz.var(2)
+    handle = IdealHandle(ctx_xyz, [ctx_xyz.var(0) * z - ctx_xyz.var(1) ** 2])
+    assert QuotientRing.of(handle).dimension() == krull_dimension(handle) == 2
 
 
 # --------------------------------------------------------------------------

@@ -413,6 +413,46 @@ def test_ore_family_power_rsub_and_hash():
     assert len({u, twin, u * x}) == 2
 
 
+def test_skew_derivation_value_equality():
+    ctx = VarContext(("y",), QQ)
+    y = ctx.var(0)
+    sq = RingEndomorphism(ctx, [y ** 2])
+    a = family_skew_derivation(y + 1, sq)
+    b = family_skew_derivation(y + 1, RingEndomorphism(ctx, [y ** 2]))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != family_skew_derivation(y + 2, sq)
+    assert a != family_skew_derivation(y + 1, RingEndomorphism(ctx, [y ** 3]))
+
+
+def test_single_ore_descriptors_compare_by_value():
+    ctx = VarContext(("y",), QQ)
+    y = ctx.var(0)
+    base = QuotientRing.trivial(ctx)
+    ident = RingEndomorphism.identity(ctx)
+    sq = RingEndomorphism(ctx, [y ** 2])
+    builds = [
+        lambda: SingleOreDescriptor(base, "x", ident, Derivation.partial(base, 0)),
+        lambda: SingleOreDescriptor(ctx, "x", sq, family_skew_derivation(y + 1, sq)),
+        lambda: SingleOreDescriptor(ctx, "x", sq),
+    ]
+    for build in builds:
+        first, second = build(), build()
+        assert first == second and hash(first) == hash(second)
+        total = first.skew_var() + second.from_base(y)
+        assert total.ring == first
+    rings = [build() for build in builds]
+    assert len(set(rings)) == 3
+
+
+def test_inner_residuals_reject_ore_ring():
+    ctx = VarContext(("y",), QQ)
+    base = QuotientRing.trivial(ctx)
+    ring = SingleOreDescriptor(base, "x", RingEndomorphism.identity(ctx),
+                               Derivation.partial(base, 0))
+    with pytest.raises(PreconditionError):
+        inner_residuals(ring, ring.skew_var(), ctx.var(0))
+
+
 def test_ore_products_golden_output():
     ctx = VarContext(("y",), QQ)
     y = ctx.var(0)
