@@ -4,12 +4,21 @@ Everything downstream (D-ideal checks, unit-ideal criteria, Krull dimension,
 quotient normal forms) reduces to the unique reduced Groebner basis of an
 ideal under a term order.  Determinism is part of the contract: recomputing
 a basis yields an identical object, and normal forms are unique.
+
+Over QQ the Buchberger loop runs fraction-free: basis elements are integer
+primitive polynomials (denominators cleared, content divided out, leading
+coefficient positive), S-polynomials cross-multiply the integer leading
+coefficients, `_divide` pseudo-divides by non-monic elements, and each
+finished reduction has its content removed.  Elements are made monic only
+when the reduced basis is returned.  Over F_p every element is monic
+throughout.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, ContextMismatchError, UnitIdealError
@@ -115,7 +124,7 @@ def _heap_key(order: TermOrder):
 
 def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
             want_cofactors: bool = False, lead=None):
-    """Multivariate division: f = sum(q_i * divisors[i]) + r.
+    """Multivariate division: lam*f = sum(q_i * divisors[i]) + r, lam != 0.
 
     Heap-driven (Monagan & Pearce, *Sparse polynomial division using a
     heap*, 2011): the dividend is a mutable {monomial: coeff} map beside a
@@ -136,6 +145,15 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
     dividend's entries accumulate unreduced, possibly negative, products
     and are reduced once, when popped; over QQ an integral Fraction is
     demoted to int there.
+
+    Over QQ, an integer term c*m met by a divisor g whose leading
+    coefficient c_g is an integer other than 1 is cancelled by
+    pseudo-division: the dividend, the remainder and the quotients are
+    scaled by c_g/e, with e = gcd(c, c_g), and (c/e)*u*g is subtracted,
+    with u = m/LM(g), so integer inputs stay integral.  The remainder is
+    then r = lam*r_exact for the exact remainder r_exact and some nonzero
+    rational lam, from the same divisor choices.  Against monic divisors
+    (every GroebnerBasis) lam = 1: remainder and cofactors are exact.
     """
     context = f.context
     field = context.field
@@ -149,6 +167,7 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
     tails = {}               # divisor index -> (1/LC, [(m, -c) for the tail])
     remainder = {}
     quotients = [{} for _ in divisors] if want_cofactors else None
+    scaled = False
     while heap:
         m = heappop(heap)[1]
         c = p.pop(m)
@@ -172,12 +191,23 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
                     if mk != mg]
             tails[i] = (field.raw_inverse(cg), tail)
         inverse, tail = tails[i]
-        q = c * inverse
-        if modulus is None:
-            if q.denominator == 1:
-                q = q.numerator
+        if (modulus is None and cg != 1
+                and type(c) is int and type(cg) is int):
+            e = gcd(c, cg)
+            q = c // e
+            scale = cg // e
+            if scale != 1:
+                scaled = True
+                for mapping in [p, remainder] + (quotients or []):
+                    for k in mapping:
+                        mapping[k] *= scale
         else:
-            q %= modulus
+            q = c * inverse
+            if modulus is None:
+                if q.denominator == 1:
+                    q = q.numerator
+            else:
+                q %= modulus
         u = monomial_div(m, mg)
         if want_cofactors:
             quotients[i][u] = q
@@ -190,9 +220,19 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
                 heappush(heap, (heap_key(mono), mono))
             else:
                 p[mono] = acc + d
+    if scaled:
+        # a scaled Fraction may have become integral: demote it
+        remainder = _demoted(remainder)
+        if want_cofactors:
+            quotients = [_demoted(q) for q in quotients]
     cofactors = ([Poly._raw(context, q) for q in quotients]
                  if want_cofactors else None)
     return Poly._raw(context, remainder), cofactors
+
+
+def _demoted(terms: dict) -> dict:
+    return {m: c.numerator if c.denominator == 1 else c
+            for m, c in terms.items()}
 
 
 def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
@@ -215,13 +255,37 @@ def normal_form_with_cofactors(f: Poly, basis: GroebnerBasis):
 
 
 def _s_poly(f: Poly, g: Poly, lead_f, lead_g) -> Poly:
-    """S(f, g), from the cached (LM, raw LC) pairs of f and g."""
+    """S(f, g), from the cached (LM, raw LC) pairs of f and g, up to a
+    nonzero constant: (c_g/e)*u_f*f - (c_f/e)*u_g*g with e = gcd(c_f, c_g)
+    over QQ, where both leading coefficients are integers, and the monic
+    combination f/c_f*u_f - g/c_g*u_g over F_p."""
     (mf, cf), (mg, cg) = lead_f, lead_g
-    raw_inverse = f.context.field.raw_inverse
+    if f.context.field.p is None:
+        e = gcd(cf, cg)
+        sf, sg = cg // e, cf // e
+    else:
+        raw_inverse = f.context.field.raw_inverse
+        sf, sg = raw_inverse(cf), raw_inverse(cg)
     lcm = monomial_lcm(mf, mg)
-    tf = Poly._raw(f.context, {monomial_div(lcm, mf): raw_inverse(cf)})
-    tg = Poly._raw(g.context, {monomial_div(lcm, mg): raw_inverse(cg)})
+    tf = Poly._raw(f.context, {monomial_div(lcm, mf): sf})
+    tg = Poly._raw(g.context, {monomial_div(lcm, mg): sg})
     return tf * f - tg * g
+
+
+def _primitive(f: Poly, order: TermOrder) -> Poly:
+    """The integer primitive associate of a nonzero polynomial over QQ:
+    denominators cleared, content divided out, leading coefficient > 0."""
+    terms = f._terms
+    denominator = lcm(*[c.denominator for c in terms.values()])
+    if denominator != 1:
+        terms = {m: c.numerator * (denominator // c.denominator)
+                 for m, c in terms.items()}
+    content = gcd(*terms.values())
+    if f._lead(order)[1] < 0:
+        content = -content
+    if content == 1 and terms is f._terms:
+        return f
+    return Poly._raw(f.context, {m: c // content for m, c in terms.items()})
 
 
 def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
@@ -237,6 +301,13 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
     by the heap-driven `_divide` against the cached leads.  Exceeding
     `budget` S-polynomial reductions raises BudgetExceededError rather than
     returning anything partial.
+
+    Over QQ the elements are kept integer primitive (see `_primitive`) from
+    entry on, so associate generators deduplicate; `_divide` then
+    pseudo-divides, and each nonzero remainder is made primitive again.  A
+    pseudo-remainder is a nonzero rational multiple of the exact one, so
+    leading monomials, pairs, the step count and the reduced monic output
+    are those of the monic computation.  Over F_p elements are monic.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -245,11 +316,17 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
     for g in gens:
         if g.context != context:
             raise ContextMismatchError("generators live in different contexts")
+    if context.field.p is None:
+        def normalize(g):
+            return _primitive(g, order)
+    else:
+        def normalize(g):
+            return g.monic(order)
 
     basis = []
     lead = []
     for g in gens:
-        g = g.monic(order)
+        g = normalize(g)
         if g not in basis:
             basis.append(g)
             lead.append(g._lead(order))
@@ -298,7 +375,7 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
                        order, lead=lead)
         if h.is_zero():
             continue
-        h = h.monic(order)
+        h = normalize(h)
         basis.append(h)
         lead.append(h._lead(order))
         add_pairs(len(basis) - 1)
@@ -309,8 +386,11 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
 def _reduce_basis(basis, order: TermOrder, lead):
     """Minimalize, then inter-reduce to the unique reduced basis.
 
-    The elements must be monic; `lead` is their (LM, raw LC) list.
+    `lead` is the elements' (LM, raw LC) list.  The elements are monic over
+    F_p.  Over QQ they are integer primitive: each inter-reduced element is
+    made primitive again, and the elements are made monic only on output.
     """
+    rational = basis[0].context.field.p is None
     # minimal: drop any element whose LM is divisible by another's LM
     minimal = []
     minimal_lead = []
@@ -327,8 +407,8 @@ def _reduce_basis(basis, order: TermOrder, lead):
             minimal.append(g)
             minimal_lead.append(lead[i])
     # inter-reduce tails to the fixpoint; no other leading monomial divides
-    # an element's own, so its monic leading term passes to the remainder
-    # unchanged and the cached leads stay valid
+    # an element's own, so its leading monomial passes to the remainder and
+    # the cached LMs stay valid (over QQ the LC may be scaled)
     changed = True
     while changed:
         changed = False
@@ -339,10 +419,16 @@ def _reduce_basis(basis, order: TermOrder, lead):
             r, _ = _divide(minimal[i], others, order,
                            lead=minimal_lead[:i] + minimal_lead[i + 1:])
             if r != minimal[i]:
+                if rational:
+                    r = _primitive(r, order)
+                    lm = minimal_lead[i][0]
+                    minimal_lead[i] = (lm, r._terms[lm])
                 minimal[i] = r
                 changed = True
     ranked = sorted(zip(minimal_lead, minimal),
                     key=lambda pair: order.key(pair[0][0]), reverse=True)
+    if rational:
+        return [g.monic(order) for _, g in ranked]
     return [g for _, g in ranked]
 
 

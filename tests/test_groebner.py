@@ -6,6 +6,7 @@ bounded-degree cofactors by exact linear algebra on coefficient vectors.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,8 @@ from derivalg import (
     normal_form_with_cofactors,
     quotient_reduce,
 )
+
+from derivalg.groebner import _divide
 
 from conftest import rand_poly
 
@@ -256,7 +259,8 @@ def test_budget_exhaustion_reported(ctx_xy):
         buchberger([x * y - 1, y ** 2 - 1], TermOrder.LEX, budget=0)
 
 
-def _katsura3(ctx):
+def _katsura3(field):
+    ctx = VarContext(("u0", "u1", "u2", "u3"), field)
     u0, u1, u2, u3 = (ctx.var(i) for i in range(4))
     return [u0 + 2 * u1 + 2 * u2 + 2 * u3 - 1,
             u0 ** 2 - u0 + 2 * u1 ** 2 + 2 * u2 ** 2 + 2 * u3 ** 2,
@@ -264,7 +268,19 @@ def _katsura3(ctx):
             2 * u0 * u2 + u1 ** 2 + 2 * u1 * u3 - u2]
 
 
-def _cyclic4(ctx):
+def _katsura4(field):
+    ctx = VarContext(("u0", "u1", "u2", "u3", "u4"), field)
+    u0, u1, u2, u3, u4 = (ctx.var(i) for i in range(5))
+    return [u0 + 2 * u1 + 2 * u2 + 2 * u3 + 2 * u4 - 1,
+            u0 ** 2 - u0 + 2 * u1 ** 2 + 2 * u2 ** 2 + 2 * u3 ** 2
+            + 2 * u4 ** 2,
+            2 * u0 * u1 + 2 * u1 * u2 - u1 + 2 * u2 * u3 + 2 * u3 * u4,
+            2 * u0 * u2 + u1 ** 2 + 2 * u1 * u3 + 2 * u2 * u4 - u2,
+            2 * u0 * u3 + 2 * u1 * u2 + 2 * u1 * u4 - u3]
+
+
+def _cyclic4(field):
+    ctx = VarContext(("u0", "u1", "u2", "u3"), field)
     u0, u1, u2, u3 = (ctx.var(i) for i in range(4))
     return [u0 + u1 + u2 + u3,
             u0 * u1 + u1 * u2 + u2 * u3 + u3 * u0,
@@ -272,17 +288,19 @@ def _cyclic4(ctx):
             u0 * u1 * u2 * u3 - 1]
 
 
-@pytest.mark.parametrize("system, order, steps", [
-    (_katsura3, TermOrder.GREVLEX, 10),
-    (_katsura3, TermOrder.LEX, 22),
-    (_cyclic4, TermOrder.GREVLEX, 11),
-    (_cyclic4, TermOrder.LEX, 14),
-], ids=["katsura3-grevlex", "katsura3-lex", "cyclic4-grevlex", "cyclic4-lex"])
-def test_budget_pins_s_polynomial_path(system, order, steps):
+@pytest.mark.parametrize("system, field, order, steps", [
+    (_katsura3, QQ, TermOrder.GREVLEX, 10),
+    (_katsura3, QQ, TermOrder.LEX, 22),
+    (_cyclic4, QQ, TermOrder.GREVLEX, 11),
+    (_cyclic4, QQ, TermOrder.LEX, 14),
+    (_katsura4, QQ, TermOrder.GREVLEX, 28),
+    (_katsura4, GF(32003), TermOrder.GREVLEX, 28),
+], ids=["katsura3-grevlex", "katsura3-lex", "cyclic4-grevlex", "cyclic4-lex",
+        "katsura4-grevlex", "katsura4-grevlex-gf32003"])
+def test_budget_pins_s_polynomial_path(system, field, order, steps):
     # the budget counts S-polynomial reductions, so the smallest budget that
     # succeeds pins the pairs reduced: selection order and both criteria
-    ctx = VarContext(("u0", "u1", "u2", "u3"), QQ)
-    gens = system(ctx)
+    gens = system(field)
     with pytest.raises(BudgetExceededError):
         buchberger(gens, order, budget=steps - 1)
     assert not buchberger(gens, order, budget=steps).is_unit
@@ -473,3 +491,127 @@ def test_reduced_basis_matches_sympy():
                            for e in reference_p.exprs)
                     == sorted(sorted((m, c.value) for m, c in g.terms())
                               for g in mine_p.polys))
+
+
+# --------------------------------------------------------------------------
+# the fraction-free QQ path: inputs it must normalise, the _divide contract
+# --------------------------------------------------------------------------
+
+
+def _rational_poly(rng, ctx):
+    """A nonzero polynomial with small Fraction coefficients of either sign."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            mono = [0] * ctx.nvars
+            for _ in range(rng.randint(0, 3)):
+                mono[rng.randrange(ctx.nvars)] += 1
+            terms[tuple(mono)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                          rng.randint(1, 6))
+        p = Poly(ctx, terms)
+        if not p.is_zero():
+            return p
+
+
+def test_reduced_basis_matches_sympy_on_rational_inputs():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(8080)
+    negative_leads = fractional = 0
+    for trial in range(20):
+        nvars = rng.randint(1, 3)
+        names = tuple("xyz"[:nvars])
+        ctx = VarContext(names, QQ)
+        syms = sympy.symbols(names)
+        gens = [_rational_poly(rng, ctx) for _ in range(rng.randint(1, 3))]
+
+        def to_sympy(p):
+            return sum((sympy.Rational(c.numerator, c.denominator)
+                        * sympy.prod(s ** e for s, e in zip(syms, m))
+                        for m, c in p.terms()), sympy.Integer(0))
+
+        fractional += any(c.denominator != 1
+                          for g in gens for c in g._terms.values())
+        for mine_order, sympy_order in ((TermOrder.LEX, "lex"),
+                                        (TermOrder.GREVLEX, "grevlex")):
+            negative_leads += sum(g._lead(mine_order)[1] < 0 for g in gens)
+            mine = buchberger(gens, mine_order)
+            reference = sympy.groebner([to_sympy(g) for g in gens], *syms,
+                                       order=sympy_order)
+            expected = sorted(
+                str(sympy.expand(e / sympy.Poly(e, *syms).LC(order=sympy_order)))
+                for e in reference.exprs)
+            assert expected == sorted(str(sympy.expand(to_sympy(g)))
+                                      for g in mine.polys)
+    assert negative_leads and fractional
+
+
+def test_buchberger_invariant_under_rational_rescaling():
+    rng = random.Random(5150)
+    for trial in range(20):
+        nvars = rng.randint(1, 3)
+        ctx = VarContext(tuple("xyz"[:nvars]), QQ)
+        gens = [rand_poly(rng, ctx, max_degree=3, max_terms=3, nonzero=True)
+                for _ in range(rng.randint(1, 3))]
+        scaled = [g.scale(Fraction(rng.choice([-1, 1]) * rng.randint(1, 50),
+                                   rng.randint(1, 50))) for g in gens]
+        for order in TermOrder:
+            assert buchberger(scaled, order) == buchberger(gens, order)
+
+
+def test_associate_generators_deduplicate(ctx_xyz):
+    x, y, z = (ctx_xyz.var(i) for i in range(3))
+    g = 2 * x ** 2 * y - 3 * y * z + 4
+    h = x * z - y ** 2
+    for order in TermOrder:
+        # one element, so no pair: a duplicate would spend a step
+        single = buchberger([g, g.scale(Fraction(-3, 7))], order, budget=0)
+        assert single == buchberger([g], order)
+        assert len(single) == 1
+        assert (buchberger([g.scale(Fraction(5, 2)), h, -g], order)
+                == buchberger([g, h], order))
+
+
+def test_divide_pseudo_remainder_against_non_monic_divisors():
+    # over QQ an integer dividend stays integral against integer divisors;
+    # the remainder is lam times the one against the monic divisors, and
+    # the cofactors rebuild lam*f, for one nonzero rational lam
+    ctx = VarContext(("x", "y"), QQ)
+    x, y = ctx.var(0), ctx.var(1)
+    # x^2/2 passes to the remainder, then y meets LC 2 and doubles it: the
+    # scaled Fraction(1, 1) must come back as the int 1
+    r, _ = _divide(x ** 2 * Fraction(1, 2) + y, [2 * y + 1], TermOrder.LEX)
+    assert r == x ** 2 - 1
+    assert type(r._terms[(2, 0)]) is int
+    # a Fraction leading coefficient takes the exact path
+    r, _ = _divide(x ** 2 + y, [y * Fraction(2, 3) + 1], TermOrder.LEX)
+    assert r == x ** 2 - Fraction(3, 2)
+    rng = random.Random(2718)
+    pseudo = 0
+    for trial in range(40):
+        nvars = rng.randint(1, 3)
+        ctx = VarContext(tuple("xyz"[:nvars]), QQ)
+        divisors = [rand_poly(rng, ctx, max_degree=2, max_terms=3, coeff_lo=-9,
+                              coeff_hi=9, nonzero=True)
+                    for _ in range(rng.randint(1, 3))]
+        f = rand_poly(rng, ctx, max_degree=4, max_terms=6, coeff_lo=-9,
+                      coeff_hi=9, nonzero=True)
+        for dividend in (f, f.scale(Fraction(1, 2))):
+            for order in TermOrder:
+                r, cofactors = _divide(dividend, divisors, order,
+                                       want_cofactors=True)
+                exact, _ = _divide(dividend, [g.monic(order) for g in divisors],
+                                   order)
+                rebuilt = r
+                for q, g in zip(cofactors, divisors):
+                    rebuilt = rebuilt + q * g
+                m, c = dividend._lead(order)
+                lam = Fraction(rebuilt._terms[m]) / c
+                assert lam != 0
+                assert rebuilt == dividend.scale(lam)
+                assert r == exact.scale(lam)
+                for c in r._terms.values():
+                    assert type(c) is int or c.denominator != 1
+                if dividend is f:
+                    assert all(type(c) is int for c in r._terms.values())
+                    pseudo += lam != 1
+    assert pseudo
