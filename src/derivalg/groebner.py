@@ -75,7 +75,8 @@ class GroebnerBasis:
     Reduced means: every element is monic, and no leading monomial divides
     any term of another element.  Such a basis is unique for (ideal, order),
     which makes ideal equality and membership decidable by normal forms.
-    The (LM, raw LC) pair of each element is computed once, into ``leads``.
+    The constructor makes each given element monic, and computes the
+    (LM, raw LC) pair of each once, into ``leads``.
     """
 
     __slots__ = ("context", "order", "polys", "leads")
@@ -84,7 +85,7 @@ class GroebnerBasis:
                  polys: Sequence[Poly]):
         self.context = context
         self.order = order
-        self.polys = tuple(polys)
+        self.polys = tuple(g.monic(order) for g in polys)
         self.leads = tuple(g._lead(order) for g in self.polys)
 
     def __iter__(self):
@@ -164,7 +165,8 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
     p = dict(f._terms)
     heap = [(heap_key(m), m) for m in p]
     heapify(heap)
-    tails = {}               # divisor index -> (1/LC, [(m, -c) for the tail])
+    tails = {}               # divisor index -> [(m, -c) for the tail]
+    inverses = {}            # divisor index -> 1/LC, for the exact step
     remainder = {}
     quotients = [{} for _ in divisors] if want_cofactors else None
     scaled = False
@@ -186,11 +188,10 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
         else:
             remainder[m] = c
             continue
-        if i not in tails:
-            tail = [(mk, -ck) for mk, ck in divisors[i]._terms.items()
-                    if mk != mg]
-            tails[i] = (field.raw_inverse(cg), tail)
-        inverse, tail = tails[i]
+        tail = tails.get(i)
+        if tail is None:
+            tail = tails[i] = [(mk, -ck) for mk, ck in divisors[i]._terms.items()
+                               if mk != mg]
         if (modulus is None and cg != 1
                 and type(c) is int and type(cg) is int):
             e = gcd(c, cg)
@@ -202,6 +203,9 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
                     for k in mapping:
                         mapping[k] *= scale
         else:
+            inverse = inverses.get(i)
+            if inverse is None:
+                inverse = inverses[i] = field.raw_inverse(cg)
             q = c * inverse
             if modulus is None:
                 if q.denominator == 1:
@@ -384,11 +388,12 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
 
 
 def _reduce_basis(basis, order: TermOrder, lead):
-    """Minimalize, then inter-reduce to the unique reduced basis.
+    """Minimalize, inter-reduce in one pass and sort by LM, largest first:
+    the reduced basis up to the scaling that `GroebnerBasis` makes monic.
 
     `lead` is the elements' (LM, raw LC) list.  The elements are monic over
-    F_p.  Over QQ they are integer primitive: each inter-reduced element is
-    made primitive again, and the elements are made monic only on output.
+    F_p.  Over QQ they are integer primitive, and each inter-reduced element
+    is made primitive again.
     """
     rational = basis[0].context.field.p is None
     # minimal: drop any element whose LM is divisible by another's LM
@@ -406,29 +411,24 @@ def _reduce_basis(basis, order: TermOrder, lead):
         if keep:
             minimal.append(g)
             minimal_lead.append(lead[i])
-    # inter-reduce tails to the fixpoint; no other leading monomial divides
+    # inter-reduce the tails in one pass: no other leading monomial divides
     # an element's own, so its leading monomial passes to the remainder and
-    # the cached LMs stay valid (over QQ the LC may be scaled)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1:]
-            if not others:
-                continue
-            r, _ = _divide(minimal[i], others, order,
-                           lead=minimal_lead[:i] + minimal_lead[i + 1:])
-            if r != minimal[i]:
-                if rational:
-                    r = _primitive(r, order)
-                    lm = minimal_lead[i][0]
-                    minimal_lead[i] = (lm, r._terms[lm])
-                minimal[i] = r
-                changed = True
+    # the cached LMs stay valid (over QQ the LC may be scaled); as the LMs
+    # never change, an element reduced once stays reduced
+    for i in range(len(minimal)):
+        others = minimal[:i] + minimal[i + 1:]
+        if not others:
+            continue
+        r, _ = _divide(minimal[i], others, order,
+                       lead=minimal_lead[:i] + minimal_lead[i + 1:])
+        if r != minimal[i]:
+            if rational:
+                r = _primitive(r, order)
+                lm = minimal_lead[i][0]
+                minimal_lead[i] = (lm, r._terms[lm])
+            minimal[i] = r
     ranked = sorted(zip(minimal_lead, minimal),
                     key=lambda pair: order.key(pair[0][0]), reverse=True)
-    if rational:
-        return [g.monic(order) for _, g in ranked]
     return [g for _, g in ranked]
 
 

@@ -374,6 +374,53 @@ class Poly:
             terms[m[:i] + (e - 1,) + m[i + 1:]] = c
         return Poly._raw(self.context, terms)
 
+    def substitute(self, values: dict) -> "Poly":
+        """f with the polynomial values[i] put for variable i, expanded.
+
+        `values` maps variable indices to polynomials in this context; the
+        variables it does not name stay.  Each power of an image is computed
+        once, and every term of the result is collected in one term map.
+        """
+        if any(g.context != self.context for g in values.values()):
+            raise ContextMismatchError("substituted values leave the context")
+        powers = {}              # i -> [None, image, image^2, ...]
+
+        def power(i, e):
+            cache = powers.get(i)
+            if cache is None:
+                cache = powers[i] = [None, values[i]]
+            while len(cache) <= e:
+                cache.append(cache[-1] * values[i])
+            return cache[e]
+
+        unit = {(0,) * self.context.nvars: 1}
+        acc = {}
+        get = acc.get
+        for m, c in self._terms.items():
+            rest = list(m)
+            image = None
+            for i in values:
+                if m[i]:
+                    rest[i] = 0
+                    image = (power(i, m[i]) if image is None
+                             else image * power(i, m[i]))
+            for mi, ci in (unit if image is None else image._terms).items():
+                key = tuple(map(add, rest, mi))
+                old = get(key)
+                acc[key] = c * ci if old is None else old + c * ci
+        p = self.context.field.p
+        terms = {}
+        if p is None:
+            for m, c in acc.items():
+                if c:
+                    terms[m] = c.numerator if c.denominator == 1 else c
+        else:
+            for m, c in acc.items():
+                c %= p
+                if c:
+                    terms[m] = c
+        return Poly._raw(self.context, terms)
+
     def evaluate(self, point: Sequence) -> FieldElement:
         field = self.context.field
         values = [field.raw(v) for v in point]
@@ -494,23 +541,7 @@ class RingEndomorphism:
         """Substitute the images for the variables of f and expand."""
         if f.context != self.context:
             raise ContextMismatchError("polynomial is not in the endomorphism's context")
-        # cache image powers across terms
-        powers = [{0: self.context.one} for _ in range(self.context.nvars)]
-
-        def power(i, e):
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = power(i, e - 1) * self.images[i]
-            return cache[e]
-
-        result = self.context.zero
-        for m, c in f._terms.items():
-            term = self.context.const(c)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * power(i, e)
-            result = result + term
-        return result
+        return f.substitute(dict(enumerate(self.images)))
 
     def injectivity(self) -> InjectivityStatus:
         """Decide injectivity where the theory allows.

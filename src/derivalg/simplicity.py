@@ -355,12 +355,17 @@ def darboux_search(F: Poly, bound: int,
 
     Looks for a nonconstant h of total degree <= bound with polynomial
     cofactor of degree <= max(deg F - 1, 0) (the degree comparison in
-    d(h) = cofactor*h forces this, since d(x) = 1).  The bilinear system in
-    the unknown coefficients is solved pivot by pivot: the leading
-    coefficient of h is normalized to 1 for each candidate leading monomial,
-    the rest is eliminated/Groebner-reduced, and a rational solution is
-    extracted and verified.  A consistent system without an extractable
-    rational point raises BudgetExceededError — never a wrong NoneUpToBound.
+    d(h) = cofactor*h forces this, since d(x) = 1).  The unknowns are the
+    coefficients c_0..c_{M-1} of h and l_0..l_{L-1} of the cofactor, the
+    variables of one context; each equation is the coefficient of one
+    x,y-monomial in d(h) - cofactor*h.  The candidate leading monomials of h
+    are tried in ascending grevlex order: the pivot's coefficient is fixed
+    to 1 and those of larger monomials to 0, `_solve_rational` looks for a
+    rational point, and the first pair found is verified and returned.  A
+    pivot whose system is inconsistent, or consistent without an extracted
+    rational point, passes to the next.  When no pivot yields h and some
+    pivot's system was consistent, BudgetExceededError names the first such
+    leading monomial — never a wrong NoneUpToBound.
     """
     ctx = F.context
     if ctx.nvars != 2:
@@ -371,326 +376,225 @@ def darboux_search(F: Poly, bound: int,
         raise PreconditionError("the degree bound must be at least 1")
 
     cof_bound = min(max(F.total_degree() - 1, 0), bound)
-    h_monos = _monomials_up_to(2, bound)
-    cof_monos = _monomials_up_to(2, cof_bound)
+    h_monos = _monomials_up_to(bound)
+    cof_monos = _monomials_up_to(cof_bound)
+    M = len(h_monos)
+    unknowns = VarContext([f"c{k}" for k in range(M)]
+                          + [f"l{j}" for j in range(len(cof_monos))], ctx.field)
 
-    taken = set(ctx.names)
-    c_names = _fresh_names("c", len(h_monos), taken)
-    l_names = _fresh_names("l", len(cof_monos), taken | set(c_names))
-    big = VarContext(tuple(ctx.names) + tuple(c_names) + tuple(l_names), ctx.field)
-    unknowns = VarContext(tuple(c_names) + tuple(l_names), ctx.field)
-    pad = len(c_names) + len(l_names)
-
-    def embed(f: Poly) -> Poly:
-        return Poly._raw(big, {m + (0,) * pad: c for m, c in f._terms.items()})
-
-    def sym(offset: int, xy: tuple) -> dict:
-        e = [0] * big.nvars
-        e[0], e[1] = xy
-        e[2 + offset] = 1
-        return tuple(e)
-
-    H = Poly(big, {sym(k, m): ctx.field.one for k, m in enumerate(h_monos)})
-    Lam = Poly(big, {sym(len(c_names) + k, m): ctx.field.one
-                     for k, m in enumerate(cof_monos)})
-    G = H.partial(0) + embed(F) * H.partial(1) - Lam * H
-
-    # collect coefficients of the x,y-monomials: equations over the unknowns
+    # the coefficient of each x,y-monomial in h_x + F*h_y - cofactor*h, with
+    # the monomials in order of first occurrence
     equations = {}
-    for m, c in G._terms.items():
-        xy = (m[0], m[1])
-        rest = m[2:]
+
+    def add(xy, c, *indices):
+        u = tuple(int(i in indices) for i in range(unknowns.nvars))
         eq = equations.setdefault(xy, {})
-        eq[rest] = eq.get(rest, 0) + c
+        eq[u] = eq.get(u, 0) + c
+
+    for k, (a, b) in enumerate(h_monos):
+        if a:
+            add((a - 1, b), a, k)
+    for (p, q), f in F._terms.items():
+        for k, (a, b) in enumerate(h_monos):
+            if b:
+                add((a + p, b + q - 1), b * f, k)
+    for j, (p, q) in enumerate(cof_monos):
+        for k, (a, b) in enumerate(h_monos):
+            add((a + p, b + q), -1, k, M + j)
     system = [Poly(unknowns, eq) for eq in equations.values()]
-    system = [e for e in system if not e.is_zero()]
 
-    grevlex = TermOrder.GREVLEX
-    order_key = lambda mono: grevlex.key(mono)
-    pivots = sorted((m for m in h_monos if sum(m) > 0), key=order_key)
-
+    grevlex = TermOrder.GREVLEX.key
+    pivots = sorted((m for m in h_monos if sum(m) > 0), key=grevlex)
+    unresolved = None
     for pivot in pivots:
-        assignment = {}
-        for k, m in enumerate(h_monos):
-            if m == pivot:
-                assignment[k] = ctx.field.one
-            elif order_key(m) > order_key(pivot):
-                assignment[k] = ctx.field.zero
-        fixed = {c_names[k]: v for k, v in assignment.items()}
-        specialized = [_substitute_constants(e, fixed) for e in system]
-        specialized = [e for e in specialized if not e.is_zero()]
-        solution = _solve_rational(specialized, unknowns, budget)
-        if solution is None:
+        fixed = {k: int(m == pivot) for k, m in enumerate(h_monos)
+                 if grevlex(m) >= grevlex(pivot)}
+        consts = {k: unknowns.const(v) for k, v in fixed.items()}
+        try:
+            values = _solve_rational([e.substitute(consts) for e in system],
+                                     unknowns, budget)
+        except _NoRationalPoint:
+            if unresolved is None:
+                unresolved = pivot
             continue
-        values = dict(solution)
-        values.update(fixed)  # pivot normalization wins over free-variable defaults
-        h = Poly(ctx, {m: values.get(c_names[k], ctx.field.zero)
-                       for k, m in enumerate(h_monos)})
-        cof = Poly(ctx, {m: values.get(l_names[k], ctx.field.zero)
-                         for k, m in enumerate(cof_monos)})
+        if values is None:
+            continue
+        for k, v in fixed.items():  # the pivot normalization, not a free 0
+            values[k] = v
+        h = Poly(ctx, dict(zip(h_monos, values)))
+        cof = Poly(ctx, dict(zip(cof_monos, values[M:])))
         lhs = h.partial(0) + F * h.partial(1)
         if h.is_constant() or lhs != cof * h:
             raise AssertionError("extracted Darboux pair failed verification")
         return DarbouxResult(DarbouxStatus.FOUND, h, cof, bound)
 
+    if unresolved is not None:
+        raise BudgetExceededError(
+            f"the Darboux system with leading monomial "
+            f"{Poly._raw(ctx, {unresolved: 1})} is consistent but no rational "
+            f"point was extracted")
     return DarbouxResult(DarbouxStatus.NONE_UP_TO_BOUND, None, None, bound)
 
 
-def _monomials_up_to(nvars: int, degree: int):
-    assert nvars == 2
+def _monomials_up_to(degree: int):
+    """The exponents (a, b) with a + b <= degree, by degree, then by b."""
     return [(total - i, i)
             for total in range(degree + 1) for i in range(total + 1)]
 
 
-def _fresh_names(prefix: str, count: int, taken) -> list:
-    names = []
-    k = 0
-    while len(names) < count:
-        cand = f"{prefix}{k}"
-        if cand not in taken:
-            names.append(cand)
-        k += 1
-    return names
-
-
-def _substitute_constants(f: Poly, values: dict) -> Poly:
-    """Substitute field constants for a subset of variables, by name."""
-    ctx = f.context
-    idx = {ctx.index(name): ctx.field.raw(val) for name, val in values.items()}
-    terms = {}
-    for m, c in f._terms.items():
-        mono = list(m)
-        for i, val in idx.items():
-            e = mono[i]
-            if e:
-                c *= val ** e
-                mono[i] = 0
-        key = tuple(mono)
-        terms[key] = terms.get(key, 0) + c
-    return Poly(ctx, terms)
+class _NoRationalPoint(Exception):
+    """A consistent system whose rational point the extraction missed."""
 
 
 def _solve_rational(equations, context: VarContext, budget: int):
-    """A rational common zero of the system, or None when there is none.
+    """A rational common zero of the system, as a list of raw values indexed
+    like the context's variables, or None when the system has no zero.
 
-    Constant-coefficient linear unknowns are eliminated by substitution
-    first; what remains goes through Buchberger.  An empty remainder leaves
-    the free unknowns at 0.  Nontrivial remainders are triangularized (lex)
-    and back-substituted through rational root search with a bounded
-    specialization fallback; exhausting the fallback raises
-    BudgetExceededError because consistency over the closure was already
-    established.
+    Linear elimination comes first: each step solves the first equation
+    that has one for its lowest-index unknown appearing linearly with a
+    constant coefficient, and substitutes the solution into the rest.  What
+    remains goes through Buchberger; a unit basis means no zero, otherwise
+    `_extract_point` looks for a rational point of it.  Unknowns left free
+    are set to 0, and the eliminated ones are evaluated back in reverse
+    order.  A consistent system whose point was not extracted raises
+    _NoRationalPoint.
     """
     eqs = [e for e in equations if not e.is_zero()]
     solved = {}
-
-    changed = True
-    while changed:
-        changed = False
-        for e in eqs:
-            hit = _linear_solvable(e)
-            if hit is None:
-                continue
-            name, value_poly = hit
-            # value_poly has the remaining unknowns; substitute symbolically
-            eqs = [_substitute_poly(q, name, value_poly) for q in eqs]
-            eqs = [q for q in eqs if not q.is_zero()]
-            solved[name] = value_poly
-            changed = True
+    while True:
+        if any(e.is_constant() for e in eqs):
+            return None
+        hit = next(filter(None, map(_linear_solvable, eqs)), None)
+        if hit is None:
             break
-        for e in eqs:
-            if e.is_constant() and not e.is_zero():
-                return None
+        i, value = hit
+        eqs = [q.substitute({i: value}) for q in eqs]
+        eqs = [q for q in eqs if not q.is_zero()]
+        solved[i] = value
 
+    point = {}
     if eqs:
         basis = buchberger(eqs, TermOrder.GREVLEX, budget)
         if basis.is_unit:
             return None
-        point = _extract_point(list(basis.polys), context, budget, depth=0)
+        point = _extract_point(list(basis.polys), context.nvars, budget, 0)
         if point is None:
-            raise BudgetExceededError(
-                "system is consistent but no rational point was extracted")
-    else:
-        point = {}
-
-    # every unknown not pinned yet defaults to 0
-    values = {name: point.get(name, context.field.zero) for name in context.names
-              if name not in solved}
-    # unwind the substitution chain (later-solved names may appear in earlier ones)
-    for name in reversed(list(solved)):
-        values[name] = solved[name].evaluate(
-            [values.get(n, context.field.zero) for n in context.names])
+            raise _NoRationalPoint
+    values = [point.get(i, 0) for i in range(context.nvars)]
+    # later-solved unknowns may appear in the values of earlier ones
+    for i in reversed(list(solved)):
+        values[i] = context.field.raw(solved[i].evaluate(values))
     return values
 
 
 def _linear_solvable(e: Poly):
-    """(name, rest) when e == a*u + rest with constant a and u absent from rest."""
-    ctx = e.context
-    for i in range(ctx.nvars):
+    """(i, v) for the lowest i with e == a*u_i + r, a a nonzero constant and
+    u_i absent from r; v = -r/a."""
+    for i in range(e.context.nvars):
         coeff = None
         rest = {}
-        ok = True
         for m, c in e._terms.items():
             if m[i] == 0:
                 rest[m] = c
             elif m[i] == 1 and sum(m) == 1:
                 coeff = c
             else:
-                ok = False
                 break
-        if ok and coeff is not None:
-            inv = -ctx.field.raw_inverse(coeff)
-            value = Poly(ctx, {m: c * inv for m, c in rest.items()})
-            return ctx.names[i], value
+        else:
+            if coeff is not None:
+                inverse = -e.context.field.raw_inverse(coeff)
+                return i, Poly._raw(e.context, rest).scale(inverse)
     return None
 
 
-def _substitute_poly(f: Poly, name: str, value: Poly) -> Poly:
-    ctx = f.context
-    i = ctx.index(name)
-    result = ctx.zero
-    powers = {0: ctx.one}
+def _extract_point(basis, nvars: int, budget: int, depth: int):
+    """A rational point {unknown index: raw value} of the variety of a
+    reduced non-unit Groebner basis, or None; backtracking.
 
-    def power(e):
-        if e not in powers:
-            powers[e] = power(e - 1) * value
-        return powers[e]
-
-    for m, c in f._terms.items():
-        e = m[i]
-        base = Poly._raw(ctx, {m[:i] + (0,) + m[i + 1:]: c})
-        result = result + (base * power(e) if e else base)
-    return result
-
-
-def _extract_point(gens, context: VarContext, budget: int, depth: int):
-    """Backtracking rational-point extraction from a consistent system."""
-    if depth > context.nvars + 4:
+    The first univariate element's rational roots are tried in order of
+    |r|, positive first; without one, the last variable present is set to
+    0, 1, -1, 2, -2 in turn.  Each trial value is substituted and the
+    result Groebner-reduced again; a constant or a unit basis drops the
+    trial.  Depths beyond nvars + 4 give up.
+    """
+    if depth > nvars + 4:
         return None
-    gens = [g for g in gens if not g.is_zero()]
-    if any(g.is_constant() for g in gens):
-        return None
-    if not gens:
+    if not basis:
         return {}
-    # prefer a univariate generator: rational roots are enumerable
-    for g in gens:
+    for g in basis:
         var = _sole_variable(g)
-        if var is None:
-            continue
-        for root in _rational_roots(g, var, budget):
-            reduced = [_substitute_constants(q, {context.names[var]: root})
-                       for q in gens]
-            reduced = [q for q in reduced if not q.is_zero()]
-            if any(q.is_constant() for q in reduced):
-                continue
-            rest = _extract_point(_regroebner(reduced, budget), context,
-                                  budget, depth + 1)
-            if rest is not None:
-                rest[context.names[var]] = root
-                return rest
-        return None
-    # no univariate generator: specialize the last context variable present
-    present = sorted({i for g in gens for m, _ in g._terms.items()
-                      for i, e in enumerate(m) if e})
-    var = present[-1]
-    for guess in (0, 1, -1, 2, -2):
-        val = context.field.element(guess)
-        reduced = [_substitute_constants(q, {context.names[var]: val})
-                   for q in gens]
+        if var is not None:
+            candidates = _rational_roots(g, var, budget)
+            break
+    else:
+        var = max(i for g in basis for m in g._terms
+                  for i, e in enumerate(m) if e)
+        candidates = (0, 1, -1, 2, -2)
+    context = basis[0].context
+    for value in candidates:
+        reduced = [q.substitute({var: context.const(value)}) for q in basis]
         reduced = [q for q in reduced if not q.is_zero()]
         if any(q.is_constant() for q in reduced):
             continue
-        rest = _extract_point(_regroebner(reduced, budget), context,
-                              budget, depth + 1)
-        if rest is not None:
-            rest[context.names[var]] = val
-            return rest
+        if reduced:
+            trial = buchberger(reduced, TermOrder.GREVLEX, budget)
+            if trial.is_unit:
+                continue
+            reduced = list(trial.polys)
+        point = _extract_point(reduced, nvars, budget, depth + 1)
+        if point is not None:
+            point[var] = value
+            return point
     return None
 
 
-def _regroebner(gens, budget: int):
-    if not gens:
-        return []
-    basis = buchberger(gens, TermOrder.GREVLEX, budget)
-    if basis.is_unit:
-        return [gens[0].context.one]
-    return list(basis.polys)
-
-
 def _sole_variable(g: Poly):
-    seen = None
-    for m, _ in g._terms.items():
-        for i, e in enumerate(m):
-            if e:
-                if seen is None:
-                    seen = i
-                elif seen != i:
-                    return None
-    return seen
+    """The index of the one variable g involves, or None."""
+    present = {i for m in g._terms for i, e in enumerate(m) if e}
+    return present.pop() if len(present) == 1 else None
 
 
 def _rational_roots(g: Poly, var: int, budget: int):
-    """All rational roots of a univariate (in `var`) polynomial over QQ.
+    """All rational roots, as raw values ordered by |r| with the positive
+    one first, of a univariate (in `var`) polynomial over QQ.
 
     Candidates p/q come from the divisors of the constant and leading
     integer coefficients.  Finding them takes sqrt(|a0|) + sqrt(|an|) trial
     divisions; when that exceeds `budget`, BudgetExceededError is raised
     before any is made.
     """
-    coeffs = {}
-    for m, c in g._terms.items():
-        coeffs[m[var]] = c
-    degree = max(coeffs)
-    if degree == 0:
+    coeffs = {m[var]: c for m, c in g._terms.items()}
+    if max(coeffs) == 0:
         return []
     # clear denominators to integer coefficients
-    denom = 1
-    for c in coeffs.values():
-        denom = math.lcm(denom, c.denominator)
+    denom = math.lcm(*[c.denominator for c in coeffs.values()])
     ints = {e: int(c * denom) for e, c in coeffs.items()}
-    roots = []
-    field = g.context.field
+    roots = set()
     if 0 not in ints:
-        roots.append(field.zero)
+        roots.add(0)
         low = min(ints)
         ints = {e - low: c for e, c in ints.items()}
-        if max(ints) == 0:
-            return _dedup_roots(roots)
-    a0 = abs(ints.get(0, 0))
-    an = abs(ints[max(ints)])
-    trials = math.isqrt(a0) + math.isqrt(an)
-    if trials > budget:
-        raise BudgetExceededError(
-            f"rational root search needs {trials} trial divisions, "
-            f"over the budget of {budget}")
-    denominators = _divisors(an)
-    for p in _divisors(a0):
-        for q in denominators:
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                value = sum(Fraction(c) * cand ** e for e, c in ints.items())
-                if value == 0:
-                    roots.append(field.element(cand))
-    return _dedup_roots(roots)
-
-
-def _dedup_roots(roots):
-    out = []
-    for r in sorted(roots, key=lambda x: (abs(x.value), x.value < 0)):
-        if r not in out:
-            out.append(r)
-    return out
+    if max(ints) > 0:
+        a0 = abs(ints[0])
+        an = abs(ints[max(ints)])
+        trials = math.isqrt(a0) + math.isqrt(an)
+        if trials > budget:
+            raise BudgetExceededError(
+                f"rational root search needs {trials} trial divisions, "
+                f"over the budget of {budget}")
+        denominators = _divisors(an)
+        for p in _divisors(a0):
+            for q in denominators:
+                for cand in (Fraction(p, q), Fraction(-p, q)):
+                    if sum(c * cand ** e for e, c in ints.items()) == 0:
+                        roots.add(g.context.field.raw(cand))
+    return sorted(roots, key=lambda r: (abs(r), r < 0))
 
 
 def _divisors(n: int):
+    """The positive divisors of n in ascending order; [1] for n = 0."""
     n = abs(n)
     if n == 0:
         return [1]
-    small, big = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                big.append(n // d)
-        d += 1
-    return small + big[::-1]
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]

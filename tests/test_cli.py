@@ -70,6 +70,13 @@ def test_darboux_subcommand():
     assert record["status"] == "none_up_to_bound"
 
 
+def test_darboux_subcommand_past_an_irrational_pivot():
+    out = run_cli("--json", "darboux", "4*x^2*y^2 + 4*x^2", "--bound", "3")
+    assert out.returncode == 0
+    record = json.loads(out.stdout.splitlines()[-1])
+    assert record["h"] == "y^2 + 1" and record["cofactor"] == "8*x^2*y"
+
+
 def test_certificate_subcommand():
     out = run_cli("--json", "certificate", "--ring", "QQ[x1, x2]",
                   "x1^2*x2 + 3*x1")

@@ -16,6 +16,7 @@ from derivalg import (
     GF,
     QQ,
     BudgetExceededError,
+    GroebnerBasis,
     IdealHandle,
     Poly,
     QuotientRing,
@@ -158,6 +159,18 @@ def test_normal_form_examples(ctx_xy):
     basis_x = buchberger([x], TermOrder.LEX)
     assert normal_form(x ** 2, basis_x).is_zero()
     assert normal_form(y, basis_x) == y
+
+
+def test_hand_built_basis_is_made_monic():
+    # the pseudo-division in _divide is exact only against monic divisors
+    ctx = VarContext(("x",), QQ)
+    x = ctx.var(0)
+    basis = GroebnerBasis(ctx, TermOrder.GREVLEX, [2 * x - 1])
+    assert basis.polys == (x - Fraction(1, 2),)
+    assert normal_form(x, basis) == Fraction(1, 2)
+    gf = VarContext(("x",), GF(7))
+    assert GroebnerBasis(gf, TermOrder.GREVLEX, [3 * gf.var(0) + 1]).polys == (
+        gf.var(0) + 5,)
 
 
 def test_normal_form_linearity(ctx_xy):

@@ -55,6 +55,21 @@ def _polys(draw, count):
 
 
 @settings(max_examples=150, deadline=None)
+@given(_polys(4), st.data())
+def test_substitute_commutes_with_evaluation(problem, data):
+    ctx, (f, *images), _ = problem
+    chosen = data.draw(st.sets(st.integers(0, ctx.nvars - 1)))
+    values = {i: images[i] for i in chosen}
+    point = data.draw(st.lists(st.integers(-5, 5), min_size=ctx.nvars,
+                               max_size=ctx.nvars))
+    image_point = [values[i].evaluate(point) if i in values else point[i]
+                   for i in range(ctx.nvars)]
+    g = f.substitute(values)
+    _assert_canonical(g)
+    assert g.evaluate(point) == f.evaluate(image_point)
+
+
+@settings(max_examples=150, deadline=None)
 @given(_polys(2))
 def test_ring_operations_match_boxed_reference(problem):
     ctx, (f, g), _ = problem

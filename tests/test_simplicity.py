@@ -35,7 +35,7 @@ from derivalg import (
     skew_simplicity,
     truncated_certificate,
 )
-from derivalg.simplicity import _rational_roots
+from derivalg.simplicity import _rational_roots, _solve_rational
 
 from conftest import rand_poly
 
@@ -435,3 +435,49 @@ def test_rational_roots_respects_the_budget():
         _rational_roots(t ** 2 - (2 ** 61 - 1), 0, DEFAULT_BUDGET)
     roots = _rational_roots(4 * t ** 2 - 9, 0, DEFAULT_BUDGET)
     assert roots == [QQ.element(Fraction(3, 2)), QQ.element(Fraction(-3, 2))]
+
+
+def test_darboux_irrational_pivot_does_not_end_the_search(ctx_xy):
+    # the pivot y has only h = y +- i: consistent, no rational point; the
+    # next pivot y^2 gives h = y^2 + 1
+    x, y = ctx_xy.var(0), ctx_xy.var(1)
+    result = darboux_search(4 * x ** 2 * y ** 2 + 4 * x ** 2, 3)
+    assert result.status is DarbouxStatus.FOUND
+    assert result.h == y ** 2 + 1
+    assert result.cofactor == 8 * x ** 2 * y
+
+
+def test_darboux_irrational_pivot_then_rational_quadratic(ctx_xy):
+    # h = y +- 1/sqrt(2) are irrational; their product y^2 - 1/2 is found
+    x, y = ctx_xy.var(0), ctx_xy.var(1)
+    result = darboux_search(2 * x - 4 * x * y ** 2, 2)
+    assert result.status is DarbouxStatus.FOUND
+    assert result.h == y ** 2 - Fraction(1, 2)
+    assert result.cofactor == -8 * x * y
+
+
+def test_darboux_unresolved_pivot_named_when_nothing_is_found(ctx_xy):
+    # at bound 1, d = d/dx + (y^2 - 2) d/dy has only h = y -+ sqrt(2): the
+    # pivot y is consistent without a rational point, the pivot x is not
+    y = ctx_xy.var(1)
+    with pytest.raises(BudgetExceededError, match="leading monomial y "):
+        darboux_search(y ** 2 - 2, 1)
+
+
+def test_solve_rational_specialisation_fallback():
+    # u*v - 1 has no linear unknown and no univariate basis element: v is
+    # specialised, 0 fails (-1 = 0), 1 leaves u - 1
+    ctx = VarContext(("u", "v"), QQ)
+    u, v = ctx.var(0), ctx.var(1)
+    assert _solve_rational([u * v - 1], ctx, DEFAULT_BUDGET) == [1, 1]
+
+
+def test_solve_rational_inconsistent_and_linear():
+    ctx = VarContext(("u", "v", "w"), QQ)
+    u, v, w = (ctx.var(i) for i in range(3))
+    assert _solve_rational([u * v - 1, u * v - 2], ctx, DEFAULT_BUDGET) is None
+    # the lowest-index linear unknown u = (v + 1)/2 is eliminated, v is
+    # free (0), and of the roots of 4w^2 - 9 the positive one comes first
+    values = _solve_rational([2 * u - v - 1, 4 * w ** 2 - 9], ctx,
+                             DEFAULT_BUDGET)
+    assert values == [Fraction(1, 2), 0, Fraction(3, 2)]
