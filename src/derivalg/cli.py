@@ -4,6 +4,13 @@ Subcommands: `repl`, `run <file>`, and one-shot forms (`gb`, `member`,
 `dim`, `mul`, `weyl`, `darboux`, `certificate`, `check ...`).  Global flags:
 `--json` for machine-readable output, `--order lex|grevlex`, `--budget N`.
 
+Every subcommand but `repl` is a session script: `run` reads one from its
+file, and each one-shot `_cmd_*` writes one from its arguments (`ring R =
+...`, then `ideal I in R : ...`, derivations and the statement itself).
+`main` runs it with `_script` on a fresh `Session`; `repl` runs each stdin
+line the same way and goes on after an error.  `build_arg_parser` builds the
+argparse tree once per process, and every `main` call reuses it.
+
 Exit codes: 0 success (including "false"/NotSimple answers), 1 parse or
 name-resolution error, 2 mathematical precondition failure, 3 step-budget
 exhaustion.
@@ -12,6 +19,7 @@ exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -62,62 +70,25 @@ def _classify(exc) -> int:
     raise exc
 
 
-def _run_statements(session: Session, statements, as_json: bool) -> int:
-    for stmt in statements:
-        try:
-            record, human = session.execute(stmt)
-        except Exception as exc:  # noqa: BLE001 - classified below
-            code = _classify(exc)
-            _emit_error(exc, as_json)
-            return code
-        _emit(record, human, as_json)
-    return EXIT_OK
-
-
-def _session_from_args(args) -> Session:
-    return Session(order=TermOrder(args.order), budget=args.budget)
-
-
 def _script(session: Session, text: str, as_json: bool) -> int:
+    """Parse `text` whole, then run its statements up to the first error."""
     try:
-        statements = P.parse_session(text)
-    except ParseError as exc:
-        _emit_error(exc, as_json)
-        return EXIT_PARSE
-    return _run_statements(session, statements, as_json)
-
-
-# -- subcommand implementations ---------------------------------------------
-
-
-def _cmd_run(args) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        _emit_error(exc, args.json)
-        return EXIT_PARSE
-    return _script(_session_from_args(args), text, args.json)
-
-
-def _cmd_repl(args) -> int:
-    session = _session_from_args(args)
-    stream = sys.stdin
-    if stream.isatty():
-        print("derivalg session; one statement per line, ctrl-d to quit",
-              file=sys.stderr)
-    for line in stream:
-        try:
-            stmt = P.parse_statement_line(line)
-            if stmt is None:
-                continue
+        for stmt in P.parse_session(text):
             record, human = session.execute(stmt)
-        except Exception as exc:  # noqa: BLE001
-            _classify(exc)
-            _emit_error(exc, args.json)
-            continue
-        _emit(record, human, args.json)
+            _emit(record, human, as_json)
+    except Exception as exc:  # noqa: BLE001 - classified below
+        code = _classify(exc)
+        _emit_error(exc, as_json)
+        return code
     return EXIT_OK
+
+
+# -- subcommand scripts -----------------------------------------------------
+
+
+def _cmd_run(args) -> list:
+    with open(args.file, encoding="utf-8") as handle:
+        return [handle.read()]
 
 
 def _ring_script(spec: str) -> str:
@@ -126,127 +97,91 @@ def _ring_script(spec: str) -> str:
     return f"ring R = {spec}"
 
 
-def _cmd_gb(args) -> int:
-    lines = [_ring_script(args.ring),
-             "ideal I in R : " + ", ".join(args.generators),
-             "gb I"]
-    return _script(_session_from_args(args), "\n".join(lines), args.json)
+def _ideal_lines(args) -> list:
+    return [_ring_script(args.ring),
+            "ideal I in R : " + ", ".join(args.generators)]
 
 
-def _cmd_member(args) -> int:
+def _cmd_gb(args) -> list:
+    return _ideal_lines(args) + ["gb I"]
+
+
+def _cmd_member(args) -> list:
     suffix = " with cofactors" if args.cofactors else ""
-    lines = [_ring_script(args.ring),
-             "ideal I in R : " + ", ".join(args.generators),
-             f"member {args.element} in I{suffix}"]
-    return _script(_session_from_args(args), "\n".join(lines), args.json)
+    return _ideal_lines(args) + [f"member {args.element} in I{suffix}"]
 
 
-def _cmd_dim(args) -> int:
-    lines = [_ring_script(args.ring),
-             "ideal I in R : " + ", ".join(args.generators),
-             "dim I"]
-    return _script(_session_from_args(args), "\n".join(lines), args.json)
+def _cmd_dim(args) -> list:
+    return _ideal_lines(args) + ["dim I"]
 
 
-def _cmd_mul(args) -> int:
-    if args.ring is not None:
-        lines = [_ring_script(args.ring), f"mul {args.expr}"]
-    else:
-        lines = [f"weyl {args.weyl}", f"mul {args.expr}"]
-    return _script(_session_from_args(args), "\n".join(lines), args.json)
+def _cmd_mul(args) -> list:
+    scope = f"weyl {args.weyl}" if args.ring is None else _ring_script(args.ring)
+    return [scope, f"mul {args.expr}"]
 
 
-def _cmd_weyl(args) -> int:
-    return _script(_session_from_args(args), f"weyl {args.n}", args.json)
+def _cmd_weyl(args) -> list:
+    return [f"weyl {args.n}"]
 
 
-def _cmd_darboux(args) -> int:
-    lines = ["ring R = QQ[x, y]", f"darboux {args.F} bound {args.bound}"]
-    return _script(_session_from_args(args), "\n".join(lines), args.json)
+def _cmd_darboux(args) -> list:
+    return ["ring R = QQ[x, y]", f"darboux {args.F} bound {args.bound}"]
 
 
-def _cmd_certificate(args) -> int:
+def _cmd_certificate(args) -> list:
+    ring = _ring_script(args.ring)
+    if not args.truncated:
+        return [ring, f"certificate {args.element}"]
+    stmt = P.parse_statement_line(ring)
+    p = stmt.field_spec.p
+    if p is None:
+        raise ParseError("--truncated needs a GF(p) ring")
+    gens = ", ".join(f"{v}^{p}" for v in stmt.variables)
+    return [ring, f"ideal Itrunc in R : {gens}", "quotient T = R / Itrunc",
+            f"certificate {args.element} in T"]
+
+
+def _cmd_check(args) -> list:
+    what, ders = args.what, args.derivations
+    if what == "simple" and args.weyl is not None:
+        return [f"weyl {args.weyl} as S", "check simple S"]
+    if what != "simple":
+        if not ders:
+            raise ParseError(f"check {what} needs at least one --der")
+        if args.ring is None:
+            raise ParseError(f"check {what} needs --ring")
+        if what == "dideal" and not args.ideal:
+            raise ParseError("check dideal needs at least one --ideal generator")
+    elif args.ring is None or not args.skew_var or not ders:
+        raise ParseError(
+            "check simple needs --weyl N, or --ring with --skew-var/--der")
     lines = [_ring_script(args.ring)]
-    if args.truncated:
-        p_match = re.match(r"GF\((\d+)\)", args.ring.replace(" ", ""))
-        if p_match is None:
-            raise ParseError("--truncated needs a GF(p) ring")
-        p = int(p_match.group(1))
-        vars_part = args.ring[args.ring.index("["):]
-        names = [v.strip() for v in vars_part.strip("[]").split(",")]
-        gens = ", ".join(f"{v}^{p}" for v in names)
-        lines += [f"ideal Itrunc in R : {gens}", "quotient T = R / Itrunc",
-                  f"certificate {args.element} in T"]
-    else:
-        lines.append(f"certificate {args.element}")
-    return _script(_session_from_args(args), "\n".join(lines), args.json)
-
-
-def _check_der_lines(ring_name: str, ders) -> tuple:
-    lines = []
-    names = []
-    for k, images in enumerate(ders, start=1):
-        name = f"d{k}"
-        lines.append(f"der {name} on {ring_name} : {images}")
-        names.append(name)
-    return lines, names
-
-
-def _cmd_check(args) -> int:
-    lines = []
-    if args.what in ("commute", "dideal", "dsimple") and not args.derivations:
-        raise ParseError(f"check {args.what} needs at least one --der")
-    if args.what in ("commute", "dideal", "dsimple") and args.ring is None:
-        raise ParseError(f"check {args.what} needs --ring")
-    if args.what == "dideal" and not args.ideal:
-        raise ParseError("check dideal needs at least one --ideal generator")
-    if args.what == "commute":
-        lines.append(_ring_script(args.ring))
-        der_lines, names = _check_der_lines("R", args.derivations)
+    base = "R"
+    if args.ideal and what != "commute":
+        lines.append("ideal I in R : " + ", ".join(args.ideal))
+        if what != "dideal":
+            lines.append("quotient Q = R / I")
+            base = "Q"
+    names = [f"d{k}" for k in range(1, len(ders) + 1)]
+    lines += [f"der {n} on {base} : {images}" for n, images in zip(names, ders)]
+    if what == "commute":
         if len(names) != 2:
             raise ParseError("check commute takes exactly two derivations")
-        lines += der_lines
         lines.append(f"check commute {names[0]} {names[1]}")
-    elif args.what == "dideal":
-        lines.append(_ring_script(args.ring))
-        lines.append("ideal I in R : " + ", ".join(args.ideal))
-        der_lines, names = _check_der_lines("R", args.derivations)
-        lines += der_lines
+    elif what == "dideal":
         lines.append("check dideal I " + " ".join(names))
-    elif args.what == "dsimple":
-        lines.append(_ring_script(args.ring))
-        ring_name = "R"
-        if args.ideal:
-            lines.append("ideal I in R : " + ", ".join(args.ideal))
-            lines.append("quotient Q = R / I")
-            ring_name = "Q"
-        der_lines, names = _check_der_lines(ring_name, args.derivations)
-        lines += der_lines
+    elif what == "dsimple":
         flag = " --dim1" if args.dim1 else ""
-        lines.append(f"check dsimple {ring_name} " + " ".join(names) + flag)
-    elif args.what == "simple":
-        if args.weyl is not None:
-            lines.append(f"weyl {args.weyl} as S")
-        else:
-            if args.ring is None or not args.skew_var or not args.derivations:
-                raise ParseError(
-                    "check simple needs --weyl N, or --ring with --skew-var/--der")
-            lines.append(_ring_script(args.ring))
-            base_name = "R"
-            if args.ideal:
-                lines.append("ideal I in R : " + ", ".join(args.ideal))
-                lines.append("quotient Q = R / I")
-                base_name = "Q"
-            der_lines, names = _check_der_lines(base_name, args.derivations)
-            lines += der_lines
-            if len(args.skew_var) != len(names):
-                raise ParseError("one --skew-var per --der is required")
-            steps = "".join(f"[{v}; {d}]" for v, d in zip(args.skew_var, names))
-            lines.append(f"skew S = {base_name}{steps}")
-        lines.append("check simple S")
-    return _script(_session_from_args(args), "\n".join(lines), args.json)
+        lines.append(f"check dsimple {base} " + " ".join(names) + flag)
+    else:
+        if len(args.skew_var) != len(names):
+            raise ParseError("one --skew-var per --der is required")
+        steps = "".join(f"[{v}; {d}]" for v, d in zip(args.skew_var, names))
+        lines += [f"skew S = {base}{steps}", "check simple S"]
+    return lines
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="derivalg",
@@ -264,8 +199,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("file")
     run.set_defaults(func=_cmd_run)
 
-    repl = sub.add_parser("repl", help="interactive session on stdin")
-    repl.set_defaults(func=_cmd_repl)
+    sub.add_parser("repl", help="interactive session on stdin")
 
     gb = sub.add_parser("gb", help="reduced Groebner basis of an ideal")
     gb.add_argument("--ring", required=True, help="e.g. 'QQ[x, y]'")
@@ -329,11 +263,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
+    session = Session(order=TermOrder(args.order), budget=args.budget)
+    if args.subcommand == "repl":
+        if sys.stdin.isatty():
+            print("derivalg session; one statement per line, ctrl-d to quit",
+                  file=sys.stderr)
+        for line in sys.stdin:
+            _script(session, line, args.json)
+        return EXIT_OK
     try:
-        return args.func(args)
-    except ParseError as exc:
+        text = "\n".join(args.func(args))
+    except (ParseError, OSError) as exc:
         _emit_error(exc, args.json)
         return EXIT_PARSE
+    return _script(session, text, args.json)
 
 
 if __name__ == "__main__":

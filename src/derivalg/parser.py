@@ -28,13 +28,17 @@ answers Unknown unless the ring has characteristic 0 and dimension 1.
 
 Expressions: integers, `a/b` rationals, identifiers, `+ - * ^`, parentheses;
 `*` is mandatory between factors and `^` takes a non-negative integer.
+
+Tokens, expression nodes and statements are `typing.NamedTuple` records, and
+every statement has its source `line` as the first field.  Like any tuple, a
+record compares equal to a plain tuple of the same values, whatever its
+class: tell statements apart by type, as `Session.execute` does.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ParseError
 
@@ -50,8 +54,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str      # number | ident | flag | arrow | op | newline | eof
     text: str
     line: int
@@ -85,29 +88,25 @@ def tokenize(text: str):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     numerator: int
     denominator: int
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(NamedTuple):
     text: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(NamedTuple):
     op: str
     operand: object
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(NamedTuple):
     op: str             # + - * ^
     left: object
     right: object
@@ -200,138 +199,132 @@ def _parse_atom(stream: _Stream):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldDesignator:
+class FieldDesignator(NamedTuple):
     p: Optional[int]    # None = QQ
 
 
-@dataclass(frozen=True)
-class Statement:
+class DefineRing(NamedTuple):
     line: int
-
-
-@dataclass(frozen=True)
-class DefineRing(Statement):
     name: str
     field_spec: FieldDesignator
     variables: tuple
 
 
-@dataclass(frozen=True)
-class DefineIdeal(Statement):
+class DefineIdeal(NamedTuple):
+    line: int
     name: str
     ring: str
     generators: tuple
 
 
-@dataclass(frozen=True)
-class DefineQuotient(Statement):
+class DefineQuotient(NamedTuple):
+    line: int
     name: str
     ring: str
     ideal: str
 
 
-@dataclass(frozen=True)
-class DefineDerivation(Statement):
+class DefineDerivation(NamedTuple):
+    line: int
     name: str
     ring: str
     assignments: tuple  # ((varname, expr), ...)
 
 
-@dataclass(frozen=True)
-class DefineSkew(Statement):
+class DefineSkew(NamedTuple):
+    line: int
     name: str
     base: str
     steps: tuple        # ((varname, dername), ...)
 
 
-@dataclass(frozen=True)
-class DefineWeyl(Statement):
+class DefineWeyl(NamedTuple):
+    line: int
     n: int
     name: str
 
 
-@dataclass(frozen=True)
-class LetElement(Statement):
+class LetElement(NamedTuple):
+    line: int
     name: str
     expr: object
     ring: Optional[str]
 
 
-@dataclass(frozen=True)
-class MulCommand(Statement):
+class MulCommand(NamedTuple):
+    line: int
     expr: object
     ring: Optional[str]
 
 
-@dataclass(frozen=True)
-class ApplyCommand(Statement):
+class ApplyCommand(NamedTuple):
+    line: int
     derivation: str
     expr: object
 
 
-@dataclass(frozen=True)
-class GbCommand(Statement):
+class GbCommand(NamedTuple):
+    line: int
     ideal: str
 
 
-@dataclass(frozen=True)
-class MemberCommand(Statement):
+class MemberCommand(NamedTuple):
+    line: int
     expr: object
     ideal: str
     cofactors: bool
 
 
-@dataclass(frozen=True)
-class DimCommand(Statement):
+class DimCommand(NamedTuple):
+    line: int
     ideal: str
 
 
-@dataclass(frozen=True)
-class CertificateCommand(Statement):
+class CertificateCommand(NamedTuple):
+    line: int
     expr: object
     ring: Optional[str]
 
 
-@dataclass(frozen=True)
-class DarbouxCommand(Statement):
+class DarbouxCommand(NamedTuple):
+    line: int
     expr: object
     bound: int
     ring: Optional[str]
 
 
-@dataclass(frozen=True)
-class CheckCommute(Statement):
+class CheckCommute(NamedTuple):
+    line: int
     first: str
     second: str
 
 
-@dataclass(frozen=True)
-class CheckDideal(Statement):
+class CheckDideal(NamedTuple):
+    line: int
     ideal: str
     derivations: tuple
 
 
-@dataclass(frozen=True)
-class CheckDsimple(Statement):
+class CheckDsimple(NamedTuple):
+    line: int
     ring: str
     derivations: tuple
     dim1: bool
 
 
-@dataclass(frozen=True)
-class CheckSimple(Statement):
+class CheckSimple(NamedTuple):
+    line: int
     ring: str
 
 
-@dataclass(frozen=True)
-class InnerCommand(Statement):
+class InnerCommand(NamedTuple):
+    line: int
     expr: object
     ring: Optional[str]
 
 
-@dataclass(frozen=True)
-class ExtendCommand(Statement):
+class ExtendCommand(NamedTuple):
+    line: int
     derivation: str
     ring: str
 

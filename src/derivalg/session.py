@@ -94,10 +94,10 @@ class Session:
             raise ParseError(f"{kind} {name!r} is already defined", line, 1)
         table[name] = value
 
-    def _ring(self, name: str, line: int) -> QuotientRing:
-        if name in self.rings:
-            return self.rings[name]
-        raise UnknownIdentifierError(f"unknown ring {name!r}", line, 1)
+    def _lookup(self, table: dict, kind: str, name: str, line: int):
+        if name in table:
+            return table[name]
+        raise UnknownIdentifierError(f"unknown {kind} {name!r}", line, 1)
 
     def _any_ring(self, name: str | None, line: int):
         if name is None:
@@ -107,24 +107,7 @@ class Session:
                                              line, 1)
         if name in self.skew_rings:
             return self.skew_rings[name]
-        if name in self.rings:
-            return self.rings[name]
-        raise UnknownIdentifierError(f"unknown ring {name!r}", line, 1)
-
-    def _ideal(self, name: str, line: int) -> IdealHandle:
-        if name in self.ideals:
-            return self.ideals[name]
-        raise UnknownIdentifierError(f"unknown ideal {name!r}", line, 1)
-
-    def _derivation(self, name: str, line: int) -> Derivation:
-        if name in self.derivations:
-            return self.derivations[name]
-        raise UnknownIdentifierError(f"unknown derivation {name!r}", line, 1)
-
-    def _skew(self, name: str, line: int) -> SkewRingDescriptor:
-        if name in self.skew_rings:
-            return self.skew_rings[name]
-        raise UnknownIdentifierError(f"unknown skew ring {name!r}", line, 1)
+        return self._lookup(self.rings, "ring", name, line)
 
     # -- expression evaluation ----------------------------------------------
 
@@ -193,7 +176,7 @@ class Session:
         return record, f"ring {stmt.name} = {context}"
 
     def _do_ideal(self, stmt: P.DefineIdeal):
-        ring = self._ring(stmt.ring, stmt.line)
+        ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line)
         if not ring.is_trivial:
             raise PreconditionError("ideals are defined in polynomial rings")
         gens = [self.eval_poly(e, ring) for e in stmt.generators]
@@ -204,10 +187,10 @@ class Session:
         return record, f"ideal {stmt.name} = {handle} in {stmt.ring}"
 
     def _do_quotient(self, stmt: P.DefineQuotient):
-        ring = self._ring(stmt.ring, stmt.line)
+        ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line)
         if not ring.is_trivial:
             raise PreconditionError("quotients are taken over polynomial rings")
-        handle = self._ideal(stmt.ideal, stmt.line)
+        handle = self._lookup(self.ideals, "ideal", stmt.ideal, stmt.line)
         if handle.context != ring.context:
             raise PreconditionError(
                 f"ideal {stmt.ideal!r} does not live in ring {stmt.ring!r}")
@@ -220,7 +203,7 @@ class Session:
         return record, f"quotient {stmt.name} = {quotient}"
 
     def _do_der(self, stmt: P.DefineDerivation):
-        ring = self._ring(stmt.ring, stmt.line)
+        ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line)
         images = {name: ring.context.zero for name in ring.context.names}
         for var, expr in stmt.assignments:
             if var not in images:
@@ -235,9 +218,10 @@ class Session:
         return record, f"der {stmt.name} on {stmt.ring} : {derivation}"
 
     def _do_skew(self, stmt: P.DefineSkew):
-        base = self._ring(stmt.base, stmt.line)
+        base = self._lookup(self.rings, "ring", stmt.base, stmt.line)
         names = [var for var, _ in stmt.steps]
-        ders = [self._derivation(d, stmt.line) for _, d in stmt.steps]
+        ders = [self._lookup(self.derivations, "derivation", d, stmt.line)
+                for _, d in stmt.steps]
         ring = build_skew_ring(base, names, ders)
         self._bind(self.skew_rings, "skew ring", stmt.name, ring, stmt.line)
         self.current = stmt.name
@@ -255,27 +239,30 @@ class Session:
                   "skew_variables": list(ring.names)}
         return record, f"weyl {stmt.n}: {stmt.name} = {ring}"
 
-    def _do_let(self, stmt: P.LetElement):
+    def _evaluate(self, stmt):
+        """stmt.expr in stmt.ring (default: the ring in scope), reduced, and
+        its JSON rendering."""
         ring = self._any_ring(stmt.ring, stmt.line)
         value = self.eval_in(stmt.expr, ring)
-        if isinstance(value, Poly) and isinstance(ring, QuotientRing):
+        if isinstance(ring, QuotientRing):
             value = ring.reduce(value)
+            return value, poly_json(value)
+        return value, skew_json(value)
+
+    def _do_let(self, stmt: P.LetElement):
+        value, rendered = self._evaluate(stmt)
         self._bind(self.elements, "element", stmt.name, value, stmt.line)
-        rendered = skew_json(value) if isinstance(value, SkewPoly) else poly_json(value)
         record = {"command": "let", "name": stmt.name, "value": rendered}
         return record, f"let {stmt.name} = {rendered['str']}"
 
     def _do_mul(self, stmt: P.MulCommand):
-        ring = self._any_ring(stmt.ring, stmt.line)
-        value = self.eval_in(stmt.expr, ring)
-        if isinstance(value, Poly) and isinstance(ring, QuotientRing):
-            value = ring.reduce(value)
-        rendered = skew_json(value) if isinstance(value, SkewPoly) else poly_json(value)
+        _, rendered = self._evaluate(stmt)
         record = {"command": "mul", "result": rendered}
         return record, f"mul: {rendered['str']}"
 
     def _do_apply(self, stmt: P.ApplyCommand):
-        derivation = self._derivation(stmt.derivation, stmt.line)
+        derivation = self._lookup(self.derivations, "derivation",
+                                  stmt.derivation, stmt.line)
         value = self.eval_poly(stmt.expr, derivation.ring)
         image = derivation.apply(value)
         record = {"command": "apply", "derivation": stmt.derivation,
@@ -283,14 +270,14 @@ class Session:
         return record, f"apply {stmt.derivation}: {image}"
 
     def _do_gb(self, stmt: P.GbCommand):
-        handle = self._ideal(stmt.ideal, stmt.line)
+        handle = self._lookup(self.ideals, "ideal", stmt.ideal, stmt.line)
         basis = groebner_basis(handle, self.order, self.budget)
         record = {"command": "gb", "ideal": stmt.ideal, "order": str(self.order),
                   "basis": [str(g) for g in basis.polys]}
         return record, f"gb {stmt.ideal}: {basis}"
 
     def _do_member(self, stmt: P.MemberCommand):
-        handle = self._ideal(stmt.ideal, stmt.line)
+        handle = self._lookup(self.ideals, "ideal", stmt.ideal, stmt.line)
         ring = QuotientRing.trivial(handle.context)
         f = self.eval_poly(stmt.expr, ring)
         basis = groebner_basis(handle, self.order, self.budget)
@@ -306,7 +293,7 @@ class Session:
         return record, f"member {f} in {stmt.ideal}: {str(member).lower()}"
 
     def _do_dim(self, stmt: P.DimCommand):
-        handle = self._ideal(stmt.ideal, stmt.line)
+        handle = self._lookup(self.ideals, "ideal", stmt.ideal, stmt.line)
         dim = krull_dimension(handle, self.order, self.budget)
         record = {"command": "dim", "ideal": stmt.ideal, "dimension": dim}
         return record, f"dim {stmt.ideal}: {dim}"
@@ -353,8 +340,8 @@ class Session:
         return record, human
 
     def _do_check_commute(self, stmt: P.CheckCommute):
-        d1 = self._derivation(stmt.first, stmt.line)
-        d2 = self._derivation(stmt.second, stmt.line)
+        d1 = self._lookup(self.derivations, "derivation", stmt.first, stmt.line)
+        d2 = self._lookup(self.derivations, "derivation", stmt.second, stmt.line)
         report = commuting_set_check([d1, d2])
         record = {"command": "check_commute", "first": stmt.first,
                   "second": stmt.second, "commute": report.commute}
@@ -368,16 +355,18 @@ class Session:
         return record, human
 
     def _do_check_dideal(self, stmt: P.CheckDideal):
-        handle = self._ideal(stmt.ideal, stmt.line)
-        ders = [self._derivation(d, stmt.line) for d in stmt.derivations]
+        handle = self._lookup(self.ideals, "ideal", stmt.ideal, stmt.line)
+        ders = [self._lookup(self.derivations, "derivation", d, stmt.line)
+                for d in stmt.derivations]
         ok = d_ideal_check(handle, ders, self.order, self.budget)
         record = {"command": "check_dideal", "ideal": stmt.ideal,
                   "derivations": list(stmt.derivations), "d_ideal": ok}
         return record, f"check dideal: {str(ok).lower()}"
 
     def _do_check_dsimple(self, stmt: P.CheckDsimple):
-        ring = self._ring(stmt.ring, stmt.line)
-        ders = [self._derivation(d, stmt.line) for d in stmt.derivations]
+        ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line)
+        ders = [self._lookup(self.derivations, "derivation", d, stmt.line)
+                for d in stmt.derivations]
         for d in ders:
             if d.ring != ring:
                 raise PreconditionError(
@@ -395,7 +384,7 @@ class Session:
         return record, f"check dsimple: {verdict}"
 
     def _do_check_simple(self, stmt: P.CheckSimple):
-        ring = self._skew(stmt.ring, stmt.line)
+        ring = self._lookup(self.skew_rings, "skew ring", stmt.ring, stmt.line)
         verdict = skew_simplicity(ring, self.order, self.budget)
         record = {"command": "check_simple", "ring": stmt.ring}
         record.update(verdict_json(verdict))
@@ -422,8 +411,9 @@ class Session:
         return record, human
 
     def _do_extend(self, stmt: P.ExtendCommand):
-        derivation = self._derivation(stmt.derivation, stmt.line)
-        ring = self._skew(stmt.ring, stmt.line)
+        derivation = self._lookup(self.derivations, "derivation",
+                                  stmt.derivation, stmt.line)
+        ring = self._lookup(self.skew_rings, "skew ring", stmt.ring, stmt.line)
         extend_derivation(derivation, ring)
         record = {"command": "extend", "derivation": stmt.derivation,
                   "ring": stmt.ring, "extends": True}

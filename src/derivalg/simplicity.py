@@ -382,8 +382,7 @@ def darboux_search(F: Poly, bound: int,
     unknowns = VarContext([f"c{k}" for k in range(M)]
                           + [f"l{j}" for j in range(len(cof_monos))], ctx.field)
 
-    # the coefficient of each x,y-monomial in h_x + F*h_y - cofactor*h, with
-    # the monomials in order of first occurrence
+    # the coefficient of each x,y-monomial in h_x + F*h_y - cofactor*h
     equations = {}
 
     def add(xy, c, *indices):
@@ -401,9 +400,11 @@ def darboux_search(F: Poly, bound: int,
     for j, (p, q) in enumerate(cof_monos):
         for k, (a, b) in enumerate(h_monos):
             add((a + p, b + q), -1, k, M + j)
-    system = [Poly(unknowns, eq) for eq in equations.values()]
-
+    # listed by x,y-monomial under grevlex, so that equal F's take one path
+    # whatever the insertion order of their terms
     grevlex = TermOrder.GREVLEX.key
+    system = [Poly(unknowns, equations[xy])
+              for xy in sorted(equations, key=grevlex)]
     pivots = sorted((m for m in h_monos if sum(m) > 0), key=grevlex)
     unresolved = None
     for pivot in pivots:

@@ -255,3 +255,32 @@ def test_session_replay_byte_identical():
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout  # nonempty
+
+
+def test_reused_arg_parser_leaks_no_state(capsys):
+    # one process, one argparse tree: repeated --der/--ideal/--skew-var
+    # lists, interleaved with calls that omit them, print what a fresh
+    # process prints
+    from derivalg import cli
+    argvs = [
+        ["check", "dsimple", "--ring", "QQ[x1, x2]",
+         "--ideal", "x1^2 + x2^2 - 1", "--der", "x1 -> -x2, x2 -> x1"],
+        ["check", "simple", "--weyl", "1"],
+        ["--json", "check", "simple", "--ring", "QQ[y1, y2]",
+         "--skew-var", "t1", "--der", "y1 -> 1",
+         "--skew-var", "t2", "--der", "y2 -> 1"],
+        ["check", "dsimple", "--ring", "QQ[y]"],
+        ["check", "dideal", "--ring", "QQ[x, y]", "--ideal", "x",
+         "--ideal", "y", "--der", "x -> x, y -> y", "--der", "x -> y"],
+        ["weyl", "1"],
+        ["check", "simple", "--ring", "QQ[y]", "--skew-var", "x",
+         "--der", "y -> y"],
+        ["check", "dideal", "--ring", "QQ[y]", "--der", "y -> 1"],
+    ]
+    for argv in argvs:
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (code, out.out, out.err) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert cli.build_arg_parser() is cli.build_arg_parser()

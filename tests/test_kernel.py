@@ -156,8 +156,9 @@ def test_import_leaves_out_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize at import time
     src = str(Path(derivalg.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, derivalg; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    for module in ("derivalg", "derivalg.cli"):
+        code = (f"import sys, {module}; "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]", module

@@ -14,6 +14,7 @@ from derivalg import (
     DarbouxStatus,
     Derivation,
     IdealHandle,
+    Poly,
     PreconditionError,
     QuotientRing,
     SimplicityStatus,
@@ -462,6 +463,17 @@ def test_darboux_unresolved_pivot_named_when_nothing_is_found(ctx_xy):
     y = ctx_xy.var(1)
     with pytest.raises(BudgetExceededError, match="leading monomial y "):
         darboux_search(y ** 2 - 2, 1)
+
+
+def test_darboux_answer_ignores_term_insertion_order(ctx_xy):
+    # F = -9y^2 - 8y built with its two terms stored either way round: the
+    # equations are listed by monomial, so both take one path
+    y = ctx_xy.var(1)
+    for terms in ({(0, 2): -9, (0, 1): -8}, {(0, 1): -8, (0, 2): -9}):
+        result = darboux_search(Poly(ctx_xy, terms), 1)
+        assert result.status is DarbouxStatus.FOUND
+        assert result.h == y
+        assert result.cofactor == -9 * y - 8
 
 
 def test_solve_rational_specialisation_fallback():
