@@ -13,7 +13,7 @@ argparse tree once per process, and every `main` call reuses it.
 
 Exit codes: 0 success (including "false"/NotSimple answers), 1 parse or
 name-resolution error, 2 mathematical precondition failure, 3 step-budget
-exhaustion.
+exhaustion, 4 internal error (a bug in derivalg, not in the input).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(record, human, as_json):
@@ -49,12 +50,19 @@ def _emit(record, human, as_json):
         print(human)
 
 
-def _emit_error(exc, as_json):
+def _emit_error(exc, as_json, internal=False):
     kind = type(exc).__name__
-    payload = {"error": {"kind": kind, "message": str(exc)}}
+    error = {"kind": kind, "message": str(exc)}
+    if internal:
+        import traceback  # loaded only when there is a bug to report
+        error.update(internal=True,
+                     traceback="".join(traceback.format_exception(exc)))
     if as_json:
-        print(json.dumps(payload), file=sys.stderr)
+        print(json.dumps({"error": error}), file=sys.stderr)
     else:
+        if internal:
+            sys.stderr.write(error["traceback"])
+            kind = f"internal: {kind}"
         print(f"error [{kind}]: {exc}", file=sys.stderr)
 
 
@@ -65,9 +73,9 @@ def _classify(exc) -> int:
         return EXIT_BUDGET
     if isinstance(exc, (PreconditionError, ContextMismatchError,
                         FieldMismatchError, ZeroPolynomialError,
-                        ZeroDivisionError, ValueError, KeyError, IndexError)):
+                        ZeroDivisionError, ValueError)):
         return EXIT_PRECONDITION
-    raise exc
+    return EXIT_INTERNAL
 
 
 def _script(session: Session, text: str, as_json: bool) -> int:
@@ -78,7 +86,7 @@ def _script(session: Session, text: str, as_json: bool) -> int:
             _emit(record, human, as_json)
     except Exception as exc:  # noqa: BLE001 - classified below
         code = _classify(exc)
-        _emit_error(exc, as_json)
+        _emit_error(exc, as_json, internal=code == EXIT_INTERNAL)
         return code
     return EXIT_OK
 

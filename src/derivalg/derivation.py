@@ -22,6 +22,7 @@ from .errors import (
 )
 from .groebner import (
     DEFAULT_BUDGET,
+    GroebnerBasis,
     IdealHandle,
     QuotientRing,
     TermOrder,
@@ -52,17 +53,18 @@ class Derivation:
         for g in images:
             if g.context != ring.context:
                 raise ContextMismatchError("derivation image outside the ring")
-        if not ring.is_trivial:
-            images = tuple(ring.reduce(g) for g in images)
-            for g in ring.defining.generators or ring.basis.polys:
-                lifted = _chain_rule(g, images)
-                if not ring.reduce(lifted).is_zero():
-                    raise NotInvariantError(
-                        f"derivation does not preserve the defining ideal: "
-                        f"image of {g} is {lifted}",
-                        generator=g, image=lifted)
         self.ring = ring
         self.images = images
+        if not ring.is_trivial:
+            self.images = tuple(ring.reduce(g) for g in images)
+            escape = _escape(ring.defining.generators or ring.basis.polys,
+                             [self], ring.basis)
+            if escape is not None:
+                g, lifted = escape
+                raise NotInvariantError(
+                    f"derivation does not preserve the defining ideal: "
+                    f"image of {g} is {lifted}",
+                    generator=g, image=lifted)
 
     @classmethod
     def partial(cls, ring, i: int) -> "Derivation":
@@ -118,6 +120,19 @@ def _chain_rule(f: Poly, images: Sequence[Poly]) -> Poly:
     return total
 
 
+def _escape(generators: Iterable[Poly], derivations: Sequence[Derivation],
+            basis: GroebnerBasis):
+    """The first pair (g, d(g)) with d(g) outside the ideal of `basis`, g
+    running over `generators` and d over `derivations` for each g; None
+    when every image lies in the ideal."""
+    for g in generators:
+        for d in derivations:
+            image = _chain_rule(g, d.images)
+            if not normal_form(image, basis).is_zero():
+                return g, image
+    return None
+
+
 def commutator(d1: Derivation, d2: Derivation) -> Derivation:
     """The derivation d1 o d2 - d2 o d1; zero iff d1 and d2 commute."""
     if d1.ring != d2.ring:
@@ -161,15 +176,12 @@ def d_ideal_check(ideal: IdealHandle, derivations: Sequence[Derivation],
     combination sum(a_i g_i) is sum(d(a_i) g_i + a_i d(g_i)), which stays in
     I once every d(g_i) does.
     """
+    derivations = list(derivations)
+    for d in derivations:
+        if d.ring.context != ideal.context:
+            raise ContextMismatchError("derivation outside the ideal's context")
     basis = groebner_basis(ideal, order, budget)
-    for g in ideal.generators:
-        for d in derivations:
-            if d.ring.context != ideal.context:
-                raise ContextMismatchError("derivation outside the ideal's context")
-            image = _chain_rule(g, d.images)
-            if not normal_form(image, basis).is_zero():
-                return False
-    return True
+    return _escape(ideal.generators, derivations, basis) is None
 
 
 def induce_on_quotient(d: Derivation, ring: QuotientRing) -> Derivation:

@@ -6,10 +6,15 @@ Positive answers are constructive wherever the theory allows:
   partial derivatives reducing any nonzero element to a nonzero constant;
 * over the truncated ring F_p[x]/(x_i^p) with the induced partials, the same
   kind of word (every exponent is < p, so the factorials never vanish);
-* for a 1-dimensional finitely generated algebra with one derivation, the
-  unit-ideal criterion 1 in (d(x_1), ..., d(x_n)) + I;
+* for a 1-dimensional finitely generated algebra R = k[x]/I with a finite
+  set D of derivations, the unit-ideal criterion 1 in the image ideal
+  J_D = (d(x_i) : d in D, all i) + I, once I is certified prime (I = 0, or
+  a plane curve with a smooth projective closure);
 * in characteristic p, a D-stable proper witness ideal of p-th powers
   whenever the Krull dimension is positive (simplicity is impossible there).
+
+Negative answers carry a proper nonzero D-stable ideal where one is known; a
+proper J_D is one in any dimension, as d'(d(a)r) = d'(d(a))r + d(a)d'(r).
 
 `d_simplicity` is the one decider that orders these criteria; the CLI's
 `check dsimple`, `dim1_simplicity` and `skew_simplicity` all end in it.
@@ -24,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .derivation import Derivation, _chain_rule
+from .derivation import Derivation, _escape
 from .errors import (
     BudgetExceededError,
     ContextMismatchError,
@@ -37,10 +42,10 @@ from .groebner import (
     IdealHandle,
     QuotientRing,
     TermOrder,
+    _initial_dimension,
     buchberger,
     groebner_basis,
     is_unit_ideal,
-    normal_form,
 )
 from .poly import Poly, VarContext
 
@@ -163,9 +168,10 @@ def _all_partials_present(ring: QuotientRing, derivations) -> bool:
     return partials <= set(derivations)
 
 
-def _lifted_image_ideal(ring: QuotientRing, d: Derivation) -> IdealHandle:
-    gens = list(d.images) + list(ring.defining.generators)
-    return IdealHandle(ring.context, gens)
+def _image_ideal(ring: QuotientRing, derivations) -> IdealHandle:
+    """J_D = (d(x_i) for every d in D and every i) + I, lifted to k[x]."""
+    gens = [g for d in derivations for g in d.images]
+    return IdealHandle(ring.context, gens + list(ring.defining.generators))
 
 
 def necessary_unit_condition(ring: QuotientRing, d: Derivation,
@@ -180,7 +186,7 @@ def necessary_unit_condition(ring: QuotientRing, d: Derivation,
         raise PreconditionError("unit-ideal condition applies in characteristic 0")
     if d.ring != ring:
         raise ContextMismatchError("derivation does not live on the given ring")
-    return is_unit_ideal(_lifted_image_ideal(ring, d), order, budget)
+    return is_unit_ideal(_image_ideal(ring, [d]), order, budget)
 
 
 def principal_stability_check(g: Poly, derivations,
@@ -194,17 +200,17 @@ def principal_stability_check(g: Poly, derivations,
     if g.is_zero():
         raise ZeroPolynomialError("principal stability needs a nonzero generator")
     derivations = list(derivations)
+    if not derivations:
+        raise PreconditionError("principal stability needs at least one derivation")
     ring = derivations[0].ring
     if g.context != ring.context:
         raise ContextMismatchError("generator outside the derivations' ring")
-    handle = IdealHandle(ring.context, [g] + list(ring.defining.generators))
-    basis = groebner_basis(handle, order, budget)
     for d in derivations:
         if d.ring != ring:
             raise ContextMismatchError("derivations live on different rings")
-        if not normal_form(_chain_rule(g, d.images), basis).is_zero():
-            return False
-    return True
+    handle = IdealHandle(ring.context, [g] + list(ring.defining.generators))
+    basis = groebner_basis(handle, order, budget)
+    return _escape([g], derivations, basis) is None
 
 
 def _principal_witness(ring: QuotientRing, derivations,
@@ -222,8 +228,7 @@ def _principal_witness(ring: QuotientRing, derivations,
         basis = groebner_basis(handle, order, budget)
         if basis.is_unit:
             continue
-        if all(normal_form(_chain_rule(g, d.images), basis).is_zero()
-               for d in derivations):
+        if _escape([g], derivations, basis) is None:
             return handle
     return None
 
@@ -236,11 +241,14 @@ def d_simplicity(ring: QuotientRing, derivations,
     1. characteristic p: prime_char_obstruction;
     2. a polynomial ring with every partial in D: Simple;
     3. a variable or image generating a proper nonzero D-stable ideal: NotSimple;
-    4. dimension 1 and 1 in J_d = (d(x_1), ..., d(x_n)) + I for a d in D: Simple
-       (R is not checked to be a domain);
-    5. dimension 1 and D = {d}: NotSimple, witnessed by the D-stable proper
-       J_d unless d is zero on R;
-    6. anything else: Unknown.
+    4. the image ideal J_D = (d(x_i) : d in D, all i) + I is D-stable; proper
+       with some d nonzero on R, it is a NotSimple witness in any dimension;
+    5. dimension 1, J_D proper and every d zero on R: NotSimple without a
+       witness (R is not a field);
+    6. dimension 1 and 1 in J_D: Simple when I is certified prime (every
+       D-stable maximal ideal contains J_D, and the minimal primes of R are
+       D-stable), else Unknown;
+    7. anything else: Unknown.
     """
     derivations = list(derivations)
     for d in derivations:
@@ -256,17 +264,44 @@ def d_simplicity(ring: QuotientRing, derivations,
     if witness is not None:
         return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=witness,
                                  criterion="stable principal ideal witness")
-    if ring.dimension() == 1:
-        images = [_lifted_image_ideal(ring, d) for d in derivations]
-        if any(is_unit_ideal(J, order, budget) for J in images):
-            return SimplicityVerdict(SimplicityStatus.SIMPLE,
-                                     criterion="dimension-1 unit-ideal criterion")
-        if len(derivations) == 1:
-            witness = None if derivations[0].is_zero() else images[0]
-            return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=witness,
-                                     criterion="dimension-1 unit-ideal criterion")
-    return SimplicityVerdict(SimplicityStatus.UNKNOWN,
-                             reason="no applicable criterion")
+    J = _image_ideal(ring, derivations)
+    proper = not is_unit_ideal(J, order, budget)
+    dim1 = ring.dimension() == 1
+    criterion = ("dimension-1 unit-ideal criterion" if dim1
+                 else "proper D-stable image ideal")
+    if proper and any(not d.is_zero() for d in derivations):
+        return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=J,
+                                 criterion=criterion)
+    if not dim1:
+        return SimplicityVerdict(SimplicityStatus.UNKNOWN,
+                                 reason="no applicable criterion")
+    if proper:
+        return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, criterion=criterion)
+    if not _certified_prime(ring, order, budget):
+        return SimplicityVerdict(SimplicityStatus.UNKNOWN,
+                                 reason="primality not certified")
+    return SimplicityVerdict(SimplicityStatus.SIMPLE, criterion=criterion)
+
+
+def _certified_prime(ring: QuotientRing, order: TermOrder, budget: int) -> bool:
+    """True when the defining ideal I is certified prime: I = 0, or I = (f)
+    with f in two variables and a smooth projective closure F, i.e. the
+    basis of (F, F_x, F_y, F_z) is the unit ideal or has dimension 0.  Two
+    components of a plane curve meet, in singular points, so a smooth F is
+    irreducible over the algebraic closure and f generates a prime ideal.
+    False means no certificate, not that I is not prime.
+    """
+    if ring.is_trivial:
+        return True
+    if len(ring.basis) != 1 or ring.context.nvars != 2:
+        return False
+    f = ring.basis.polys[0]
+    n = f.total_degree()
+    plane = VarContext(("x", "y", "z"), ring.context.field)
+    F = Poly._raw(plane, {(a, b, n - a - b): c for (a, b), c in f._terms.items()})
+    singular = IdealHandle(plane, [F] + [F.partial(i) for i in range(3)])
+    basis = groebner_basis(singular, order, budget)
+    return basis.is_unit or _initial_dimension(basis) == 0
 
 
 def dim1_simplicity(ring: QuotientRing, d: Derivation,

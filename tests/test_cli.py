@@ -284,3 +284,64 @@ def test_reused_arg_parser_leaks_no_state(capsys):
         assert (code, out.out, out.err) == \
             (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert cli.build_arg_parser() is cli.build_arg_parser()
+
+
+TWO_LINES_SESSION = """\
+ring R = QQ[x, y]
+ideal I in R : y^2 - 81
+quotient Q = R / I
+der d0 on R : x -> 1, y -> (4*x - 6)*(y^2 - 81)
+der d on Q : x -> 1, y -> (4*x - 6)*(y^2 - 81)
+apply d 8*x*y - 2*x - 1*y^2
+check dideal I d0
+dim I
+check dsimple Q d --dim1
+ideal J in R : y^2 - 81, x - 7*y - 4
+gb J
+member (-6)*(x - 1) in J with cofactors
+member 1*x*y + 9*y^2 - 1*y in J with cofactors
+skew S = Q[t; d]
+check simple S
+certificate -3*x*y + 5*x + 8*y^3 - 5*y in R
+darboux y^2 + 2*x bound 2 in R
+"""
+
+
+def test_two_lines_session_is_not_certified_simple(tmp_path, capsys):
+    # y^2 - 81 is two parallel lines: (y - 9) + I is a proper stable ideal,
+    # so neither R nor R[t; d] may be reported Simple
+    from derivalg import cli
+    script = tmp_path / "two_lines.dsl"
+    script.write_text(TWO_LINES_SESSION)
+    assert cli.main(["run", str(script)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "check dsimple: Unknown (primality not certified)" in lines
+    assert "check simple: Unknown (primality not certified)" in lines
+    assert not any("Simple [" in line for line in lines)
+
+
+def test_check_dsimple_two_parallel_lines_cli():
+    out = run_cli("check", "dsimple", "--ring", "QQ[x, y]", "--ideal", "y^2 - 1",
+                  "--der", "x -> 1, y -> 0")
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[-1] == \
+        "check dsimple: Unknown (primality not certified)"
+
+
+def test_exit_code_internal_error(monkeypatch, capsys):
+    # an exception the CLI does not classify is a bug: exit 4, not 1
+    from derivalg import cli
+    from derivalg.session import Session
+
+    def broken(self, stmt):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(Session, "execute", broken)
+    assert cli.main(["weyl", "1"]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("\nKeyError: 'boom'\nerror [internal: KeyError]: 'boom'\n")
+    assert cli.main(["--json", "weyl", "1"]) == 4
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.pop("traceback").endswith("KeyError: 'boom'\n")
+    assert error == {"kind": "KeyError", "message": "'boom'", "internal": True}

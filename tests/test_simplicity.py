@@ -18,6 +18,7 @@ from derivalg import (
     PreconditionError,
     QuotientRing,
     SimplicityStatus,
+    TermOrder,
     VarContext,
     ZeroPolynomialError,
     build_skew_ring,
@@ -36,7 +37,11 @@ from derivalg import (
     skew_simplicity,
     truncated_certificate,
 )
-from derivalg.simplicity import _rational_roots, _solve_rational
+from derivalg.simplicity import (
+    _certified_prime,
+    _rational_roots,
+    _solve_rational,
+)
 
 from conftest import rand_poly
 
@@ -493,3 +498,97 @@ def test_solve_rational_inconsistent_and_linear():
     values = _solve_rational([2 * u - v - 1, 4 * w ** 2 - 9], ctx,
                              DEFAULT_BUDGET)
     assert values == [Fraction(1, 2), 0, Fraction(3, 2)]
+
+
+# --------------------------------------------------------------------------
+# one image ideal J_D and the dimension-1 primality certificate
+# --------------------------------------------------------------------------
+
+
+def _assert_image_witness(ring, D, verdict):
+    # a NotSimple witness J_D is proper, nonzero modulo I and D-stable
+    J = verdict.witness
+    assert verdict.status is SimplicityStatus.NOT_SIMPLE
+    assert list(J.generators) == [g for d in D for g in d.images if not g.is_zero()] \
+        + list(ring.defining.generators)
+    assert not is_unit_ideal(J)
+    assert any(not ring.reduce(g).is_zero() for g in J.generators)
+    assert d_ideal_check(J, D)
+
+
+def test_two_parallel_lines_are_not_certified_simple(ctx_xy):
+    # (y - 1) + I is a proper d/dx-stable ideal of QQ[x, y]/(y^2 - 1), so
+    # 1 in J_d alone must not give Simple: the ideal is not prime
+    x, y = ctx_xy.var(0), ctx_xy.var(1)
+    ring = QuotientRing.of(IdealHandle(ctx_xy, [y ** 2 - 1]))
+    d = Derivation(ring, [ctx_xy.one, ctx_xy.zero])
+    assert necessary_unit_condition(ring, d)
+    assert principal_stability_check(y - 1, [d])
+    verdict = d_simplicity(ring, [d])
+    assert verdict.status is SimplicityStatus.UNKNOWN
+    assert verdict.reason == "primality not certified"
+    assert dim1_simplicity(ring, d) == verdict
+    assert skew_simplicity(build_skew_ring(ring, ["t"], [d])) == verdict
+
+
+def _circle_pair(ctx, left, right):
+    x, y = ctx.var(0), ctx.var(1)
+    ring = QuotientRing.of(IdealHandle(ctx, [x ** 2 + y ** 2 - 1]))
+    return ring, [Derivation(ring, [-k * y, k * x]) for k in (left, right)]
+
+
+def test_two_derivations_on_the_circle_simple(ctx_xy):
+    # J_{d1} + J_{d2} contains (1 + x) + (1 - x) = 2, though neither does
+    x = ctx_xy.var(0)
+    ring, D = _circle_pair(ctx_xy, 1 + x, 1 - x)
+    assert not any(necessary_unit_condition(ring, d) for d in D)
+    verdict = d_simplicity(ring, D)
+    assert verdict.status is SimplicityStatus.SIMPLE
+    assert verdict.criterion == "dimension-1 unit-ideal criterion"
+
+
+def test_two_derivations_on_the_circle_not_simple(ctx_xy):
+    # both image ideals lie in the maximal ideal of the point (-1, 0)
+    x = ctx_xy.var(0)
+    ring, D = _circle_pair(ctx_xy, 1 + x, (1 + x) ** 2)
+    verdict = d_simplicity(ring, D)
+    assert verdict.criterion == "dimension-1 unit-ideal criterion"
+    _assert_image_witness(ring, D, verdict)
+
+
+def test_dimension_two_decided_by_image_ideal(ctx_xy):
+    # no variable or image of d = (xy - 1)d/dx + (x - y^2)d/dy generates a
+    # stable principal ideal, but J_d = (xy - 1, x - y^2) is proper
+    x, y = ctx_xy.var(0), ctx_xy.var(1)
+    ring = QuotientRing.trivial(ctx_xy)
+    d = Derivation(ring, [x * y - 1, x - y ** 2])
+    for g in (x, y, x * y - 1, x - y ** 2):
+        assert not principal_stability_check(g, [d])
+    verdict = d_simplicity(ring, [d])
+    assert verdict.criterion == "proper D-stable image ideal"
+    assert list(verdict.witness.generators) == [x * y - 1, x - y ** 2]
+    _assert_image_witness(ring, [d], verdict)
+
+
+def test_primality_certificate(ctx_xy):
+    # smooth projective closures: conics and a line (F_x is a unit);
+    # singular ones: parallel lines, crossing lines, a cusp, a double line
+    x, y = ctx_xy.var(0), ctx_xy.var(1)
+    assert _certified_prime(QuotientRing.trivial(VarContext(("x",), QQ)),
+                            TermOrder.GREVLEX, DEFAULT_BUDGET)
+    smooth = [x ** 2 + y ** 2 - 1, 6 * x ** 2 + 7 * y ** 2 - 7, x * y - 1,
+              y - x ** 2, 2 * x - 3 * y + 1, x ** 3 + y ** 3 - 1]
+    singular = [y ** 2 - 81, (x - 7) * (y - 9), y ** 2 - x ** 3,
+                (x + y - 1) ** 2]
+    for f, expected in [(f, True) for f in smooth] + [(f, False) for f in singular]:
+        ring = QuotientRing.of(IdealHandle(ctx_xy, [f]))
+        assert _certified_prime(ring, TermOrder.GREVLEX, DEFAULT_BUDGET) is expected, f
+    # a non-principal ideal is not certified
+    ring = QuotientRing.of(IdealHandle(ctx_xy, [x * y, y ** 2]))
+    assert not _certified_prime(ring, TermOrder.GREVLEX, DEFAULT_BUDGET)
+
+
+def test_principal_stability_needs_a_derivation():
+    ctx = VarContext(("y",), QQ)
+    with pytest.raises(PreconditionError):
+        principal_stability_check(ctx.var(0), [])
