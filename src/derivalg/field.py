@@ -61,20 +61,9 @@ class FieldSpec:
         return self.p is None
 
     def element(self, value: Union[int, Fraction, "FieldElement"]) -> "FieldElement":
-        """Coerce an int, Fraction, or element of this field."""
-        if isinstance(value, FieldElement):
-            if value.spec != self:
-                raise FieldMismatchError(f"{value} is not an element of {self}")
-            return value
-        if isinstance(value, Fraction):
-            if self.p is None:
-                return FieldElement(self, value)
-            return self.from_ratio(value.numerator, value.denominator)
-        if isinstance(value, int):
-            if self.p is None:
-                return FieldElement(self, Fraction(value))
-            return FieldElement(self, value % self.p)
-        raise TypeError(f"cannot coerce {value!r} into {self}")
+        """:meth:`raw` of the value, held as a ``Fraction`` over QQ."""
+        c = self.raw(value)
+        return FieldElement(self, Fraction(c) if self.p is None else c)
 
     def raw(self, value):
         """The raw coefficient of an int, Fraction, or element of this field.
@@ -93,10 +82,7 @@ class FieldSpec:
         if isinstance(value, Fraction):
             if p is None:
                 return value.numerator if value.denominator == 1 else value
-            d = value.denominator % p
-            if d == 0:
-                raise ZeroDivisionError(f"denominator {value.denominator} vanishes in {self}")
-            return value.numerator * pow(d, -1, p) % p
+            return self.from_ratio(value.numerator, value.denominator).value
         raise TypeError(f"cannot coerce {value!r} into {self}")
 
     def raw_inverse(self, c):
@@ -185,9 +171,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.spec.p is None:
-            return FieldElement(self.spec, self.value + o.value)
-        return FieldElement(self.spec, (self.value + o.value) % self.spec.p)
+        return self.spec.element(self.value + o.value)
 
     __radd__ = __add__
 
@@ -195,9 +179,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.spec.p is None:
-            return FieldElement(self.spec, self.value - o.value)
-        return FieldElement(self.spec, (self.value - o.value) % self.spec.p)
+        return self.spec.element(self.value - o.value)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -209,9 +191,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.spec.p is None:
-            return FieldElement(self.spec, self.value * o.value)
-        return FieldElement(self.spec, (self.value * o.value) % self.spec.p)
+        return self.spec.element(self.value * o.value)
 
     __rmul__ = __mul__
 
@@ -228,16 +208,10 @@ class FieldElement:
         return o * self.inverse()
 
     def __neg__(self):
-        if self.spec.p is None:
-            return FieldElement(self.spec, -self.value)
-        return FieldElement(self.spec, (-self.value) % self.spec.p)
+        return self.spec.element(-self.value)
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise ZeroDivisionError(f"division by zero in {self.spec}")
-        if self.spec.p is None:
-            return FieldElement(self.spec, 1 / self.value)
-        return FieldElement(self.spec, pow(self.value, -1, self.spec.p))
+        return self.spec.element(self.spec.raw_inverse(self.value))
 
     def is_zero(self) -> bool:
         return self.value == 0

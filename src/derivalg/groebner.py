@@ -26,6 +26,7 @@ from .poly import (
     Poly,
     TermOrder,
     VarContext,
+    _canonical,
     monomial_degree,
     monomial_div,
     monomial_divides,
@@ -226,17 +227,12 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
                 p[mono] = acc + d
     if scaled:
         # a scaled Fraction may have become integral: demote it
-        remainder = _demoted(remainder)
+        remainder = _canonical(remainder, None)
         if want_cofactors:
-            quotients = [_demoted(q) for q in quotients]
+            quotients = [_canonical(q, None) for q in quotients]
     cofactors = ([Poly._raw(context, q) for q in quotients]
                  if want_cofactors else None)
     return Poly._raw(context, remainder), cofactors
-
-
-def _demoted(terms: dict) -> dict:
-    return {m: c.numerator if c.denominator == 1 else c
-            for m, c in terms.items()}
 
 
 def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
@@ -259,17 +255,14 @@ def normal_form_with_cofactors(f: Poly, basis: GroebnerBasis):
 
 
 def _s_poly(f: Poly, g: Poly, lead_f, lead_g) -> Poly:
-    """S(f, g), from the cached (LM, raw LC) pairs of f and g, up to a
-    nonzero constant: (c_g/e)*u_f*f - (c_f/e)*u_g*g with e = gcd(c_f, c_g)
-    over QQ, where both leading coefficients are integers, and the monic
-    combination f/c_f*u_f - g/c_g*u_g over F_p."""
+    """S(f, g) up to a nonzero constant, from the cached (LM, raw LC) pairs
+    of f and g: (c_g/e)*u_f*f - (c_f/e)*u_g*g with e = gcd(c_f, c_g) and
+    u = lcm(LM f, LM g)/LM.  Both leading coefficients are integers: over
+    QQ the elements are integer primitive, over F_p they are monic (c = 1,
+    so this is the monic combination u_f*f - u_g*g)."""
     (mf, cf), (mg, cg) = lead_f, lead_g
-    if f.context.field.p is None:
-        e = gcd(cf, cg)
-        sf, sg = cg // e, cf // e
-    else:
-        raw_inverse = f.context.field.raw_inverse
-        sf, sg = raw_inverse(cf), raw_inverse(cg)
+    e = gcd(cf, cg)
+    sf, sg = cg // e, cf // e
     lcm = monomial_lcm(mf, mg)
     tf = Poly._raw(f.context, {monomial_div(lcm, mf): sf})
     tg = Poly._raw(g.context, {monomial_div(lcm, mg): sg})
@@ -290,6 +283,12 @@ def _primitive(f: Poly, order: TermOrder) -> Poly:
     if content == 1 and terms is f._terms:
         return f
     return Poly._raw(f.context, {m: c // content for m, c in terms.items()})
+
+
+def _normalize(g: Poly, order: TermOrder) -> Poly:
+    """The working form of a basis element: integer primitive over QQ,
+    monic over F_p."""
+    return _primitive(g, order) if g.context.field.p is None else g.monic(order)
 
 
 def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
@@ -320,17 +319,10 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
     for g in gens:
         if g.context != context:
             raise ContextMismatchError("generators live in different contexts")
-    if context.field.p is None:
-        def normalize(g):
-            return _primitive(g, order)
-    else:
-        def normalize(g):
-            return g.monic(order)
-
     basis = []
     lead = []
     for g in gens:
-        g = normalize(g)
+        g = _normalize(g, order)
         if g not in basis:
             basis.append(g)
             lead.append(g._lead(order))
@@ -379,7 +371,7 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
                        order, lead=lead)
         if h.is_zero():
             continue
-        h = normalize(h)
+        h = _normalize(h, order)
         basis.append(h)
         lead.append(h._lead(order))
         add_pairs(len(basis) - 1)
@@ -391,11 +383,10 @@ def _reduce_basis(basis, order: TermOrder, lead):
     """Minimalize, inter-reduce in one pass and sort by LM, largest first:
     the reduced basis up to the scaling that `GroebnerBasis` makes monic.
 
-    `lead` is the elements' (LM, raw LC) list.  The elements are monic over
-    F_p.  Over QQ they are integer primitive, and each inter-reduced element
-    is made primitive again.
+    `lead` is the elements' (LM, raw LC) list.  The elements are in the
+    working form of `_normalize`, and each inter-reduced element is put in
+    it again (over F_p a monic remainder is returned unchanged).
     """
-    rational = basis[0].context.field.p is None
     # minimal: drop any element whose LM is divisible by another's LM
     minimal = []
     minimal_lead = []
@@ -422,10 +413,9 @@ def _reduce_basis(basis, order: TermOrder, lead):
         r, _ = _divide(minimal[i], others, order,
                        lead=minimal_lead[:i] + minimal_lead[i + 1:])
         if r != minimal[i]:
-            if rational:
-                r = _primitive(r, order)
-                lm = minimal_lead[i][0]
-                minimal_lead[i] = (lm, r._terms[lm])
+            r = _normalize(r, order)
+            lm = minimal_lead[i][0]
+            minimal_lead[i] = (lm, r._terms[lm])
             minimal[i] = r
     ranked = sorted(zip(minimal_lead, minimal),
                     key=lambda pair: order.key(pair[0][0]), reverse=True)

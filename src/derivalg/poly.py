@@ -281,8 +281,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Poly._raw(self.context, _add_terms(o._terms, (-self)._terms,
-                                                  self.context.field.p))
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -295,19 +294,7 @@ class Poly:
                 m = tuple(map(add, ma, mb))
                 c = get(m)
                 acc[m] = ca * cb if c is None else c + ca * cb
-        # one reduction and zero test per output term
-        p = self.context.field.p
-        terms = {}
-        if p is None:
-            for m, c in acc.items():
-                if c:
-                    terms[m] = c.numerator if c.denominator == 1 else c
-        else:
-            for m, c in acc.items():
-                c %= p
-                if c:
-                    terms[m] = c
-        return Poly._raw(self.context, terms)
+        return Poly._raw(self.context, _canonical(acc, self.context.field.p))
 
     __rmul__ = __mul__
 
@@ -408,18 +395,7 @@ class Poly:
                 key = tuple(map(add, rest, mi))
                 old = get(key)
                 acc[key] = c * ci if old is None else old + c * ci
-        p = self.context.field.p
-        terms = {}
-        if p is None:
-            for m, c in acc.items():
-                if c:
-                    terms[m] = c.numerator if c.denominator == 1 else c
-        else:
-            for m, c in acc.items():
-                c %= p
-                if c:
-                    terms[m] = c
-        return Poly._raw(self.context, terms)
+        return Poly._raw(self.context, _canonical(acc, self.context.field.p))
 
     def evaluate(self, point: Sequence) -> FieldElement:
         field = self.context.field
@@ -477,6 +453,21 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _canonical(acc: dict, p) -> dict:
+    """The canonical raw term map of an accumulated one, whose entries may be
+    zero, integral Fractions (over QQ) or unreduced ints (over F_p): zeros
+    dropped, an integral Fraction demoted to int, one ``% p`` per term."""
+    if p is None:
+        return {m: c.numerator if c.denominator == 1 else c
+                for m, c in acc.items() if c}
+    terms = {}
+    for m, c in acc.items():
+        c %= p
+        if c:
+            terms[m] = c
+    return terms
 
 
 def _add_terms(a: dict, b: dict, p) -> dict:

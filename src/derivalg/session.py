@@ -204,13 +204,17 @@ class Session:
 
     def _do_der(self, stmt: P.DefineDerivation):
         ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line)
-        images = {name: ring.context.zero for name in ring.context.names}
+        names = ring.context.names
+        images = {}
         for var, expr in stmt.assignments:
-            if var not in images:
+            if var not in names:
                 raise UnknownIdentifierError(
                     f"{var!r} is not a variable of {stmt.ring}", stmt.line, 1)
+            if var in images:
+                raise ParseError(
+                    f"{var!r} is given two images in der {stmt.name}", stmt.line, 1)
             images[var] = self.eval_poly(expr, ring)
-        derivation = Derivation(ring, [images[n] for n in ring.context.names])
+        derivation = Derivation(ring, [images.get(n, ring.context.zero) for n in names])
         self._bind(self.derivations, "derivation", stmt.name, derivation, stmt.line)
         record = {"command": "der", "name": stmt.name, "ring": stmt.ring,
                   "images": {n: str(g) for n, g in

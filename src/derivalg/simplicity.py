@@ -49,6 +49,10 @@ from .groebner import (
 )
 from .poly import Poly, VarContext
 
+# Largest p^n for which prime_char_obstruction searches F_p^n for a rational
+# point of V(I) to build its witness.
+POINT_BUDGET = 200_000
+
 
 class SimplicityCertificate(NamedTuple):
     """A replayable reduction of a ring element to a nonzero constant.
@@ -107,8 +111,6 @@ def partials_certificate(f: Poly) -> SimplicityCertificate:
     """
     if f.context.field.characteristic != 0:
         raise PreconditionError("partials certificate needs characteristic 0")
-    if f.is_zero():
-        raise ZeroPolynomialError("cannot certify the zero element")
     return _reduce_to_constant(f)
 
 
@@ -122,9 +124,7 @@ def truncated_certificate(f: Poly) -> SimplicityCertificate:
     p = f.context.field.characteristic
     if p == 0:
         raise PreconditionError("truncated certificate needs prime characteristic")
-    if f.is_zero():
-        raise ZeroPolynomialError("cannot certify the zero element")
-    for mono, _ in f.terms():
+    for mono in f._terms:
         if any(e >= p for e in mono):
             raise PreconditionError(
                 f"representative has an exponent >= {p}; reduce it first")
@@ -132,11 +132,13 @@ def truncated_certificate(f: Poly) -> SimplicityCertificate:
 
 
 def _reduce_to_constant(f: Poly) -> SimplicityCertificate:
-    """A word of partials taking f to a nonzero constant.
+    """A word of partials taking f != 0 to a nonzero constant.
 
     Differentiates the lowest variable present at its maximal exponent m
     until f is constant; callers guarantee that m! never vanishes.
     """
+    if f.is_zero():
+        raise ZeroPolynomialError("cannot certify the zero element")
     word = []
     g = f
     while not g.is_constant():
@@ -325,16 +327,15 @@ def dim1_simplicity(ring: QuotientRing, d: Derivation,
 
 def prime_char_obstruction(ring: QuotientRing, derivations,
                            order: TermOrder = TermOrder.GREVLEX,
-                           budget: int = DEFAULT_BUDGET,
-                           point_budget: int = 200_000) -> SimplicityVerdict:
+                           budget: int = DEFAULT_BUDGET) -> SimplicityVerdict:
     """Dimension obstruction in characteristic p.
 
     A D-simple ring of characteristic p is 0-dimensional, whatever D is: the
     ideal generated by p-th powers of a maximal ideal is proper and D-stable
     (d(g^p) = p g^(p-1) d(g) = 0).  So positive dimension means NotSimple;
     the witness attached is ((x_1-a_1)^p, ..., (x_n-a_n)^p) + I for a
-    rational point a of V(I), when one exists in F_p^n.  Dimension 0 leaves
-    the question open.
+    rational point a of V(I), when one exists in F_p^n and p^n is at most
+    POINT_BUDGET.  Dimension 0 leaves the question open.
     """
     p = ring.context.field.characteristic
     if p == 0:
@@ -343,7 +344,7 @@ def prime_char_obstruction(ring: QuotientRing, derivations,
     if ring.dimension() == 0:
         return SimplicityVerdict(SimplicityStatus.UNKNOWN,
                                  reason="necessary condition passed")
-    witness = _charp_witness(ring, order, budget, point_budget)
+    witness = _charp_witness(ring, order, budget)
     reason = None if witness is not None else (
         "positive dimension forces NotSimple; no rational-point witness found")
     return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=witness,
@@ -351,11 +352,11 @@ def prime_char_obstruction(ring: QuotientRing, derivations,
                              criterion="positive Krull dimension in characteristic p")
 
 
-def _charp_witness(ring: QuotientRing, order: TermOrder, budget: int,
-                   point_budget: int) -> IdealHandle | None:
+def _charp_witness(ring: QuotientRing, order: TermOrder,
+                   budget: int) -> IdealHandle | None:
     p = ring.context.field.characteristic
     n = ring.context.nvars
-    if p ** n > point_budget:
+    if p ** n > POINT_BUDGET:
         return None
     field = ring.context.field
     gens = ring.defining.generators

@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .derivation import Derivation, SkewDerivation, _as_ring, commutator, commuting_set_check
+from .derivation import Derivation, SkewDerivation, _as_ring, commuting_set_check
 from .errors import (
     ContextMismatchError,
     NonCommutingDerivationsError,
@@ -328,7 +328,8 @@ def binomial_push(ring: SkewRingDescriptor, i: int, n: int, r: Poly) -> SkewPoly
     for k in range(n + 1):
         if current.is_zero():
             break
-        coeff = ring.base.reduce(current.scale(math.comb(n, k)))
+        # current is a normal form, and so is any scalar multiple of it
+        coeff = current.scale(math.comb(n, k))
         if not coeff.is_zero():
             e = [0] * ring.nskew
             e[i] = n - k
@@ -412,16 +413,15 @@ def extend_derivation(d1: Derivation, ring: SkewRingDescriptor) -> SkewRingDeriv
     """
     if d1.ring != ring.base:
         raise ContextMismatchError("derivation does not live on the base ring")
-    for i, d in enumerate(ring.derivations):
-        c = commutator(d1, d)
-        if not c.is_zero():
-            gen_index = next(k for k, img in enumerate(c.images) if not img.is_zero())
-            gen = ring.base.context.names[gen_index]
+    for name, d in zip(ring.names, ring.derivations):
+        report = commuting_set_check([d1, d])
+        if not report.commute:
+            gen = ring.base.context.names[report.generator]
             raise NonCommutingDerivationsError(
                 f"cannot extend: the derivation does not commute with the "
-                f"structure derivation of {ring.names[i]} "
-                f"(commutator sends {gen} to {c.images[gen_index]})",
-                first=d1, second=d, generator=gen, witness=c.images[gen_index])
+                f"structure derivation of {name} "
+                f"(commutator sends {gen} to {report.witness})",
+                first=d1, second=d, generator=gen, witness=report.witness)
     return SkewRingDerivation(ring, d1)
 
 
@@ -449,8 +449,7 @@ def inner_induced(ring: SkewRingDescriptor, f: SkewPoly) -> InnerAnalysis:
         raise ContextMismatchError("element outside the skew ring")
     images = []
     for i in range(ring.base.context.nvars):
-        r = ring.base_var(i)
-        comm = f * r - r * f
+        comm = skew_commutator(f, ring.base_var(i))
         if comm.x_degree() > 0:
             return InnerAnalysis(element=f,
                                  offending_generator=ring.base.context.names[i],
@@ -460,39 +459,20 @@ def inner_induced(ring: SkewRingDescriptor, f: SkewPoly) -> InnerAnalysis:
 
 
 def inner_residuals(ring: SkewRingDescriptor, f: SkewPoly, r: Poly):
-    """Obstructions to f = sum a_i x^i inducing a base derivation, at one r.
+    """Obstructions to f = sum a_i x^i (i <= n) inducing a base derivation,
+    at one r: the coefficients of x^1 .. x^n in the commutator f*r - r*f,
+    read off `skew_commutator`.
 
-    For a single-variable ring the coefficient of x^k (k >= 1) in f*r - r*f
-    equals
-
-        sum_{i >= k}  a_i * C(i, i-k) * d^(i-k)(r)  -  r * a_k,
-
-    and the k = 0 coefficient is the induced value itself (see
-    inner_induced).  Returns the k = 1..n list; all zero on every generator
-    exactly when conjugation by f lands in the base ring.
+    The x^0 coefficient is the induced value itself (see inner_induced).
+    The list is all zero on every generator exactly when conjugation by f
+    lands in the base ring.  Defined for single-variable rings of
+    derivation type only.
     """
     if not isinstance(ring, SkewRingDescriptor) or ring.nskew != 1:
         raise PreconditionError(
             "residuals are defined for single-variable rings of derivation type")
-    r = ring.base.reduce(r)
-    d = ring.derivations[0]
-    n = f.x_degree()
-    if n < 1:
-        return []
-    coeffs = {e[0]: c for e, c in f.terms.items()}
-    out = []
-    for k in range(1, n + 1):
-        total = ring.base.context.zero
-        derived = r
-        for i in range(k, n + 1):
-            a_i = coeffs.get(i)
-            if a_i is not None:
-                total = total + (a_i * derived).scale(math.comb(i, i - k))
-            derived = d.apply(derived)
-        a_k = coeffs.get(k, ring.base.context.zero)
-        total = total - r * a_k
-        out.append(ring.base.reduce(total))
-    return out
+    comm = skew_commutator(f, ring.from_base(r))
+    return [comm.coefficient((k,)) for k in range(1, f.x_degree() + 1)]
 
 
 class SingleOreDescriptor(_SkewRing):

@@ -345,3 +345,10 @@ def test_exit_code_internal_error(monkeypatch, capsys):
     error = json.loads(capsys.readouterr().err)["error"]
     assert error.pop("traceback").endswith("KeyError: 'boom'\n")
     assert error == {"kind": "KeyError", "message": "'boom'", "internal": True}
+
+
+def test_der_with_a_repeated_generator_is_a_parse_error():
+    out = run_cli("check", "dsimple", "--ring", "QQ[x]", "--der", "x -> 1, x -> 2")
+    assert out.returncode == 1
+    assert "'x' is given two images" in out.stderr
+    assert "check dsimple" not in out.stdout

@@ -111,3 +111,37 @@ def test_prime_field_values_reduced():
     assert F7.element(9).value == 2
     assert F7.element(-1).value == 6
     assert F7.from_ratio(1, 3).value == 5  # 3*5 = 15 = 1 mod 7
+
+
+def _held_canonically(e, spec):
+    """The value of e is a Fraction over QQ and an int in [0, p) over F_p."""
+    if spec.is_rationals:
+        return type(e.value) is Fraction
+    return type(e.value) is int and 0 <= e.value < spec.p
+
+
+@pytest.mark.parametrize("spec", [QQ, GF(5)])
+def test_every_operation_holds_a_canonical_value(spec):
+    # integral results (1/2 + 1/2, 2 * 1/2, ...) and negative ones included
+    values = [0, 1, -1, 2, 7, Fraction(1, 2), Fraction(-3, 2)]
+    for a in values:
+        x = spec.element(a)
+        results = [spec.element(x), -x, spec.one / x if x else spec.zero]
+        for b in values:
+            y = spec.element(b)
+            results += [x + y, x - y, x * y, a + y, a - y, a * y, x + b, x - b, x * b]
+            if y:
+                results += [x / y, a / y, x / b]
+                assert x / y == spec.element(Fraction(a) / Fraction(b))
+            assert x + y == spec.element(Fraction(a) + Fraction(b))
+            assert x - y == spec.element(Fraction(a) - Fraction(b))
+            assert x * y == spec.element(Fraction(a) * Fraction(b))
+        for r in results:
+            assert _held_canonically(r, spec), repr(r)
+
+
+def test_element_refuses_foreign_values():
+    with pytest.raises(FieldMismatchError, match="is not an element of QQ"):
+        QQ.element(GF(5).element(1))
+    with pytest.raises(ZeroDivisionError, match=r"^denominator 5 vanishes in GF\(5\)$"):
+        GF(5).element(Fraction(1, 5))

@@ -6,6 +6,7 @@ import pytest
 
 from derivalg import (
     NonCommutingDerivationsError,
+    ParseError,
     PreconditionError,
     QQ,
     RingEndomorphism,
@@ -26,6 +27,13 @@ def run_lines(text, session=None):
     for stmt in parse_session(text):
         out.append(session.execute(stmt)[0])
     return session, out
+
+
+def test_der_rejects_a_repeated_generator():
+    session = Session()
+    with pytest.raises(ParseError, match="'x' is given two images in der d"):
+        run_lines("ring R = QQ[x, y]\nder d on R : x -> 1, x -> y\n", session)
+    assert "d" not in session.derivations
 
 
 def test_skew_definition_and_let():

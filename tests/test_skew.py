@@ -1,6 +1,7 @@
 """Skew polynomial rings: normal-form products, Weyl relations, extensions,
 inner derivations, and the simplicity verdict."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -320,6 +321,50 @@ def test_inner_residuals_match_analysis_randomized():
             for g in range(nvars)
             for r in inner_residuals(ring, f, ctx.var(g)))
         assert analysis.induced == all_zero
+
+
+def closed_form_residuals(ring, f, r):
+    """Oracle: for f = sum a_i x^i in one skew variable, the x^k coefficient
+    (k = 1..n) of f*r - r*f by its closed form
+    sum_{i >= k} a_i * C(i, i-k) * d^(i-k)(r) - r * a_k."""
+    r = ring.base.reduce(r)
+    d = ring.derivations[0]
+    n = f.x_degree()
+    coeffs = {e[0]: c for e, c in f.terms.items()}
+    out = []
+    for k in range(1, n + 1):
+        total = ring.base.context.zero
+        derived = r
+        for i in range(k, n + 1):
+            a_i = coeffs.get(i)
+            if a_i is not None:
+                total = total + (a_i * derived).scale(math.comb(i, i - k))
+            derived = d.apply(derived)
+        total = total - r * coeffs.get(k, ring.base.context.zero)
+        out.append(ring.base.reduce(total))
+    return out
+
+
+def _circle_rotation_ring():
+    ctx = VarContext(("x1", "x2"), QQ)
+    x1, x2 = ctx.var(0), ctx.var(1)
+    circle = QuotientRing.of(IdealHandle(ctx, [x1 ** 2 + x2 ** 2 - 1]))
+    return build_skew_ring(circle, ["t"], [Derivation(circle, [-x2, x1])])
+
+
+@pytest.mark.parametrize("ring", [weyl_algebra(1), weyl_algebra(1, GF(7)),
+                                  _circle_rotation_ring()],
+                         ids=["A1-QQ", "A1-GF7", "circle-rotation"])
+def test_inner_residuals_match_closed_form(ring):
+    # x-degrees up to 9 reach C(i, j) = 0 mod 7 over GF(7)
+    rng = random.Random(1913)
+    ctx = ring.base.context
+    for _ in range(25):
+        terms = {(k,): rand_poly(rng, ctx, max_degree=3, max_terms=3)
+                 for k in rng.sample(range(10), rng.randint(1, 4))}
+        f = SkewPoly(ring, terms)
+        r = rand_poly(rng, ctx, max_degree=3, max_terms=3)
+        assert inner_residuals(ring, f, r) == closed_form_residuals(ring, f, r)
 
 
 def test_inner_residuals_reject_multivariable(A2):
