@@ -511,15 +511,9 @@ class QuotientRing:
             return f
         return normal_form(f, self.basis)
 
-    def mul(self, a: Poly, b: Poly) -> Poly:
-        return self.reduce(a * b)
-
     def dimension(self) -> int:
         """Krull dimension, read off the defining basis."""
         return _initial_dimension(self.basis)
-
-    def generator(self, i: int) -> Poly:
-        return self.context.var(i)
 
     def generators(self):
         return tuple(self.context.var(i) for i in range(self.context.nvars))

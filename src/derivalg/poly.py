@@ -416,6 +416,8 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.context == other.context and self._terms == other._terms
+        if isinstance(other, FieldElement) and other.spec != self.context.field:
+            return False
         if isinstance(other, (int, Fraction, FieldElement)):
             return self == self.context.const(other)
         return NotImplemented
@@ -426,33 +428,35 @@ class Poly:
     # -- printing --------------------------------------------------------
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        chunks = []
-        for m, c in self._sorted_items():
-            factors = []
-            for name, e in zip(self.context.names, m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            negative = self.context.field.is_rationals and c < 0
-            mag = -c if negative else c
-            if factors:
-                if mag == 1:
-                    body = "*".join(factors)
-                else:
-                    body = f"{mag}*" + "*".join(factors)
-            else:
-                body = str(mag)
-            if not chunks:
-                chunks.append(f"-{body}" if negative else body)
-            else:
-                chunks.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(chunks)
+        names = self.context.names
+        signed = self.context.field.is_rationals
+        return _join_terms([(signed and c < 0, str(abs(c) if signed else c),
+                             _monomial_text(names, m))
+                            for m, c in self._sorted_items()])
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _monomial_text(names, exponents) -> str:
+    """`x^2*y` for exponents (2, 1) over names (x, y); empty for the unit."""
+    return "*".join([name if e == 1 else f"{name}^{e}"
+                     for name, e in zip(names, exponents) if e])
+
+
+def _join_terms(terms) -> str:
+    """Print (negative, coefficient, monomial) triples as `a - 2*b + c`.
+
+    A unit coefficient is left out before a monomial; no triples print `0`.
+    """
+    chunks = []
+    for negative, coeff, mono in terms:
+        body = coeff if not mono else mono if coeff == "1" else f"{coeff}*{mono}"
+        if chunks:
+            chunks.append(f"- {body}" if negative else f"+ {body}")
+        else:
+            chunks.append(f"-{body}" if negative else body)
+    return " ".join(chunks) or "0"
 
 
 def _canonical(acc: dict, p) -> dict:

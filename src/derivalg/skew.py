@@ -7,13 +7,15 @@ in the skew variables,
     u = sum  r_(a) * x1^a1 ... xn^an,
 
 and `skew_mul` multiplies by asking the ring descriptor's `push(a, r)` for
-x^(a) * r in normal form.  `SkewRingDescriptor` pushes one variable at a time
-with
+x^(a) * r in normal form, summing the unreduced products for each output
+exponent and reducing each sum once.  `SkewRingDescriptor` pushes one
+variable at a time with
 
     x_i * r = r * x_i + d_i(r),
     x_i^n * r = sum_k  C(n, k) * d_i^k(r) * x_i^(n-k);
 
-`SingleOreDescriptor` pushes with x * r = f(r) * x + d(r).
+`SingleOreDescriptor` pushes by the one recursion x * r = f(r) * x + d(r),
+applied n times for x^n * r, with d = None standing for the zero map.
 
 The construction demands pairwise commuting derivations; a non-commuting
 pair is refused at descriptor construction with the violating pair and a
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple, Sequence
 
 from .derivation import Derivation, SkewDerivation, _as_ring, commuting_set_check
@@ -36,12 +39,29 @@ from .errors import (
 )
 from .field import FieldElement, FieldSpec, QQ
 from .groebner import DEFAULT_BUDGET, QuotientRing, TermOrder
-from .poly import InjectivityStatus, Poly, RingEndomorphism, VarContext
+from .poly import (
+    InjectivityStatus,
+    Poly,
+    RingEndomorphism,
+    VarContext,
+    _join_terms,
+    _monomial_text,
+)
 from .simplicity import SimplicityStatus, SimplicityVerdict, d_simplicity
 
 
 def _graded_lex_key(exponents):
     return (sum(exponents), exponents)
+
+
+def _add_into(terms: dict, e, r: Poly) -> None:
+    """terms[e] += r, dropping the key when the sum is zero."""
+    have = terms.get(e)
+    s = r if have is None else have + r
+    if s.is_zero():
+        terms.pop(e, None)
+    else:
+        terms[e] = s
 
 
 class _SkewRing:
@@ -115,21 +135,14 @@ class SkewRingDescriptor(_SkewRing):
 
     def push(self, exponents, r: Poly) -> dict:
         """x^(a) * r as {exponent: coefficient}; variables pushed one at a time."""
-        acc = {(0,) * self.nskew: r}
+        acc = {(0,) * self.nskew: r} if r else {}
         for i, power in enumerate(exponents):
             if power == 0:
                 continue
             nxt = {}
             for e, coeff in acc.items():
-                pushed = binomial_push(self, i, power, coeff)
-                for pe, pc in pushed.terms.items():
-                    key = tuple(a + b for a, b in zip(e, pe))
-                    have = nxt.get(key)
-                    s = pc if have is None else have + pc
-                    if s.is_zero():
-                        nxt.pop(key, None)
-                    else:
-                        nxt[key] = s
+                for pe, pc in binomial_push(self, i, power, coeff).terms.items():
+                    _add_into(nxt, tuple(map(add, e, pe)), pc)
             acc = nxt
         return acc
 
@@ -169,11 +182,9 @@ class SkewPoly:
             e = tuple(e)
             if len(e) != n or any(x < 0 for x in e):
                 raise ValueError(f"bad skew exponent vector {e}")
-            r = ring.base.reduce(r)
-            if not r.is_zero():
-                clean[e] = clean.get(e, ring.base.context.zero) + r
+            _add_into(clean, e, ring.base.reduce(r))
         self.ring = ring
-        self.terms = {e: r for e, r in clean.items() if not r.is_zero()}
+        self.terms = clean
 
     @classmethod
     def _raw(cls, ring, terms: dict) -> "SkewPoly":
@@ -222,12 +233,7 @@ class SkewPoly:
             return NotImplemented
         terms = dict(self.terms)
         for e, r in o.terms.items():
-            acc = terms.get(e)
-            s = r if acc is None else acc + r
-            if s.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = s
+            _add_into(terms, e, r)
         return SkewPoly._raw(self.ring, terms)
 
     __radd__ = __add__
@@ -270,49 +276,34 @@ class SkewPoly:
     def __eq__(self, other):
         if isinstance(other, SkewPoly):
             return self.ring == other.ring and self.terms == other.terms
+        context = self.ring.base.context
+        if (isinstance(other, Poly) and other.context != context
+                or isinstance(other, FieldElement) and other.spec != context.field):
+            return False
         if isinstance(other, (Poly, int, Fraction, FieldElement)):
-            coerced = self._coerce(other)
-            return coerced is not None and self == coerced
+            return self == self._coerce(other)
         return NotImplemented
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for e, r in self.sorted_terms():
-            factors = []
-            for name, k in zip(self.ring.names, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            mono = "*".join(factors)
-            chunks.append(_signed_chunk(r, mono, first=not chunks))
-        return " ".join(chunks)
+        names = self.ring.names
+        return _join_terms([_signed_chunk(r, _monomial_text(names, e))
+                            for e, r in self.sorted_terms()])
 
     def __repr__(self):
         return f"SkewPoly({self})"
 
 
-def _signed_chunk(r: Poly, mono: str, first: bool) -> str:
-    """One printed term `coeff*mono` with the sign pulled out when possible."""
-    single = len(r) == 1
+def _signed_chunk(r: Poly, mono: str):
+    """The `_join_terms` triple of the term r*mono: the sign of a one-term
+    coefficient is pulled out, a longer coefficient is parenthesised."""
     s = str(r)
-    neg = single and s.startswith("-")
-    if neg:
-        s = s[1:]
-    if not mono:
-        body = s if single else f"({s})"
-    elif single:
-        body = mono if s == "1" else f"{s}*{mono}"
-    else:
-        body = f"({s})*{mono}"
-    if first:
-        return f"-{body}" if neg else body
-    return f"- {body}" if neg else f"+ {body}"
+    if len(r) > 1:
+        return False, f"({s})", mono
+    negative = s.startswith("-")
+    return negative, s[1:] if negative else s, mono
 
 
 def binomial_push(ring: SkewRingDescriptor, i: int, n: int, r: Poly) -> SkewPoly:
@@ -348,17 +339,10 @@ def skew_mul(ring: SkewRingDescriptor | SingleOreDescriptor,
     for a, r in u.terms.items():
         for b, s in v.terms.items():
             for e, coeff in ring.push(a, s).items():
-                key = tuple(x + y for x, y in zip(e, b))
-                prod = ring.base.mul(r, coeff)
-                if prod.is_zero():
-                    continue
-                have = terms.get(key)
-                total = prod if have is None else have + prod
-                if total.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = total
-    return SkewPoly._raw(ring, terms)
+                _add_into(terms, tuple(map(add, e, b)), r * coeff)
+    # reduction is linear, so one normal form per output coefficient suffices
+    reduce = ring.base.reduce
+    return SkewPoly._raw(ring, {e: c for e, t in terms.items() if (c := reduce(t))})
 
 
 def skew_commutator(u: SkewPoly, v: SkewPoly) -> SkewPoly:
@@ -518,29 +502,19 @@ class SingleOreDescriptor(_SkewRing):
         return (self.name,)
 
     def push(self, exponents, r: Poly) -> dict:
-        """x^n * r as {(exponent,): coefficient}.
-
-        With d = 0 the closed form x^n r = f^n(r) x^n applies; otherwise the
-        rule x r = f(r) x + d(r) is applied recursively.
-        """
+        """x^n * r as {(exponent,): coefficient}, by n steps of the rule
+        x r = f(r) x + d(r); d = None is the zero map."""
         (n,) = exponents
-        if self.derivation is None:
-            img = r
-            for _ in range(n):
-                img = self.endo(img)
-            return {(n,): img} if not img.is_zero() else {}
-        acc = {0: r} if not r.is_zero() else {}
+        d = self.derivation
+        acc = {(0,): r} if r else {}
         for _ in range(n):
             nxt = {}
-            for k, c in acc.items():
-                up = self.endo(c)
-                if not up.is_zero():
-                    nxt[k + 1] = nxt.get(k + 1, self.base.context.zero) + up
-                down = self.derivation.apply(c)
-                if not down.is_zero():
-                    nxt[k] = nxt.get(k, self.base.context.zero) + down
-            acc = {k: c for k, c in nxt.items() if not c.is_zero()}
-        return {(k,): c for k, c in acc.items()}
+            for (k,), c in acc.items():
+                _add_into(nxt, (k + 1,), self.endo(c))
+                if d is not None:
+                    _add_into(nxt, (k,), d.apply(c))
+            acc = nxt
+        return acc
 
     def __eq__(self, other):
         return (isinstance(other, SingleOreDescriptor)

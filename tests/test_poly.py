@@ -192,3 +192,15 @@ def test_zero_coefficients_never_stored(ctx_xy):
     assert p.is_zero() and len(p) == 0
     q = Poly(ctx_xy, {(1, 0): QQ.element(0), (0, 0): QQ.element(2)})
     assert len(q) == 1
+
+
+def test_equality_with_foreign_values_is_false(ctx_xy):
+    x = ctx_xy.var(0)
+    z = VarContext(("z",), QQ).var(0)
+    five = GF(5).element(1)
+    assert not x == z and x != z
+    assert z not in [x]
+    assert not ctx_xy.one == five and ctx_xy.one != five
+    assert five not in [ctx_xy.one] and ctx_xy.one not in [five]
+    assert ctx_xy.one == QQ.element(1) and ctx_xy.one == 1
+    assert GF(5).element(1) == VarContext(("z",), GF(5)).one

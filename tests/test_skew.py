@@ -570,3 +570,57 @@ def test_skew_simplicity_char_p_unknown():
     ring = build_skew_ring(base, ["x"], [Derivation.partial(base, 0)])
     verdict = skew_simplicity(ring)
     assert verdict.status is SimplicityStatus.UNKNOWN
+
+
+def test_quotient_base_products_golden_output():
+    ring = _circle_rotation_ring()
+    x1, x2 = ring.base.context.var(0), ring.base.context.var(1)
+    t, X1, X2 = ring.skew_var(), ring.from_base(x1), ring.from_base(x2)
+    products = [t * X1, X1 * t ** 2 * X1, (X1 * t + X2) * (X2 * t - X1),
+                (t + X2) ** 2 * (X1 - t)]
+    # printed when every partial product was reduced on its own; the
+    # t^2 coefficient of x1*t^2*x1 is x1^2 reduced by x1^2 + x2^2 - 1
+    expected = [
+        "x1*t - x2",
+        "(-x2^2 + 1)*t^2 - 2*x1*x2*t + (x2^2 - 1)",
+        "x1*x2*t^2 + x2^2*t",
+        "-t^3 + (x1 - 2*x2)*t^2 + (2*x1*x2 - x1 - x2^2 - 2*x2)*t "
+        "+ (x1*x2^2 - x1 - 3*x2^2 + 1)",
+    ]
+    assert [str(p) for p in products] == expected
+    assert SkewPoly(ring, {(1,): x1 ** 2 + x2 ** 2 - 1}).is_zero()
+
+
+def _ore_shapes():
+    ctx = VarContext(("y",), QQ)
+    y = ctx.var(0)
+    sq = RingEndomorphism(ctx, [y ** 2])
+    base = QuotientRing.trivial(ctx)
+    return [SingleOreDescriptor(ctx, "x", sq),
+            SingleOreDescriptor(ctx, "x", sq, family_skew_derivation(y + 1, sq)),
+            SingleOreDescriptor(base, "x", RingEndomorphism.identity(ctx),
+                                Derivation.partial(base, 0))]
+
+
+@pytest.mark.parametrize("ring", _ore_shapes(),
+                         ids=["endo", "family", "derivation"])
+def test_ore_push_edges(ring):
+    ctx = ring.base.context
+    y = ctx.var(0)
+    for r in (y, 3 * y ** 2 - 1, ctx.one):
+        assert ring.push((0,), r) == {(0,): r}
+    for n in range(4):
+        assert ring.push((n,), ctx.zero) == {}
+
+
+def test_skew_equality_with_foreign_values_is_false():
+    A1 = weyl_algebra(1)
+    x = A1.skew_var(0)
+    z = VarContext(("z",), QQ).var(0)
+    five = GF(5).element(1)
+    assert not x == z and x != z and z != x
+    assert z not in [x] and x not in [z]
+    assert not A1.one() == five and A1.one() != five
+    assert five not in [A1.one()] and A1.one() not in [five]
+    assert A1.one() == QQ.element(1) and A1.one() == 1
+    assert A1.from_base(A1.base.context.var(0)) == A1.base.context.var(0)
