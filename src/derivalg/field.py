@@ -143,6 +143,15 @@ def normalize_rational(numerator: int, denominator: int) -> "FieldElement":
     return QQ.from_ratio(numerator, denominator)
 
 
+def _outside(value, spec: FieldSpec) -> bool:
+    """True for a scalar that equals no element of `spec`: an element of
+    another field, or a Fraction whose denominator vanishes in it."""
+    if isinstance(value, FieldElement):
+        return value.spec != spec
+    return (isinstance(value, Fraction) and spec.p is not None
+            and value.denominator % spec.p == 0)
+
+
 class FieldElement:
     """An exact field value tagged with its :class:`FieldSpec`.
 
@@ -234,7 +243,8 @@ class FieldElement:
         if isinstance(other, FieldElement):
             return self.spec == other.spec and self.value == other.value
         if isinstance(other, (int, Fraction)):
-            return self == self.spec.element(other)
+            return (not _outside(other, self.spec)
+                    and self == self.spec.element(other))
         return NotImplemented
 
     def __hash__(self):

@@ -12,13 +12,29 @@ coefficients, `_divide` pseudo-divides by non-monic elements, and each
 finished reduction has its content removed.  Elements are made monic only
 when the reduced basis is returned.  Over F_p every element is monic
 throughout.
+
+Inside the engine a monomial is one int (`_Packer`; Monagan & Pearce,
+J. Symbolic Comput. 46, 2011; Bachmann & Schoenemann, ISSAC 1998): a
+product is a sum of keys, LM(g) | m is one addition and one mask test, and
+a heap of keys pops the leading term.  `_divide` is the one boundary: Polys
+(or a dividend `buchberger` or `_reduce_basis` packed already) in, Polys
+out.  `buchberger`, `_reduce_basis` and `GroebnerBasis` keep each element's
+packed divisor record beside it.  A key never wraps: field widths follow
+the input degrees with headroom.  Grevlex never raises the degree while
+dividing, so a degree check at `_divide` entry covers every key; lex can (x
+reduced by x - y^300, then y - z^300, is z^90000), so each new dividend
+key's guard bits are checked, and one that outgrows its fields restarts the
+division wider.  `buchberger` keeps the fields twice as wide as its
+elements' largest degree (grevlex) or exponent (lex), so every S-polynomial
+fits.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, ContextMismatchError, UnitIdealError
@@ -28,13 +44,11 @@ from .poly import (
     VarContext,
     _canonical,
     monomial_degree,
-    monomial_div,
-    monomial_divides,
     monomial_lcm,
-    monomial_mul,
 )
 
 DEFAULT_BUDGET = 20_000
+_MIN_BITS = 4            # the narrowest exponent field of a packed key
 
 
 class IdealHandle:
@@ -76,18 +90,18 @@ class GroebnerBasis:
     Reduced means: every element is monic, and no leading monomial divides
     any term of another element.  Such a basis is unique for (ideal, order),
     which makes ideal equality and membership decidable by normal forms.
-    The constructor makes each given element monic, and computes the
-    (LM, raw LC) pair of each once, into ``leads``.
+    The constructor makes each given element monic; the elements' packed
+    divisor records (see `_Packer`) are built on the first normal form.
     """
 
-    __slots__ = ("context", "order", "polys", "leads")
+    __slots__ = ("context", "order", "polys", "_packed")
 
     def __init__(self, context: VarContext, order: TermOrder,
                  polys: Sequence[Poly]):
         self.context = context
         self.order = order
         self.polys = tuple(g.monic(order) for g in polys)
-        self.leads = tuple(g._lead(order) for g in self.polys)
+        self._packed = None
 
     def __iter__(self):
         return iter(self.polys)
@@ -100,7 +114,13 @@ class GroebnerBasis:
         return len(self.polys) == 1 and self.polys[0] == self.context.one
 
     def leading_monomials(self):
-        return [m for m, _ in self.leads]
+        return [g._lead(self.order)[0] for g in self.polys]
+
+    def _divisors(self):
+        """The elements' (packer, divisor records), built on first use."""
+        if self._packed is None:
+            self._packed = _packing(self.context, self.polys, self.order)
+        return self._packed
 
     def __eq__(self, other):
         return (isinstance(other, GroebnerBasis)
@@ -115,33 +135,92 @@ class GroebnerBasis:
         return "{" + ", ".join(str(g) for g in self.polys) + "}"
 
 
-def _heap_key(order: TermOrder):
-    """A key on monomials whose smallest value is the largest monomial under
-    `order`: the negated ``order.key``, built directly."""
+class _Packer:
+    """Packed int keys for the monomials of one (nvars, order, field width).
+
+    Exponent e_i sits in field i (x_1 lowest) of `bits` value bits under a
+    guard bit.  A key is K(m) = one + sum(e_i * weights[i]), so
+    K(a*b) = K(a) + K(b) - one, and the smaller key is the larger monomial:
+    under grevlex the fields hang below -deg(m); under lex they hang below
+    a top half holding limit - e_i, with x_1 highest.  With every exponent
+    at most `limit`, a | m iff (K(m) & low) + (guard - (K(a) & low)) has all
+    its guard bits set.
+    """
+
+    __slots__ = ("limit", "weights", "one", "low", "guard", "shifts")
+
+    def __init__(self, nvars: int, order: TermOrder, need: int):
+        bits = max(_MIN_BITS, (2 * need).bit_length())
+        width = bits + 1
+        self.limit = limit = (1 << bits) - 1
+        self.shifts = range(0, width * nvars, width)
+        top = 1 << width * nvars
+        self.low = top - 1
+        ones = self.low // ((1 << width) - 1)        # 1 in every field
+        self.guard = ones << bits
+        if order is TermOrder.LEX:
+            self.one = limit * ones * top
+            self.weights = [(1 << s) - (top << width * (nvars - 1) - s)
+                            for s in self.shifts]
+        else:
+            self.one = 0
+            self.weights = [(1 << s) - top for s in self.shifts]
+
+    def pack(self, m: tuple) -> int:
+        return sum(map(mul, m, self.weights), self.one)
+
+    def unpack(self, key: int) -> tuple:
+        limit = self.limit
+        return tuple([key >> s & limit for s in self.shifts])
+
+    def record(self, g: Poly):
+        """g as a divisor: (test constant, lead key, raw LC, packed tail),
+        the tail as (K(m) - K(LM), -c) pairs."""
+        pack = self.pack
+        terms = [(pack(m), c) for m, c in g._terms.items()]
+        lead, lc = min(terms)
+        return (self.guard - (lead & self.low), lead, lc,
+                [(k - lead, -c) for k, c in terms if k != lead])
+
+
+def _need(monomials, order: TermOrder) -> int:
+    """The largest exponent (lex) or degree (grevlex) among `monomials`:
+    the value a packer's `limit` must cover."""
     if order is TermOrder.LEX:
-        return lambda m: tuple([-e for e in m])
-    # negated grevlex key: (-degree, e_n, ..., e_1)
-    return lambda m: (-sum(m),) + m[::-1]
+        return max(chain.from_iterable(monomials), default=0)
+    return max(map(sum, monomials), default=0)
+
+
+def _packing(context: VarContext, divisors: Sequence[Poly], order: TermOrder,
+             need: int = 0):
+    """(packer, divisor records) wide enough for the divisors and `need`."""
+    need = max([need] + [_need(g._terms, order) for g in divisors])
+    packer = _Packer(context.nvars, order, need)
+    return packer, [packer.record(g) for g in divisors]
 
 
 def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
-            want_cofactors: bool = False, lead=None):
+            want_cofactors: bool = False, packed=None):
     """Multivariate division: lam*f = sum(q_i * divisors[i]) + r, lam != 0.
 
     Heap-driven (Monagan & Pearce, *Sparse polynomial division using a
-    heap*, 2011): the dividend is a mutable {monomial: coeff} map beside a
-    heap of its monomials keyed by the order, so each step pops the leading
-    term instead of rescanning the dividend.  A monomial that cancels to
+    heap*, 2011) on packed monomials: the dividend is a mutable
+    {key: coeff} map beside a heap of its keys, so each step pops the
+    leading term instead of rescanning the dividend.  A key that cancels to
     zero stays in the map, and on the heap, until it is popped and skipped.
     The popped term c*m is cancelled by the first divisor, in list order,
     whose leading monomial divides m: t*(g - LT(g)) is subtracted in place,
-    with t = c*m / LT(g), which touches only the divisor's tail.  When no
-    leading monomial divides m, the term moves to the remainder.  The
-    divisor list order is part of the determinism contract.
+    with t = c*m / LT(g), which touches only the divisor's tail, each of
+    whose keys is K(m) plus a cached offset.  When no leading monomial
+    divides m, the term moves to the remainder.  The divisor list order is
+    part of the determinism contract.
 
     No term of r is divisible by any divisor's leading monomial.  The terms
-    of r and of each q_i are produced in descending order.  `lead` is the
-    divisors' (LM, raw LC) list, when the caller has it cached.
+    of r and of each q_i are produced in descending order.  `packed` is
+    the divisors' (packer, records) from `_packing`, when the caller has it
+    cached; a Poly dividend it is too narrow for gets a wider one here.
+    `buchberger` and `_reduce_basis` hand in f already packed by it, as a
+    {key: raw coeff} map.
 
     Coefficients are raw (see :mod:`derivalg.field`).  Over F_p the
     dividend's entries accumulate unreduced, possibly negative, products
@@ -157,22 +236,29 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
     rational lam, from the same divisor choices.  Against monic divisors
     (every GroebnerBasis) lam = 1: remainder and cofactors are exact.
     """
-    context = f.context
+    if isinstance(f, Poly):
+        context = f.context
+        need = _need(f._terms, order)
+        if packed is None or packed[0].limit < need:
+            packed = _packing(context, divisors, order, need)
+        pack = packed[0].pack
+        p = {pack(m): c for m, c in f._terms.items()}
+    else:
+        context = divisors[0].context
+        p = dict(f)
+    packer, records = packed
     field = context.field
     modulus = field.p
-    if lead is None:
-        lead = [g._lead(order) for g in divisors]
-    heap_key = _heap_key(order)
-    p = dict(f._terms)
-    heap = [(heap_key(m), m) for m in p]
+    heap = list(p)
     heapify(heap)
-    tails = {}               # divisor index -> [(m, -c) for the tail]
+    tests = [r[0] for r in records]
+    low, guard, one = packer.low, packer.guard, packer.one
     inverses = {}            # divisor index -> 1/LC, for the exact step
     remainder = {}
     quotients = [{} for _ in divisors] if want_cofactors else None
     scaled = False
     while heap:
-        m = heappop(heap)[1]
+        m = heappop(heap)
         c = p.pop(m)
         if modulus is None:
             if not c:
@@ -183,18 +269,17 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
             c %= modulus
             if not c:
                 continue
-        for i, (mg, cg) in enumerate(lead):
-            if monomial_divides(mg, m):
+        mlow = m & low
+        for i, test in enumerate(tests):
+            if (mlow + test) & guard == guard:
                 break
         else:
             remainder[m] = c
             continue
-        tail = tails.get(i)
-        if tail is None:
-            tail = tails[i] = [(mk, -ck) for mk, ck in divisors[i]._terms.items()
-                               if mk != mg]
-        if (modulus is None and cg != 1
-                and type(c) is int and type(cg) is int):
+        _, lead, cg, tail = records[i]
+        if cg == 1:
+            q = c
+        elif modulus is None and type(c) is int and type(cg) is int:
             e = gcd(c, cg)
             q = c // e
             scale = cg // e
@@ -213,16 +298,23 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
                     q = q.numerator
             else:
                 q %= modulus
-        u = monomial_div(m, mg)
         if want_cofactors:
-            quotients[i][u] = q
-        for mk, ck in tail:
-            mono = monomial_mul(u, mk)
+            quotients[i][m - lead + one] = q
+        for offset, ck in tail:
+            mono = m + offset
             d = q * ck
             acc = p.get(mono)
             if acc is None:
+                if mono & guard:
+                    # an exponent outgrew its field (lex only): start wider
+                    if not isinstance(f, Poly):
+                        f = Poly._raw(context, _canonical(
+                            {packer.unpack(k): v for k, v in f.items()}, modulus))
+                    return _divide(f, divisors, order, want_cofactors,
+                                   _packing(context, divisors, order,
+                                            packer.limit + 1))
                 p[mono] = d
-                heappush(heap, (heap_key(mono), mono))
+                heappush(heap, mono)
             else:
                 p[mono] = acc + d
     if scaled:
@@ -230,9 +322,11 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
         remainder = _canonical(remainder, None)
         if want_cofactors:
             quotients = [_canonical(q, None) for q in quotients]
-    cofactors = ([Poly._raw(context, q) for q in quotients]
-                 if want_cofactors else None)
-    return Poly._raw(context, remainder), cofactors
+    unpack = packer.unpack
+    cofactors = ([Poly._raw(context, {unpack(k): c for k, c in q.items()})
+                  for q in quotients] if want_cofactors else None)
+    return (Poly._raw(context, {unpack(k): c for k, c in remainder.items()}),
+            cofactors)
 
 
 def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
@@ -241,7 +335,7 @@ def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
         raise ContextMismatchError("polynomial and basis contexts differ")
     if not basis.polys:
         return f
-    return _divide(f, basis.polys, basis.order, lead=basis.leads)[0]
+    return _divide(f, basis.polys, basis.order, packed=basis._divisors())[0]
 
 
 def normal_form_with_cofactors(f: Poly, basis: GroebnerBasis):
@@ -251,44 +345,55 @@ def normal_form_with_cofactors(f: Poly, basis: GroebnerBasis):
     if not basis.polys:
         return f, []
     return _divide(f, basis.polys, basis.order, want_cofactors=True,
-                   lead=basis.leads)
+                   packed=basis._divisors())
 
 
-def _s_poly(f: Poly, g: Poly, lead_f, lead_g) -> Poly:
-    """S(f, g) up to a nonzero constant, from the cached (LM, raw LC) pairs
-    of f and g: (c_g/e)*u_f*f - (c_f/e)*u_g*g with e = gcd(c_f, c_g) and
-    u = lcm(LM f, LM g)/LM.  Both leading coefficients are integers: over
-    QQ the elements are integer primitive, over F_p they are monic (c = 1,
-    so this is the monic combination u_f*f - u_g*g)."""
-    (mf, cf), (mg, cg) = lead_f, lead_g
+def _s_poly(lcm_key: int, record_f, record_g) -> dict:
+    """S(f, g) up to a nonzero constant, as a packed map with unreduced
+    entries, from the divisor records of f and g and the key of
+    lcm = lcm(LM f, LM g): (c_g/e)*u_f*f - (c_f/e)*u_g*g with
+    e = gcd(c_f, c_g) and u = lcm/LM.  The leading terms cancel, and u*m
+    has key K(lcm) + K(m) - K(LM), so only the cached tails are read.
+    Both leading coefficients are integers: over QQ the elements are
+    integer primitive, over F_p they are monic (c = 1, so this is the monic
+    combination u_f*f - u_g*g)."""
+    _, _, cf, tail_f = record_f
+    _, _, cg, tail_g = record_g
     e = gcd(cf, cg)
     sf, sg = cg // e, cf // e
-    lcm = monomial_lcm(mf, mg)
-    tf = Poly._raw(f.context, {monomial_div(lcm, mf): sf})
-    tg = Poly._raw(g.context, {monomial_div(lcm, mg): sg})
-    return tf * f - tg * g
+    s = {lcm_key + offset: -sf * c for offset, c in tail_f}
+    get = s.get
+    for offset, c in tail_g:
+        key = lcm_key + offset
+        s[key] = get(key, 0) + sg * c
+    return s
 
 
-def _primitive(f: Poly, order: TermOrder) -> Poly:
-    """The integer primitive associate of a nonzero polynomial over QQ:
-    denominators cleared, content divided out, leading coefficient > 0."""
+def _primitive(f: Poly, lc) -> Poly:
+    """The integer primitive associate of a nonzero polynomial over QQ with
+    raw leading coefficient lc: denominators cleared, content divided out,
+    leading coefficient > 0."""
     terms = f._terms
     denominator = lcm(*[c.denominator for c in terms.values()])
     if denominator != 1:
         terms = {m: c.numerator * (denominator // c.denominator)
                  for m, c in terms.items()}
     content = gcd(*terms.values())
-    if f._lead(order)[1] < 0:
+    if lc < 0:
         content = -content
     if content == 1 and terms is f._terms:
         return f
     return Poly._raw(f.context, {m: c // content for m, c in terms.items()})
 
 
-def _normalize(g: Poly, order: TermOrder) -> Poly:
-    """The working form of a basis element: integer primitive over QQ,
-    monic over F_p."""
-    return _primitive(g, order) if g.context.field.p is None else g.monic(order)
+def _normalize(g: Poly, lc) -> Poly:
+    """The working form of a basis element with raw leading coefficient lc:
+    integer primitive over QQ, monic over F_p.  A `_divide` remainder lists
+    its leading term first, so its lc is ``next(iter(r._terms.values()))``."""
+    field = g.context.field
+    if field.p is None:
+        return _primitive(g, lc)
+    return g if lc == 1 else g.scale(field.raw_inverse(lc))
 
 
 def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
@@ -298,10 +403,13 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
     Normal selection strategy (lowest lcm degree first, ties broken by the
     order and then by index), with the coprime-leading-term criterion and the
     standard lcm chain criterion for pair elimination.  Each basis element's
-    (LM, raw LC) is cached when it is appended; pending pairs sit in a heap keyed
-    by (deg lcm, order.key(lcm), i, j), with a set of the same pairs beside
-    it for the chain criterion's membership tests.  S-polynomials are reduced
-    by the heap-driven `_divide` against the cached leads.  Exceeding
+    LM and packed divisor record are cached when it is appended; pending
+    pairs sit in a heap keyed by (deg lcm, order.key(lcm), i, j), with a
+    set of the same pairs beside it for the chain criterion's membership
+    tests.  Both criteria read packed keys: a pair is coprime when
+    K(lcm) = K(LM_i) + K(LM_j) - K(1), and LM_k | lcm is the guard test.
+    Each S-polynomial is built packed from the two records and reduced by
+    the heap-driven `_divide` against them all.  Exceeding
     `budget` S-polynomial reductions raises BudgetExceededError rather than
     returning anything partial.
 
@@ -320,20 +428,20 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
         if g.context != context:
             raise ContextMismatchError("generators live in different contexts")
     basis = []
-    lead = []
     for g in gens:
-        g = _normalize(g, order)
+        g = _normalize(g, g._lead(order)[1])
         if g not in basis:
             basis.append(g)
-            lead.append(g._lead(order))
+    packed = _packing(context, basis, order)
+    lead = [packed[0].unpack(record[1]) for record in packed[1]]
 
     queue = []               # (deg lcm, order key of lcm, i, j, lcm)
     pending = set()          # the (i, j) pairs in the queue
 
     def add_pairs(j):
-        mj = lead[j][0]
+        mj = lead[j]
         for i in range(j):
-            lcm = monomial_lcm(lead[i][0], mj)
+            lcm = monomial_lcm(lead[i], mj)
             heappush(queue, (monomial_degree(lcm), order.key(lcm), i, j, lcm))
             pending.add((i, j))
 
@@ -343,17 +451,19 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
     while queue:
         _, _, i, j, lcm = heappop(queue)
         pending.discard((i, j))
-        mi = lead[i][0]
-        mj = lead[j][0]
-        # coprime criterion: S-poly reduces to zero automatically
-        if all(a == 0 or b == 0 for a, b in zip(mi, mj)):
+        packer, records = packed
+        lcm_key = packer.pack(lcm)
+        # coprime criterion (lcm = LM_i * LM_j): the S-poly reduces to zero
+        if lcm_key == records[i][1] + records[j][1] - packer.one:
             continue
         # chain criterion: some k with LM_k | lcm and both mixed pairs done
+        lcm_low = lcm_key & packer.low
+        guard = packer.guard
         skip = False
-        for k, (mk, _) in enumerate(lead):
+        for k, record in enumerate(records):
             if k == i or k == j:
                 continue
-            if not monomial_divides(mk, lcm):
+            if (lcm_low + record[0]) & guard != guard:
                 continue
             if (min(i, k), max(i, k)) in pending:
                 continue
@@ -367,41 +477,55 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
         if steps > budget:
             raise BudgetExceededError(
                 f"Buchberger step budget ({budget}) exhausted")
-        h, _ = _divide(_s_poly(basis[i], basis[j], lead[i], lead[j]), basis,
-                       order, lead=lead)
+        h, _ = _divide(_s_poly(lcm_key, records[i], records[j]), basis, order,
+                       packed=packed)
         if h.is_zero():
             continue
-        h = _normalize(h, order)
+        h = _normalize(h, next(iter(h._terms.values())))
         basis.append(h)
-        lead.append(h._lead(order))
+        need = _need(h._terms, order)
+        if 2 * need > packer.limit:
+            packed = _packing(context, basis, order)
+        else:
+            records.append(packer.record(h))
+        lead.append(packed[0].unpack(packed[1][-1][1]))
         add_pairs(len(basis) - 1)
 
-    return GroebnerBasis(context, order, _reduce_basis(basis, order, lead))
+    polys, (packer, records) = _reduce_basis(basis, order, packed)
+    result = GroebnerBasis(context, order, polys)
+    # hand the records on; an element that `monic` rescaled gets a new one
+    result._packed = packer, [r if g is h else packer.record(h)
+                              for r, g, h in zip(records, polys, result.polys)]
+    return result
 
 
-def _reduce_basis(basis, order: TermOrder, lead):
+def _reduce_basis(basis, order: TermOrder, packed):
     """Minimalize, inter-reduce in one pass and sort by LM, largest first:
-    the reduced basis up to the scaling that `GroebnerBasis` makes monic.
+    the reduced basis up to the scaling that `GroebnerBasis` makes monic,
+    and its (packer, divisor records).
 
-    `lead` is the elements' (LM, raw LC) list.  The elements are in the
-    working form of `_normalize`, and each inter-reduced element is put in
-    it again (over F_p a monic remainder is returned unchanged).
+    `packed` is the elements' (packer, divisor records) from `_packing`.
+    The elements are in the working form of `_normalize`, and each
+    inter-reduced element is put in it again (over F_p a monic remainder
+    is returned unchanged).
     """
+    packer, records = packed
+    low, guard = packer.low, packer.guard
     # minimal: drop any element whose LM is divisible by another's LM
     minimal = []
-    minimal_lead = []
+    minimal_records = []
     for i, g in enumerate(basis):
-        mi = lead[i][0]
+        li = records[i][1]
         keep = True
-        for j, (m, _) in enumerate(lead):
+        for j, (test, lj, _, _) in enumerate(records):
             if i == j:
                 continue
-            if monomial_divides(m, mi) and (mi != m or j < i):
+            if ((li & low) + test) & guard == guard and (li != lj or j < i):
                 keep = False
                 break
         if keep:
             minimal.append(g)
-            minimal_lead.append(lead[i])
+            minimal_records.append(records[i])
     # inter-reduce the tails in one pass: no other leading monomial divides
     # an element's own, so its leading monomial passes to the remainder and
     # the cached LMs stay valid (over QQ the LC may be scaled); as the LMs
@@ -410,16 +534,20 @@ def _reduce_basis(basis, order: TermOrder, lead):
         others = minimal[:i] + minimal[i + 1:]
         if not others:
             continue
-        r, _ = _divide(minimal[i], others, order,
-                       lead=minimal_lead[:i] + minimal_lead[i + 1:])
+        _, lead, lc, tail = minimal_records[i]
+        dividend = {lead + offset: -c for offset, c in tail}  # minimal[i]
+        dividend[lead] = lc
+        r, _ = _divide(dividend, others, order, packed=(
+            packer, minimal_records[:i] + minimal_records[i + 1:]))
         if r != minimal[i]:
-            r = _normalize(r, order)
-            lm = minimal_lead[i][0]
-            minimal_lead[i] = (lm, r._terms[lm])
+            r = _normalize(r, next(iter(r._terms.values())))
             minimal[i] = r
-    ranked = sorted(zip(minimal_lead, minimal),
-                    key=lambda pair: order.key(pair[0][0]), reverse=True)
-    return [g for _, g in ranked]
+            if _need(r._terms, order) > packer.limit:
+                packer, minimal_records = _packing(r.context, minimal, order)
+            else:
+                minimal_records[i] = packer.record(r)
+    ranked = sorted(zip(minimal_records, minimal), key=lambda pair: pair[0][1])
+    return [g for _, g in ranked], (packer, [r for r, _ in ranked])
 
 
 def groebner_basis(ideal: IdealHandle, order: TermOrder = TermOrder.GREVLEX,

@@ -29,7 +29,7 @@ from .errors import (
     InexactDivisionError,
     ZeroPolynomialError,
 )
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, _outside
 
 Monomial = tuple  # exponent vector; length == number of context variables
 
@@ -416,7 +416,7 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.context == other.context and self._terms == other._terms
-        if isinstance(other, FieldElement) and other.spec != self.context.field:
+        if _outside(other, self.context.field):
             return False
         if isinstance(other, (int, Fraction, FieldElement)):
             return self == self.context.const(other)

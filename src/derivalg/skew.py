@@ -37,7 +37,7 @@ from .errors import (
     NotInjectiveError,
     PreconditionError,
 )
-from .field import FieldElement, FieldSpec, QQ
+from .field import FieldElement, FieldSpec, QQ, _outside
 from .groebner import DEFAULT_BUDGET, QuotientRing, TermOrder
 from .poly import (
     InjectivityStatus,
@@ -278,7 +278,7 @@ class SkewPoly:
             return self.ring == other.ring and self.terms == other.terms
         context = self.ring.base.context
         if (isinstance(other, Poly) and other.context != context
-                or isinstance(other, FieldElement) and other.spec != context.field):
+                or _outside(other, context.field)):
             return False
         if isinstance(other, (Poly, int, Fraction, FieldElement)):
             return self == self._coerce(other)

@@ -33,7 +33,8 @@ from derivalg import (
     quotient_reduce,
 )
 
-from derivalg.groebner import _divide
+from derivalg.groebner import _divide, _Packer
+from derivalg.poly import monomial_divides, monomial_mul
 
 from conftest import rand_poly
 
@@ -628,3 +629,133 @@ def test_divide_pseudo_remainder_against_non_monic_divisors():
                     assert all(type(c) is int for c in r._terms.values())
                     pseudo += lam != 1
     assert pseudo
+
+
+# --------------------------------------------------------------------------
+# packed monomials: the int keys inside the division loop
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def _packed_monomials(draw):
+    """(order, packer, exponent vectors within the packer's field width)."""
+    order = draw(st.sampled_from(list(TermOrder)))
+    nvars = draw(st.integers(1, 4))
+    packer = _Packer(nvars, order, draw(st.integers(0, 1 << 20)))
+    exponent = st.one_of(st.just(0), st.just(packer.limit),
+                         st.integers(0, packer.limit))
+    vectors = st.tuples(*[exponent] * nvars)
+    return order, packer, draw(st.lists(vectors, min_size=2, max_size=4))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_packed_monomials())
+def test_packed_key_order_is_the_term_order_reversed(case):
+    # the heap pops the smallest key, which must be the largest monomial
+    order, packer, (a, b, *_) = case
+    assert ((packer.pack(a) < packer.pack(b))
+            == (order.key(a) > order.key(b)))
+    assert (packer.pack(a) == packer.pack(b)) == (a == b)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_packed_monomials())
+def test_packed_key_sum_is_the_monomial_product(case):
+    _, packer, (a, b, *_) = case
+    # split b so the product stays within the field width: a/2 + b/2
+    a = tuple(e // 2 for e in a)
+    b = tuple(e - e // 2 for e in b)
+    assert (packer.pack(monomial_mul(a, b))
+            == packer.pack(a) + packer.pack(b) - packer.one)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_packed_monomials())
+def test_packed_guard_test_is_divisibility(case):
+    _, packer, monomials = case
+    low, guard = packer.low, packer.guard
+    a, m = monomials[0], monomials[1]
+    # also a divisor drawn below m, so the true branch is met often
+    for d in (a, tuple(min(x, y) for x, y in zip(a, m))):
+        test = guard - (packer.pack(d) & low)
+        assert (((packer.pack(m) & low) + test) & guard == guard) \
+            == monomial_divides(d, m)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_packed_monomials())
+def test_packed_key_unpacks_to_its_monomial(case):
+    _, packer, monomials = case
+    for m in monomials:
+        assert packer.unpack(packer.pack(m)) == m
+
+
+def _sympy_check(sympy, mine, exprs, names, order):
+    """mine (a GroebnerBasis) equals sympy's reduced basis of `exprs`."""
+    syms = sympy.symbols(names)
+    reference = sympy.groebner([sympy.sympify(e) for e in exprs], *syms,
+                               order=order)
+    monic = {sympy.expand(e / sympy.Poly(e, *syms).LC(order=order))
+             for e in reference.exprs}
+    assert monic == {sympy.sympify(str(g).replace("^", "**"))
+                     for g in mine.polys}
+    return reference
+
+
+def test_grevlex_exponent_past_the_initial_width_matches_sympy():
+    # 70000 needs 17 bits: the basis must hold the exponent, never wrap it
+    sympy = pytest.importorskip("sympy")
+    ctx = VarContext(("x", "y", "z"), QQ)
+    x, y, z = (ctx.var(i) for i in range(3))
+    mine = buchberger([x ** 70000 * y - z, y ** 2 - 1], TermOrder.GREVLEX)
+    assert set(mine.polys) == {x ** 70000 - y * z, y ** 2 - 1}
+    # a dividend far wider than the basis it is reduced against
+    for order in TermOrder:
+        narrow = buchberger([y ** 2 - 1], order)
+        assert normal_form(x ** 40 * y ** 3 + z, narrow) == x ** 40 * y + z
+    _sympy_check(sympy, mine, ["x**70000*y - z", "y**2 - 1"], "x y z",
+                 "grevlex")
+
+
+def test_lex_division_raising_exponents_past_the_width_matches_sympy():
+    # x -> y^300 -> z^90000: lex division raises exponents as it goes
+    sympy = pytest.importorskip("sympy")
+    for field in (GF(32003), QQ):
+        ctx = VarContext(("x", "y", "z"), field)
+        x, y, z = (ctx.var(i) for i in range(3))
+        divisors = [x - y ** 300, y - z ** 300]
+        r, cofactors = _divide(x, divisors, TermOrder.LEX, want_cofactors=True)
+        assert r == z ** 90000
+        assert r + sum((q * g for q, g in zip(cofactors, divisors)),
+                       ctx.zero) == x
+        basis = buchberger(divisors, TermOrder.LEX)
+        assert set(basis.polys) == {x - z ** 90000, y - z ** 300}
+        assert normal_form(x * y, basis) == z ** 90300
+        # inter-reduction raises an exponent past the basis width: 8 -> 64
+        small = buchberger([x - y ** 8, y - z ** 8], TermOrder.LEX)
+        assert normal_form(x, small) == z ** 64
+    reference = _sympy_check(sympy, basis, ["x - y**300", "y - z**300"],
+                             "x y z", "lex")
+    assert reference.reduce(sympy.Symbol("x"))[1] == sympy.Symbol("z") ** 90000
+
+
+def test_lex_s_polynomial_reduction_past_the_width_matches_sympy():
+    # an S-polynomial of small degree reduces through w^125: the reduction
+    # inside buchberger outgrows the fields and starts over wider
+    sympy = pytest.importorskip("sympy")
+    ctx = VarContext(("x", "y", "z", "w"), QQ)
+    x, y, z, w = (ctx.var(i) for i in range(4))
+    mine = buchberger([x - y ** 5, y - z ** 5, z - w ** 5, x * w - 1],
+                      TermOrder.LEX)
+    _sympy_check(sympy, mine, ["x - y**5", "y - z**5", "z - w**5", "x*w - 1"],
+                 "x y z w", "lex")
+    # the inputs (exponents <= 5) get fields up to 15, and later elements
+    # reach exponent 17: the basis must widen before their S-polynomials
+    ctx = VarContext(("x", "y"), QQ)
+    x, y = ctx.var(0), ctx.var(1)
+    mine = buchberger([7 * x ** 4 * y ** 2 + 5 * x * y ** 5 + 5 * x * y,
+                       2 * x ** 5 * y ** 2 + 3 * x ** 3 * y ** 2
+                       + 6 * x ** 2 * y ** 3], TermOrder.LEX)
+    _sympy_check(sympy, mine, ["7*x**4*y**2 + 5*x*y**5 + 5*x*y",
+                               "2*x**5*y**2 + 3*x**3*y**2 + 6*x**2*y**3"],
+                 "x y", "lex")

@@ -1,6 +1,7 @@
 """Polynomial arithmetic, partials, endomorphisms, term orders."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -204,3 +205,14 @@ def test_equality_with_foreign_values_is_false(ctx_xy):
     assert five not in [ctx_xy.one] and ctx_xy.one not in [five]
     assert ctx_xy.one == QQ.element(1) and ctx_xy.one == 1
     assert GF(5).element(1) == VarContext(("z",), GF(5)).one
+
+
+def test_equality_with_a_vanishing_denominator_is_false():
+    # 1/5 is no element of GF(5): comparing with it answers False
+    one = VarContext(("z",), GF(5)).one
+    fifth = Fraction(1, 5)
+    assert not one == fifth and one != fifth
+    assert fifth not in [one] and one not in [fifth]
+    assert not GF(5).element(1) == fifth and GF(5).element(1) != fifth
+    assert one == Fraction(6, 1) and one == Fraction(1, 3) * 3
+    assert VarContext(("z",), QQ).one != fifth

@@ -624,3 +624,11 @@ def test_skew_equality_with_foreign_values_is_false():
     assert five not in [A1.one()] and A1.one() not in [five]
     assert A1.one() == QQ.element(1) and A1.one() == 1
     assert A1.from_base(A1.base.context.var(0)) == A1.base.context.var(0)
+
+
+def test_skew_equality_with_a_vanishing_denominator_is_false():
+    one = weyl_algebra(1, GF(5)).one()
+    fifth = Fraction(1, 5)
+    assert not one == fifth and one != fifth
+    assert fifth not in [one] and one not in [fifth]
+    assert one == Fraction(6, 1)
