@@ -5,32 +5,44 @@ quotient normal forms) reduces to the unique reduced Groebner basis of an
 ideal under a term order.  Determinism is part of the contract: recomputing
 a basis yields an identical object, and normal forms are unique.
 
-Over QQ the Buchberger loop runs fraction-free: basis elements are integer
-primitive polynomials (denominators cleared, content divided out, leading
-coefficient positive), S-polynomials cross-multiply the integer leading
-coefficients, `_divide` pseudo-divides by non-monic elements, and each
-finished reduction has its content removed.  Elements are made monic only
-when the reduced basis is returned.  Over F_p every element is monic
+`buchberger` is signature-based (RB: Eder & Faugere, J. Symbolic Comput.
+80, 2017; Roune & Stillman, ISSAC 2012).  Each element carries a
+signature, a monomial times the basis vector e_j of the input it stems
+from, and the loop reduces at most one polynomial per signature, in
+increasing signature order.  Signatures known to reduce to zero (F5
+criterion, earlier zero reductions) or already covered by an element are
+skipped before any reduction, so no pair of katsura-4 reduces to zero.
+
+Over QQ the loop runs fraction-free: basis elements are integer primitive
+polynomials (denominators cleared, content divided out, leading
+coefficient positive), `_divide` pseudo-divides by non-monic elements, and
+each finished reduction has its content removed.  Elements are made monic
+only when the reduced basis is returned.  Over F_p every element is monic
 throughout.
 
 Inside the engine a monomial is one int (`_Packer`; Monagan & Pearce,
 J. Symbolic Comput. 46, 2011; Bachmann & Schoenemann, ISSAC 1998): a
 product is a sum of keys, LM(g) | m is one addition and one mask test, and
-a heap of keys pops the leading term.  `_divide` is the one boundary: Polys
-(or a dividend `buchberger` or `_reduce_basis` packed already) in, Polys
-out.  `buchberger`, `_reduce_basis` and `GroebnerBasis` keep each element's
-packed divisor record beside it.  A key never wraps: field widths follow
-the input degrees with headroom.  Grevlex never raises the degree while
-dividing, so a degree check at `_divide` entry covers every key; lex can (x
-reduced by x - y^300, then y - z^300, is z^90000), so each new dividend
-key's guard bits are checked, and one that outgrows its fields restarts the
-division wider.  `buchberger` keeps the fields twice as wide as its
-elements' largest degree (grevlex) or exponent (lex), so every S-polynomial
-fits.
+a heap of keys pops the leading term.  Signatures are packed by the same
+packer.  `_divide` is the one boundary: Polys (or a dividend `buchberger`
+or `_reduce_basis` packed already) in, Polys out.  `buchberger`,
+`_reduce_basis` and `GroebnerBasis` keep each element's packed divisor
+record beside it.  A key never wraps: field widths follow the input
+degrees with headroom.  Grevlex never raises the degree while dividing, so
+a degree check at `_divide` entry covers every key; lex can (x reduced by
+x - y^300, then y - z^300, is z^90000), so each new dividend key's guard
+bits are checked, and one that outgrows its fields restarts the division
+wider.  `buchberger` keeps its fields wide enough for its largest element
+plus its largest signature of the current index, which covers every
+J-pair signature, and checks the guard bits of each rewriter multiple it
+builds; either repacks all its keys wider.  A signature of a reduction
+step, (m/LM(h))*sig(h), is only compared with K(T), and that comparison
+stays exact while each field is at most twice the limit.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations
 from math import gcd, lcm
@@ -43,8 +55,6 @@ from .poly import (
     TermOrder,
     VarContext,
     _canonical,
-    monomial_degree,
-    monomial_lcm,
 )
 
 DEFAULT_BUDGET = 20_000
@@ -92,6 +102,7 @@ class GroebnerBasis:
     which makes ideal equality and membership decidable by normal forms.
     The constructor makes each given element monic; the elements' packed
     divisor records (see `_Packer`) are built on the first normal form.
+    `buchberger` hands in monic elements and their records (`_reduced`).
     """
 
     __slots__ = ("context", "order", "polys", "_packed")
@@ -115,6 +126,17 @@ class GroebnerBasis:
 
     def leading_monomials(self):
         return [g._lead(self.order)[0] for g in self.polys]
+
+    @classmethod
+    def _reduced(cls, context: VarContext, order: TermOrder, polys, packed):
+        """The basis of monic elements whose (packer, divisor records)
+        `buchberger` built already: nothing is rescanned."""
+        self = object.__new__(cls)
+        self.context = context
+        self.order = order
+        self.polys = tuple(polys)
+        self._packed = packed
+        return self
 
     def _divisors(self):
         """The elements' (packer, divisor records), built on first use."""
@@ -173,6 +195,11 @@ class _Packer:
         limit = self.limit
         return tuple([key >> s & limit for s in self.shifts])
 
+    def repack(self, keys, old: "_Packer") -> list:
+        """The keys of `old` as keys of this packer."""
+        unpack = old.unpack
+        return [self.pack(unpack(k)) for k in keys]
+
     def record(self, g: Poly):
         """g as a divisor: (test constant, lead key, raw LC, packed tail),
         the tail as (K(m) - K(LM), -c) pairs."""
@@ -200,7 +227,7 @@ def _packing(context: VarContext, divisors: Sequence[Poly], order: TermOrder,
 
 
 def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
-            want_cofactors: bool = False, packed=None):
+            want_cofactors: bool = False, packed=None, signature=None):
     """Multivariate division: lam*f = sum(q_i * divisors[i]) + r, lam != 0.
 
     Heap-driven (Monagan & Pearce, *Sparse polynomial division using a
@@ -221,6 +248,15 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
     cached; a Poly dividend it is too narrow for gets a wider one here.
     `buchberger` and `_reduce_basis` hand in f already packed by it, as a
     {key: raw coeff} map.
+
+    `signature` = (K(T), sigs) makes the reduction regular for
+    `buchberger`'s signature loop: divisor i with sigs[i] = K(sig_i) may
+    cancel m only when (m/LM_i)*sig_i is smaller than T, i.e. when its key
+    K(m) - K(LM_i) + K(sig_i) is larger than K(T); sigs[i] = None (an
+    element of lower index, whose every multiple has a smaller signature)
+    always may.  That key's fields may hold up to twice the limit, which
+    still fits each field below its guard bit, so the comparison with the
+    valid key K(T) is exact.
 
     Coefficients are raw (see :mod:`derivalg.field`).  Over F_p the
     dividend's entries accumulate unreduced, possibly negative, products
@@ -252,6 +288,9 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
     heap = list(p)
     heapify(heap)
     tests = [r[0] for r in records]
+    if signature is not None:
+        bound, sigs = signature
+        offsets = [s if s is None else s - r[1] for s, r in zip(sigs, records)]
     low, guard, one = packer.low, packer.guard, packer.one
     inverses = {}            # divisor index -> 1/LC, for the exact step
     remainder = {}
@@ -272,7 +311,10 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
         mlow = m & low
         for i, test in enumerate(tests):
             if (mlow + test) & guard == guard:
-                break
+                if signature is None or offsets[i] is None:
+                    break
+                if m + offsets[i] > bound:       # K((m/LM_i)*sig_i) > K(T)
+                    break
         else:
             remainder[m] = c
             continue
@@ -307,12 +349,8 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
             if acc is None:
                 if mono & guard:
                     # an exponent outgrew its field (lex only): start wider
-                    if not isinstance(f, Poly):
-                        f = Poly._raw(context, _canonical(
-                            {packer.unpack(k): v for k, v in f.items()}, modulus))
-                    return _divide(f, divisors, order, want_cofactors,
-                                   _packing(context, divisors, order,
-                                            packer.limit + 1))
+                    return _widen(f, divisors, order, want_cofactors,
+                                  packer, signature)
                 p[mono] = d
                 heappush(heap, mono)
             else:
@@ -327,6 +365,24 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
                   for q in quotients] if want_cofactors else None)
     return (Poly._raw(context, {unpack(k): c for k, c in remainder.items()}),
             cofactors)
+
+
+def _widen(f, divisors, order, want_cofactors, packer, signature):
+    """`_divide` started over with fields wider than `packer`'s: a key of
+    the division outgrew them.  The dividend and signature keys are
+    unpacked from `packer` and packed afresh."""
+    context = divisors[0].context
+    if not isinstance(f, Poly):
+        f = Poly._raw(context, _canonical(
+            {packer.unpack(k): v for k, v in f.items()}, context.field.p))
+    wider = _packing(context, divisors, order, packer.limit + 1)
+    if signature is not None:
+        bound, sigs = signature
+        repack = wider[0].pack
+        signature = (repack(packer.unpack(bound)),
+                     [s if s is None else repack(packer.unpack(s))
+                      for s in sigs])
+    return _divide(f, divisors, order, want_cofactors, wider, signature)
 
 
 def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
@@ -346,27 +402,6 @@ def normal_form_with_cofactors(f: Poly, basis: GroebnerBasis):
         return f, []
     return _divide(f, basis.polys, basis.order, want_cofactors=True,
                    packed=basis._divisors())
-
-
-def _s_poly(lcm_key: int, record_f, record_g) -> dict:
-    """S(f, g) up to a nonzero constant, as a packed map with unreduced
-    entries, from the divisor records of f and g and the key of
-    lcm = lcm(LM f, LM g): (c_g/e)*u_f*f - (c_f/e)*u_g*g with
-    e = gcd(c_f, c_g) and u = lcm/LM.  The leading terms cancel, and u*m
-    has key K(lcm) + K(m) - K(LM), so only the cached tails are read.
-    Both leading coefficients are integers: over QQ the elements are
-    integer primitive, over F_p they are monic (c = 1, so this is the monic
-    combination u_f*f - u_g*g)."""
-    _, _, cf, tail_f = record_f
-    _, _, cg, tail_g = record_g
-    e = gcd(cf, cg)
-    sf, sg = cg // e, cf // e
-    s = {lcm_key + offset: -sf * c for offset, c in tail_f}
-    get = s.get
-    for offset, c in tail_g:
-        key = lcm_key + offset
-        s[key] = get(key, 0) + sg * c
-    return s
 
 
 def _primitive(f: Poly, lc) -> Poly:
@@ -400,25 +435,36 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
                budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
     """The unique reduced Groebner basis of (generators) under `order`.
 
-    Normal selection strategy (lowest lcm degree first, ties broken by the
-    order and then by index), with the coprime-leading-term criterion and the
-    standard lcm chain criterion for pair elimination.  Each basis element's
-    LM and packed divisor record are cached when it is appended; pending
-    pairs sit in a heap keyed by (deg lcm, order.key(lcm), i, j), with a
-    set of the same pairs beside it for the chain criterion's membership
-    tests.  Both criteria read packed keys: a pair is coprime when
-    K(lcm) = K(LM_i) + K(LM_j) - K(1), and LM_k | lcm is the guard test.
-    Each S-polynomial is built packed from the two records and reduced by
-    the heap-driven `_divide` against them all.  Exceeding
-    `budget` S-polynomial reductions raises BudgetExceededError rather than
-    returning anything partial.
+    A signature-based loop, RB (Eder & Faugere, J. Symbolic Comput. 80,
+    2017; Roune & Stillman, ISSAC 2012), in position-over-term order.  The
+    inputs, each in working form (see `_normalize`) and without
+    duplicates, are sorted by LM, smallest first; input j has signature
+    e_j and is reduced by the elements of lower index, all of which have
+    smaller signatures.  Then the J-pairs of index j are taken in
+    increasing signature T = t*e_j, one per signature.  T is discarded
+    when LM(h)*e_j divides it for an element h of lower index (the F5
+    criterion) or when a signature whose reduction ended at zero divides
+    it.  Otherwise the rewriter multiple (T/sig(r))*r, with r the element
+    added last whose signature divides T, is reduced regularly: a reducer
+    h may cancel a term m only when sig((m/LM(h))*h) < T.  It is dropped
+    when its leading term is not regular-top-reducible, since r already
+    covers T; a zero result records T as a syzygy signature, and any
+    other becomes a new element with signature T.
+
+    Signatures are packed by the elements' packer (see `_Packer`).  An
+    element or signature of index j too wide for every J-pair signature
+    to fit, or a rewriter multiple that outgrows the fields, repacks every
+    key wider.  The budget counts the rewriter multiples reduced:
+    exceeding it raises BudgetExceededError rather than returning
+    anything partial.
 
     Over QQ the elements are kept integer primitive (see `_primitive`) from
     entry on, so associate generators deduplicate; `_divide` then
     pseudo-divides, and each nonzero remainder is made primitive again.  A
     pseudo-remainder is a nonzero rational multiple of the exact one, so
-    leading monomials, pairs, the step count and the reduced monic output
-    are those of the monic computation.  Over F_p elements are monic.
+    leading monomials, signatures, the step count and the reduced monic
+    output are those of the monic computation.  Over F_p elements are
+    monic.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -427,76 +473,157 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
     for g in gens:
         if g.context != context:
             raise ContextMismatchError("generators live in different contexts")
-    basis = []
+    inputs = []
     for g in gens:
         g = _normalize(g, g._lead(order)[1])
-        if g not in basis:
-            basis.append(g)
-    packed = _packing(context, basis, order)
-    lead = [packed[0].unpack(record[1]) for record in packed[1]]
+        if g not in inputs:
+            inputs.append(g)
+    need = max(_need(g._terms, order) for g in inputs)      # element need
+    sig_need = 0             # the need of the signatures of index j
+    packer = _Packer(context.nvars, order, need)
+    input_records = [packer.record(g) for g in inputs]
+    basis = []               # elements, in the order they were added
+    records = []             # their divisor records
+    lead = []                # their LMs
+    first = 0                # the elements from here on have index j
+    sigs = []                # K(signature) of the elements of index j
+    koszul = []              # LM(h) | T tests, for the h below index j
+    syzygies = []            # K(T) of index j signatures that reduced to 0
+    heap = []                # -K(T) of the J-pairs of index j to take
 
-    queue = []               # (deg lcm, order key of lcm, i, j, lcm)
-    pending = set()          # the (i, j) pairs in the queue
+    def widen(least):
+        # repack every key, with fields that hold at least `least`
+        nonlocal packer
+        old = packer
+        packer, records[:] = _packing(context, basis, order, least)
+        input_records[:] = map(packer.record, inputs)
+        koszul[:] = [r[0] for r in records[:first]]
+        sigs[first:] = packer.repack(sigs[first:], old)
+        syzygies[:] = packer.repack(syzygies, old)
+        # repacking keeps the order of keys, so the heap stays a heap
+        heap[:] = [-key for key in packer.repack([-e for e in heap], old)]
 
-    def add_pairs(j):
-        mj = lead[j]
-        for i in range(j):
-            lcm = monomial_lcm(lead[i], mj)
-            heappush(queue, (monomial_degree(lcm), order.key(lcm), i, j, lcm))
-            pending.add((i, j))
-
-    for j in range(1, len(basis)):
-        add_pairs(j)
     steps = 0
-    while queue:
-        _, _, i, j, lcm = heappop(queue)
-        pending.discard((i, j))
-        packer, records = packed
-        lcm_key = packer.pack(lcm)
-        # coprime criterion (lcm = LM_i * LM_j): the S-poly reduces to zero
-        if lcm_key == records[i][1] + records[j][1] - packer.one:
-            continue
-        # chain criterion: some k with LM_k | lcm and both mixed pairs done
-        lcm_low = lcm_key & packer.low
-        guard = packer.guard
-        skip = False
-        for k, record in enumerate(records):
-            if k == i or k == j:
-                continue
-            if (lcm_low + record[0]) & guard != guard:
-                continue
-            if (min(i, k), max(i, k)) in pending:
-                continue
-            if (min(j, k), max(j, k)) in pending:
-                continue
-            skip = True
-            break
-        if skip:
-            continue
-        steps += 1
-        if steps > budget:
-            raise BudgetExceededError(
-                f"Buchberger step budget ({budget}) exhausted")
-        h, _ = _divide(_s_poly(lcm_key, records[i], records[j]), basis, order,
-                       packed=packed)
-        if h.is_zero():
-            continue
-        h = _normalize(h, next(iter(h._terms.values())))
-        basis.append(h)
-        need = _need(h._terms, order)
-        if 2 * need > packer.limit:
-            packed = _packing(context, basis, order)
-        else:
-            records.append(packer.record(h))
-        lead.append(packed[0].unpack(packed[1][-1][1]))
-        add_pairs(len(basis) - 1)
+    # smallest LM first: the largest key first, stably
+    for i in sorted(range(len(inputs)), key=lambda i: -input_records[i][1]):
+        new, record = inputs[i], input_records[i]
+        if basis:
+            _, lg, cg, tail = record
+            dividend = {lg + offset: -c for offset, c in tail}
+            dividend[lg] = cg
+            r, _ = _divide(dividend, basis, order, packed=(packer, records))
+            if r.is_zero():
+                continue     # e_j is a syzygy: index j adds nothing
+            new = _normalize(r, next(iter(r._terms.values())))
+            record = None
+        first = len(basis)
+        sig_need = 0
+        koszul[:] = [r[0] for r in records]
+        sigs[:] = [None] * first
+        syzygies.clear()
+        heap.clear()
+        t = packer.one       # e_j
+        while new is not None:
+            # append `new` with signature t*e_j and queue its J-pairs
+            basis.append(new)
+            sigs.append(t)
+            if record is None:
+                need = max(need, _need(new._terms, order))
+                sig_need = max(sig_need, _need((packer.unpack(t),), order))
+            # a J-pair signature (lcm/LM(g))*sig(g) has fields of at most
+            # need + sig_need
+            if need + sig_need > packer.limit:
+                widen(need + sig_need)
+            else:
+                records.append(record or packer.record(new))
+            n = len(basis) - 1
+            ln, t = records[n][1], sigs[n]
+            mn = packer.unpack(ln)
+            lead.append(mn)
+            for k in range(n):
+                lcm_key = packer.pack(tuple(map(max, lead[k], mn)))
+                key = lcm_key - ln + t
+                if k >= first:
+                    other = lcm_key - records[k][1] + sigs[k]
+                    if other == key:
+                        continue     # a singular pair
+                    key = min(key, other)    # the larger signature
+                heappush(heap, -key)
+            # the J-pairs in increasing signature, up to a new element
+            new = None
+            while heap and new is None:
+                t = -heappop(heap)
+                while heap and heap[0] == -t:
+                    heappop(heap)
+                low, guard = packer.low, packer.guard
+                tl = t & low
+                # the F5 criterion: LM(h) | T for an h below index j; the
+                # syzygy criterion: a signature that reduced to 0 divides T
+                if (_divides_any(tl, koszul, guard)
+                        or any((tl + guard - (s & low)) & guard == guard
+                               for s in syzygies)):
+                    continue
+                k = n
+                while (tl + guard - (sigs[k] & low)) & guard != guard:
+                    k -= 1   # the rewriter: sig(r) | T, added last
+                _, lr, cr, tail = records[k]
+                top = lr + t - sigs[k]       # K((T/sig(r))*LM(r))
+                dividend = {top + offset: -c for offset, c in tail}
+                dividend[top] = cr
+                if any(key & guard for key in dividend):
+                    heappush(heap, -t)
+                    widen(packer.limit + 1)
+                    continue
+                # a regular top-reduction: by an element of index below j,
+                # or by h of index j with K((top/LM(h))*sig(h)) > K(T)
+                # (exact, as in `_divide`'s signature filter)
+                topl = top & low
+                for h, (test, lh, _, _) in enumerate(records):
+                    if ((topl + test) & guard == guard
+                            and (h < first or top - lh + sigs[h] > t)):
+                        break
+                else:
+                    continue     # not regular-top-reducible: r covers T
+                steps += 1
+                if steps > budget:
+                    raise BudgetExceededError(
+                        f"Buchberger step budget ({budget}) exhausted")
+                r, _ = _divide(dividend, basis, order, packed=(packer, records),
+                               signature=(t, sigs))
+                if r.is_zero():
+                    syzygies.append(t)
+                else:
+                    new = _normalize(r, next(iter(r._terms.values())))
+                    record = None
 
-    polys, (packer, records) = _reduce_basis(basis, order, packed)
-    result = GroebnerBasis(context, order, polys)
-    # hand the records on; an element that `monic` rescaled gets a new one
-    result._packed = packer, [r if g is h else packer.record(h)
-                              for r, g, h in zip(records, polys, result.polys)]
-    return result
+    polys, (packer, records) = _reduce_basis(basis, order, (packer, records))
+    monic = [_monic(g, record, packer) for g, record in zip(polys, records)]
+    return GroebnerBasis._reduced(context, order, [g for g, _ in monic],
+                                  (packer, [record for _, record in monic]))
+
+
+def _divides_any(key_low: int, tests, guard: int) -> bool:
+    """Whether some divisor test (see `_Packer.record`) passes for the
+    monomial whose key has low part `key_low`."""
+    for test in tests:
+        if (key_low + test) & guard == guard:
+            return True
+    return False
+
+
+def _monic(g: Poly, record, packer: _Packer):
+    """A reduced basis element made monic with the leading coefficient its
+    divisor record holds, and its record.  Over F_p the working form is
+    monic already; over QQ it is integer primitive with lc > 0."""
+    lc = record[2]
+    if lc == 1:
+        return g, record
+    terms = {}
+    for m, c in g._terms.items():
+        q, r = divmod(c, lc)
+        terms[m] = Fraction(c, lc) if r else q
+    g = Poly._raw(g.context, terms)
+    return g, packer.record(g)
 
 
 def _reduce_basis(basis, order: TermOrder, packed):

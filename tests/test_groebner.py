@@ -6,6 +6,7 @@ bounded-degree cofactors by exact linear algebra on coefficient vectors.
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from derivalg import (
     quotient_reduce,
 )
 
+from derivalg import groebner
 from derivalg.groebner import _divide, _Packer
 from derivalg.poly import monomial_divides, monomial_mul
 
@@ -302,22 +304,176 @@ def _cyclic4(field):
             u0 * u1 * u2 * u3 - 1]
 
 
+def _three_generators(field):
+    # skipping a J-pair whose signature another pair shares, instead of
+    # reducing the rewriter multiple, gives a wrong grevlex basis here
+    ctx = VarContext(("x", "y", "z", "w"), field)
+    x, y, z, w = (ctx.var(i) for i in range(4))
+    return [y ** 3 * z ** 3 * w ** 3, 4 * x ** 2 + y * z ** 3 * w,
+            4 * x ** 3 * y * z ** 2 * w ** 2 + 3 * y ** 2]
+
+
+def _buchberger_reductions(monkeypatch):
+    """Count the `_divide` calls that `buchberger` itself makes: all of
+    them, those that reduce a rewriter multiple (the ones with a signature
+    filter), and those that end at zero."""
+    counts = {"all": 0, "rewriter": 0, "zero": 0}
+    divide = groebner._divide
+
+    def counting(*args, **kwargs):
+        result = divide(*args, **kwargs)
+        if sys._getframe(1).f_code.co_name == "buchberger":
+            counts["all"] += 1
+            counts["rewriter"] += kwargs.get("signature") is not None
+            counts["zero"] += result[0].is_zero()
+        return result
+
+    monkeypatch.setattr(groebner, "_divide", counting)
+    return counts
+
+
 @pytest.mark.parametrize("system, field, order, steps", [
-    (_katsura3, QQ, TermOrder.GREVLEX, 10),
-    (_katsura3, QQ, TermOrder.LEX, 22),
-    (_cyclic4, QQ, TermOrder.GREVLEX, 11),
-    (_cyclic4, QQ, TermOrder.LEX, 14),
-    (_katsura4, QQ, TermOrder.GREVLEX, 28),
-    (_katsura4, GF(32003), TermOrder.GREVLEX, 28),
+    (_katsura3, QQ, TermOrder.GREVLEX, 4),
+    (_katsura3, QQ, TermOrder.LEX, 17),
+    (_cyclic4, QQ, TermOrder.GREVLEX, 4),
+    (_cyclic4, QQ, TermOrder.LEX, 5),
+    (_katsura4, QQ, TermOrder.GREVLEX, 11),
+    (_katsura4, GF(32003), TermOrder.GREVLEX, 11),
 ], ids=["katsura3-grevlex", "katsura3-lex", "cyclic4-grevlex", "cyclic4-lex",
         "katsura4-grevlex", "katsura4-grevlex-gf32003"])
-def test_budget_pins_s_polynomial_path(system, field, order, steps):
-    # the budget counts S-polynomial reductions, so the smallest budget that
-    # succeeds pins the pairs reduced: selection order and both criteria
+def test_budget_pins_s_polynomial_path(system, field, order, steps,
+                                       monkeypatch):
+    # the budget counts the rewriter multiples reduced, so the smallest
+    # budget that succeeds pins them: the signature order and the criteria
     gens = system(field)
     with pytest.raises(BudgetExceededError):
         buchberger(gens, order, budget=steps - 1)
+    counts = _buchberger_reductions(monkeypatch)
     assert not buchberger(gens, order, budget=steps).is_unit
+    assert counts["rewriter"] == steps
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(32003)],
+                         ids=["QQ", "GF5", "GF32003"])
+def test_rewriter_multiple_basis_matches_sympy(field):
+    sympy = pytest.importorskip("sympy")
+    gens = _three_generators(field)
+    assert (_monic_terms(sympy, buchberger(gens).polys, field)
+            == _sympy_reduced(sympy, gens, "grevlex", field))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_katsura4_reduces_no_pair_to_zero(field, monkeypatch):
+    counts = _buchberger_reductions(monkeypatch)
+    buchberger(_katsura4(field))
+    assert counts["all"] and counts["zero"] == 0
+
+
+@pytest.mark.parametrize("order", list(TermOrder), ids=lambda o: o.value)
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("system", [_katsura3, _katsura4, _cyclic4],
+                         ids=["katsura3", "katsura4", "cyclic4"])
+def test_generator_order_and_scaling_change_nothing(system, field, order,
+                                                    monkeypatch):
+    # the inputs are sorted by leading monomial, so every rotation and
+    # rescaling of the list takes the same path: the same basis and the
+    # same number of rewriter multiples reduced
+    sympy = pytest.importorskip("sympy")
+    gens = system(field)
+    counts = _buchberger_reductions(monkeypatch)
+    basis = buchberger(gens, order)
+    steps = counts["rewriter"]
+    if system is _katsura4 and order is TermOrder.LEX:
+        # too slow for sympy: check it against the grevlex basis instead
+        _assert_same_ideal_and_lex_groebner(basis, buchberger(gens))
+    else:
+        assert (_monic_terms(sympy, basis.polys, field)
+                == _sympy_reduced(sympy, gens, order.value, field))
+    rng = random.Random(17)
+    for shift in range(len(gens)):
+        rotated = [g.scale(rng.choice([-1, 1]) * rng.randint(1, 97))
+                   for g in gens[shift:] + gens[:shift]]
+        counts["rewriter"] = 0
+        assert buchberger(rotated, order) == basis
+        assert counts["rewriter"] == steps
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("system, order", [
+    # a new element, a new signature (in either order) and a rewriter
+    # multiple that each outgrow the fields of the keys so far
+    (lambda x, y: [x ** 4 * y + x * y ** 4,
+                   x ** 3 * y ** 4 + 2 * x ** 2 * y ** 2], TermOrder.LEX),
+    (lambda x, y: [2 * x ** 2 + x * y ** 4, 2 * x ** 2 * y ** 4 + 2 * y],
+     TermOrder.LEX),
+    (lambda x, y: [2 * x ** 4 * y ** 3, 2 * x ** 4 + x * y ** 4 + y ** 2],
+     TermOrder.GREVLEX),
+    (lambda x, y: [2 * x ** 4 * y ** 3 + x ** 2, x ** 3 - y ** 3],
+     TermOrder.LEX),
+], ids=["lex-element", "lex-signature", "grevlex-signature", "lex-multiple"])
+def test_signature_keys_widen_and_match_sympy(system, order, field,
+                                              monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    ctx = VarContext(("x", "y"), field)
+    gens = system(ctx.var(0), ctx.var(1))
+    widened = []
+    packing = groebner._packing
+
+    def counting(*args, **kwargs):
+        widened.append(sys._getframe(1).f_code.co_name == "widen")
+        return packing(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_packing", counting)
+    basis = buchberger(gens, order)
+    assert any(widened)
+    assert (_monic_terms(sympy, basis.polys, field)
+            == _sympy_reduced(sympy, gens, order.value, field))
+
+
+def _monic_terms(sympy, polys, field):
+    """The polynomials as a set of sorted (monomial, coefficient) tuples,
+    coefficients as sympy Rationals or residues."""
+    if field.p is None:
+        return {tuple(sorted((m, sympy.Rational(c.numerator, c.denominator))
+                             for m, c in g.terms())) for g in polys}
+    return {tuple(sorted((m, c.value) for m, c in g.terms())) for g in polys}
+
+
+def _sympy_reduced(sympy, gens, order, field):
+    """sympy's reduced basis of `gens`, made monic, in `_monic_terms` form."""
+    ctx = gens[0].context
+    syms = sympy.symbols(ctx.names)
+    options = {} if field.p is None else {"modulus": field.p}
+    exprs = [sympy.Poly.from_dict({m: int(c.value) if field.p else
+                                   sympy.Rational(c.numerator, c.denominator)
+                                   for m, c in g.terms()}, *syms).as_expr()
+             for g in gens]
+    out = set()
+    for e in sympy.groebner(exprs, *syms, order=order, **options).exprs:
+        poly = sympy.Poly(e, *syms, **options)
+        if field.p is None:
+            lc = poly.LC(order=order)
+            out.add(tuple(sorted((m, sympy.Rational(c) / lc)
+                                 for m, c in poly.terms())))
+        else:
+            inverse = pow(int(poly.LC(order=order)) % field.p, -1, field.p)
+            out.add(tuple(sorted((m, int(c) * inverse % field.p)
+                                 for m, c in poly.terms())))
+    return out
+
+
+def _assert_same_ideal_and_lex_groebner(lex, grevlex):
+    """lex is a lex Groebner basis of the ideal that grevlex is a basis of:
+    each basis reduces the other to zero, and every S-polynomial of lex
+    reduces to zero modulo lex (Buchberger's criterion)."""
+    assert all(normal_form(g, grevlex).is_zero() for g in lex.polys)
+    assert all(normal_form(g, lex).is_zero() for g in grevlex.polys)
+    for f, g in itertools.combinations(lex.polys, 2):
+        mf, mg = f.leading_monomial(lex.order), g.leading_monomial(lex.order)
+        lcm = tuple(map(max, mf, mg))
+        uf = Poly(f.context, {tuple(a - b for a, b in zip(lcm, mf)): 1})
+        ug = Poly(f.context, {tuple(a - b for a, b in zip(lcm, mg)): 1})
+        assert normal_form(uf * f - ug * g, lex).is_zero()
 
 
 @st.composite
@@ -688,6 +844,20 @@ def test_packed_key_unpacks_to_its_monomial(case):
     _, packer, monomials = case
     for m in monomials:
         assert packer.unpack(packer.pack(m)) == m
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_packed_monomials())
+def test_signature_product_compares_exactly_past_the_limit(case):
+    # K((m/d)*s) = K(m) - K(d) + K(s) may hold fields up to twice the
+    # limit; compared with a key in range, it must still follow the order
+    order, packer, monomials = case
+    m, s, t = monomials[0], monomials[1], monomials[-1]
+    d = tuple(e // 2 for e in m)
+    product = tuple(a - b + c for a, b, c in zip(m, d, s))
+    key = packer.pack(m) - packer.pack(d) + packer.pack(s)
+    assert (key > packer.pack(t)) == (order.key(product) < order.key(t))
+    assert (key == packer.pack(t)) == (product == t)
 
 
 def _sympy_check(sympy, mine, exprs, names, order):
