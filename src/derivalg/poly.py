@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, le
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -41,18 +41,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """True when a | b componentwise."""
     return all(map(le, a, b))
-
-
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(sub, a, b))
-
-
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
-def monomial_degree(a: Monomial) -> int:
-    return sum(a)
 
 
 class TermOrder(enum.Enum):
@@ -585,24 +573,21 @@ def apply_endo(phi: RingEndomorphism, f: Poly) -> Poly:
 
 
 def exact_div(f: Poly, g: Poly, order: TermOrder = TermOrder.GREVLEX) -> Poly:
-    """The quotient f/g when g divides f exactly; otherwise raises."""
+    """The quotient f/g when g divides f exactly; otherwise raises.
+
+    g is made monic, so `_divide` does no pseudo-division and its
+    cofactor is exact; that cofactor times 1/LC(g) is f/g."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if f.context != g.context:
         raise ContextMismatchError("exact_div operands share no context")
-    field = f.context.field
-    mg, cg = g._lead(order)
-    inverse = field.raw_inverse(cg)
-    quotient = f.context.zero
-    rem = f
-    while not rem.is_zero():
-        m, c = rem._lead(order)
-        if not monomial_divides(mg, m):
-            raise InexactDivisionError(f"({g}) does not divide ({f})")
-        t = Poly._raw(f.context, {monomial_div(m, mg): field.raw(c * inverse)})
-        quotient = quotient + t
-        rem = rem - t * g
-    return quotient
+    from .groebner import _divide  # here, not at the top: groebner imports poly
+    inverse = f.context.field.raw_inverse(g._lead(order)[1])
+    remainder, (quotient,) = _divide(f, [g.scale(inverse)], order,
+                                     want_cofactors=True)
+    if not remainder.is_zero():
+        raise InexactDivisionError(f"({g}) does not divide ({f})")
+    return quotient.scale(inverse)
 
 
 def det_fraction_free(matrix, context: VarContext) -> Poly:

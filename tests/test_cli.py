@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 DATA = pathlib.Path(__file__).parent / "data"
 
 
@@ -352,3 +354,18 @@ def test_der_with_a_repeated_generator_is_a_parse_error():
     assert out.returncode == 1
     assert "'x' is given two images" in out.stderr
     assert "check dsimple" not in out.stdout
+
+
+@pytest.mark.parametrize("args, message", [
+    (("gb", "--ring", "GF(4)[x]", "x"), "modulus 4 is not a prime"),
+    (("gb", "--ring", "QQ[x, x]", "x"), "duplicate variable names"),
+    (("gb", "--ring", "GF(5)[x]", "1/5*x"), "denominator 5 vanishes in GF(5)"),
+    (("weyl", "0"), "the Weyl algebra index must be at least 1"),
+    (("check", "simple", "--ring", "QQ[x]", "--skew-var", "x", "--der", "x -> 1"),
+     "skew variable names collide with base variables"),
+])
+def test_exit_code_of_value_and_zero_division_errors(args, message):
+    # these reach the CLI as ValueError or ZeroDivisionError: exit 2
+    out = run_cli(*args)
+    assert out.returncode == 2
+    assert message in out.stderr

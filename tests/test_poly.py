@@ -9,6 +9,7 @@ from derivalg import (
     GF,
     QQ,
     ContextMismatchError,
+    InexactDivisionError,
     InjectivityStatus,
     Poly,
     RingEndomorphism,
@@ -166,25 +167,60 @@ def test_exact_division_roundtrip(ctx_xy):
         assert exact_div(f * g, g) == f
 
 
-def test_determinant_vs_cofactor_expansion(ctx_xy):
-    rng = random.Random(5)
+@pytest.mark.parametrize("order", list(TermOrder), ids=str)
+@pytest.mark.parametrize("field", [QQ, GF(32003), GF(7)], ids=str)
+def test_exact_div_refusals_and_non_monic_divisors(field, order):
+    ctx = VarContext(("x", "y"), field)
+    x, y = ctx.var(0), ctx.var(1)
+    # the leading term x*y is divisible by x, the later term 1 is not
+    with pytest.raises(InexactDivisionError) as info:
+        exact_div(x * y + 1, x, order)
+    assert str(info.value) == "(x) does not divide (x*y + 1)"
+    f, g = x ** 2 + 5 * y, x * y - 2 * y + 1
+    with pytest.raises(InexactDivisionError) as info:
+        exact_div(f * g + x ** 9, g, order)
+    assert str(info.value) == f"({g}) does not divide ({f * g + x ** 9})"
+    with pytest.raises(ZeroDivisionError, match="zero polynomial"):
+        exact_div(f, ctx.zero, order)
+    with pytest.raises(ContextMismatchError):
+        exact_div(f, VarContext(("u", "v"), field).var(0), order)
+    # non-monic divisors: a Fraction leading coefficient over QQ, 3 over F_p
+    lc = Fraction(2, 3) if field.p is None else 3
+    h = g.scale(lc)
+    assert exact_div(f * h, h, order) == f
+    assert exact_div(f * h, f.scale(lc), order) == h.scale(Fraction(1) / lc)
+    assert exact_div(ctx.zero, h, order).is_zero()
 
-    def cofactor_det(m):
+
+def test_determinant_vs_cofactor_expansion(ctx_xy):
+    def cofactor_det(m, ctx):
         n = len(m)
-        if n == 1:
-            return m[0][0]
-        total = ctx_xy.zero
+        if n == 0:
+            return ctx.one
+        total = ctx.zero
         for j in range(n):
             minor = [row[:j] + row[j + 1:] for row in m[1:]]
-            term = m[0][j] * cofactor_det(minor)
+            term = m[0][j] * cofactor_det(minor, ctx)
             total = total + (term if j % 2 == 0 else -term)
         return total
 
-    for n in (2, 3):
-        for _ in range(10):
-            m = [[rand_poly(rng, ctx_xy, max_degree=1, max_terms=2)
-                  for _ in range(n)] for _ in range(n)]
-            assert det_fraction_free(m, ctx_xy) == cofactor_det(m)
+    for ctx in (ctx_xy, VarContext(("x", "y"), GF(7)),
+                VarContext(("x", "y"), GF(32003))):
+        rng = random.Random(5)
+        for n in (2, 3):
+            for _ in range(10):
+                m = [[rand_poly(rng, ctx, max_degree=1, max_terms=2)
+                      for _ in range(n)] for _ in range(n)]
+                assert det_fraction_free(m, ctx) == cofactor_det(m, ctx)
+        x, y, zero, one = ctx.var(0), ctx.var(1), ctx.zero, ctx.one
+        assert det_fraction_free([], ctx) == cofactor_det([], ctx) == one
+        zero_column = [[zero, x, one], [zero, y, x], [zero, one, y]]
+        assert det_fraction_free(zero_column, ctx) == zero
+        # zero pivots at steps 0 and 1, each cleared by a row swap
+        for m in ([[zero, x], [y, one]],
+                  [[zero, x, one], [zero, zero, y], [x + 1, one, zero]]):
+            assert det_fraction_free(m, ctx) == cofactor_det(m, ctx)
+        assert det_fraction_free([[zero, x], [y, one]], ctx) == -x * y
 
 
 def test_zero_coefficients_never_stored(ctx_xy):
