@@ -24,20 +24,23 @@ Inside the engine a monomial is one int (`_Packer`; Monagan & Pearce,
 J. Symbolic Comput. 46, 2011; Bachmann & Schoenemann, ISSAC 1998): a
 product is a sum of keys, LM(g) | m is one addition and one mask test, and
 a heap of keys pops the leading term.  Signatures are packed by the same
-packer.  `_divide` is the one boundary: Polys (or a dividend `buchberger`
-or `_reduce_basis` packed already) in, Polys out.  `buchberger`,
-`_reduce_basis` and `GroebnerBasis` keep each element's packed divisor
-record beside it.  A key never wraps: field widths follow the input
-degrees with headroom.  Grevlex never raises the degree while dividing, so
-a degree check at `_divide` entry covers every key; lex can (x reduced by
-x - y^300, then y - z^300, is z^90000), so each new dividend key's guard
-bits are checked, and one that outgrows its fields restarts the division
-wider.  `buchberger` keeps its fields wide enough for its largest element
-plus its largest signature of the current index, which covers every
-J-pair signature, and checks the guard bits of each rewriter multiple it
-builds; either repacks all its keys wider.  A signature of a reduction
-step, (m/LM(h))*sig(h), is only compared with K(T), and that comparison
-stays exact while each field is at most twice the limit.
+packer.  `buchberger` packs each input generator once and holds every
+element as its packed divisor record (see `_Packer.record`) until
+`_monic` unpacks the reduced basis: `_divide` gives a packed dividend a
+packed remainder (`_Packed`) and a Poly dividend a Poly, so the Poly
+boundary is crossed only at entry and exit.  `GroebnerBasis` keeps its
+elements' records beside them.  A key never wraps: field widths follow the
+input degrees with headroom.  Grevlex never raises the degree while
+dividing, so a degree check at `_divide` entry covers every key; lex can
+(x reduced by x - y^300, then y - z^300, is z^90000), so each new dividend
+key's guard bits are checked.  One that outgrows its fields restarts a Poly
+division wider; a packed division raises OverflowError, and its caller
+repacks all its keys wider and divides again.  `buchberger` keeps its
+fields wide enough for its largest element plus its largest signature of
+the current index, which covers every J-pair signature, and checks the
+guard bits of each rewriter multiple it builds.  A signature of a
+reduction step, (m/LM(h))*sig(h), is only compared with K(T), and that
+comparison stays exact while each field is at most twice the limit.
 """
 
 from __future__ import annotations
@@ -50,12 +53,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, ContextMismatchError, UnitIdealError
-from .poly import (
-    Poly,
-    TermOrder,
-    VarContext,
-    _canonical,
-)
+from .poly import Poly, TermOrder, VarContext, _canonical
 
 DEFAULT_BUDGET = 20_000
 _MIN_BITS = 4            # the narrowest exponent field of a packed key
@@ -200,14 +198,43 @@ class _Packer:
         unpack = old.unpack
         return [self.pack(unpack(k)) for k in keys]
 
-    def record(self, g: Poly):
-        """g as a divisor: (test constant, lead key, raw LC, packed tail),
-        the tail as (K(m) - K(LM), -c) pairs."""
+    def packed(self, g: Poly) -> "_Packed":
+        """g with packed keys, leading term first."""
         pack = self.pack
-        terms = [(pack(m), c) for m, c in g._terms.items()]
-        lead, lc = min(terms)
+        return _Packed(g.context, sorted([(pack(m), c)
+                                          for m, c in g._terms.items()]))
+
+    def record(self, g: "_Packed"):
+        """g (nonzero, leading term first) as a divisor: (test constant, lead
+        key, raw LC, packed tail), the tail as (K(m) - K(LM), -c) pairs."""
+        terms = iter(g.items())
+        lead, lc = next(terms)
         return (self.guard - (lead & self.low), lead, lc,
-                [(k - lead, -c) for k, c in terms if k != lead])
+                [(k - lead, -c) for k, c in terms])
+
+    def need(self, key: int, tail=()) -> int:
+        """The `_need` of the monomials of `key` and of key + offset for
+        each (offset, c) in `tail`.  Under grevlex a key is low - deg*2^w,
+        with w the width of all fields and 0 <= low < 2^w, and `key`, the
+        leading one, has the largest degree: the tail is not read."""
+        if not self.one:     # grevlex
+            return -(key // (self.low + 1))
+        unpack = self.unpack
+        return max([max(unpack(key))] + [max(unpack(key + o)) for o, _ in tail])
+
+
+class _Packed(dict):
+    """A polynomial inside the engine: {key: raw coeff} in one packer's
+    keys, the leading term first.  It answers `is_zero` like a Poly."""
+
+    __slots__ = ("context",)
+
+    def __init__(self, context: VarContext, terms):
+        dict.__init__(self, terms)
+        self.context = context
+
+    def is_zero(self) -> bool:
+        return not self
 
 
 def _need(monomials, order: TermOrder) -> int:
@@ -223,10 +250,24 @@ def _packing(context: VarContext, divisors: Sequence[Poly], order: TermOrder,
     """(packer, divisor records) wide enough for the divisors and `need`."""
     need = max([need] + [_need(g._terms, order) for g in divisors])
     packer = _Packer(context.nvars, order, need)
-    return packer, [packer.record(g) for g in divisors]
+    return packer, [packer.record(packer.packed(g)) for g in divisors]
 
 
-def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
+def _multiple(context: VarContext, record, shift: int = 0) -> _Packed:
+    """u*g for the element g of a divisor record, with K(u) = one + shift."""
+    _, lead, lc, tail = record
+    top = lead + shift
+    return _Packed(context, [(top, lc)] + [(top + o, -c) for o, c in tail])
+
+
+def _unpacked(context: VarContext, packer: _Packer, record) -> Poly:
+    """The Poly of the element of a divisor record of `packer`."""
+    unpack = packer.unpack
+    return Poly._raw(context, {unpack(k): c for k, c
+                               in _multiple(context, record).items()})
+
+
+def _divide(f: Poly | _Packed, divisors: Sequence, order: TermOrder,
             want_cofactors: bool = False, packed=None, signature=None):
     """Multivariate division: lam*f = sum(q_i * divisors[i]) + r, lam != 0.
 
@@ -245,18 +286,22 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
     No term of r is divisible by any divisor's leading monomial.  The terms
     of r and of each q_i are produced in descending order.  `packed` is
     the divisors' (packer, records) from `_packing`, when the caller has it
-    cached; a Poly dividend it is too narrow for gets a wider one here.
-    `buchberger` and `_reduce_basis` hand in f already packed by it, as a
-    {key: raw coeff} map.
+    cached.  A Poly f gets a Poly remainder, and the division starts again
+    with wider fields when `packed` is too narrow for f or a key outgrows
+    it.  A `_Packed` f (from `buchberger` and `_reduce_basis`) is in the
+    keys of `packed`, and `divisors` are then its records: f gets a
+    `_Packed` remainder, leading term first, and a key that outgrows the
+    fields raises OverflowError, so that the caller repacks every key wider
+    and divides again.
 
-    `signature` = (K(T), sigs) makes the reduction regular for
-    `buchberger`'s signature loop: divisor i with sigs[i] = K(sig_i) may
-    cancel m only when (m/LM_i)*sig_i is smaller than T, i.e. when its key
-    K(m) - K(LM_i) + K(sig_i) is larger than K(T); sigs[i] = None (an
-    element of lower index, whose every multiple has a smaller signature)
-    always may.  That key's fields may hold up to twice the limit, which
-    still fits each field below its guard bit, so the comparison with the
-    valid key K(T) is exact.
+    `signature` = (K(T), sigs), with a `_Packed` f, makes the reduction
+    regular for `buchberger`'s signature loop: divisor i with sigs[i] =
+    K(sig_i) may cancel m only when (m/LM_i)*sig_i is smaller than T, i.e.
+    when its key K(m) - K(LM_i) + K(sig_i) is larger than K(T); sigs[i] =
+    None (an element of lower index, whose every multiple has a smaller
+    signature) always may.  That key's fields may hold up to twice the
+    limit, which still fits each field below its guard bit, so the
+    comparison with the valid key K(T) is exact.
 
     Coefficients are raw (see :mod:`derivalg.field`).  Over F_p the
     dividend's entries accumulate unreduced, possibly negative, products
@@ -272,15 +317,15 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
     rational lam, from the same divisor choices.  Against monic divisors
     (every GroebnerBasis) lam = 1: remainder and cofactors are exact.
     """
-    if isinstance(f, Poly):
-        context = f.context
+    context = f.context
+    is_poly = isinstance(f, Poly)
+    if is_poly:
         need = _need(f._terms, order)
         if packed is None or packed[0].limit < need:
             packed = _packing(context, divisors, order, need)
         pack = packed[0].pack
         p = {pack(m): c for m, c in f._terms.items()}
     else:
-        context = divisors[0].context
         p = dict(f)
     packer, records = packed
     field = context.field
@@ -348,9 +393,12 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
             acc = p.get(mono)
             if acc is None:
                 if mono & guard:
-                    # an exponent outgrew its field (lex only): start wider
-                    return _widen(f, divisors, order, want_cofactors,
-                                  packer, signature)
+                    # an exponent outgrew its field (lex only)
+                    if not is_poly:
+                        raise OverflowError("a packed key outgrew its fields")
+                    return _divide(f, divisors, order, want_cofactors,
+                                   _packing(context, divisors, order,
+                                            packer.limit + 1))
                 p[mono] = d
                 heappush(heap, mono)
             else:
@@ -363,26 +411,10 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: TermOrder,
     unpack = packer.unpack
     cofactors = ([Poly._raw(context, {unpack(k): c for k, c in q.items()})
                   for q in quotients] if want_cofactors else None)
+    if not is_poly:
+        return _Packed(context, remainder), cofactors
     return (Poly._raw(context, {unpack(k): c for k, c in remainder.items()}),
             cofactors)
-
-
-def _widen(f, divisors, order, want_cofactors, packer, signature):
-    """`_divide` started over with fields wider than `packer`'s: a key of
-    the division outgrew them.  The dividend and signature keys are
-    unpacked from `packer` and packed afresh."""
-    context = divisors[0].context
-    if not isinstance(f, Poly):
-        f = Poly._raw(context, _canonical(
-            {packer.unpack(k): v for k, v in f.items()}, context.field.p))
-    wider = _packing(context, divisors, order, packer.limit + 1)
-    if signature is not None:
-        bound, sigs = signature
-        repack = wider[0].pack
-        signature = (repack(packer.unpack(bound)),
-                     [s if s is None else repack(packer.unpack(s))
-                      for s in sigs])
-    return _divide(f, divisors, order, want_cofactors, wider, signature)
 
 
 def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
@@ -404,31 +436,28 @@ def normal_form_with_cofactors(f: Poly, basis: GroebnerBasis):
                    packed=basis._divisors())
 
 
-def _primitive(f: Poly, lc) -> Poly:
-    """The integer primitive associate of a nonzero polynomial over QQ with
-    raw leading coefficient lc: denominators cleared, content divided out,
-    leading coefficient > 0."""
-    terms = f._terms
+def _normalize(g: _Packed) -> _Packed:
+    """The working form of a nonzero basis element: over QQ integer
+    primitive (denominators cleared, content divided out, leading
+    coefficient > 0), over F_p monic."""
+    field = g.context.field
+    lc = next(iter(g.values()))
+    if field.p is not None:
+        if lc == 1:
+            return g
+        inverse, p = field.raw_inverse(lc), field.p
+        return _Packed(g.context, [(k, c * inverse % p) for k, c in g.items()])
+    terms = g
     denominator = lcm(*[c.denominator for c in terms.values()])
     if denominator != 1:
-        terms = {m: c.numerator * (denominator // c.denominator)
-                 for m, c in terms.items()}
+        terms = {k: c.numerator * (denominator // c.denominator)
+                 for k, c in terms.items()}
     content = gcd(*terms.values())
     if lc < 0:
         content = -content
-    if content == 1 and terms is f._terms:
-        return f
-    return Poly._raw(f.context, {m: c // content for m, c in terms.items()})
-
-
-def _normalize(g: Poly, lc) -> Poly:
-    """The working form of a basis element with raw leading coefficient lc:
-    integer primitive over QQ, monic over F_p.  A `_divide` remainder lists
-    its leading term first, so its lc is ``next(iter(r._terms.values()))``."""
-    field = g.context.field
-    if field.p is None:
-        return _primitive(g, lc)
-    return g if lc == 1 else g.scale(field.raw_inverse(lc))
+    if content == 1 and terms is g:
+        return g
+    return _Packed(g.context, [(k, c // content) for k, c in terms.items()])
 
 
 def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
@@ -451,15 +480,17 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
     covers T; a zero result records T as a syzygy signature, and any
     other becomes a new element with signature T.
 
-    Signatures are packed by the elements' packer (see `_Packer`).  An
-    element or signature of index j too wide for every J-pair signature
-    to fit, or a rewriter multiple that outgrows the fields, repacks every
-    key wider.  The budget counts the rewriter multiples reduced:
-    exceeding it raises BudgetExceededError rather than returning
-    anything partial.
+    Signatures are packed by the elements' packer (see `_Packer`), and the
+    elements are held as its divisor records: each input is packed once,
+    and only the reduced basis is unpacked (`_monic`).  An element or
+    signature of index j too wide for every J-pair signature to fit, or a
+    rewriter multiple or division that outgrows the fields, repacks every
+    key wider; the division is then made again.  The budget counts the
+    rewriter multiples reduced, a repacked one once: exceeding it raises
+    BudgetExceededError rather than returning anything partial.
 
-    Over QQ the elements are kept integer primitive (see `_primitive`) from
-    entry on, so associate generators deduplicate; `_divide` then
+    Over QQ the elements are kept integer primitive (see `_normalize`)
+    from entry on, so associate generators deduplicate; `_divide` then
     pseudo-divides, and each nonzero remainder is made primitive again.  A
     pseudo-remainder is a nonzero rational multiple of the exact one, so
     leading monomials, signatures, the step count and the reduced monic
@@ -473,17 +504,17 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
     for g in gens:
         if g.context != context:
             raise ContextMismatchError("generators live in different contexts")
-    inputs = []
-    for g in gens:
-        g = _normalize(g, g._lead(order)[1])
-        if g not in inputs:
-            inputs.append(g)
-    need = max(_need(g._terms, order) for g in inputs)      # element need
+    need = max(_need(g._terms, order) for g in gens)      # element need
     sig_need = 0             # the need of the signatures of index j
     packer = _Packer(context.nvars, order, need)
+    inputs = []
+    for g in gens:
+        g = _normalize(packer.packed(g))
+        if g not in inputs:
+            inputs.append(g)
     input_records = [packer.record(g) for g in inputs]
-    basis = []               # elements, in the order they were added
-    records = []             # their divisor records
+    records = []             # the elements as divisor records, in the
+                             # order they were added
     lead = []                # their LMs
     first = 0                # the elements from here on have index j
     sigs = []                # K(signature) of the elements of index j
@@ -494,9 +525,10 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
     def widen(least):
         # repack every key, with fields that hold at least `least`
         nonlocal packer
-        old = packer
-        packer, records[:] = _packing(context, basis, order, least)
-        input_records[:] = map(packer.record, inputs)
+        old, n = packer, len(records)
+        polys = [_unpacked(context, old, r) for r in records + input_records]
+        packer, repacked = _packing(context, polys, order, least)
+        records[:], input_records[:] = repacked[:n], repacked[n:]
         koszul[:] = [r[0] for r in records[:first]]
         sigs[first:] = packer.repack(sigs[first:], old)
         syzygies[:] = packer.repack(syzygies, old)
@@ -506,37 +538,38 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
     steps = 0
     # smallest LM first: the largest key first, stably
     for i in sorted(range(len(inputs)), key=lambda i: -input_records[i][1]):
-        new, record = inputs[i], input_records[i]
-        if basis:
-            _, lg, cg, tail = record
-            dividend = {lg + offset: -c for offset, c in tail}
-            dividend[lg] = cg
-            r, _ = _divide(dividend, basis, order, packed=(packer, records))
-            if r.is_zero():
-                continue     # e_j is a syzygy: index j adds nothing
-            new = _normalize(r, next(iter(r._terms.values())))
-            record = None
-        first = len(basis)
+        r = None
+        while records and r is None:
+            try:
+                r, _ = _divide(_multiple(context, input_records[i]), records,
+                               order, packed=(packer, records))
+            except OverflowError:
+                widen(packer.limit + 1)      # lex only: divide again
+        if r is None:
+            record = input_records[i]
+        elif r.is_zero():
+            continue     # e_j is a syzygy: index j adds nothing
+        else:
+            record = packer.record(_normalize(r))
+        first = len(records)
         sig_need = 0
         koszul[:] = [r[0] for r in records]
         sigs[:] = [None] * first
         syzygies.clear()
         heap.clear()
         t = packer.one       # e_j
-        while new is not None:
-            # append `new` with signature t*e_j and queue its J-pairs
-            basis.append(new)
+        while record is not None:
+            # append the element of `record` with signature t*e_j and queue
+            # its J-pairs
+            records.append(record)
             sigs.append(t)
-            if record is None:
-                need = max(need, _need(new._terms, order))
-                sig_need = max(sig_need, _need((packer.unpack(t),), order))
+            need = max(need, packer.need(record[1], record[3]))
+            sig_need = max(sig_need, packer.need(t))
             # a J-pair signature (lcm/LM(g))*sig(g) has fields of at most
             # need + sig_need
             if need + sig_need > packer.limit:
                 widen(need + sig_need)
-            else:
-                records.append(record or packer.record(new))
-            n = len(basis) - 1
+            n = len(records) - 1
             ln, t = records[n][1], sigs[n]
             mn = packer.unpack(ln)
             lead.append(mn)
@@ -550,8 +583,8 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
                     key = min(key, other)    # the larger signature
                 heappush(heap, -key)
             # the J-pairs in increasing signature, up to a new element
-            new = None
-            while heap and new is None:
+            record = None
+            while heap and record is None:
                 t = -heappop(heap)
                 while heap and heap[0] == -t:
                     heappop(heap)
@@ -566,10 +599,7 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
                 k = n
                 while (tl + guard - (sigs[k] & low)) & guard != guard:
                     k -= 1   # the rewriter: sig(r) | T, added last
-                _, lr, cr, tail = records[k]
-                top = lr + t - sigs[k]       # K((T/sig(r))*LM(r))
-                dividend = {top + offset: -c for offset, c in tail}
-                dividend[top] = cr
+                dividend = _multiple(context, records[k], t - sigs[k])
                 if any(key & guard for key in dividend):
                     heappush(heap, -t)
                     widen(packer.limit + 1)
@@ -577,6 +607,7 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
                 # a regular top-reduction: by an element of index below j,
                 # or by h of index j with K((top/LM(h))*sig(h)) > K(T)
                 # (exact, as in `_divide`'s signature filter)
+                top = next(iter(dividend))   # K((T/sig(r))*LM(r))
                 topl = top & low
                 for h, (test, lh, _, _) in enumerate(records):
                     if ((topl + test) & guard == guard
@@ -584,20 +615,24 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
                         break
                 else:
                     continue     # not regular-top-reducible: r covers T
-                steps += 1
-                if steps > budget:
+                if steps >= budget:
                     raise BudgetExceededError(
                         f"Buchberger step budget ({budget}) exhausted")
-                r, _ = _divide(dividend, basis, order, packed=(packer, records),
-                               signature=(t, sigs))
+                try:
+                    r, _ = _divide(dividend, records, order,
+                                   packed=(packer, records), signature=(t, sigs))
+                except OverflowError:
+                    heappush(heap, -t)       # lex only: reduce T again
+                    widen(packer.limit + 1)
+                    continue
+                steps += 1
                 if r.is_zero():
                     syzygies.append(t)
                 else:
-                    new = _normalize(r, next(iter(r._terms.values())))
-                    record = None
+                    record = packer.record(_normalize(r))
 
-    polys, (packer, records) = _reduce_basis(basis, order, (packer, records))
-    monic = [_monic(g, record, packer) for g, record in zip(polys, records)]
+    packer, records = _reduce_basis(context, order, (packer, records))
+    monic = [_monic(context, packer, record) for record in records]
     return GroebnerBasis._reduced(context, order, [g for g, _ in monic],
                                   (packer, [record for _, record in monic]))
 
@@ -611,48 +646,38 @@ def _divides_any(key_low: int, tests, guard: int) -> bool:
     return False
 
 
-def _monic(g: Poly, record, packer: _Packer):
-    """A reduced basis element made monic with the leading coefficient its
-    divisor record holds, and its record.  Over F_p the working form is
-    monic already; over QQ it is integer primitive with lc > 0."""
-    lc = record[2]
-    if lc == 1:
-        return g, record
-    terms = {}
-    for m, c in g._terms.items():
-        q, r = divmod(c, lc)
-        terms[m] = Fraction(c, lc) if r else q
-    g = Poly._raw(g.context, terms)
-    return g, packer.record(g)
+def _monic(context: VarContext, packer: _Packer, record):
+    """The Poly of a reduced basis element made monic, and its record.
+    Over F_p the working form is monic already; over QQ it is integer
+    primitive with lc > 0."""
+    test, lead, lc, tail = record
+    if lc != 1:
+        monic = []
+        for offset, c in tail:
+            q, r = divmod(c, lc)
+            monic.append((offset, Fraction(c, lc) if r else q))
+        record = (test, lead, 1, monic)
+    return _unpacked(context, packer, record), record
 
 
-def _reduce_basis(basis, order: TermOrder, packed):
+def _reduce_basis(context: VarContext, order: TermOrder, packed):
     """Minimalize, inter-reduce in one pass and sort by LM, largest first:
-    the reduced basis up to the scaling that `GroebnerBasis` makes monic,
-    and its (packer, divisor records).
+    the (packer, divisor records) of the reduced basis up to the scaling
+    that `_monic` removes.
 
-    `packed` is the elements' (packer, divisor records) from `_packing`.
-    The elements are in the working form of `_normalize`, and each
-    inter-reduced element is put in it again (over F_p a monic remainder
-    is returned unchanged).
+    `packed` holds the elements as records of its packer, in the working
+    form of `_normalize`, and each inter-reduced element is put in it
+    again.  A division whose keys outgrow the fields (lex only) starts the
+    whole pass again, wider; the elements reduced already stay reduced.
     """
     packer, records = packed
     low, guard = packer.low, packer.guard
     # minimal: drop any element whose LM is divisible by another's LM
     minimal = []
-    minimal_records = []
-    for i, g in enumerate(basis):
-        li = records[i][1]
-        keep = True
-        for j, (test, lj, _, _) in enumerate(records):
-            if i == j:
-                continue
-            if ((li & low) + test) & guard == guard and (li != lj or j < i):
-                keep = False
-                break
-        if keep:
-            minimal.append(g)
-            minimal_records.append(records[i])
+    for i, (_, li, _, _) in enumerate(records):
+        if not any(((li & low) + test) & guard == guard and (li != lj or j < i)
+                   for j, (test, lj, _, _) in enumerate(records) if j != i):
+            minimal.append(records[i])
     # inter-reduce the tails in one pass: no other leading monomial divides
     # an element's own, so its leading monomial passes to the remainder and
     # the cached LMs stay valid (over QQ the LC may be scaled); as the LMs
@@ -661,20 +686,16 @@ def _reduce_basis(basis, order: TermOrder, packed):
         others = minimal[:i] + minimal[i + 1:]
         if not others:
             continue
-        _, lead, lc, tail = minimal_records[i]
-        dividend = {lead + offset: -c for offset, c in tail}  # minimal[i]
-        dividend[lead] = lc
-        r, _ = _divide(dividend, others, order, packed=(
-            packer, minimal_records[:i] + minimal_records[i + 1:]))
-        if r != minimal[i]:
-            r = _normalize(r, next(iter(r._terms.values())))
-            minimal[i] = r
-            if _need(r._terms, order) > packer.limit:
-                packer, minimal_records = _packing(r.context, minimal, order)
-            else:
-                minimal_records[i] = packer.record(r)
-    ranked = sorted(zip(minimal_records, minimal), key=lambda pair: pair[0][1])
-    return [g for _, g in ranked], (packer, [r for r, _ in ranked])
+        dividend = _multiple(context, minimal[i])
+        try:
+            r, _ = _divide(dividend, others, order, packed=(packer, others))
+        except OverflowError:
+            return _reduce_basis(context, order, _packing(
+                context, [_unpacked(context, packer, g) for g in minimal],
+                order, packer.limit + 1))
+        if r != dividend:
+            minimal[i] = packer.record(_normalize(r))
+    return packer, sorted(minimal, key=lambda record: record[1])
 
 
 def groebner_basis(ideal: IdealHandle, order: TermOrder = TermOrder.GREVLEX,

@@ -430,6 +430,36 @@ def test_signature_keys_widen_and_match_sympy(system, order, field,
             == _sympy_reduced(sympy, gens, order.value, field))
 
 
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("system, order, steps", [
+    # the systems of test_signature_keys_widen_and_match_sympy, and one
+    # whose rewriter multiple outgrows the fields before it is divided, each
+    # with the number of rewriter multiples it reduces; lex-multiple
+    # divides one of them again after a key outgrows the fields mid-division
+    (lambda x, y: [x ** 4 * y + x * y ** 4,
+                   x ** 3 * y ** 4 + 2 * x ** 2 * y ** 2], TermOrder.LEX, 4),
+    (lambda x, y: [2 * x ** 2 + x * y ** 4, 2 * x ** 2 * y ** 4 + 2 * y],
+     TermOrder.LEX, 2),
+    (lambda x, y: [2 * x ** 4 * y ** 3, 2 * x ** 4 + x * y ** 4 + y ** 2],
+     TermOrder.GREVLEX, 5),
+    (lambda x, y: [2 * x ** 4 * y ** 3 + x ** 2, x ** 3 - y ** 3],
+     TermOrder.LEX, 3),
+    (lambda x, y: [x ** 2 * y + 2 * y ** 4,
+                   x ** 3 * y ** 4 + 2 * x ** 2 * y ** 2 + 3 * x * y],
+     TermOrder.LEX, 4),
+], ids=["lex-element", "lex-signature", "grevlex-signature", "lex-multiple",
+        "lex-multiple-undivided"])
+def test_widening_retry_costs_one_budget_step(system, order, steps, field):
+    sympy = pytest.importorskip("sympy")
+    ctx = VarContext(("x", "y"), field)
+    gens = system(ctx.var(0), ctx.var(1))
+    basis = buchberger(gens, order, budget=steps)
+    assert (_monic_terms(sympy, basis.polys, field)
+            == _sympy_reduced(sympy, gens, order.value, field))
+    with pytest.raises(BudgetExceededError):
+        buchberger(gens, order, budget=steps - 1)
+
+
 def _monic_terms(sympy, polys, field):
     """The polynomials as a set of sorted (monomial, coefficient) tuples,
     coefficients as sympy Rationals or residues."""
@@ -785,6 +815,66 @@ def test_divide_pseudo_remainder_against_non_monic_divisors():
                     assert all(type(c) is int for c in r._terms.values())
                     pseudo += lam != 1
     assert pseudo
+
+
+@pytest.mark.parametrize("order", list(TermOrder), ids=lambda o: o.value)
+@pytest.mark.parametrize("field", [QQ, GF(32003), GF(7)],
+                         ids=["QQ", "GF32003", "GF7"])
+def test_packed_dividend_gets_the_poly_remainder_packed(field, order):
+    # buchberger and _reduce_basis divide packed maps: the remainder is the
+    # Poly path's, term for term and coefficient type for type, leading
+    # term first, and it answers is_zero() as bench/tracing.py asks it to
+    rng = random.Random(1903)
+    zeros = 0
+    for trial in range(40):
+        nvars = rng.randint(1, 3)
+        ctx = VarContext(tuple("xyz"[:nvars]), field)
+        divisors = [rand_poly(rng, ctx, max_degree=2, max_terms=3, coeff_lo=-9,
+                              coeff_hi=9, nonzero=True)
+                    for _ in range(rng.randint(1, 3))]
+        f = rand_poly(rng, ctx, max_degree=4, max_terms=6, coeff_lo=-9,
+                      coeff_hi=9)
+        if trial % 4 == 0:
+            # a multiple of the first divisor: the remainder is zero
+            f = rand_poly(rng, ctx, max_degree=2) * divisors[0]
+        if field is QQ and trial % 2:
+            f = f.scale(Fraction(1, 2))
+        expected, _ = _divide(f, divisors, order)
+        packer, records = groebner._packing(ctx, divisors, order, 64)
+        r, _ = _divide(packer.packed(f), records, order,
+                       packed=(packer, records))
+        assert isinstance(r, groebner._Packed) and r.context == ctx
+        terms = {packer.unpack(k): c for k, c in r.items()}
+        assert terms == expected._terms
+        assert ([type(c) for c in terms.values()]
+                == [type(expected._terms[m]) for m in terms])
+        assert r.is_zero() == expected.is_zero()
+        if r:
+            assert packer.unpack(next(iter(r))) == expected._lead(order)[0]
+        zeros += r.is_zero()
+    assert zeros
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_reduce_basis_repacks_keys_the_inter_reduction_outgrows(field):
+    # inter-reducing x - y^4 by y - z^4 makes z^16, one past the narrowest
+    # fields: the packed division raises, and _reduce_basis repacks wider
+    sympy = pytest.importorskip("sympy")
+    ctx = VarContext(("x", "y", "z"), field)
+    x, y, z = (ctx.var(i) for i in range(3))
+    gens = [x - y ** 4, y - z ** 4]
+    packer, records = groebner._packing(ctx, gens, TermOrder.LEX)
+    assert packer.limit == 15
+    with pytest.raises(OverflowError):
+        _divide(packer.packed(gens[0]), records[1:], TermOrder.LEX,
+                packed=(packer, records[1:]))
+    packer, records = groebner._reduce_basis(ctx, TermOrder.LEX,
+                                             (packer, records))
+    assert packer.limit >= 16
+    basis = [groebner._monic(ctx, packer, record)[0] for record in records]
+    assert basis == [x - z ** 16, y - z ** 4]
+    assert (_monic_terms(sympy, basis, field)
+            == _sympy_reduced(sympy, gens, "lex", field))
 
 
 # --------------------------------------------------------------------------
