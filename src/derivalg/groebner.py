@@ -36,9 +36,9 @@ dividing, so a degree check at `_divide` entry covers every key; lex can
 key's guard bits are checked.  One that outgrows its fields restarts a Poly
 division wider; a packed division raises OverflowError, and its caller
 repacks all its keys wider and divides again.  `buchberger` keeps its
-fields wide enough for its largest element plus its largest signature of
-the current index, which covers every J-pair signature, and checks the
-guard bits of each rewriter multiple it builds.  A signature of a
+fields wide enough for its largest leading monomial plus its largest
+signature of the current index, which covers every J-pair signature, and
+checks the guard bits of each rewriter multiple it builds.  A signature of a
 reduction step, (m/LM(h))*sig(h), is only compared with K(T), and that
 comparison stays exact while each field is at most twice the limit.
 """
@@ -212,15 +212,12 @@ class _Packer:
         return (self.guard - (lead & self.low), lead, lc,
                 [(k - lead, -c) for k, c in terms])
 
-    def need(self, key: int, tail=()) -> int:
-        """The `_need` of the monomials of `key` and of key + offset for
-        each (offset, c) in `tail`.  Under grevlex a key is low - deg*2^w,
-        with w the width of all fields and 0 <= low < 2^w, and `key`, the
-        leading one, has the largest degree: the tail is not read."""
+    def need(self, key: int) -> int:
+        """The `_need` of the monomial of `key`.  Under grevlex a key is
+        low - deg*2^w, with w the width of all fields and 0 <= low < 2^w."""
         if not self.one:     # grevlex
             return -(key // (self.low + 1))
-        unpack = self.unpack
-        return max([max(unpack(key))] + [max(unpack(key + o)) for o, _ in tail])
+        return max(self.unpack(key))
 
 
 class _Packed(dict):
@@ -504,7 +501,7 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
     for g in gens:
         if g.context != context:
             raise ContextMismatchError("generators live in different contexts")
-    need = max(_need(g._terms, order) for g in gens)      # element need
+    need = max(_need(g._terms, order) for g in gens)   # covers every LM
     sig_need = 0             # the need of the signatures of index j
     packer = _Packer(context.nvars, order, need)
     inputs = []
@@ -563,10 +560,10 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
             # its J-pairs
             records.append(record)
             sigs.append(t)
-            need = max(need, packer.need(record[1], record[3]))
+            need = max(need, packer.need(record[1]))
             sig_need = max(sig_need, packer.need(t))
             # a J-pair signature (lcm/LM(g))*sig(g) has fields of at most
-            # need + sig_need
+            # need + sig_need; every other key is checked where it is made
             if need + sig_need > packer.limit:
                 widen(need + sig_need)
             n = len(records) - 1
