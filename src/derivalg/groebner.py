@@ -24,23 +24,24 @@ Inside the engine a monomial is one int (`_Packer`; Monagan & Pearce,
 J. Symbolic Comput. 46, 2011; Bachmann & Schoenemann, ISSAC 1998): a
 product is a sum of keys, LM(g) | m is one addition and one mask test, and
 a heap of keys pops the leading term.  Signatures are packed by the same
-packer.  `buchberger` packs each input generator once and holds every
-element as its packed divisor record (see `_Packer.record`) until
-`_monic` unpacks the reduced basis: `_divide` gives a packed dividend a
-packed remainder (`_Packed`) and a Poly dividend a Poly, so the Poly
-boundary is crossed only at entry and exit.  `GroebnerBasis` keeps its
-elements' records beside them.  A key never wraps: field widths follow the
-input degrees with headroom.  Grevlex never raises the degree while
-dividing, so a degree check at `_divide` entry covers every key; lex can
-(x reduced by x - y^300, then y - z^300, is z^90000), so each new dividend
-key's guard bits are checked.  One that outgrows its fields restarts a Poly
-division wider; a packed division raises OverflowError, and its caller
-repacks all its keys wider and divides again.  `buchberger` keeps its
-fields wide enough for its largest leading monomial plus its largest
-signature of the current index, which covers every J-pair signature, and
-checks the guard bits of each rewriter multiple it builds.  A signature of a
-reduction step, (m/LM(h))*sig(h), is only compared with K(T), and that
-comparison stays exact while each field is at most twice the limit.
+packer.  `_divide`, the one division, takes a packed dividend and divisor
+records (see `_Packer.record`) and returns a packed remainder (`_Packed`)
+and packed quotients.  `buchberger` packs each input generator once and
+holds every element as its record until `_monic` unpacks the reduced
+basis.  `normal_form` and `normal_form_with_cofactors` are the one Poly
+boundary (`_normal_form`): they pack f in the records a `GroebnerBasis`
+keeps beside its elements, and unpack the results.  A key never wraps:
+field widths follow the input degrees with headroom.  Grevlex never raises
+the degree while dividing, so fields that hold the dividend's degree cover
+every key; lex can (x reduced by x - y^300, then y - z^300, is z^90000),
+so `_divide` checks each new dividend key's guard bits and raises
+OverflowError when one outgrows its fields.  Its caller then repacks every
+key wider and divides again.  `buchberger` keeps its fields wide enough for
+its largest leading monomial plus its largest signature of the current
+index, which covers every J-pair signature, and checks the guard bits of
+each rewriter multiple it builds.  A signature of a reduction step,
+(m/LM(h))*sig(h), is only compared with K(T), and that comparison stays
+exact while each field is at most twice the limit.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, ContextMismatchError, UnitIdealError
-from .poly import Poly, TermOrder, VarContext, _canonical
+from .poly import Poly, TermOrder, VarContext
 
 DEFAULT_BUDGET = 20_000
 _MIN_BITS = 4            # the narrowest exponent field of a packed key
@@ -99,8 +100,9 @@ class GroebnerBasis:
     any term of another element.  Such a basis is unique for (ideal, order),
     which makes ideal equality and membership decidable by normal forms.
     The constructor makes each given element monic; the elements' packed
-    divisor records (see `_Packer`) are built on the first normal form.
-    `buchberger` hands in monic elements and their records (`_reduced`).
+    divisor records (see `_Packer`) are built on the first normal form, and
+    again wider for a dividend that needs it.  `buchberger` hands in monic
+    elements and their records (`_reduced`).
     """
 
     __slots__ = ("context", "order", "polys", "_packed")
@@ -136,10 +138,12 @@ class GroebnerBasis:
         self._packed = packed
         return self
 
-    def _divisors(self):
-        """The elements' (packer, divisor records), built on first use."""
-        if self._packed is None:
-            self._packed = _packing(self.context, self.polys, self.order)
+    def _divisors(self, need: int = 0):
+        """The elements' (packer, divisor records), with fields that hold
+        `need`: built on first use, and again wider when `need` outgrows
+        the cached ones."""
+        if self._packed is None or self._packed[0].limit < need:
+            self._packed = _packing(self.context, self.polys, self.order, need)
         return self._packed
 
     def __eq__(self, other):
@@ -264,69 +268,55 @@ def _unpacked(context: VarContext, packer: _Packer, record) -> Poly:
                                in _multiple(context, record).items()})
 
 
-def _divide(f: Poly | _Packed, divisors: Sequence, order: TermOrder,
-            want_cofactors: bool = False, packed=None, signature=None):
-    """Multivariate division: lam*f = sum(q_i * divisors[i]) + r, lam != 0.
+def _divide(f: _Packed, packer: _Packer, records: Sequence,
+            want_cofactors: bool = False, signature=None):
+    """Multivariate division: lam*f = sum(q_i * g_i) + r, lam != 0, with g_i
+    the element of records[i], a divisor record of `packer`.
 
     Heap-driven (Monagan & Pearce, *Sparse polynomial division using a
-    heap*, 2011) on packed monomials: the dividend is a mutable
-    {key: coeff} map beside a heap of its keys, so each step pops the
-    leading term instead of rescanning the dividend.  A key that cancels to
-    zero stays in the map, and on the heap, until it is popped and skipped.
-    The popped term c*m is cancelled by the first divisor, in list order,
-    whose leading monomial divides m: t*(g - LT(g)) is subtracted in place,
-    with t = c*m / LT(g), which touches only the divisor's tail, each of
-    whose keys is K(m) plus a cached offset.  When no leading monomial
-    divides m, the term moves to the remainder.  The divisor list order is
-    part of the determinism contract.
+    heap*, 2011): the dividend is a mutable {key: coeff} map beside a heap
+    of its keys, so each step pops the leading term instead of rescanning
+    the dividend.  A key that cancels to zero stays in the map, and on the
+    heap, until it is popped and skipped.  The popped term c*m is cancelled
+    by the first divisor, in list order, whose leading monomial divides m:
+    t*(g - LT(g)) is subtracted in place, with t = c*m / LT(g), which
+    touches only the divisor's tail, each of whose keys is K(m) plus a
+    cached offset.  When no leading monomial divides m, the term moves to
+    the remainder.  The divisor list order is part of the determinism
+    contract.
 
-    No term of r is divisible by any divisor's leading monomial.  The terms
-    of r and of each q_i are produced in descending order.  `packed` is
-    the divisors' (packer, records) from `_packing`, when the caller has it
-    cached.  A Poly f gets a Poly remainder, and the division starts again
-    with wider fields when `packed` is too narrow for f or a key outgrows
-    it.  A `_Packed` f (from `buchberger` and `_reduce_basis`) is in the
-    keys of `packed`, and `divisors` are then its records: f gets a
-    `_Packed` remainder, leading term first, and a key that outgrows the
-    fields raises OverflowError, so that the caller repacks every key wider
-    and divides again.
+    f, in the keys of `packer` and in any term order, is left unchanged.
+    The result is (r, quotients): r a `_Packed`, and with `want_cofactors`
+    the {key: coeff} map of each q_i, else None.  No term of r is divisible
+    by a divisor's leading monomial; the terms of r and of each q_i come in
+    descending order.  A key that outgrows the fields (lex only) raises
+    OverflowError.
 
-    `signature` = (K(T), sigs), with a `_Packed` f, makes the reduction
-    regular for `buchberger`'s signature loop: divisor i with sigs[i] =
-    K(sig_i) may cancel m only when (m/LM_i)*sig_i is smaller than T, i.e.
-    when its key K(m) - K(LM_i) + K(sig_i) is larger than K(T); sigs[i] =
-    None (an element of lower index, whose every multiple has a smaller
-    signature) always may.  That key's fields may hold up to twice the
-    limit, which still fits each field below its guard bit, so the
-    comparison with the valid key K(T) is exact.
+    `signature` = (K(T), sigs) makes the reduction regular for
+    `buchberger`'s signature loop: divisor i with sigs[i] = K(sig_i) may
+    cancel m only when (m/LM_i)*sig_i is smaller than T, i.e. when its key
+    K(m) - K(LM_i) + K(sig_i) is larger than K(T); sigs[i] = None (an
+    element of lower index, whose every multiple has a smaller signature)
+    always may.  That key's fields may hold up to twice the limit, which
+    still fits each field below its guard bit, so the comparison with the
+    valid key K(T) is exact.
 
     Coefficients are raw (see :mod:`derivalg.field`).  Over F_p the
     dividend's entries accumulate unreduced, possibly negative, products
     and are reduced once, when popped; over QQ an integral Fraction is
-    demoted to int there.
-
-    Over QQ, an integer term c*m met by a divisor g whose leading
-    coefficient c_g is an integer other than 1 is cancelled by
-    pseudo-division: the dividend, the remainder and the quotients are
-    scaled by c_g/e, with e = gcd(c, c_g), and (c/e)*u*g is subtracted,
-    with u = m/LM(g), so integer inputs stay integral.  The remainder is
-    then r = lam*r_exact for the exact remainder r_exact and some nonzero
-    rational lam, from the same divisor choices.  Against monic divisors
-    (every GroebnerBasis) lam = 1: remainder and cofactors are exact.
+    demoted to int there.  Every divisor has leading coefficient 1, or the
+    field is QQ and f and the divisors are integral: `GroebnerBasis`
+    elements are monic, `buchberger`'s are monic over F_p and integer
+    primitive over QQ, with integral dividends.  A term c*m met by g with
+    c_g = LC(g) != 1 is cancelled by pseudo-division: the dividend, the
+    remainder and the quotients are scaled by c_g/e, with e = gcd(c, c_g),
+    and (c/e)*u*g is subtracted, with u = m/LM(g).  Then r = lam*r_exact
+    for the exact remainder r_exact, from the same divisor choices; against
+    monic divisors lam = 1.
     """
     context = f.context
-    is_poly = isinstance(f, Poly)
-    if is_poly:
-        need = _need(f._terms, order)
-        if packed is None or packed[0].limit < need:
-            packed = _packing(context, divisors, order, need)
-        pack = packed[0].pack
-        p = {pack(m): c for m, c in f._terms.items()}
-    else:
-        p = dict(f)
-    packer, records = packed
-    field = context.field
-    modulus = field.p
+    modulus = context.field.p
+    p = dict(f)
     heap = list(p)
     heapify(heap)
     tests = [r[0] for r in records]
@@ -334,10 +324,8 @@ def _divide(f: Poly | _Packed, divisors: Sequence, order: TermOrder,
         bound, sigs = signature
         offsets = [s if s is None else s - r[1] for s, r in zip(sigs, records)]
     low, guard, one = packer.low, packer.guard, packer.one
-    inverses = {}            # divisor index -> 1/LC, for the exact step
     remainder = {}
-    quotients = [{} for _ in divisors] if want_cofactors else None
-    scaled = False
+    quotients = [{} for _ in records] if want_cofactors else None
     while heap:
         m = heappop(heap)
         c = p.pop(m)
@@ -363,25 +351,14 @@ def _divide(f: Poly | _Packed, divisors: Sequence, order: TermOrder,
         _, lead, cg, tail = records[i]
         if cg == 1:
             q = c
-        elif modulus is None and type(c) is int and type(cg) is int:
+        else:                # pseudo-division: c and cg are ints
             e = gcd(c, cg)
             q = c // e
             scale = cg // e
             if scale != 1:
-                scaled = True
                 for mapping in [p, remainder] + (quotients or []):
                     for k in mapping:
                         mapping[k] *= scale
-        else:
-            inverse = inverses.get(i)
-            if inverse is None:
-                inverse = inverses[i] = field.raw_inverse(cg)
-            q = c * inverse
-            if modulus is None:
-                if q.denominator == 1:
-                    q = q.numerator
-            else:
-                q %= modulus
         if want_cofactors:
             quotients[i][m - lead + one] = q
         for offset, ck in tail:
@@ -391,46 +368,50 @@ def _divide(f: Poly | _Packed, divisors: Sequence, order: TermOrder,
             if acc is None:
                 if mono & guard:
                     # an exponent outgrew its field (lex only)
-                    if not is_poly:
-                        raise OverflowError("a packed key outgrew its fields")
-                    return _divide(f, divisors, order, want_cofactors,
-                                   _packing(context, divisors, order,
-                                            packer.limit + 1))
+                    raise OverflowError("a packed key outgrew its fields")
                 p[mono] = d
                 heappush(heap, mono)
             else:
                 p[mono] = acc + d
-    if scaled:
-        # a scaled Fraction may have become integral: demote it
-        remainder = _canonical(remainder, None)
-        if want_cofactors:
-            quotients = [_canonical(q, None) for q in quotients]
+    return _Packed(context, remainder), quotients
+
+
+def _normal_form(f: Poly, basis: GroebnerBasis, want_cofactors: bool):
+    """(remainder, cofactors as Polys, or None) of f modulo the basis: the
+    Poly boundary of `_divide`.  f is packed in the basis's packing, made
+    wider first when f needs it, and again when the division outgrows it
+    (lex only); the basis keeps the widest packing built."""
+    if f.context != basis.context:
+        raise ContextMismatchError("polynomial and basis contexts differ")
+    if not basis.polys:
+        return f, [] if want_cofactors else None
+    context = f.context
+    need = _need(f._terms, basis.order)
+    while True:
+        packer, records = basis._divisors(need)
+        pack = packer.pack
+        dividend = _Packed(context, [(pack(m), c) for m, c in f._terms.items()])
+        try:
+            r, quotients = _divide(dividend, packer, records, want_cofactors)
+            break
+        except OverflowError:
+            need = packer.limit + 1      # lex only: divide again, wider
     unpack = packer.unpack
-    cofactors = ([Poly._raw(context, {unpack(k): c for k, c in q.items()})
-                  for q in quotients] if want_cofactors else None)
-    if not is_poly:
-        return _Packed(context, remainder), cofactors
-    return (Poly._raw(context, {unpack(k): c for k, c in remainder.items()}),
-            cofactors)
+    r = Poly._raw(context, {unpack(k): c for k, c in r.items()})
+    if want_cofactors:
+        quotients = [Poly._raw(context, {unpack(k): c for k, c in q.items()})
+                     for q in quotients]
+    return r, quotients
 
 
 def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
     """The unique remainder of f modulo the basis; zero iff f lies in the ideal."""
-    if f.context != basis.context:
-        raise ContextMismatchError("polynomial and basis contexts differ")
-    if not basis.polys:
-        return f
-    return _divide(f, basis.polys, basis.order, packed=basis._divisors())[0]
+    return _normal_form(f, basis, False)[0]
 
 
 def normal_form_with_cofactors(f: Poly, basis: GroebnerBasis):
     """(remainder, cofactors): f = sum(cofactor_i * basis_i) + remainder."""
-    if f.context != basis.context:
-        raise ContextMismatchError("polynomial and basis contexts differ")
-    if not basis.polys:
-        return f, []
-    return _divide(f, basis.polys, basis.order, want_cofactors=True,
-                   packed=basis._divisors())
+    return _normal_form(f, basis, True)
 
 
 def _normalize(g: _Packed) -> _Packed:
@@ -538,8 +519,8 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
         r = None
         while records and r is None:
             try:
-                r, _ = _divide(_multiple(context, input_records[i]), records,
-                               order, packed=(packer, records))
+                r, _ = _divide(_multiple(context, input_records[i]), packer,
+                               records)
             except OverflowError:
                 widen(packer.limit + 1)      # lex only: divide again
         if r is None:
@@ -616,8 +597,8 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
                     raise BudgetExceededError(
                         f"Buchberger step budget ({budget}) exhausted")
                 try:
-                    r, _ = _divide(dividend, records, order,
-                                   packed=(packer, records), signature=(t, sigs))
+                    r, _ = _divide(dividend, packer, records,
+                                   signature=(t, sigs))
                 except OverflowError:
                     heappush(heap, -t)       # lex only: reduce T again
                     widen(packer.limit + 1)
@@ -685,7 +666,7 @@ def _reduce_basis(context: VarContext, order: TermOrder, packed):
             continue
         dividend = _multiple(context, minimal[i])
         try:
-            r, _ = _divide(dividend, others, order, packed=(packer, others))
+            r, _ = _divide(dividend, packer, others)
         except OverflowError:
             return _reduce_basis(context, order, _packing(
                 context, [_unpacked(context, packer, g) for g in minimal],

@@ -575,19 +575,19 @@ def apply_endo(phi: RingEndomorphism, f: Poly) -> Poly:
 def exact_div(f: Poly, g: Poly, order: TermOrder = TermOrder.GREVLEX) -> Poly:
     """The quotient f/g when g divides f exactly; otherwise raises.
 
-    g is made monic, so `_divide` does no pseudo-division and its
-    cofactor is exact; that cofactor times 1/LC(g) is f/g."""
+    The one-element basis {g} is g made monic, so its normal-form cofactor
+    is exact; that cofactor times 1/LC(g) is f/g."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if f.context != g.context:
         raise ContextMismatchError("exact_div operands share no context")
-    from .groebner import _divide  # here, not at the top: groebner imports poly
-    inverse = f.context.field.raw_inverse(g._lead(order)[1])
-    remainder, (quotient,) = _divide(f, [g.scale(inverse)], order,
-                                     want_cofactors=True)
+    # here, not at the top: groebner imports poly
+    from .groebner import GroebnerBasis, normal_form_with_cofactors
+    remainder, (quotient,) = normal_form_with_cofactors(
+        f, GroebnerBasis(f.context, order, [g]))
     if not remainder.is_zero():
         raise InexactDivisionError(f"({g}) does not divide ({f})")
-    return quotient.scale(inverse)
+    return quotient.scale(f.context.field.raw_inverse(g._lead(order)[1]))
 
 
 def det_fraction_free(matrix, context: VarContext) -> Poly:

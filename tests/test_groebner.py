@@ -5,6 +5,7 @@ bounded-degree cofactors by exact linear algebra on coefficient vectors.
 """
 
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -36,7 +37,7 @@ from derivalg import (
 
 from derivalg import groebner
 from derivalg.groebner import _divide, _Packer
-from derivalg.poly import monomial_divides, monomial_mul
+from derivalg.poly import exact_div, monomial_divides, monomial_mul
 
 from conftest import rand_poly
 
@@ -771,20 +772,30 @@ def test_associate_generators_deduplicate(ctx_xyz):
                 == buchberger([g, h], order))
 
 
+def _packed_division(f, divisors, order, want_cofactors=False):
+    """`_divide` of f by the divisors, packed by `_packing` with fields up
+    to 255, and the remainder and cofactors unpacked."""
+    packer, records = groebner._packing(f.context, divisors, order, 64)
+    r, quotients = _divide(packer.packed(f), packer, records, want_cofactors)
+
+    def unpacked(terms):
+        return Poly._raw(f.context,
+                         {packer.unpack(k): c for k, c in terms.items()})
+
+    return unpacked(r), (quotients if quotients is None
+                          else [unpacked(q) for q in quotients])
+
+
 def test_divide_pseudo_remainder_against_non_monic_divisors():
     # over QQ an integer dividend stays integral against integer divisors;
     # the remainder is lam times the one against the monic divisors, and
     # the cofactors rebuild lam*f, for one nonzero rational lam
     ctx = VarContext(("x", "y"), QQ)
     x, y = ctx.var(0), ctx.var(1)
-    # x^2/2 passes to the remainder, then y meets LC 2 and doubles it: the
-    # scaled Fraction(1, 1) must come back as the int 1
-    r, _ = _divide(x ** 2 * Fraction(1, 2) + y, [2 * y + 1], TermOrder.LEX)
-    assert r == x ** 2 - 1
-    assert type(r._terms[(2, 0)]) is int
-    # a Fraction leading coefficient takes the exact path
-    r, _ = _divide(x ** 2 + y, [y * Fraction(2, 3) + 1], TermOrder.LEX)
-    assert r == x ** 2 - Fraction(3, 2)
+    # x^2 passes to the remainder, then y meets LC 2 and doubles it
+    r, _ = _packed_division(x ** 2 + y, [2 * y + 1], TermOrder.LEX)
+    assert r == 2 * x ** 2 - 1
+    assert all(type(c) is int for c in r._terms.values())
     rng = random.Random(2718)
     pseudo = 0
     for trial in range(40):
@@ -795,26 +806,56 @@ def test_divide_pseudo_remainder_against_non_monic_divisors():
                     for _ in range(rng.randint(1, 3))]
         f = rand_poly(rng, ctx, max_degree=4, max_terms=6, coeff_lo=-9,
                       coeff_hi=9, nonzero=True)
-        for dividend in (f, f.scale(Fraction(1, 2))):
-            for order in TermOrder:
-                r, cofactors = _divide(dividend, divisors, order,
-                                       want_cofactors=True)
-                exact, _ = _divide(dividend, [g.monic(order) for g in divisors],
-                                   order)
-                rebuilt = r
-                for q, g in zip(cofactors, divisors):
-                    rebuilt = rebuilt + q * g
-                m, c = dividend._lead(order)
-                lam = Fraction(rebuilt._terms[m]) / c
-                assert lam != 0
-                assert rebuilt == dividend.scale(lam)
-                assert r == exact.scale(lam)
-                for c in r._terms.values():
-                    assert type(c) is int or c.denominator != 1
-                if dividend is f:
-                    assert all(type(c) is int for c in r._terms.values())
-                    pseudo += lam != 1
+        for order in TermOrder:
+            r, cofactors = _packed_division(f, divisors, order, True)
+            exact = normal_form(f, GroebnerBasis(ctx, order, divisors))
+            rebuilt = r
+            for q, g in zip(cofactors, divisors):
+                rebuilt = rebuilt + q * g
+            m, c = f._lead(order)
+            lam = Fraction(rebuilt._terms[m]) / c
+            assert lam != 0
+            assert rebuilt == f.scale(lam)
+            assert r == exact.scale(lam)
+            assert all(type(c) is int for c in r._terms.values())
+            pseudo += lam != 1
     assert pseudo
+
+
+def _reference_remainder(f, divisors, order):
+    """Tuple-keyed division of f, term by term from the top, each term
+    cancelled by the first divisor whose leading monomial divides it; a
+    leading coefficient lc other than 1 (integral, over QQ) pseudo-divides:
+    c*m scales what is left of f, and the remainder so far, by lc/gcd(c, lc)."""
+    field = f.context.field
+    leads = [g._lead(order) for g in divisors]
+    left = {m: Fraction(c) for m, c in f._terms.items()}
+    remainder = {}
+    while left:
+        m = max(left, key=order.key)
+        c = left.pop(m)
+        if not c:
+            continue
+        for g, (lm, lc) in zip(divisors, leads):
+            if monomial_divides(lm, m):
+                break
+        else:
+            remainder[m] = c
+            continue
+        if lc != 1:
+            scale = lc // math.gcd(int(c), lc)
+            c = c * scale / lc
+            left = {k: v * scale for k, v in left.items()}
+            remainder = {k: v * scale for k, v in remainder.items()}
+        u = tuple(a - b for a, b in zip(m, lm))
+        for k, v in g._terms.items():
+            if k != lm:
+                key = monomial_mul(u, k)
+                left[key] = left.get(key, 0) - c * v
+        if field.p is not None:
+            left = {k: v % field.p for k, v in left.items()}
+    return {m: int(c) if c.denominator == 1 else c
+            for m, c in remainder.items()}
 
 
 @pytest.mark.parametrize("order", list(TermOrder), ids=lambda o: o.value)
@@ -822,10 +863,19 @@ def test_divide_pseudo_remainder_against_non_monic_divisors():
                          ids=["QQ", "GF32003", "GF7"])
 def test_packed_dividend_gets_the_poly_remainder_packed(field, order):
     # buchberger and _reduce_basis divide packed maps: the remainder is the
-    # Poly path's, term for term and coefficient type for type, leading
-    # term first, and it answers is_zero() as bench/tracing.py asks it to
+    # tuple-keyed reference's, term for term and coefficient type for type,
+    # leading term first, and it answers is_zero() as bench/tracing.py asks
+    # it to.  Over F_p the divisors are monic; over QQ a Fraction dividend
+    # meets monic divisors and an integer one integer divisors.
     rng = random.Random(1903)
     zeros = 0
+    cases = []
+    if field is QQ:
+        # 5/4 - (1/2)*(1/2) = Fraction(1, 1) must come back as the int 1
+        ctx = VarContext(("x",), QQ)
+        x = ctx.var(0)
+        cases.append((x * Fraction(1, 2) + Fraction(5, 4),
+                      [x + Fraction(1, 2)]))
     for trial in range(40):
         nvars = rng.randint(1, 3)
         ctx = VarContext(tuple("xyz"[:nvars]), field)
@@ -837,22 +887,85 @@ def test_packed_dividend_gets_the_poly_remainder_packed(field, order):
         if trial % 4 == 0:
             # a multiple of the first divisor: the remainder is zero
             f = rand_poly(rng, ctx, max_degree=2) * divisors[0]
-        if field is QQ and trial % 2:
-            f = f.scale(Fraction(1, 2))
-        expected, _ = _divide(f, divisors, order)
+        if field is not QQ or trial % 2:
+            divisors = [g.monic(order) for g in divisors]
+            if field is QQ:
+                f = f.scale(Fraction(1, 2))
+        cases.append((f, divisors))
+    for f, divisors in cases:
+        ctx = f.context
+        expected = _reference_remainder(f, divisors, order)
         packer, records = groebner._packing(ctx, divisors, order, 64)
-        r, _ = _divide(packer.packed(f), records, order,
-                       packed=(packer, records))
+        r, _ = _divide(packer.packed(f), packer, records)
         assert isinstance(r, groebner._Packed) and r.context == ctx
         terms = {packer.unpack(k): c for k, c in r.items()}
-        assert terms == expected._terms
+        assert terms == expected
         assert ([type(c) for c in terms.values()]
-                == [type(expected._terms[m]) for m in terms])
-        assert r.is_zero() == expected.is_zero()
+                == [type(expected[m]) for m in terms])
+        assert r.is_zero() == (not expected)
         if r:
-            assert packer.unpack(next(iter(r))) == expected._lead(order)[0]
+            assert (packer.unpack(next(iter(r)))
+                    == max(expected, key=order.key))
         zeros += r.is_zero()
     assert zeros
+
+
+def _division_invariant(f, records, field) -> bool:
+    """What `_divide`'s coefficient step relies on: every record has LC 1,
+    or the field is QQ and the records and the dividend are integral."""
+    if all(lc == 1 for _, _, lc, _ in records):
+        return True
+    return (field.p is None
+            and all(type(c) is int for c in f.values())
+            and all(type(lc) is int and all(type(c) is int for _, c in tail)
+                    for _, _, lc, tail in records))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)],
+                         ids=["QQ", "GF7", "GF32003"])
+def test_every_division_meets_the_coefficient_invariant(field, monkeypatch):
+    # _divide has no exact-inverse step and no Fraction demotion after a
+    # scaling: no caller hands it a non-monic record over F_p, or a
+    # Fraction against a non-monic record over QQ
+    ctx = VarContext(("x", "y"), field)
+    x, y = ctx.var(0), ctx.var(1)
+    packer, records = groebner._packing(ctx, [3 * x + y], TermOrder.LEX)
+    if field is QQ:
+        fraction_lc = groebner._packing(
+            ctx, [y * Fraction(2, 3) + 1], TermOrder.LEX)[1]
+        assert not _division_invariant(packer.packed(x + y), fraction_lc, QQ)
+        assert not _division_invariant(
+            packer.packed((x + y).scale(Fraction(1, 2))), records, QQ)
+    else:
+        assert not _division_invariant(packer.packed(x + y), records, field)
+    divide = groebner._divide
+    callers = {}
+    pseudo = 0
+
+    def checked(f, packer, records, *args, **kwargs):
+        nonlocal pseudo
+        assert _division_invariant(f, records, field)
+        pseudo += any(lc != 1 for _, _, lc, _ in records)
+        caller = sys._getframe(1).f_code.co_name
+        callers[caller] = callers.get(caller, 0) + 1
+        return divide(f, packer, records, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_divide", checked)
+    rng = random.Random(4242)
+    for trial in range(30):
+        nvars = rng.randint(1, 3)
+        ctx = VarContext(tuple("xyz"[:nvars]), field)
+        gens = [_rational_poly(rng, ctx) for _ in range(rng.randint(1, 3))]
+        f = _rational_poly(rng, ctx) * _rational_poly(rng, ctx)
+        for order in TermOrder:
+            basis = buchberger(gens, order)
+            for divisors in (basis, GroebnerBasis(ctx, order, gens)):
+                r, cofactors = normal_form_with_cofactors(f, divisors)
+                assert r + sum((q * g for q, g in zip(cofactors, divisors)),
+                               ctx.zero) == f
+            assert exact_div(f * gens[0], gens[0], order) == f
+    assert {"buchberger", "_reduce_basis", "_normal_form"} <= set(callers)
+    assert bool(pseudo) == (field is QQ)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
@@ -866,8 +979,7 @@ def test_reduce_basis_repacks_keys_the_inter_reduction_outgrows(field):
     packer, records = groebner._packing(ctx, gens, TermOrder.LEX)
     assert packer.limit == 15
     with pytest.raises(OverflowError):
-        _divide(packer.packed(gens[0]), records[1:], TermOrder.LEX,
-                packed=(packer, records[1:]))
+        _divide(packer.packed(gens[0]), packer, records[1:])
     packer, records = groebner._reduce_basis(ctx, TermOrder.LEX,
                                              (packer, records))
     assert packer.limit >= 16
@@ -977,17 +1089,33 @@ def test_grevlex_exponent_past_the_initial_width_matches_sympy():
                  "grevlex")
 
 
-def test_lex_division_raising_exponents_past_the_width_matches_sympy():
-    # x -> y^300 -> z^90000: lex division raises exponents as it goes
+def test_lex_division_raising_exponents_past_the_width_matches_sympy(
+        monkeypatch):
+    # x -> y^300 -> z^90000: lex division raises exponents as it goes, and
+    # the normal form divides again wider each time a key outgrows the fields
     sympy = pytest.importorskip("sympy")
+    packings = []
+    packing = groebner._packing
+
+    def counting(*args, **kwargs):
+        packings.append(args)
+        return packing(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_packing", counting)
     for field in (GF(32003), QQ):
         ctx = VarContext(("x", "y", "z"), field)
         x, y, z = (ctx.var(i) for i in range(3))
-        divisors = [x - y ** 300, y - z ** 300]
-        r, cofactors = _divide(x, divisors, TermOrder.LEX, want_cofactors=True)
+        divisors = GroebnerBasis(ctx, TermOrder.LEX, [x - y ** 300, y - z ** 300])
+        packings.clear()
+        r, cofactors = normal_form_with_cofactors(x, divisors)
         assert r == z ** 90000
         assert r + sum((q * g for q, g in zip(cofactors, divisors)),
                        ctx.zero) == x
+        assert len(packings) > 1
+        # the basis keeps the widest packing: the same call builds none
+        packings.clear()
+        assert normal_form_with_cofactors(x, divisors) == (r, cofactors)
+        assert not packings
         basis = buchberger(divisors, TermOrder.LEX)
         assert set(basis.polys) == {x - z ** 90000, y - z ** 300}
         assert normal_form(x * y, basis) == z ** 90300
