@@ -7,7 +7,13 @@ validated quotient actions, differential-simplicity deciders with replayable
 certificates, and skew-ring normal-form arithmetic (Weyl algebras included).
 A small expression language exposes everything through the ``derivalg``
 command-line tool.
+
+The field, polynomial and Groebner layers load with the package.  The
+derivation, simplicity and skew layers load on first use of one of their
+names, so a caller that only computes Groebner bases never runs them.
 """
+
+from importlib import import_module as _import_module
 
 from .errors import (
     BudgetExceededError,
@@ -47,47 +53,108 @@ from .groebner import (
     normal_form_with_cofactors,
     quotient_reduce,
 )
-from .derivation import (
-    CommuteReport,
-    Derivation,
-    SkewDerivation,
-    commutator,
-    commuting_set_check,
-    d_ideal_check,
-    family_skew_derivation,
-    induce_on_quotient,
-)
-from .simplicity import (
-    DarbouxResult,
-    DarbouxStatus,
-    SimplicityCertificate,
-    SimplicityStatus,
-    SimplicityVerdict,
-    d_simplicity,
-    darboux_search,
-    dim1_simplicity,
-    necessary_unit_condition,
-    partials_certificate,
-    prime_char_obstruction,
-    principal_stability_check,
-    replay_certificate,
-    truncated_certificate,
-)
-from .skew import (
-    InnerAnalysis,
-    SingleOreDescriptor,
-    SkewPoly,
-    SkewRingDerivation,
-    SkewRingDescriptor,
-    binomial_push,
-    build_skew_ring,
-    extend_derivation,
-    inner_induced,
-    inner_residuals,
-    skew_commutator,
-    skew_mul,
-    skew_simplicity,
-    weyl_algebra,
-)
+
+# submodule -> the names it exports, resolved by __getattr__ on first access
+_LAZY = {
+    "derivation": (
+        "CommuteReport",
+        "Derivation",
+        "SkewDerivation",
+        "commutator",
+        "commuting_set_check",
+        "d_ideal_check",
+        "family_skew_derivation",
+        "induce_on_quotient",
+    ),
+    "simplicity": (
+        "DarbouxResult",
+        "DarbouxStatus",
+        "SimplicityCertificate",
+        "SimplicityStatus",
+        "SimplicityVerdict",
+        "d_simplicity",
+        "darboux_search",
+        "dim1_simplicity",
+        "necessary_unit_condition",
+        "partials_certificate",
+        "prime_char_obstruction",
+        "principal_stability_check",
+        "replay_certificate",
+        "truncated_certificate",
+    ),
+    "skew": (
+        "InnerAnalysis",
+        "SingleOreDescriptor",
+        "SkewPoly",
+        "SkewRingDerivation",
+        "SkewRingDescriptor",
+        "binomial_push",
+        "build_skew_ring",
+        "extend_derivation",
+        "inner_induced",
+        "inner_residuals",
+        "skew_commutator",
+        "skew_mul",
+        "skew_simplicity",
+        "weyl_algebra",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = [
+    "BudgetExceededError",
+    "ContextMismatchError",
+    "DerivalgError",
+    "FieldMismatchError",
+    "InexactDivisionError",
+    "NonCommutingDerivationsError",
+    "NotInjectiveError",
+    "NotInvariantError",
+    "ParseError",
+    "PreconditionError",
+    "UnitIdealError",
+    "UnknownIdentifierError",
+    "ZeroPolynomialError",
+    "GF",
+    "QQ",
+    "FieldElement",
+    "FieldSpec",
+    "normalize_rational",
+    "InjectivityStatus",
+    "Poly",
+    "RingEndomorphism",
+    "TermOrder",
+    "VarContext",
+    "apply_endo",
+    "DEFAULT_BUDGET",
+    "GroebnerBasis",
+    "IdealHandle",
+    "QuotientRing",
+    "buchberger",
+    "groebner_basis",
+    "ideal_member",
+    "is_unit_ideal",
+    "krull_dimension",
+    "normal_form",
+    "normal_form_with_cofactors",
+    "quotient_reduce",
+    *_HOME,
+]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """A lazy name, or one of the lazy submodules, loaded and then cached in
+    the package namespace so later lookups skip this function."""
+    module = _HOME.get(name)
+    if module is None and name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = _import_module(f".{module or name}", __name__)
+    value = loaded if module is None else getattr(loaded, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from operator import add, le
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -32,15 +32,6 @@ from .errors import (
 from .field import FieldElement, FieldSpec, _outside
 
 Monomial = tuple  # exponent vector; length == number of context variables
-
-
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
-
-
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    """True when a | b componentwise."""
-    return all(map(le, a, b))
 
 
 class TermOrder(enum.Enum):
@@ -227,9 +218,6 @@ class Poly:
             raise ZeroPolynomialError("the zero polynomial has no leading term")
         m = max(self._terms, key=order.key)
         return m, self._terms[m]
-
-    def leading_monomial(self, order: TermOrder) -> Monomial:
-        return self._lead(order)[0]
 
     # -- arithmetic ------------------------------------------------------
 

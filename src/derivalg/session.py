@@ -9,8 +9,9 @@ output.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from . import parser as P
-from .derivation import Derivation, commutator, commuting_set_check, d_ideal_check
 from .errors import (
     ParseError,
     PreconditionError,
@@ -27,24 +28,12 @@ from .groebner import (
     normal_form_with_cofactors,
 )
 from .poly import Poly, VarContext
-from .simplicity import (
-    DarbouxStatus,
-    SimplicityVerdict,
-    d_simplicity,
-    darboux_search,
-    dim1_simplicity,
-    partials_certificate,
-    truncated_certificate,
-)
-from .skew import (
-    SkewPoly,
-    SkewRingDescriptor,
-    build_skew_ring,
-    extend_derivation,
-    inner_induced,
-    skew_simplicity,
-    weyl_algebra,
-)
+
+# The derivation, simplicity and skew layers are imported by the handlers
+# that use them, so a session of Groebner commands never loads them.
+if TYPE_CHECKING:
+    from .simplicity import SimplicityVerdict
+    from .skew import SkewPoly
 
 
 def poly_json(p: Poly) -> dict:
@@ -114,12 +103,12 @@ class Session:
     def eval_in(self, node, ring):
         """Evaluate an expression AST in a polynomial/quotient or skew ring."""
         if isinstance(node, P.Num):
-            field = (ring.base.context.field if isinstance(ring, SkewRingDescriptor)
-                     else ring.context.field)
-            value = field.from_ratio(node.numerator, node.denominator)
-            if isinstance(ring, SkewRingDescriptor):
-                return ring.from_base(ring.base.context.const(value))
-            return ring.context.const(value)
+            if isinstance(ring, QuotientRing):
+                return ring.context.const(
+                    ring.context.field.from_ratio(node.numerator, node.denominator))
+            context = ring.base.context
+            value = context.field.from_ratio(node.numerator, node.denominator)
+            return ring.from_base(context.const(value))
         if isinstance(node, P.Name):
             return self._resolve_name(node, ring)
         if isinstance(node, P.Unary):
@@ -140,18 +129,20 @@ class Session:
 
     def _resolve_name(self, node: P.Name, ring):
         name = node.text
-        if isinstance(ring, SkewRingDescriptor):
-            if name in ring.names or name in ring.base.context.names:
-                return ring.variable(name)
-            bound = self.elements.get(name)
-            if isinstance(bound, SkewPoly) and bound.ring == ring:
-                return bound
-        else:
+        if isinstance(ring, QuotientRing):
             if name in ring.context.names:
                 return ring.reduce(ring.context.var_by_name(name))
             bound = self.elements.get(name)
             if isinstance(bound, Poly) and bound.context == ring.context:
                 return ring.reduce(bound)
+        else:
+            if name in ring.names or name in ring.base.context.names:
+                return ring.variable(name)
+            # a bound element is a Poly or a SkewPoly
+            bound = self.elements.get(name)
+            if (bound is not None and not isinstance(bound, Poly)
+                    and bound.ring == ring):
+                return bound
         raise UnknownIdentifierError(f"unknown identifier {name!r}",
                                      node.line, node.col)
 
@@ -214,6 +205,7 @@ class Session:
                 raise ParseError(
                     f"{var!r} is given two images in der {stmt.name}", stmt.line, 1)
             images[var] = self.eval_poly(expr, ring)
+        from .derivation import Derivation
         derivation = Derivation(ring, [images.get(n, ring.context.zero) for n in names])
         self._bind(self.derivations, "derivation", stmt.name, derivation, stmt.line)
         record = {"command": "der", "name": stmt.name, "ring": stmt.ring,
@@ -226,6 +218,7 @@ class Session:
         names = [var for var, _ in stmt.steps]
         ders = [self._lookup(self.derivations, "derivation", d, stmt.line)
                 for _, d in stmt.steps]
+        from .skew import build_skew_ring
         ring = build_skew_ring(base, names, ders)
         self._bind(self.skew_rings, "skew ring", stmt.name, ring, stmt.line)
         self.current = stmt.name
@@ -235,6 +228,7 @@ class Session:
         return record, f"skew {stmt.name} = {ring}"
 
     def _do_weyl(self, stmt: P.DefineWeyl):
+        from .skew import weyl_algebra
         ring = weyl_algebra(stmt.n)
         self._bind(self.skew_rings, "skew ring", stmt.name, ring, stmt.line)
         self.current = stmt.name
@@ -304,8 +298,9 @@ class Session:
 
     def _do_certificate(self, stmt: P.CertificateCommand):
         ring = self._any_ring(stmt.ring, stmt.line)
-        if isinstance(ring, SkewRingDescriptor):
+        if not isinstance(ring, QuotientRing):
             raise PreconditionError("certificates live in commutative rings")
+        from .simplicity import partials_certificate, truncated_certificate
         f = self.eval_poly(stmt.expr, ring)
         p = ring.context.field.characteristic
         if p == 0:
@@ -329,8 +324,9 @@ class Session:
 
     def _do_darboux(self, stmt: P.DarbouxCommand):
         ring = self._any_ring(stmt.ring, stmt.line)
-        if isinstance(ring, SkewRingDescriptor) or not ring.is_trivial:
+        if not isinstance(ring, QuotientRing) or not ring.is_trivial:
             raise PreconditionError("Darboux search runs over a polynomial ring")
+        from .simplicity import DarbouxStatus, darboux_search
         F = self.eval_poly(stmt.expr, ring)
         result = darboux_search(F, stmt.bound, self.budget)
         record = {"command": "darboux", "F": str(F), "bound": stmt.bound,
@@ -346,6 +342,7 @@ class Session:
     def _do_check_commute(self, stmt: P.CheckCommute):
         d1 = self._lookup(self.derivations, "derivation", stmt.first, stmt.line)
         d2 = self._lookup(self.derivations, "derivation", stmt.second, stmt.line)
+        from .derivation import commuting_set_check
         report = commuting_set_check([d1, d2])
         record = {"command": "check_commute", "first": stmt.first,
                   "second": stmt.second, "commute": report.commute}
@@ -362,6 +359,7 @@ class Session:
         handle = self._lookup(self.ideals, "ideal", stmt.ideal, stmt.line)
         ders = [self._lookup(self.derivations, "derivation", d, stmt.line)
                 for d in stmt.derivations]
+        from .derivation import d_ideal_check
         ok = d_ideal_check(handle, ders, self.order, self.budget)
         record = {"command": "check_dideal", "ideal": stmt.ideal,
                   "derivations": list(stmt.derivations), "d_ideal": ok}
@@ -375,6 +373,7 @@ class Session:
             if d.ring != ring:
                 raise PreconditionError(
                     f"derivation does not live on ring {stmt.ring!r}")
+        from .simplicity import d_simplicity, dim1_simplicity
         if stmt.dim1:
             if len(ders) != 1:
                 raise PreconditionError(
@@ -389,6 +388,7 @@ class Session:
 
     def _do_check_simple(self, stmt: P.CheckSimple):
         ring = self._lookup(self.skew_rings, "skew ring", stmt.ring, stmt.line)
+        from .skew import skew_simplicity
         verdict = skew_simplicity(ring, self.order, self.budget)
         record = {"command": "check_simple", "ring": stmt.ring}
         record.update(verdict_json(verdict))
@@ -396,8 +396,9 @@ class Session:
 
     def _do_inner(self, stmt: P.InnerCommand):
         ring = self._any_ring(stmt.ring, stmt.line)
-        if not isinstance(ring, SkewRingDescriptor):
+        if isinstance(ring, QuotientRing):
             raise PreconditionError("inner analysis runs in a skew ring")
+        from .skew import inner_induced
         f = self.eval_in(stmt.expr, ring)
         analysis = inner_induced(ring, f)
         record = {"command": "inner", "element": str(f),
@@ -418,6 +419,7 @@ class Session:
         derivation = self._lookup(self.derivations, "derivation",
                                   stmt.derivation, stmt.line)
         ring = self._lookup(self.skew_rings, "skew ring", stmt.ring, stmt.line)
+        from .skew import extend_derivation
         extend_derivation(derivation, ring)
         record = {"command": "extend", "derivation": stmt.derivation,
                   "ring": stmt.ring, "extends": True}

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .derivation import Derivation, SkewDerivation, _as_ring, commuting_set_check
 from .errors import (
@@ -47,11 +47,22 @@ from .poly import (
     _join_terms,
     _monomial_text,
 )
-from .simplicity import SimplicityStatus, SimplicityVerdict, d_simplicity
+
+if TYPE_CHECKING:
+    from .simplicity import SimplicityVerdict
 
 
 def _graded_lex_key(exponents):
     return (sum(exponents), exponents)
+
+
+def _base_normal_form(base: QuotientRing, r: Poly) -> Poly:
+    """base.reduce(r); over a polynomial base only its context check runs."""
+    if not base.is_trivial:
+        return base.reduce(r)
+    if r.context != base.context:
+        raise ContextMismatchError("element outside the quotient's context")
+    return r
 
 
 def _add_into(terms: dict, e, r: Poly) -> None:
@@ -83,7 +94,7 @@ class _SkewRing:
         return self.from_base(self.base.context.one)
 
     def from_base(self, r: Poly) -> "SkewPoly":
-        r = self.base.reduce(r)
+        r = _base_normal_form(self.base, r)
         if r.is_zero():
             return SkewPoly._raw(self, {})
         return SkewPoly._raw(self, {(0,) * self.nskew: r})
@@ -182,7 +193,7 @@ class SkewPoly:
             e = tuple(e)
             if len(e) != n or any(x < 0 for x in e):
                 raise ValueError(f"bad skew exponent vector {e}")
-            _add_into(clean, e, ring.base.reduce(r))
+            _add_into(clean, e, _base_normal_form(ring.base, r))
         self.ring = ring
         self.terms = clean
 
@@ -312,7 +323,7 @@ def binomial_push(ring: SkewRingDescriptor, i: int, n: int, r: Poly) -> SkewPoly
         raise IndexError(f"skew index {i} out of range")
     if n < 0:
         raise ValueError("negative skew powers are not defined")
-    r = ring.base.reduce(r)
+    r = _base_normal_form(ring.base, r)
     d = ring.derivations[i]
     terms = {}
     current = r
@@ -340,6 +351,8 @@ def skew_mul(ring: SkewRingDescriptor | SingleOreDescriptor,
         for b, s in v.terms.items():
             for e, coeff in ring.push(a, s).items():
                 _add_into(terms, tuple(map(add, e, b)), r * coeff)
+    if ring.base.is_trivial:
+        return SkewPoly._raw(ring, terms)
     # reduction is linear, so one normal form per output coefficient suffices
     reduce = ring.base.reduce
     return SkewPoly._raw(ring, {e: c for e, t in terms.items() if (c := reduce(t))})
@@ -540,6 +553,7 @@ def skew_simplicity(ring: SkewRingDescriptor,
     the base.  A prime-characteristic base is Unknown: the transfer is out
     of scope there.
     """
+    from .simplicity import SimplicityStatus, SimplicityVerdict, d_simplicity
     base = ring.base
     if base.context.field.characteristic != 0:
         return SimplicityVerdict(

@@ -152,13 +152,115 @@ def test_boundary_values_are_fractions_over_qq():
     assert f.coeff((2, 1)).inverse() == Fraction(1, 3)
 
 
-def test_import_leaves_out_dataclasses():
-    # dataclasses pulls in inspect, ast, dis and tokenize at import time
+def _fresh_python(code):
+    """stdout of `code` run by a new interpreter that imports derivalg from
+    this checkout."""
     src = str(Path(derivalg.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def _loaded_after(code):
+    """The derivalg submodules loaded once `code` has run in a new process."""
+    out = _fresh_python(
+        code + "\nimport sys\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('derivalg.'))))")
+    return set(out.split())
+
+
+def test_import_leaves_out_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize at import time
     for module in ("derivalg", "derivalg.cli"):
         code = (f"import sys, {module}; "
                 "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]", module
+        assert _fresh_python(code) == "[]", module
+
+
+def test_groebner_names_load_only_the_core():
+    code = ("import derivalg\n"
+            "derivalg.Poly, derivalg.QQ, derivalg.GF, derivalg.VarContext, "
+            "derivalg.TermOrder, derivalg.buchberger")
+    assert _loaded_after(code) == {"derivalg.errors", "derivalg.field",
+                                   "derivalg.poly", "derivalg.groebner"}
+
+
+def test_weyl_names_leave_out_simplicity():
+    code = ("import derivalg\n"
+            "derivalg.weyl_algebra, derivalg.SkewPoly, derivalg.inner_induced")
+    loaded = _loaded_after(code)
+    assert "derivalg.skew" in loaded
+    assert "derivalg.simplicity" not in loaded
+
+
+def test_cli_import_leaves_out_the_derivation_layers():
+    loaded = _loaded_after("import derivalg.cli")
+    assert not loaded & {"derivalg.derivation", "derivalg.simplicity",
+                         "derivalg.skew"}
+
+
+# submodule -> the names the package exports from it
+EXPORTS = {
+    "errors": "BudgetExceededError ContextMismatchError DerivalgError "
+              "FieldMismatchError InexactDivisionError "
+              "NonCommutingDerivationsError NotInjectiveError NotInvariantError "
+              "ParseError PreconditionError UnitIdealError "
+              "UnknownIdentifierError ZeroPolynomialError",
+    "field": "GF QQ FieldElement FieldSpec normalize_rational",
+    "poly": "InjectivityStatus Poly RingEndomorphism TermOrder VarContext "
+            "apply_endo",
+    "groebner": "DEFAULT_BUDGET GroebnerBasis IdealHandle QuotientRing "
+                "buchberger groebner_basis ideal_member is_unit_ideal "
+                "krull_dimension normal_form normal_form_with_cofactors "
+                "quotient_reduce",
+    "derivation": "CommuteReport Derivation SkewDerivation commutator "
+                  "commuting_set_check d_ideal_check family_skew_derivation "
+                  "induce_on_quotient",
+    "simplicity": "DarbouxResult DarbouxStatus SimplicityCertificate "
+                  "SimplicityStatus SimplicityVerdict d_simplicity "
+                  "darboux_search dim1_simplicity necessary_unit_condition "
+                  "partials_certificate prime_char_obstruction "
+                  "principal_stability_check replay_certificate "
+                  "truncated_certificate",
+    "skew": "InnerAnalysis SingleOreDescriptor SkewPoly SkewRingDerivation "
+            "SkewRingDescriptor binomial_push build_skew_ring extend_derivation "
+            "inner_induced inner_residuals skew_commutator skew_mul "
+            "skew_simplicity weyl_algebra",
+}
+
+
+def test_export_surface():
+    # every exported name is listed, is its submodule's object and is bound
+    # by a star import (the README quick tour uses one), and stays cached in
+    # the package; a new process, so the lazy names resolve here first
+    code = f"""
+import importlib, derivalg
+star = {{}}
+exec("from derivalg import *", star)
+listed, shown = set(derivalg.__all__), set(dir(derivalg))
+bad, count = [], 0
+for module, names in {EXPORTS!r}.items():
+    home = importlib.import_module("derivalg." + module)
+    for name in names.split():
+        count += 1
+        value = getattr(derivalg, name)
+        if (name not in listed or name not in shown
+                or value is not getattr(home, name) or star.get(name) is not value
+                or name not in vars(derivalg)):
+            bad.append(name)
+print(count, len(listed), bad)
+"""
+    count = sum(len(names.split()) for names in EXPORTS.values())
+    assert _fresh_python(code) == f"{count} {count} []"
+
+
+def test_unknown_name_raises_attribute_error():
+    code = """
+import derivalg
+try:
+    derivalg.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    assert _fresh_python(code) == "module 'derivalg' has no attribute 'no_such_name'"
+    assert not hasattr(derivalg, "no_such_name")

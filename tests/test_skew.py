@@ -9,6 +9,7 @@ import pytest
 
 from derivalg import (
     QQ,
+    ContextMismatchError,
     Derivation,
     GF,
     IdealHandle,
@@ -632,3 +633,17 @@ def test_skew_equality_with_a_vanishing_denominator_is_false():
     assert not one == fifth and one != fifth
     assert fifth not in [one] and one not in [fifth]
     assert one == Fraction(6, 1)
+
+
+def test_foreign_coefficients_refused_over_a_polynomial_base():
+    # a polynomial base skips its normal form but still checks the context
+    A1 = weyl_algebra(1)
+    z = VarContext(("z",), QQ).var(0)
+    with pytest.raises(ContextMismatchError):
+        A1.from_base(z)
+    with pytest.raises(ContextMismatchError):
+        SkewPoly(A1, {(1,): z})
+    with pytest.raises(ContextMismatchError):
+        binomial_push(A1, 0, 2, z)
+    with pytest.raises(ContextMismatchError):
+        A1.derivations[0].apply(z)
