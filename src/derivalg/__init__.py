@@ -14,6 +14,7 @@ names, so a caller that only computes Groebner bases never runs them.
 """
 
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .errors import (
     BudgetExceededError,
@@ -101,43 +102,10 @@ _LAZY = {
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
+# the eager names are the public globals bound by the imports above
 __all__ = [
-    "BudgetExceededError",
-    "ContextMismatchError",
-    "DerivalgError",
-    "FieldMismatchError",
-    "InexactDivisionError",
-    "NonCommutingDerivationsError",
-    "NotInjectiveError",
-    "NotInvariantError",
-    "ParseError",
-    "PreconditionError",
-    "UnitIdealError",
-    "UnknownIdentifierError",
-    "ZeroPolynomialError",
-    "GF",
-    "QQ",
-    "FieldElement",
-    "FieldSpec",
-    "normalize_rational",
-    "InjectivityStatus",
-    "Poly",
-    "RingEndomorphism",
-    "TermOrder",
-    "VarContext",
-    "apply_endo",
-    "DEFAULT_BUDGET",
-    "GroebnerBasis",
-    "IdealHandle",
-    "QuotientRing",
-    "buchberger",
-    "groebner_basis",
-    "ideal_member",
-    "is_unit_ideal",
-    "krull_dimension",
-    "normal_form",
-    "normal_form_with_cofactors",
-    "quotient_reduce",
+    *(name for name, value in globals().items()
+      if not name.startswith("_") and not isinstance(value, _ModuleType)),
     *_HOME,
 ]
 

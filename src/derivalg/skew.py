@@ -56,15 +56,6 @@ def _graded_lex_key(exponents):
     return (sum(exponents), exponents)
 
 
-def _base_normal_form(base: QuotientRing, r: Poly) -> Poly:
-    """base.reduce(r); over a polynomial base only its context check runs."""
-    if not base.is_trivial:
-        return base.reduce(r)
-    if r.context != base.context:
-        raise ContextMismatchError("element outside the quotient's context")
-    return r
-
-
 def _add_into(terms: dict, e, r: Poly) -> None:
     """terms[e] += r, dropping the key when the sum is zero."""
     have = terms.get(e)
@@ -94,7 +85,7 @@ class _SkewRing:
         return self.from_base(self.base.context.one)
 
     def from_base(self, r: Poly) -> "SkewPoly":
-        r = _base_normal_form(self.base, r)
+        r = self.base.reduce(r)
         if r.is_zero():
             return SkewPoly._raw(self, {})
         return SkewPoly._raw(self, {(0,) * self.nskew: r})
@@ -193,7 +184,7 @@ class SkewPoly:
             e = tuple(e)
             if len(e) != n or any(x < 0 for x in e):
                 raise ValueError(f"bad skew exponent vector {e}")
-            _add_into(clean, e, _base_normal_form(ring.base, r))
+            _add_into(clean, e, ring.base.reduce(r))
         self.ring = ring
         self.terms = clean
 
@@ -323,7 +314,7 @@ def binomial_push(ring: SkewRingDescriptor, i: int, n: int, r: Poly) -> SkewPoly
         raise IndexError(f"skew index {i} out of range")
     if n < 0:
         raise ValueError("negative skew powers are not defined")
-    r = _base_normal_form(ring.base, r)
+    r = ring.base.reduce(r)
     d = ring.derivations[i]
     terms = {}
     current = r

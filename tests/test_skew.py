@@ -636,7 +636,7 @@ def test_skew_equality_with_a_vanishing_denominator_is_false():
 
 
 def test_foreign_coefficients_refused_over_a_polynomial_base():
-    # a polynomial base skips its normal form but still checks the context
+    # a polynomial base still checks the context of caller input
     A1 = weyl_algebra(1)
     z = VarContext(("z",), QQ).var(0)
     with pytest.raises(ContextMismatchError):
