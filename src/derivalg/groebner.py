@@ -46,6 +46,7 @@ exact while each field is at most twice the limit.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations
@@ -58,6 +59,11 @@ from .poly import Poly, TermOrder, VarContext
 
 DEFAULT_BUDGET = 20_000
 _MIN_BITS = 4            # the narrowest exponent field of a packed key
+
+# The memo of the running session statement (set by `Session.execute`), or
+# None: `buchberger` and `simplicity.d_simplicity` store their results in it,
+# so a session computes each basis and each verdict once.
+_MEMO: ContextVar = ContextVar("derivalg_memo", default=None)
 
 
 class IdealHandle:
@@ -474,6 +480,11 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
     leading monomials, signatures, the step count and the reduced monic
     output are those of the monic computation.  Over F_p elements are
     monic.
+
+    Inside a session statement (see `_MEMO`) the basis of equal
+    (order, generators) is computed once: a repeated call returns the same
+    object, and raises as the loop would when its step count exceeds
+    `budget`.  A call that raises stores nothing.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -482,6 +493,17 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
     for g in gens:
         if g.context != context:
             raise ContextMismatchError("generators live in different contexts")
+    memo = _MEMO.get()
+    if memo is not None:
+        memo_key = (order, tuple(gens))
+        hit = memo.get(memo_key)
+        if hit is not None:
+            basis, steps = hit
+            # the loop raises before a step that would exceed the budget
+            if steps and steps > budget:
+                raise BudgetExceededError(
+                    f"Buchberger step budget ({budget}) exhausted")
+            return basis
     need = max(_need(g._terms, order) for g in gens)   # covers every LM
     sig_need = 0             # the need of the signatures of index j
     packer = _Packer(context.nvars, order, need)
@@ -611,8 +633,11 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
 
     packer, records = _reduce_basis(context, order, (packer, records))
     monic = [_monic(context, packer, record) for record in records]
-    return GroebnerBasis._reduced(context, order, [g for g, _ in monic],
-                                  (packer, [record for _, record in monic]))
+    basis = GroebnerBasis._reduced(context, order, [g for g, _ in monic],
+                                   (packer, [record for _, record in monic]))
+    if memo is not None:
+        memo[memo_key] = (basis, steps)
+    return basis
 
 
 def _divides_any(key_low: int, tests, guard: int) -> bool:

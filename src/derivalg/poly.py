@@ -342,10 +342,15 @@ class Poly:
 
         `values` maps variable indices to polynomials in this context; the
         variables it does not name stay.  Each power of an image is computed
-        once, and every term of the result is collected in one term map.
+        once, and every term of the result is collected in one term map; a
+        term free of the substituted variables is copied as it is, and f
+        itself is returned when none of them occurs in it.
         """
         if any(g.context != self.context for g in values.values()):
             raise ContextMismatchError("substituted values leave the context")
+        terms = self._terms
+        if not any(m[i] for m in terms for i in values):
+            return self
         powers = {}              # i -> [None, image, image^2, ...]
 
         def power(i, e):
@@ -356,18 +361,24 @@ class Poly:
                 cache.append(cache[-1] * values[i])
             return cache[e]
 
-        unit = {(0,) * self.context.nvars: 1}
         acc = {}
         get = acc.get
-        for m, c in self._terms.items():
-            rest = list(m)
+        for m, c in terms.items():
             image = None
             for i in values:
-                if m[i]:
+                e = m[i]
+                if e:
+                    g = values[i] if e == 1 else power(i, e)
+                    if image is None:
+                        rest, image = list(m), g
+                    else:
+                        image = image * g
                     rest[i] = 0
-                    image = (power(i, m[i]) if image is None
-                             else image * power(i, m[i]))
-            for mi, ci in (unit if image is None else image._terms).items():
+            if image is None:
+                old = get(m)
+                acc[m] = c if old is None else old + c
+                continue
+            for mi, ci in image._terms.items():
                 key = tuple(map(add, rest, mi))
                 old = get(key)
                 acc[key] = c * ci if old is None else old + c * ci

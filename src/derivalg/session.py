@@ -20,6 +20,7 @@ from .errors import (
 from .field import FieldSpec
 from .groebner import (
     DEFAULT_BUDGET,
+    _MEMO,
     IdealHandle,
     QuotientRing,
     TermOrder,
@@ -62,8 +63,19 @@ def verdict_json(v: SimplicityVerdict) -> dict:
     }
 
 
+def _reduced(ring: QuotientRing, f: Poly) -> Poly:
+    """ring.reduce(f) for f in the ring's context, skipped on a polynomial
+    ring, where it returns f."""
+    return f if ring.is_trivial else ring.reduce(f)
+
+
 class Session:
-    """Named bindings plus the execution of parsed statements."""
+    """Named bindings plus the execution of parsed statements.
+
+    Each session keeps one memo of Groebner bases and D-simplicity verdicts
+    (see `groebner._MEMO`), active while `execute` runs a statement, so it
+    computes each of them once; the memo lives as long as the session.
+    """
 
     def __init__(self, order: TermOrder = TermOrder.GREVLEX,
                  budget: int = DEFAULT_BUDGET):
@@ -75,6 +87,7 @@ class Session:
         self.skew_rings = {}   # name -> SkewRingDescriptor
         self.elements = {}     # name -> Poly | SkewPoly
         self.current = None    # name of the ring in scope for bare commands
+        self._memo = {}        # see `execute`
 
     # -- binding helpers ---------------------------------------------------
 
@@ -131,10 +144,10 @@ class Session:
         name = node.text
         if isinstance(ring, QuotientRing):
             if name in ring.context.names:
-                return ring.reduce(ring.context.var_by_name(name))
+                return _reduced(ring, ring.context.var_by_name(name))
             bound = self.elements.get(name)
             if isinstance(bound, Poly) and bound.context == ring.context:
-                return ring.reduce(bound)
+                return _reduced(ring, bound)
         else:
             if name in ring.names or name in ring.base.context.names:
                 return ring.variable(name)
@@ -147,15 +160,19 @@ class Session:
                                      node.line, node.col)
 
     def eval_poly(self, node, ring: QuotientRing) -> Poly:
-        value = self.eval_in(node, ring)
-        return ring.reduce(value)
+        return _reduced(ring, self.eval_in(node, ring))
 
     # -- statement dispatch --------------------------------------------------
 
     def execute(self, stmt):
-        """Run one statement; returns (json_record, human_text)."""
+        """Run one statement, with the session's memo active; returns
+        (json_record, human_text)."""
         handler = self._DISPATCH[type(stmt)]
-        return handler(self, stmt)
+        token = _MEMO.set(self._memo)
+        try:
+            return handler(self, stmt)
+        finally:
+            _MEMO.reset(token)
 
     def _do_ring(self, stmt: P.DefineRing):
         context = VarContext(stmt.variables, FieldSpec(stmt.field_spec.p))
@@ -241,10 +258,10 @@ class Session:
         """stmt.expr in stmt.ring (default: the ring in scope), reduced, and
         its JSON rendering."""
         ring = self._any_ring(stmt.ring, stmt.line)
-        value = self.eval_in(stmt.expr, ring)
         if isinstance(ring, QuotientRing):
-            value = ring.reduce(value)
+            value = self.eval_poly(stmt.expr, ring)
             return value, poly_json(value)
+        value = self.eval_in(stmt.expr, ring)
         return value, skew_json(value)
 
     def _do_let(self, stmt: P.LetElement):

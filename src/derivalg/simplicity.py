@@ -39,6 +39,7 @@ from .errors import (
 from .field import FieldElement
 from .groebner import (
     DEFAULT_BUDGET,
+    _MEMO,
     IdealHandle,
     QuotientRing,
     TermOrder,
@@ -251,11 +252,29 @@ def d_simplicity(ring: QuotientRing, derivations,
        D-stable maximal ideal contains J_D, and the minimal primes of R are
        D-stable), else Unknown;
     7. anything else: Unknown.
+
+    Inside a session statement (see `groebner._MEMO`) the verdict is
+    decided once per (ring, defining generators, D, order, budget): the
+    generators are part of the key because a witness prints them, and equal
+    rings may be defined by different generators.
     """
-    derivations = list(derivations)
+    derivations = tuple(derivations)
     for d in derivations:
         if d.ring != ring:
             raise ContextMismatchError("derivation does not live on the given ring")
+    memo = _MEMO.get()
+    if memo is None:
+        return _decide(ring, derivations, order, budget)
+    key = (ring, ring.defining, derivations, order, budget)
+    verdict = memo.get(key)
+    if verdict is None:
+        verdict = memo[key] = _decide(ring, derivations, order, budget)
+    return verdict
+
+
+def _decide(ring: QuotientRing, derivations: tuple, order: TermOrder,
+            budget: int) -> SimplicityVerdict:
+    """The verdict of `d_simplicity`, decided afresh."""
     if ring.context.field.characteristic != 0:
         return prime_char_obstruction(ring, derivations, order, budget)
     if _all_partials_present(ring, derivations):

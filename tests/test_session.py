@@ -5,6 +5,7 @@ import random
 import pytest
 
 from derivalg import (
+    BudgetExceededError,
     NonCommutingDerivationsError,
     ParseError,
     PreconditionError,
@@ -15,6 +16,7 @@ from derivalg import (
     VarContext,
     family_skew_derivation,
 )
+from derivalg import groebner
 from derivalg.parser import parse_session
 from derivalg.session import Session
 
@@ -174,3 +176,120 @@ def test_ore_products_associate_randomly():
     for _ in range(25):
         u, v, w = rand_elt(), rand_elt(), rand_elt()
         assert (u * v) * w == u * (v * w)
+
+
+# -- the session memo ----------------------------------------------------------
+
+KATSURA3 = """
+ring R = QQ[u0, u1, u2, u3]
+ideal K in R : u0 + 2*u1 + 2*u2 + 2*u3 - 1, u0^2 - u0 + 2*u1^2 + 2*u2^2 + 2*u3^2, 2*u0*u1 + 2*u1*u2 - u1 + 2*u2*u3, 2*u0*u2 + u1^2 + 2*u1*u3 - u2
+"""
+KATSURA3_STEPS = 4       # grevlex, as pinned in tests/test_groebner.py
+
+
+def _count_divisions(monkeypatch):
+    """A counter of every `_divide` call, the engine's one division."""
+    counts = {"divide": 0}
+    divide = groebner._divide
+
+    def counting(*args, **kwargs):
+        counts["divide"] += 1
+        return divide(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_divide", counting)
+    return counts
+
+
+def test_repeated_basis_in_a_session_is_the_same_object(monkeypatch):
+    bases = []
+    buchberger = groebner.buchberger
+
+    def recording(*args, **kwargs):
+        bases.append(buchberger(*args, **kwargs))
+        return bases[-1]
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    counts = _count_divisions(monkeypatch)
+    session, first = run_lines(KATSURA3 + "gb K\n")
+    assert counts["divide"]
+    counts["divide"] = 0
+    _, second = run_lines("gb K\n", session)
+    assert second[0] == first[-1]
+    assert len(bases) == 2 and bases[1] is bases[0]
+    assert counts["divide"] == 0
+
+
+def test_memo_hit_keeps_the_step_budget(monkeypatch):
+    session, _ = run_lines(KATSURA3)
+    session.budget = KATSURA3_STEPS
+    _, [computed] = run_lines("gb K\n", session)
+    counts = _count_divisions(monkeypatch)
+    # a hit raises exactly when the loop would, with the loop's message
+    session.budget = KATSURA3_STEPS - 1
+    message = f"Buchberger step budget \\({KATSURA3_STEPS - 1}\\) exhausted"
+    with pytest.raises(BudgetExceededError, match=message):
+        run_lines("gb K\n", session)
+    session.budget = KATSURA3_STEPS
+    assert run_lines("gb K\n", session)[1] == [computed]
+    assert counts["divide"] == 0
+    with pytest.raises(BudgetExceededError, match=message):
+        groebner.buchberger(session.ideals["K"].generators,
+                            budget=KATSURA3_STEPS - 1)
+
+
+def test_a_statement_that_raises_stores_nothing():
+    session, _ = run_lines(KATSURA3, Session(budget=KATSURA3_STEPS - 1))
+    with pytest.raises(BudgetExceededError):
+        run_lines("gb K\n", session)
+    assert session._memo == {}
+
+
+def test_sessions_do_not_share_a_memo_and_library_calls_recompute(
+        monkeypatch):
+    counts = _count_divisions(monkeypatch)
+    first, _ = run_lines(KATSURA3 + "gb K\n")
+    made = counts["divide"]
+    run_lines(KATSURA3 + "gb K\n")
+    assert made and counts["divide"] == 2 * made
+    generators = first.ideals["K"].generators
+    for _ in range(2):
+        counts["divide"] = 0
+        groebner.buchberger(generators)
+        assert counts["divide"] == made
+
+
+def test_check_simple_reuses_the_dsimple_verdict(monkeypatch):
+    session, out = run_lines("""
+ring R = QQ[x, y]
+ideal I in R : x^2 + y^2 - 1
+quotient Q = R / I
+der d on Q : x -> -y, y -> x
+check dsimple Q d --dim1
+skew S = Q[t; d]
+""")
+    counts = _count_divisions(monkeypatch)
+    _, [simple] = run_lines("check simple S\n", session)
+    assert counts["divide"] == 0
+    for key in ("status", "criterion", "reason", "witness"):
+        assert simple[key] == out[4][key]
+
+
+def test_verdicts_of_equal_rings_keep_their_own_generators():
+    # Q == Q2 and d == d2, but a witness prints the defining generators
+    text = """
+ring R = QQ[x, y]
+ideal I in R : x^2 + y^2 - 1
+ideal I2 in R : 2*x^2 + 2*y^2 - 2
+quotient Q = R / I
+quotient Q2 = R / I2
+der d on Q : x -> 0
+der d2 on Q2 : x -> 0
+"""
+    session, _ = run_lines(text)
+    assert session.rings["Q"] == session.rings["Q2"]
+    assert session.derivations["d"] == session.derivations["d2"]
+    _, verdicts = run_lines("check dsimple Q d\ncheck dsimple Q2 d2\n",
+                            session)
+    assert verdicts[0]["witness"] == ["x", "x^2 + y^2 - 1"]
+    assert verdicts[1]["witness"] == ["x", "2*x^2 + 2*y^2 - 2"]
+    assert verdicts[1] == run_lines(text + "check dsimple Q2 d2\n")[1][-1]
