@@ -54,17 +54,15 @@ class Derivation:
             if g.context != ring.context:
                 raise ContextMismatchError("derivation image outside the ring")
         self.ring = ring
-        self.images = images
-        if not ring.is_trivial:
-            self.images = tuple(ring.reduce(g) for g in images)
-            escape = _escape(ring.defining.generators or ring.basis.polys,
-                             [self], ring.basis)
-            if escape is not None:
-                g, lifted = escape
-                raise NotInvariantError(
-                    f"derivation does not preserve the defining ideal: "
-                    f"image of {g} is {lifted}",
-                    generator=g, image=lifted)
+        self.images = tuple(ring.reduce(g) for g in images)
+        escape = _escape(ring.defining.generators or ring.basis.polys,
+                         [self], ring.basis)
+        if escape is not None:
+            g, lifted = escape
+            raise NotInvariantError(
+                f"derivation does not preserve the defining ideal: "
+                f"image of {g} is {lifted}",
+                generator=g, image=lifted)
 
     @classmethod
     def partial(cls, ring, i: int) -> "Derivation":
@@ -84,8 +82,7 @@ class Derivation:
     def apply(self, f: Poly) -> Poly:
         if f.context != self.ring.context:
             raise ContextMismatchError("element outside the derivation's ring")
-        image = _chain_rule(f, self.images)
-        return image if self.ring.is_trivial else self.ring.reduce(image)
+        return self.ring.reduce(_chain_rule(f, self.images))
 
     __call__ = apply
 

@@ -63,12 +63,6 @@ def verdict_json(v: SimplicityVerdict) -> dict:
     }
 
 
-def _reduced(ring: QuotientRing, f: Poly) -> Poly:
-    """ring.reduce(f) for f in the ring's context, skipped on a polynomial
-    ring, where it returns f."""
-    return f if ring.is_trivial else ring.reduce(f)
-
-
 class Session:
     """Named bindings plus the execution of parsed statements.
 
@@ -144,10 +138,10 @@ class Session:
         name = node.text
         if isinstance(ring, QuotientRing):
             if name in ring.context.names:
-                return _reduced(ring, ring.context.var_by_name(name))
+                return ring.reduce(ring.context.var_by_name(name))
             bound = self.elements.get(name)
             if isinstance(bound, Poly) and bound.context == ring.context:
-                return _reduced(ring, bound)
+                return ring.reduce(bound)
         else:
             if name in ring.names or name in ring.base.context.names:
                 return ring.variable(name)
@@ -160,7 +154,7 @@ class Session:
                                      node.line, node.col)
 
     def eval_poly(self, node, ring: QuotientRing) -> Poly:
-        return _reduced(ring, self.eval_in(node, ring))
+        return ring.reduce(self.eval_in(node, ring))
 
     # -- statement dispatch --------------------------------------------------
 

@@ -8,14 +8,19 @@ in the skew variables,
 
 and `skew_mul` multiplies by asking the ring descriptor's `push(a, r)` for
 x^(a) * r in normal form, summing the unreduced products for each output
-exponent and reducing each sum once.  `SkewRingDescriptor` pushes one
-variable at a time with
+exponent and reducing each sum once.  `SkewRingDescriptor.push` expands a
+normal-form r one variable at a time by the binomial rule
 
     x_i * r = r * x_i + d_i(r),
-    x_i^n * r = sum_k  C(n, k) * d_i^k(r) * x_i^(n-k);
+    x_i^n * r = sum_k  C(n, k) * d_i^k(r) * x_i^(n-k),
 
+and `binomial_push` is its checked one-variable entry.
 `SingleOreDescriptor` pushes by the one recursion x * r = f(r) * x + d(r),
 applied n times for x^n * r, with d = None standing for the zero map.
+
+Coefficients are reduced where they enter a skew ring, and only there: in
+`from_base`, `SkewPoly(...)`, `binomial_push`, and once per output
+coefficient in `skew_mul`.
 
 The construction demands pairwise commuting derivations; a non-commuting
 pair is refused at descriptor construction with the violating pair and a
@@ -136,15 +141,21 @@ class SkewRingDescriptor(_SkewRing):
         self.commuting_certified = True
 
     def push(self, exponents, r: Poly) -> dict:
-        """x^(a) * r as {exponent: coefficient}; variables pushed one at a time."""
+        """x^(a) * r as {exponent: coefficient} for r in normal form, by the
+        binomial rule one variable at a time; every d_i^k(c) and multiple of
+        it is a normal form, so nothing is reduced here."""
         acc = {(0,) * self.nskew: r} if r else {}
-        for i, power in enumerate(exponents):
-            if power == 0:
+        for i, n in enumerate(exponents):
+            if n == 0:
                 continue
+            d = self.derivations[i]
             nxt = {}
-            for e, coeff in acc.items():
-                for pe, pc in binomial_push(self, i, power, coeff).terms.items():
-                    _add_into(nxt, tuple(map(add, e, pe)), pc)
+            for e, c in acc.items():
+                for k in range(n + 1):
+                    _add_into(nxt, (*e[:i], e[i] + n - k, *e[i + 1:]),
+                              c.scale(math.comb(n, k)))
+                    if k == n or not (c := d.apply(c)):
+                        break
             acc = nxt
         return acc
 
@@ -309,27 +320,18 @@ def _signed_chunk(r: Poly, mono: str):
 
 
 def binomial_push(ring: SkewRingDescriptor, i: int, n: int, r: Poly) -> SkewPoly:
-    """x_i^n * r in normal form: sum_k C(n,k) d_i^k(r) x_i^(n-k)."""
+    """x_i^n * r in normal form: sum_k C(n,k) d_i^k(r) x_i^(n-k).
+
+    The checked one-variable entry to `SkewRingDescriptor.push`: it checks
+    i and n, reduces r once (refusing an r of another context) and delegates.
+    """
     if not 0 <= i < ring.nskew:
         raise IndexError(f"skew index {i} out of range")
     if n < 0:
         raise ValueError("negative skew powers are not defined")
-    r = ring.base.reduce(r)
-    d = ring.derivations[i]
-    terms = {}
-    current = r
-    for k in range(n + 1):
-        if current.is_zero():
-            break
-        # current is a normal form, and so is any scalar multiple of it
-        coeff = current.scale(math.comb(n, k))
-        if not coeff.is_zero():
-            e = [0] * ring.nskew
-            e[i] = n - k
-            terms[tuple(e)] = coeff
-        if k < n:
-            current = d.apply(current)
-    return SkewPoly._raw(ring, terms)
+    e = [0] * ring.nskew
+    e[i] = n
+    return SkewPoly._raw(ring, ring.push(tuple(e), ring.base.reduce(r)))
 
 
 def skew_mul(ring: SkewRingDescriptor | SingleOreDescriptor,
@@ -342,8 +344,6 @@ def skew_mul(ring: SkewRingDescriptor | SingleOreDescriptor,
         for b, s in v.terms.items():
             for e, coeff in ring.push(a, s).items():
                 _add_into(terms, tuple(map(add, e, b)), r * coeff)
-    if ring.base.is_trivial:
-        return SkewPoly._raw(ring, terms)
     # reduction is linear, so one normal form per output coefficient suffices
     reduce = ring.base.reduce
     return SkewPoly._raw(ring, {e: c for e, t in terms.items() if (c := reduce(t))})

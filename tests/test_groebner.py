@@ -278,6 +278,8 @@ def test_quotient_reduce_examples(ctx_xyz):
     assert quotient_reduce(circle, x1 ** 2) == 1 - x2 ** 2
     already = quotient_reduce(circle, x1 * x2 + 3)
     assert quotient_reduce(circle, already) == already
+    # a polynomial ring needs no reduction: reduce hands back f itself
+    assert QuotientRing.trivial(ctx12).reduce(already) is already
 
 
 def test_quotient_rejects_unit_ideal(ctx_xy):

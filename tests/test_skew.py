@@ -136,6 +136,45 @@ def test_binomial_push_char_p():
             assert binomial_push(ring, 0, n, r) == fold_push(ring, 0, n, r)
 
 
+def fold_push_vector(ring, exponents, r):
+    """Oracle: x^(a) * r by `fold_push`, one skew variable at a time."""
+    acc = {(0,) * ring.nskew: r}
+    for i, n in enumerate(exponents):
+        nxt = {}
+        for e, c in acc.items():
+            for pe, pc in fold_push(ring, i, n, c).terms.items():
+                key = tuple(a + b for a, b in zip(e, pe))
+                nxt[key] = nxt.get(key, ring.base.context.zero) + pc
+        acc = nxt
+    return SkewPoly(ring, acc).terms
+
+
+def two_derivation_quotient_ring():
+    # QQ[x, y]/(x^2 - 1) with D = {d/dy, x d/dy}: the two commute and keep
+    # (x^2 - 1), and repeated x d/dy makes x^2 terms that reduce to 1
+    ctx = VarContext(("x", "y"), QQ)
+    x = ctx.var(0)
+    base = QuotientRing.of(IdealHandle(ctx, [x ** 2 - 1]))
+    dy = Derivation(base, [ctx.zero, ctx.one])
+    x_dy = Derivation(base, [ctx.zero, x])
+    return build_skew_ring(base, ["s", "t"], [dy, x_dy])
+
+
+@pytest.mark.parametrize("make_ring", [two_derivation_quotient_ring,
+                                       lambda: weyl_algebra(2, GF(3))],
+                         ids=["quotient", "A2-GF3"])
+def test_push_matches_folded_single_step_oracle(make_ring):
+    # in GF(3), C(3, 1) and C(3, 2) vanish, so x_i^3 pushes drop their
+    # middle terms
+    ring = make_ring()
+    ctx = ring.base.context
+    rng = random.Random(27)
+    for a in ((1, 2), (3, 0), (0, 3), (3, 3), (2, 4), (4, 1)):
+        for _ in range(4):
+            r = ring.base.reduce(rand_poly(rng, ctx, max_degree=3, max_terms=3))
+            assert ring.push(a, r) == fold_push_vector(ring, a, r)
+
+
 def test_degree_zero_embedding(A2):
     rng = random.Random(9)
     ctx = A2.base.context
