@@ -66,6 +66,23 @@ _MIN_BITS = 4            # the narrowest exponent field of a packed key
 _MEMO: ContextVar = ContextVar("derivalg_memo", default=None)
 
 
+class _MemoKey:
+    """A key of `_MEMO` that hashes its tuple once, so that a miss (a
+    lookup, then a store) pays for one hash."""
+
+    __slots__ = ("key", "hash")
+
+    def __init__(self, key: tuple):
+        self.key = key
+        self.hash = hash(key)
+
+    def __hash__(self):
+        return self.hash
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
 class IdealHandle:
     """A finitely generated ideal, held by its generator list.
 
@@ -495,7 +512,7 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
             raise ContextMismatchError("generators live in different contexts")
     memo = _MEMO.get()
     if memo is not None:
-        memo_key = (order, tuple(gens))
+        memo_key = _MemoKey((order, tuple(gens)))
         hit = memo.get(memo_key)
         if hit is not None:
             basis, steps = hit

@@ -42,16 +42,19 @@ from typing import NamedTuple, Optional
 
 from .errors import ParseError
 
+# spaces and comments match no group and make no token; `bad` catches the
+# first character no token starts with
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t]+)
-  | (?P<comment>\#[^\n]*)
+    [ \t]+
+  | \#[^\n]*
   | (?P<newline>\n)
   | (?P<number>\d+)
   | (?P<flag>--[A-Za-z][A-Za-z0-9_]*)
   | (?P<arrow>->)
   | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
   | (?P<op>[-+*^/()\[\],:;=])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 class Token(NamedTuple):
@@ -62,24 +65,27 @@ class Token(NamedTuple):
 
 
 def tokenize(text: str):
+    """The tokens of `text`, ending in one `eof` token; one regex pass.
+
+    Tokens are made with `tuple.__new__`, which skips the NamedTuple
+    constructor's argument handling.
+    """
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    append = tokens.append
+    new = tuple.__new__
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, chunk, line, col))
+        if kind is None:
+            continue
+        col = m.start() - line_start + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        append(new(Token, (kind, m.group(), line, col)))
         if kind == "newline":
             line += 1
-            col = 1
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            line_start = m.end()
+    append(new(Token, ("eof", "", line, len(text) - line_start + 1)))
     return tokens
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -41,6 +42,7 @@ from .groebner import (
     DEFAULT_BUDGET,
     _MEMO,
     IdealHandle,
+    _MemoKey,
     QuotientRing,
     TermOrder,
     _initial_dimension,
@@ -48,7 +50,7 @@ from .groebner import (
     groebner_basis,
     is_unit_ideal,
 )
-from .poly import Poly, VarContext
+from .poly import Poly, VarContext, _canonical
 
 # Largest p^n for which prime_char_obstruction searches F_p^n for a rational
 # point of V(I) to build its witness.
@@ -265,7 +267,7 @@ def d_simplicity(ring: QuotientRing, derivations,
     memo = _MEMO.get()
     if memo is None:
         return _decide(ring, derivations, order, budget)
-    key = (ring, ring.defining, derivations, order, budget)
+    key = _MemoKey((ring, ring.defining, derivations, order, budget))
     verdict = memo.get(key)
     if verdict is None:
         verdict = memo[key] = _decide(ring, derivations, order, budget)
@@ -408,19 +410,27 @@ def darboux_search(F: Poly, bound: int,
                    budget: int = DEFAULT_BUDGET) -> DarbouxResult:
     """Bounded search for h with d(h) = cofactor * h, d = d/dx + F d/dy.
 
-    Looks for a nonconstant h of total degree <= bound with polynomial
-    cofactor of degree <= max(deg F - 1, 0) (the degree comparison in
-    d(h) = cofactor*h forces this, since d(x) = 1).  The unknowns are the
-    coefficients c_0..c_{M-1} of h and l_0..l_{L-1} of the cofactor, the
-    variables of one context; each equation is the coefficient of one
-    x,y-monomial in d(h) - cofactor*h.  The candidate leading monomials of h
-    are tried in ascending grevlex order: the pivot's coefficient is fixed
-    to 1 and those of larger monomials to 0, `_solve_rational` looks for a
-    rational point, and the first pair found is verified and returned.  A
-    pivot whose system is inconsistent, or consistent without an extracted
+    Looks for a nonconstant h of total degree <= bound with a polynomial
+    cofactor of degree <= max(deg F - 1, 0), whatever the bound: comparing
+    degrees in d(h) = cofactor*h forces this, since d(x) = 1 (F = x^2*y has
+    h = y with cofactor x^2 at bound 1).  The unknowns are the coefficients
+    c_0..c_{M-1} of h and l_0..l_{L-1} of the cofactor, the variables of
+    one context; each equation is the coefficient of one x,y-monomial in
+    d(h) - cofactor*h, and the system is built once, as raw term maps.
+
+    The candidate leading monomials of h, the pivots, are tried in
+    ascending grevlex order; the pivot's coefficient is fixed to 1 and
+    those of larger monomials to 0 by filtering terms.  Each pivot system
+    is first eliminated top down (`_refuted`): there the pivot's
+    coefficient makes the equations linear in the cofactor unknowns, so a
+    contradiction shows in a few steps and the pivot is skipped.  Otherwise
+    `_solve_rational` looks for a rational point bottom up, and the first
+    pair found is verified and returned; skipping refuted pivots changes no
+    answer, since `_solve_rational` finds no point on them either.  A pivot
+    whose system is inconsistent, or consistent without an extracted
     rational point, passes to the next.  When no pivot yields h and some
-    pivot's system was consistent, BudgetExceededError names the first such
-    leading monomial — never a wrong NoneUpToBound.
+    pivot's system was consistent, BudgetExceededError names the first
+    such leading monomial — never a wrong NoneUpToBound.
     """
     ctx = F.context
     if ctx.nvars != 2:
@@ -430,53 +440,63 @@ def darboux_search(F: Poly, bound: int,
     if bound < 1:
         raise PreconditionError("the degree bound must be at least 1")
 
-    cof_bound = min(max(F.total_degree() - 1, 0), bound)
     h_monos = _monomials_up_to(bound)
-    cof_monos = _monomials_up_to(cof_bound)
+    cof_monos = _monomials_up_to(max(F.total_degree() - 1, 0))
     M = len(h_monos)
+    n = M + len(cof_monos)
     unknowns = VarContext([f"c{k}" for k in range(M)]
-                          + [f"l{j}" for j in range(len(cof_monos))], ctx.field)
+                          + [f"l{j}" for j in range(n - M)], ctx.field)
+    unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
 
     # the coefficient of each x,y-monomial in h_x + F*h_y - cofactor*h
     equations = {}
 
-    def add(xy, c, *indices):
-        u = tuple(int(i in indices) for i in range(unknowns.nvars))
+    def add(xy, c, u):
         eq = equations.setdefault(xy, {})
         eq[u] = eq.get(u, 0) + c
 
     for k, (a, b) in enumerate(h_monos):
         if a:
-            add((a - 1, b), a, k)
+            add((a - 1, b), a, unit[k])
     for (p, q), f in F._terms.items():
         for k, (a, b) in enumerate(h_monos):
             if b:
-                add((a + p, b + q - 1), b * f, k)
+                add((a + p, b + q - 1), b * f, unit[k])
     for j, (p, q) in enumerate(cof_monos):
         for k, (a, b) in enumerate(h_monos):
-            add((a + p, b + q), -1, k, M + j)
+            add((a + p, b + q), -1, tuple(map(operator.add, unit[k], unit[M + j])))
     # listed by x,y-monomial under grevlex, so that equal F's take one path
-    # whatever the insertion order of their terms
+    # whatever the insertion order of their terms; each term holds exactly
+    # one c_k and is kept as (the grevlex rank of h_monos[k], its exponents,
+    # its exponents without c_k, its coefficient)
     grevlex = TermOrder.GREVLEX.key
-    system = [Poly(unknowns, equations[xy])
-              for xy in sorted(equations, key=grevlex)]
-    pivots = sorted((m for m in h_monos if sum(m) > 0), key=grevlex)
+    ascending = sorted(h_monos, key=grevlex)
+    rank = [ascending.index(m) for m in h_monos]
+    system = []
+    for xy in sorted(equations, key=grevlex):
+        terms = []
+        for u, c in _canonical(equations[xy], ctx.field.p).items():
+            k = u.index(1)
+            terms.append((rank[k], u, u[:k] + (0,) + u[k + 1:], c))
+        system.append(terms)
     unresolved = None
-    for pivot in pivots:
-        fixed = {k: int(m == pivot) for k, m in enumerate(h_monos)
-                 if grevlex(m) >= grevlex(pivot)}
-        consts = {k: unknowns.const(v) for k, v in fixed.items()}
+    for r in range(1, M):   # the pivots; rank 0 is the constant monomial
+        # c_k = 1 at the pivot and 0 above it: keep, strip or drop each term
+        eqs = ({bare if q == r else u: c for q, u, bare, c in terms if q <= r}
+               for terms in system)
+        eqs = [e for e in eqs if e]
+        if _refuted(eqs, unknowns):
+            continue
         try:
-            values = _solve_rational([e.substitute(consts) for e in system],
+            values = _solve_rational([Poly._raw(unknowns, e) for e in eqs],
                                      unknowns, budget)
         except _NoRationalPoint:
             if unresolved is None:
-                unresolved = pivot
+                unresolved = ascending[r]
             continue
         if values is None:
             continue
-        for k, v in fixed.items():  # the pivot normalization, not a free 0
-            values[k] = v
+        values[rank.index(r)] = 1   # the pivot normalization, not a free 0
         h = Poly(ctx, dict(zip(h_monos, values)))
         cof = Poly(ctx, dict(zip(cof_monos, values[M:])))
         lhs = h.partial(0) + F * h.partial(1)
@@ -502,35 +522,32 @@ class _NoRationalPoint(Exception):
     """A consistent system whose rational point the extraction missed."""
 
 
+def _refuted(equations, context: VarContext) -> bool:
+    """Whether `_eliminate` on the raw term maps, last equation first,
+    derives a nonzero constant.  Substituting a linear solution keeps the
+    solution set, so True proves that `_solve_rational` returns None."""
+    return _eliminate(equations[::-1], context) is None
+
+
 def _solve_rational(equations, context: VarContext, budget: int):
     """A rational common zero of the system, as a list of raw values indexed
     like the context's variables, or None when the system has no zero.
 
-    Linear elimination comes first: each step solves the first equation
-    that has one for its lowest-index unknown appearing linearly with a
-    constant coefficient, and substitutes the solution into the rest.  What
-    remains goes through Buchberger; a unit basis means no zero, otherwise
-    `_extract_point` looks for a rational point of it.  Unknowns left free
-    are set to 0, and the eliminated ones are evaluated back in reverse
-    order.  A consistent system whose point was not extracted raises
-    _NoRationalPoint.
+    Linear elimination (`_eliminate`, on the term maps in the given order)
+    comes first.  What remains goes through Buchberger; a unit basis means
+    no zero, otherwise `_extract_point` looks for a rational point of it.
+    Unknowns left free are set to 0, and the eliminated ones are evaluated
+    back in reverse order.  A consistent system whose point was not
+    extracted raises _NoRationalPoint.
     """
-    eqs = [e for e in equations if not e.is_zero()]
-    solved = {}
-    while True:
-        if any(e.is_constant() for e in eqs):
-            return None
-        hit = next(filter(None, map(_linear_solvable, eqs)), None)
-        if hit is None:
-            break
-        i, value = hit
-        eqs = [q.substitute({i: value}) for q in eqs]
-        eqs = [q for q in eqs if not q.is_zero()]
-        solved[i] = value
-
+    eliminated = _eliminate([e._terms for e in equations if e._terms], context)
+    if eliminated is None:
+        return None
+    eqs, solved = eliminated
     point = {}
     if eqs:
-        basis = buchberger(eqs, TermOrder.GREVLEX, budget)
+        basis = buchberger([Poly._raw(context, e) for e in eqs],
+                           TermOrder.GREVLEX, budget)
         if basis.is_unit:
             return None
         point = _extract_point(list(basis.polys), context.nvars, budget, 0)
@@ -543,24 +560,61 @@ def _solve_rational(equations, context: VarContext, budget: int):
     return values
 
 
-def _linear_solvable(e: Poly):
-    """(i, v) for the lowest i with e == a*u_i + r, a a nonzero constant and
-    u_i absent from r; v = -r/a."""
-    for i in range(e.context.nvars):
-        coeff = None
-        rest = {}
-        for m, c in e._terms.items():
-            if m[i] == 0:
-                rest[m] = c
-            elif m[i] == 1 and sum(m) == 1:
-                coeff = c
-            else:
-                break
+def _eliminate(equations, context: VarContext):
+    """Linear elimination on nonzero raw term maps, which it leaves as
+    they are.
+
+    Each step takes the first equation a*u_i + r with a linear unknown (see
+    `_linear_unknown`) and puts -r/a for u_i into the equations that hold
+    u_i, dropping zero results; an equation's linear unknown is kept until
+    the equation changes.  Returns (the remaining maps, {i: the value of
+    u_i as a Poly} in the order solved), or None as soon as an equation is
+    a nonzero constant.
+    """
+    field = context.field
+    constant = (0,) * context.nvars
+    eqs = list(equations)
+    if any(len(e) == 1 and constant in e for e in eqs):
+        return None
+    hits = [_linear_unknown(e) for e in eqs]
+    solved = {}
+    while True:
+        at = next((at for at, i in enumerate(hits) if i is not None), None)
+        if at is None:
+            return eqs, solved
+        i, e = hits[at], eqs[at]
+        unit = constant[:i] + (1,) + constant[i + 1:]
+        inverse = -field.raw_inverse(e[unit])
+        value = Poly._raw(context, {m: c for m, c in e.items() if m != unit}
+                          ).scale(inverse)
+        kept, kept_hits = [], []
+        for q, hit in zip(eqs, hits):
+            if q is e:
+                continue
+            if any(m[i] for m in q):
+                q = Poly._raw(context, q).substitute({i: value})._terms
+                if not q:
+                    continue
+                if len(q) == 1 and constant in q:
+                    return None
+                hit = _linear_unknown(q)
+            kept.append(q)
+            kept_hits.append(hit)
+        eqs, hits = kept, kept_hits
+        solved[i] = value
+
+
+def _linear_unknown(terms):
+    """The lowest i with terms == a*u_i + r, a a nonzero constant and u_i
+    absent from r, or None; one pass over the terms."""
+    lone = []
+    blocked = set()
+    for m in terms:
+        if sum(m) == 1:
+            lone.append(m.index(1))
         else:
-            if coeff is not None:
-                inverse = -e.context.field.raw_inverse(coeff)
-                return i, Poly._raw(e.context, rest).scale(inverse)
-    return None
+            blocked.update(i for i, e in enumerate(m) if e)
+    return min((i for i in lone if i not in blocked), default=None)
 
 
 def _extract_point(basis, nvars: int, budget: int, depth: int):

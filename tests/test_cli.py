@@ -72,6 +72,16 @@ def test_darboux_subcommand():
     assert record["status"] == "none_up_to_bound"
 
 
+@pytest.mark.parametrize("F,bound,cofactor", [
+    ("x^2*y", 1, "x^2"), ("x^5*y", 1, "x^5"), ("x^5*y", 2, "x^5")])
+def test_darboux_subcommand_cofactor_above_the_bound(F, bound, cofactor):
+    # the cofactor's degree is deg F - 1, whatever the bound on h
+    out = run_cli("darboux", F, "--bound", str(bound))
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[-1] == \
+        f"darboux: found h = y, cofactor = {cofactor}"
+
+
 def test_darboux_subcommand_past_an_irrational_pivot():
     out = run_cli("--json", "darboux", "4*x^2*y^2 + 4*x^2", "--bound", "3")
     assert out.returncode == 0

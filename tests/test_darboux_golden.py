@@ -5,9 +5,12 @@ them.
 F, the degree bound, the status, h and the cofactor (``-`` when nothing was
 found).  The fields are the 48 bound-2 fields of the seed-1
 ``session-replay`` pool of the benchmark, then five classic fields at bound
-3.  The answers were printed by the implementation that kept the unknowns
-beside x and y in one polynomial ring; the pivot order, the elimination
-rule, the free-unknown default and the root order must keep them unchanged.
+3, then four fields whose cofactor degree deg F - 1 exceeds the bound (each
+pair checked by hand: d(y) = x^k*y, and d(y^2 + 1) = 8*x^2*y*(y^2 + 1) for
+F = 4*x^2*y^2 + 4*x^2).  The first 53 answers were printed by the
+implementation that kept the unknowns beside x and y in one polynomial
+ring; the pivot order, the elimination rule, the free-unknown default and
+the root order must keep them unchanged.
 """
 
 from pathlib import Path

@@ -51,6 +51,13 @@ def test_parse_reports_line_and_column():
     assert err.value.col > 0
 
 
+def test_unexpected_character_after_a_comment():
+    # columns count from the start of the line the character is on
+    with pytest.raises(ParseError, match="unexpected character '\\$'") as err:
+        parse_session("ring R = QQ[x]\n# a comment $ is fine here\n  mul x $ 1\n")
+    assert (err.value.line, err.value.col) == (3, 9)
+
+
 def test_parse_rejects_unknown_statement():
     with pytest.raises(ParseError):
         parse_session("frobnicate x")

@@ -37,9 +37,11 @@ from derivalg import (
     skew_simplicity,
     truncated_certificate,
 )
+from derivalg import simplicity
 from derivalg.simplicity import (
     _certified_prime,
     _rational_roots,
+    _refuted,
     _solve_rational,
 )
 
@@ -397,6 +399,15 @@ def test_darboux_simple_derivation_has_none(ctx_xy):
     assert result.bound == 3
 
 
+@pytest.mark.parametrize("power,bound", [(2, 1), (5, 1), (5, 2)])
+def test_darboux_cofactor_degree_above_the_bound(ctx_xy, power, bound):
+    # d(y) = x^k*y: the cofactor x^k has degree deg F - 1 > bound
+    x, y = ctx_xy.var(0), ctx_xy.var(1)
+    result = darboux_search(x ** power * y, bound)
+    assert result.status is DarbouxStatus.FOUND
+    assert result.h == y and result.cofactor == x ** power
+
+
 @pytest.mark.parametrize("F_builder,bound", [
     (lambda x, y: y, 4),
     (lambda x, y: x * y, 3),
@@ -479,6 +490,36 @@ def test_darboux_answer_ignores_term_insertion_order(ctx_xy):
         assert result.status is DarbouxStatus.FOUND
         assert result.h == y
         assert result.cofactor == -9 * y - 8
+
+
+def test_refuted_pivot_systems_have_no_zero(ctx_xy, monkeypatch):
+    # every pivot system that the top-down pass rules out is one on which
+    # the bottom-up `_solve_rational` returns None; the point search is
+    # stubbed out while the systems are collected, so every pivot is seen
+    rng = random.Random(25)
+    x, y = ctx_xy.var(0), ctx_xy.var(1)
+    fields = []
+    for _ in range(4):
+        a, b = rng.randint(1, 9), rng.randint(1, 9)
+        fields += [y ** 2 + a * x, a * y - b * x, a * x * y + b * y ** 2]
+    fields += [rand_poly(rng, ctx_xy, 3, 3, -3, 3) for _ in range(12)]
+    systems = []
+
+    def record(equations, unknowns):
+        refuted = _refuted(equations, unknowns)
+        systems.append((equations, unknowns, refuted))
+        return refuted
+
+    monkeypatch.setattr(simplicity, "_refuted", record)
+    monkeypatch.setattr(simplicity, "_solve_rational", lambda *args: None)
+    for F in fields:
+        for bound in (1, 2, 3):
+            darboux_search(F, bound)
+    refuted = [(eqs, u) for eqs, u, r in systems if r]
+    assert 0 < len(refuted) < len(systems)
+    for eqs, unknowns in refuted:
+        system = [Poly._raw(unknowns, e) for e in eqs]
+        assert _solve_rational(system, unknowns, DEFAULT_BUDGET) is None
 
 
 def test_solve_rational_specialisation_fallback():
