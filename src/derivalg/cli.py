@@ -44,10 +44,7 @@ EXIT_INTERNAL = 4
 
 
 def _emit(record, human, as_json):
-    if as_json:
-        print(json.dumps(record))
-    else:
-        print(human)
+    print(json.dumps(record) if as_json else human())
 
 
 def _emit_error(exc, as_json, internal=False):
@@ -270,6 +267,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # an exact tool reads and prints integers of any length: Python's limit
+    # on int/str conversion is lifted while the CLI runs
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     args = build_arg_parser().parse_args(argv)
     session = Session(order=TermOrder(args.order), budget=args.budget)
     if args.subcommand == "repl":

@@ -26,7 +26,7 @@ Grammar (one statement per line, `#` starts a comment):
 skew ring's base (characteristic 0 only); `--dim1` takes one derivation and
 answers Unknown unless the ring has characteristic 0 and dimension 1.
 
-Expressions: integers, `a/b` rationals, identifiers, `+ - * ^`, parentheses;
+Expressions: ASCII integers, `a/b` rationals, identifiers, `+ - * ^`, parentheses;
 `*` is mandatory between factors and `^` takes a non-negative integer.
 
 Tokens, expression nodes and statements are `typing.NamedTuple` records, and
@@ -48,7 +48,7 @@ _TOKEN_RE = re.compile(r"""
     [ \t]+
   | \#[^\n]*
   | (?P<newline>\n)
-  | (?P<number>\d+)
+  | (?P<number>[0-9]+)
   | (?P<flag>--[A-Za-z][A-Za-z0-9_]*)
   | (?P<arrow>->)
   | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
@@ -118,6 +118,26 @@ class Binary(NamedTuple):
     right: object
 
 
+_new = tuple.__new__
+
+
+def _expected(want: str, t: Token) -> ParseError:
+    return ParseError(f"expected {want!r}, found {t.text or t.kind!r}",
+                      t.line, t.col)
+
+
+def _number(t: Token) -> int:
+    """The value of a number token.  Any other token, or a literal past
+    Python's int/str digit limit, is a ParseError at its position."""
+    if t.kind != "number":
+        raise _expected("number", t)
+    try:
+        return int(t.text)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(t.text)} digits is too long",
+                         t.line, t.col) from None
+
+
 class _Stream:
     def __init__(self, tokens, start=0):
         self.tokens = tokens
@@ -134,9 +154,7 @@ class _Stream:
     def expect(self, kind: str, text: str | None = None) -> Token:
         t = self.peek()
         if t.kind != kind or (text is not None and t.text != text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {t.text or t.kind!r}",
-                             t.line, t.col)
+            raise _expected(text if text is not None else kind, t)
         return self.next()
 
     def at_op(self, text: str) -> bool:
@@ -145,59 +163,56 @@ class _Stream:
 
 
 def parse_expression(stream: _Stream):
-    node = _parse_term(stream)
-    while stream.at_op("+") or stream.at_op("-"):
-        op = stream.next().text
-        node = Binary(op, node, _parse_term(stream))
+    node, stream.i = _sum(stream.tokens, stream.i)
     return node
 
 
-def _parse_term(stream: _Stream):
-    node = _parse_unary(stream)
-    while stream.at_op("*"):
-        stream.next()
-        node = Binary("*", node, _parse_unary(stream))
-    return node
+def _sum(tokens, i):
+    """(node, index past it) of the sum at tokens[i].  Only op tokens have
+    the texts + - * / ^ ( ), so the text alone tells them apart."""
+    node, i = _product(tokens, i)
+    while (op := tokens[i][1]) in ("+", "-"):
+        right, i = _product(tokens, i + 1)
+        node = _new(Binary, (op, node, right))
+    return node, i
 
 
-def _parse_unary(stream: _Stream):
-    if stream.at_op("-"):
-        stream.next()
-        return Unary("-", _parse_unary(stream))
-    return _parse_power(stream)
+def _product(tokens, i):
+    node, i = _factor(tokens, i)
+    while tokens[i][1] == "*":
+        right, i = _factor(tokens, i + 1)
+        node = _new(Binary, ("*", node, right))
+    return node, i
 
 
-def _parse_power(stream: _Stream):
-    base = _parse_atom(stream)
-    if stream.at_op("^"):
-        stream.next()
-        t = stream.expect("number")
-        return Binary("^", base, Num(int(t.text), 1, t.line, t.col))
-    return base
-
-
-def _parse_atom(stream: _Stream):
-    t = stream.peek()
-    if t.kind == "number":
-        stream.next()
-        if stream.at_op("/"):
-            stream.next()
-            d = stream.expect("number")
-            if int(d.text) == 0:
-                raise ParseError("zero denominator in rational literal",
-                                 d.line, d.col)
-            return Num(int(t.text), int(d.text), t.line, t.col)
-        return Num(int(t.text), 1, t.line, t.col)
-    if t.kind == "ident":
-        stream.next()
-        return Name(t.text, t.line, t.col)
-    if t.kind == "op" and t.text == "(":
-        stream.next()
-        node = parse_expression(stream)
-        stream.expect("op", ")")
-        return node
-    raise ParseError(f"expected an expression, found {t.text or t.kind!r}",
-                     t.line, t.col)
+def _factor(tokens, i):
+    """`-` factor, or an atom with an optional `^` number."""
+    t = tokens[i]
+    kind, text, line, col = t
+    if text == "-":
+        node, i = _factor(tokens, i + 1)
+        return _new(Unary, ("-", node)), i
+    if kind == "number":
+        slash = tokens[i + 1][1] == "/"
+        d = _number(tokens[i + 2]) if slash else 1
+        if d == 0:
+            z = tokens[i + 2]
+            raise ParseError("zero denominator in rational literal", z.line, z.col)
+        node, i = _new(Num, (_number(t), d, line, col)), i + (3 if slash else 1)
+    elif kind == "ident":
+        node, i = _new(Name, (text, line, col)), i + 1
+    elif text == "(":
+        node, i = _sum(tokens, i + 1)
+        if tokens[i][1] != ")":
+            raise _expected(")", tokens[i])
+        i += 1
+    else:
+        raise ParseError(f"expected an expression, found {text or kind!r}", line, col)
+    if tokens[i][1] == "^":
+        e = tokens[i + 1]
+        node = _new(Binary, ("^", node, _new(Num, (_number(e), 1, e.line, e.col))))
+        i += 2
+    return node, i
 
 
 # --------------------------------------------------------------------------
@@ -397,9 +412,9 @@ def _parse_field(stream: _Stream) -> FieldDesignator:
         return FieldDesignator(None)
     if t.text == "GF":
         stream.expect("op", "(")
-        p = stream.expect("number")
+        p = _number(stream.next())
         stream.expect("op", ")")
-        return FieldDesignator(int(p.text))
+        return FieldDesignator(p)
     raise ParseError(f"unknown field {t.text!r} (use QQ or GF(p))",
                      t.line, t.col)
 
@@ -462,7 +477,7 @@ def _parse_skew_stmt(stream, line):
 
 
 def _parse_weyl_stmt(stream, line):
-    n = int(stream.expect("number").text)
+    n = _number(stream.next())
     name = f"A{n}"
     if stream.peek().kind == "ident" and stream.peek().text == "as":
         stream.next()
@@ -524,7 +539,7 @@ def _parse_certificate_stmt(stream, line):
 def _parse_darboux_stmt(stream, line):
     expr = parse_expression(stream)
     stream.expect("ident", "bound")
-    n = int(stream.expect("number").text)
+    n = _number(stream.next())
     return DarbouxCommand(line, expr, n, _opt_in_ring(stream))
 
 

@@ -2,9 +2,9 @@
 
 A session holds named bindings (rings, ideals, quotient rings, derivations,
 skew rings, elements) and executes parsed statements against them.  Every
-result is rendered both as human text and as a JSON-ready dict; rendering is
-fully deterministic, so replaying a session file yields byte-identical
-output.
+result is rendered as a JSON-ready dict, and its human text is formatted
+from the dict's strings on demand; rendering is fully deterministic, so
+replaying a session file yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -34,14 +34,14 @@ from .poly import Poly, VarContext
 # that use them, so a session of Groebner commands never loads them.
 if TYPE_CHECKING:
     from .simplicity import SimplicityVerdict
-    from .skew import SkewPoly
+    from .skew import SkewPoly, SkewRingDescriptor
 
 
 def poly_json(p: Poly) -> dict:
     return {
         "str": str(p),
         "terms": [{"exponents": list(m), "coefficient": str(c)}
-                  for m, c in p.terms()],
+                  for m, c in p._sorted_items()],
     }
 
 
@@ -61,6 +61,30 @@ def verdict_json(v: SimplicityVerdict) -> dict:
         "witness": None if v.witness is None
         else [str(g) for g in v.witness.generators],
     }
+
+
+def _verdict_text(record: dict) -> str:
+    """`SimplicityVerdict.__str__`, from the record of `verdict_json`."""
+    witness, reason, criterion = (record[k] for k in ("witness", "reason", "criterion"))
+    extra = (f" witness ({', '.join(witness) or '0'})" if witness is not None
+             else f" ({reason})" if reason else "")
+    return record["status"] + extra + (f" [{criterion}]" if criterion else "")
+
+
+def _walk(node, leaf):
+    """The value of an expression AST: `leaf` gives each Num and Name node its
+    value, and the values' own + - * ^ combine them, left operand first."""
+    cls = node.__class__
+    if cls is P.Binary:
+        op, left = node.op, _walk(node.left, leaf)
+        if op == "^":
+            return left ** node.right.numerator
+        right = _walk(node.right, leaf)
+        return (left + right if op == "+" else left - right if op == "-"
+                else left * right)
+    if cls is P.Unary:
+        return -_walk(node.operand, leaf)
+    return leaf(node)
 
 
 class Session:
@@ -107,60 +131,52 @@ class Session:
 
     # -- expression evaluation ----------------------------------------------
 
-    def eval_in(self, node, ring):
-        """Evaluate an expression AST in a polynomial/quotient or skew ring."""
-        if isinstance(node, P.Num):
-            if isinstance(ring, QuotientRing):
-                return ring.context.const(
-                    ring.context.field.from_ratio(node.numerator, node.denominator))
-            context = ring.base.context
-            value = context.field.from_ratio(node.numerator, node.denominator)
-            return ring.from_base(context.const(value))
-        if isinstance(node, P.Name):
-            return self._resolve_name(node, ring)
-        if isinstance(node, P.Unary):
-            return -self.eval_in(node.operand, ring)
-        if isinstance(node, P.Binary):
-            if node.op == "^":
-                base = self.eval_in(node.left, ring)
-                return base ** node.right.numerator
-            left = self.eval_in(node.left, ring)
-            right = self.eval_in(node.right, ring)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-        raise AssertionError(f"unhandled expression node {node!r}")
+    def eval_in(self, node, ring: SkewRingDescriptor) -> SkewPoly:
+        """Evaluate an expression AST in a skew ring."""
+        context = ring.base.context
 
-    def _resolve_name(self, node: P.Name, ring):
-        name = node.text
-        if isinstance(ring, QuotientRing):
-            if name in ring.context.names:
-                return ring.reduce(ring.context.var_by_name(name))
-            bound = self.elements.get(name)
-            if isinstance(bound, Poly) and bound.context == ring.context:
-                return ring.reduce(bound)
-        else:
-            if name in ring.names or name in ring.base.context.names:
+        def leaf(node):
+            if node.__class__ is P.Num:
+                value = context.field.from_ratio(node.numerator, node.denominator)
+                return ring.from_base(context.const(value))
+            name = node.text
+            if name in ring.names or name in context.names:
                 return ring.variable(name)
-            # a bound element is a Poly or a SkewPoly
-            bound = self.elements.get(name)
+            bound = self.elements.get(name)  # a Poly or a SkewPoly
             if (bound is not None and not isinstance(bound, Poly)
                     and bound.ring == ring):
                 return bound
-        raise UnknownIdentifierError(f"unknown identifier {name!r}",
-                                     node.line, node.col)
+            raise UnknownIdentifierError(f"unknown identifier {name!r}",
+                                         node.line, node.col)
+        return _walk(node, leaf)
 
     def eval_poly(self, node, ring: QuotientRing) -> Poly:
-        return ring.reduce(self.eval_in(node, ring))
+        """The normal form of an expression in a polynomial or quotient ring:
+        an integer literal is a raw coefficient (see `poly`), and the result
+        is reduced once, at the end, which gives the unique normal form."""
+        context = ring.context
+
+        def leaf(node):
+            if node.__class__ is P.Num:  # an integer stays a raw coefficient
+                n, d = node.numerator, node.denominator
+                return context.const(n if d == 1 else context.field.from_ratio(n, d))
+            name = node.text
+            if name in context.names:
+                return context.var_by_name(name)
+            bound = self.elements.get(name)
+            if isinstance(bound, Poly) and bound.context == context:
+                return bound
+            raise UnknownIdentifierError(f"unknown identifier {name!r}",
+                                         node.line, node.col)
+        return ring.reduce(_walk(node, leaf))
 
     # -- statement dispatch --------------------------------------------------
 
     def execute(self, stmt):
-        """Run one statement, with the session's memo active; returns
-        (json_record, human_text)."""
+        """Run one statement, with the session's memo active.
+
+        Returns (json_record, human): `human()` formats the statement's text
+        output from the record's strings, so a JSON run never builds it."""
         handler = self._DISPATCH[type(stmt)]
         token = _MEMO.set(self._memo)
         try:
@@ -175,7 +191,7 @@ class Session:
         self.current = stmt.name
         record = {"command": "ring", "name": stmt.name,
                   "field": str(context.field), "variables": list(context.names)}
-        return record, f"ring {stmt.name} = {context}"
+        return record, lambda: f"ring {stmt.name} = {context}"
 
     def _do_ideal(self, stmt: P.DefineIdeal):
         ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line)
@@ -186,7 +202,8 @@ class Session:
         self._bind(self.ideals, "ideal", stmt.name, handle, stmt.line)
         record = {"command": "ideal", "name": stmt.name, "ring": stmt.ring,
                   "generators": [str(g) for g in handle.generators]}
-        return record, f"ideal {stmt.name} = {handle} in {stmt.ring}"
+        return record, lambda: "ideal {} = ({}) in {}".format(
+            stmt.name, ", ".join(record["generators"]) or "0", stmt.ring)
 
     def _do_quotient(self, stmt: P.DefineQuotient):
         ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line)
@@ -202,7 +219,7 @@ class Session:
         record = {"command": "quotient", "name": stmt.name, "ring": stmt.ring,
                   "ideal": stmt.ideal,
                   "groebner_basis": [str(g) for g in quotient.basis.polys]}
-        return record, f"quotient {stmt.name} = {quotient}"
+        return record, lambda: f"quotient {stmt.name} = {quotient}"
 
     def _do_der(self, stmt: P.DefineDerivation):
         ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line)
@@ -220,9 +237,9 @@ class Session:
         derivation = Derivation(ring, [images.get(n, ring.context.zero) for n in names])
         self._bind(self.derivations, "derivation", stmt.name, derivation, stmt.line)
         record = {"command": "der", "name": stmt.name, "ring": stmt.ring,
-                  "images": {n: str(g) for n, g in
-                             zip(ring.context.names, derivation.images)}}
-        return record, f"der {stmt.name} on {stmt.ring} : {derivation}"
+                  "images": {n: str(g) for n, g in zip(names, derivation.images)}}
+        return record, lambda: f"der {stmt.name} on {stmt.ring} : " + ", ".join(
+            f"{n} -> {g}" for n, g in record["images"].items())
 
     def _do_skew(self, stmt: P.DefineSkew):
         base = self._lookup(self.rings, "ring", stmt.base, stmt.line)
@@ -236,7 +253,7 @@ class Session:
         record = {"command": "skew", "name": stmt.name, "base": stmt.base,
                   "variables": names,
                   "derivations": [d for _, d in stmt.steps]}
-        return record, f"skew {stmt.name} = {ring}"
+        return record, lambda: f"skew {stmt.name} = {ring}"
 
     def _do_weyl(self, stmt: P.DefineWeyl):
         from .skew import weyl_algebra
@@ -246,7 +263,7 @@ class Session:
         record = {"command": "weyl", "name": stmt.name, "n": stmt.n,
                   "base_variables": list(ring.base.context.names),
                   "skew_variables": list(ring.names)}
-        return record, f"weyl {stmt.n}: {stmt.name} = {ring}"
+        return record, lambda: f"weyl {stmt.n}: {stmt.name} = {ring}"
 
     def _evaluate(self, stmt):
         """stmt.expr in stmt.ring (default: the ring in scope), reduced, and
@@ -262,12 +279,12 @@ class Session:
         value, rendered = self._evaluate(stmt)
         self._bind(self.elements, "element", stmt.name, value, stmt.line)
         record = {"command": "let", "name": stmt.name, "value": rendered}
-        return record, f"let {stmt.name} = {rendered['str']}"
+        return record, lambda: f"let {stmt.name} = {rendered['str']}"
 
     def _do_mul(self, stmt: P.MulCommand):
         _, rendered = self._evaluate(stmt)
         record = {"command": "mul", "result": rendered}
-        return record, f"mul: {rendered['str']}"
+        return record, lambda: f"mul: {rendered['str']}"
 
     def _do_apply(self, stmt: P.ApplyCommand):
         derivation = self._lookup(self.derivations, "derivation",
@@ -276,14 +293,14 @@ class Session:
         image = derivation.apply(value)
         record = {"command": "apply", "derivation": stmt.derivation,
                   "element": str(value), "result": poly_json(image)}
-        return record, f"apply {stmt.derivation}: {image}"
+        return record, lambda: f"apply {stmt.derivation}: {record['result']['str']}"
 
     def _do_gb(self, stmt: P.GbCommand):
         handle = self._lookup(self.ideals, "ideal", stmt.ideal, stmt.line)
         basis = groebner_basis(handle, self.order, self.budget)
         record = {"command": "gb", "ideal": stmt.ideal, "order": str(self.order),
                   "basis": [str(g) for g in basis.polys]}
-        return record, f"gb {stmt.ideal}: {basis}"
+        return record, lambda: f"gb {stmt.ideal}: {{{', '.join(record['basis'])}}}"
 
     def _do_member(self, stmt: P.MemberCommand):
         handle = self._lookup(self.ideals, "ideal", stmt.ideal, stmt.line)
@@ -299,13 +316,14 @@ class Session:
                 {"basis_element": str(g), "cofactor": str(q)}
                 for g, q in zip(basis.polys, cof)]
             record["remainder"] = str(remainder)
-        return record, f"member {f} in {stmt.ideal}: {str(member).lower()}"
+        return record, lambda: (f"member {record['element']} in {stmt.ideal}: "
+                                f"{str(member).lower()}")
 
     def _do_dim(self, stmt: P.DimCommand):
         handle = self._lookup(self.ideals, "ideal", stmt.ideal, stmt.line)
         dim = krull_dimension(handle, self.order, self.budget)
         record = {"command": "dim", "ideal": stmt.ideal, "dimension": dim}
-        return record, f"dim {stmt.ideal}: {dim}"
+        return record, lambda: f"dim {stmt.ideal}: {dim}"
 
     def _do_certificate(self, stmt: P.CertificateCommand):
         ring = self._any_ring(stmt.ring, stmt.line)
@@ -331,7 +349,8 @@ class Session:
                   "word_indices": list(cert.word),
                   "constant": str(cert.final_constant)}
         word = " ".join(record["word"]) or "(empty)"
-        return record, f"certificate: word [{word}] constant {cert.final_constant}"
+        return record, lambda: (f"certificate: word [{word}] "
+                                f"constant {record['constant']}")
 
     def _do_darboux(self, stmt: P.DarbouxCommand):
         ring = self._any_ring(stmt.ring, stmt.line)
@@ -345,10 +364,9 @@ class Session:
         if result.status is DarbouxStatus.FOUND:
             record["h"] = str(result.h)
             record["cofactor"] = str(result.cofactor)
-            human = f"darboux: found h = {result.h}, cofactor = {result.cofactor}"
-        else:
-            human = f"darboux: none up to degree {stmt.bound}"
-        return record, human
+            return record, lambda: (f"darboux: found h = {record['h']}, "
+                                    f"cofactor = {record['cofactor']}")
+        return record, lambda: f"darboux: none up to degree {stmt.bound}"
 
     def _do_check_commute(self, stmt: P.CheckCommute):
         d1 = self._lookup(self.derivations, "derivation", stmt.first, stmt.line)
@@ -360,11 +378,9 @@ class Session:
         if not report.commute:
             gen = d1.ring.context.names[report.generator]
             record["witness"] = {"generator": gen, "image": str(report.witness)}
-            human = (f"check commute: false "
-                     f"(commutator sends {gen} to {report.witness})")
-        else:
-            human = "check commute: true"
-        return record, human
+            return record, lambda: (f"check commute: false (commutator sends {gen} "
+                                    f"to {record['witness']['image']})")
+        return record, lambda: "check commute: true"
 
     def _do_check_dideal(self, stmt: P.CheckDideal):
         handle = self._lookup(self.ideals, "ideal", stmt.ideal, stmt.line)
@@ -374,7 +390,7 @@ class Session:
         ok = d_ideal_check(handle, ders, self.order, self.budget)
         record = {"command": "check_dideal", "ideal": stmt.ideal,
                   "derivations": list(stmt.derivations), "d_ideal": ok}
-        return record, f"check dideal: {str(ok).lower()}"
+        return record, lambda: f"check dideal: {str(ok).lower()}"
 
     def _do_check_dsimple(self, stmt: P.CheckDsimple):
         ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line)
@@ -395,7 +411,7 @@ class Session:
         record = {"command": "check_dsimple", "ring": stmt.ring,
                   "derivations": list(stmt.derivations)}
         record.update(verdict_json(verdict))
-        return record, f"check dsimple: {verdict}"
+        return record, lambda: f"check dsimple: {_verdict_text(record)}"
 
     def _do_check_simple(self, stmt: P.CheckSimple):
         ring = self._lookup(self.skew_rings, "skew ring", stmt.ring, stmt.line)
@@ -403,7 +419,7 @@ class Session:
         verdict = skew_simplicity(ring, self.order, self.budget)
         record = {"command": "check_simple", "ring": stmt.ring}
         record.update(verdict_json(verdict))
-        return record, f"check simple: {verdict}"
+        return record, lambda: f"check simple: {_verdict_text(record)}"
 
     def _do_inner(self, stmt: P.InnerCommand):
         ring = self._any_ring(stmt.ring, stmt.line)
@@ -418,13 +434,13 @@ class Session:
             record["images"] = {n: str(g) for n, g in
                                 zip(ring.base.context.names,
                                     analysis.derivation.images)}
-            human = f"inner: induces {analysis.derivation}"
-        else:
-            record["offending_generator"] = analysis.offending_generator
-            record["residual"] = str(analysis.residual)
-            human = (f"inner: not degree 0 at {analysis.offending_generator}, "
-                     f"residual {analysis.residual}")
-        return record, human
+            return record, lambda: "inner: induces " + ", ".join(
+                f"{n} -> {g}" for n, g in record["images"].items())
+        record["offending_generator"] = analysis.offending_generator
+        record["residual"] = str(analysis.residual)
+        return record, lambda: (f"inner: not degree 0 at "
+                                f"{record['offending_generator']}, "
+                                f"residual {record['residual']}")
 
     def _do_extend(self, stmt: P.ExtendCommand):
         derivation = self._lookup(self.derivations, "derivation",
@@ -434,8 +450,8 @@ class Session:
         extend_derivation(derivation, ring)
         record = {"command": "extend", "derivation": stmt.derivation,
                   "ring": stmt.ring, "extends": True}
-        return record, (f"extend {stmt.derivation} into {stmt.ring}: ok "
-                        f"(skew variables map to 0)")
+        return record, lambda: (f"extend {stmt.derivation} into {stmt.ring}: ok "
+                                f"(skew variables map to 0)")
 
     _DISPATCH = {
         P.DefineRing: _do_ring,

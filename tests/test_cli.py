@@ -171,6 +171,49 @@ def test_acceptance_transcript_matches_golden():
         assert out.stdout == (DATA / golden).read_text()
 
 
+_DEPENDENT_SKEW_ARGS = [
+    ("--ring", "QQ[x, y]", "--skew-var", "t1", "--der", "x -> 1, y -> 0",
+     "--skew-var", "t2", "--der", "x -> 0, y -> 1",
+     "--skew-var", "t3", "--der", "x -> 1, y -> 1"),
+    ("--ring", "QQ[x1, x2]", "--ideal", "x1^2 + x2^2 - 1",
+     "--skew-var", "t1", "--der", "x1 -> -x2, x2 -> x1",
+     "--skew-var", "t2", "--der", "x1 -> -2*x2, x2 -> 2*x1"),
+    ("--ring", "QQ[y]", "--skew-var", "s1", "--der", "y -> 1",
+     "--skew-var", "s2", "--der", "y -> 1"),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: check simple prints "
+                   "Simple when D is linearly dependent")
+@pytest.mark.parametrize("args", _DEPENDENT_SKEW_ARGS, ids=["plane", "circle", "line"])
+def test_check_simple_dependent_derivations(args):
+    # t3 - t1 - t2, t2 - 2*t1 and s2 - s1 are central: S is not simple
+    out = run_cli("--json", "check", "simple", *args)
+    assert out.returncode == 0
+    assert json.loads(out.stdout.splitlines()[-1])["status"] == "NotSimple"
+
+
+def test_integers_past_the_int_digit_limit():
+    # Python refuses int/str conversions past 4300 digits; the CLI does not
+    out = run_cli("--json", "mul", "--ring", "QQ[x]", "10^5000*x")
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])["result"]
+    assert result["str"] == "1" + "0" * 5000 + "*x"
+    literal = "9" * 5000
+    out = run_cli("mul", "--ring", "QQ[x]", f"{literal}*x + 1")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == f"mul: {literal}*x + 1"
+
+
+def test_int_digit_limit_is_restored_after_main(capsys):
+    from derivalg import cli
+
+    limit = sys.get_int_max_str_digits()
+    assert cli.main(["mul", "--ring", "QQ[x]", "10^5000*x"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert capsys.readouterr().out.endswith("0*x\n")
+
+
 def test_check_simple_weyl():
     out = run_cli("--json", "check", "simple", "--weyl", "1")
     record = json.loads(out.stdout.splitlines()[-1])

@@ -1,6 +1,12 @@
 """Expression/session grammar and name resolution."""
 
+import functools
+import sys
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from derivalg import ParseError, QQ, UnknownIdentifierError, VarContext
 from derivalg.parser import (
@@ -168,3 +174,149 @@ def test_element_bindings_resolve_in_ring():
         "ring R = QQ[x, y]\nlet f = x + y\nmul f * f")
     record, _ = out[-1]
     assert record["result"]["str"] == "x^2 + 2*x*y + y^2"
+
+
+def test_non_ascii_digits_are_not_numbers():
+    # the grammar's integers are ASCII; an Arabic-Indic three is no digit
+    with pytest.raises(ParseError) as err:
+        parse_session("ring R = QQ[x]\nmul \u0663*x\n")
+    assert str(err.value) == "line 2, col 5: unexpected character '\u0663'"
+    assert (err.value.line, err.value.col) == (2, 5)
+
+
+def test_literal_past_the_int_digit_limit_is_a_parse_error():
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit < 5000
+    with pytest.raises(ParseError) as err:
+        parse_session("ring R = QQ[x]\nmul x + 2/" + "7" * 5000 + "\n")
+    assert (err.value.line, err.value.col) == (2, 11)
+    assert "5000 digits" in str(err.value)
+
+
+# -- the evaluator against Poly arithmetic ----------------------------------
+#
+# A tree is a leaf (its DSL text) or a tuple: (op, left, right) for + - *,
+# ("neg", operand) or ("^", base, exponent).  It is rendered fully
+# parenthesised, so its text order is its evaluation order.
+
+_GOOD_LEAVES = st.one_of(
+    st.integers(0, 30).map(str),
+    st.tuples(st.integers(0, 9), st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9]))
+    .map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["x", "y", "f"]),
+)
+# an unknown name, a bound skew element, a denominator that vanishes in GF(7)
+_BAD_LEAVES = st.sampled_from(["zz", "u", "1/14"])
+
+
+def _trees(leaves, depth=3):
+    if depth == 0:
+        return leaves
+    sub = _trees(leaves, depth - 1)
+    return st.one_of(leaves,
+                     st.tuples(st.sampled_from("+-*"), sub, sub),
+                     st.tuples(st.just("neg"), sub),
+                     st.tuples(st.just("^"), sub, st.integers(0, 2)))
+
+
+def _render(tree, chunks, leaves):
+    """Append the text of `tree` to `chunks` and (column, text) of each leaf
+    to `leaves`."""
+    if isinstance(tree, str):
+        leaves.append((sum(map(len, chunks)) + 1, tree))
+        chunks.append(tree)
+    elif tree[0] == "neg":
+        chunks.append("(-")
+        _render(tree[1], chunks, leaves)
+        chunks.append(")")
+    elif tree[0] == "^":
+        chunks.append("(")
+        _render(tree[1], chunks, leaves)
+        chunks.append(f")^{tree[2]}")
+    else:
+        chunks.append("(")
+        _render(tree[1], chunks, leaves)
+        chunks.append(f" {tree[0]} ")
+        _render(tree[2], chunks, leaves)
+        chunks.append(")")
+
+
+def _oracle(tree, context, f):
+    if isinstance(tree, str):
+        if tree in ("x", "y"):
+            return context.var_by_name(tree)
+        if tree == "f":
+            return f
+        n, _, d = tree.partition("/")
+        return context.const(Fraction(int(n), int(d or 1)))
+    if tree[0] == "neg":
+        return -_oracle(tree[1], context, f)
+    if tree[0] == "^":
+        return _oracle(tree[1], context, f) ** tree[2]
+    a, b = _oracle(tree[1], context, f), _oracle(tree[2], context, f)
+    return a + b if tree[0] == "+" else a - b if tree[0] == "-" else a * b
+
+
+@functools.cache
+def _eval_session(field):
+    session, _ = run_lines(f"""
+        ring R = {field}[x, y]
+        ideal I in R : x^2 + y^2 - 1, x*y^2 - 2
+        quotient Q = R / I
+        let f = x*y - 3 in R
+        weyl 1 as W
+        let u = x in W
+    """)
+    return session
+
+
+def _statement(tree, ring):
+    chunks, leaves = ["mul "], []
+    _render(tree, chunks, leaves)
+    chunks.append(f" in {ring}")
+    (stmt,) = parse_session("".join(chunks))
+    return stmt, leaves
+
+
+_CASES = [(field, ring) for field in ("QQ", "GF(7)") for ring in ("R", "Q")]
+
+
+@pytest.mark.parametrize("field, ring", _CASES)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(tree=_trees(_GOOD_LEAVES))
+def test_evaluator_matches_poly_arithmetic(field, ring, tree):
+    # one reduction at the end gives the normal form of Poly arithmetic
+    session = _eval_session(field)
+    quotient = session.rings[ring]
+    stmt, _ = _statement(tree, ring)
+    expected = quotient.reduce(_oracle(tree, quotient.context,
+                                       session.elements["f"]))
+    assert session.eval_poly(stmt.expr, quotient) == expected
+    record, human = session.execute(stmt)
+    assert record["result"]["str"] == str(expected)
+    assert human() == f"mul: {expected}"
+
+
+@pytest.mark.parametrize("field, ring", _CASES)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(tree=st.tuples(st.sampled_from("+-*"),
+                      _trees(st.one_of(_GOOD_LEAVES, _BAD_LEAVES)), _BAD_LEAVES))
+def test_evaluator_reports_the_first_bad_leaf(field, ring, tree):
+    # leaves are evaluated in text order, and the first bad one raises; the
+    # last leaf is bad (but 1/14 is a fine rational over QQ)
+    session = _eval_session(field)
+    stmt, leaves = _statement(tree, ring)
+    for col, leaf in leaves:
+        if leaf in ("zz", "u"):
+            with pytest.raises(UnknownIdentifierError) as err:
+                session.execute(stmt)
+            assert (err.value.line, err.value.col) == (1, col)
+            assert str(err.value) == f"line 1, col {col}: unknown identifier {leaf!r}"
+            return
+        if field == "GF(7)" and leaf == "1/14":
+            with pytest.raises(ZeroDivisionError) as err:
+                session.execute(stmt)
+            assert type(err.value) is ZeroDivisionError
+            assert str(err.value) == "denominator 14 vanishes in GF(7)"
+            return
+    session.execute(stmt)

@@ -612,6 +612,40 @@ def test_skew_simplicity_char_p_unknown():
     assert verdict.status is SimplicityStatus.UNKNOWN
 
 
+def _dependent_skew_rings():
+    """ROADMAP item 16's repros: skew rings over linearly dependent D, each
+    with its central z = sum c_i*t_i (c a constant relation of D)."""
+    plane = VarContext(("x", "y"), QQ)
+    P = QuotientRing.trivial(plane)
+    a, b, c = (Derivation(P, images) for images in
+               ([plane.one, plane.zero], [plane.zero, plane.one],
+                [plane.one, plane.one]))
+    S1 = build_skew_ring(P, ["t1", "t2", "t3"], [a, b, c])
+    circle = VarContext(("x1", "x2"), QQ)
+    x1, x2 = circle.var(0), circle.var(1)
+    R = QuotientRing.of(IdealHandle(circle, [x1 ** 2 + x2 ** 2 - 1]))
+    S2 = build_skew_ring(R, ["t1", "t2"], [Derivation(R, [-x2, x1]),
+                                           Derivation(R, [-2 * x2, 2 * x1])])
+    L = QuotientRing.trivial(VarContext(("y",), QQ))
+    dy = Derivation.partial(L, 0)
+    S3 = build_skew_ring(L, ["s1", "s2"], [dy, dy])
+    t = [S.skew_var for S in (S1, S2, S3)]
+    return [(S1, t[0](2) - t[0](0) - t[0](1)), (S2, t[1](1) - 2 * t[1](0)),
+            (S3, t[2](1) - t[2](0))]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: check simple reads "
+                   "Simple when D is linearly dependent")
+@pytest.mark.parametrize("case", range(3))
+def test_skew_simplicity_dependent_derivations_not_simple(case):
+    ring, z = _dependent_skew_rings()[case]
+    generators = ([ring.base_var(j) for j in range(ring.base.context.nvars)]
+                  + [ring.skew_var(i) for i in range(ring.nskew)])
+    # z is central and of t-degree 1, so S*z is a proper two-sided ideal
+    assert all(skew_commutator(z, g).is_zero() for g in generators)
+    assert skew_simplicity(ring).status is SimplicityStatus.NOT_SIMPLE
+
+
 def test_quotient_base_products_golden_output():
     ring = _circle_rotation_ring()
     x1, x2 = ring.base.context.var(0), ring.base.context.var(1)
