@@ -23,7 +23,6 @@ from .errors import (
     FieldMismatchError,
     InexactDivisionError,
     NonCommutingDerivationsError,
-    NotInjectiveError,
     NotInvariantError,
     ParseError,
     PreconditionError,
@@ -32,14 +31,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .field import GF, QQ, FieldElement, FieldSpec, normalize_rational
-from .poly import (
-    InjectivityStatus,
-    Poly,
-    RingEndomorphism,
-    TermOrder,
-    VarContext,
-    apply_endo,
-)
+from .poly import Poly, TermOrder, VarContext
 from .groebner import (
     DEFAULT_BUDGET,
     GroebnerBasis,
@@ -60,11 +52,9 @@ _LAZY = {
     "derivation": (
         "CommuteReport",
         "Derivation",
-        "SkewDerivation",
         "commutator",
         "commuting_set_check",
         "d_ideal_check",
-        "family_skew_derivation",
         "induce_on_quotient",
     ),
     "simplicity": (
@@ -85,7 +75,6 @@ _LAZY = {
     ),
     "skew": (
         "InnerAnalysis",
-        "SingleOreDescriptor",
         "SkewPoly",
         "SkewRingDerivation",
         "SkewRingDescriptor",

@@ -15,11 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import (
-    ContextMismatchError,
-    NotInjectiveError,
-    NotInvariantError,
-)
+from .errors import ContextMismatchError, NotInvariantError
 from .groebner import (
     DEFAULT_BUDGET,
     GroebnerBasis,
@@ -29,7 +25,7 @@ from .groebner import (
     groebner_basis,
     normal_form,
 )
-from .poly import InjectivityStatus, Poly, RingEndomorphism, VarContext
+from .poly import Poly, VarContext
 
 
 def _as_ring(ring) -> QuotientRing:
@@ -189,56 +185,4 @@ def induce_on_quotient(d: Derivation, ring: QuotientRing) -> Derivation:
     if d.ring.context != ring.context:
         raise ContextMismatchError("ambient and quotient contexts differ")
     return Derivation(ring, d.images)
-
-
-class SkewDerivation:
-    """The twisted-Leibniz family d(r) = c * (phi(r) - r).
-
-    It satisfies d(ab) = a*d(b) + d(a)*phi(b), the defining identity of a
-    skew derivation with respect to phi, by algebra alone:
-    c(phi(a)phi(b) - ab) = a*c(phi(b) - b) + c(phi(a) - a)*phi(b) holds
-    because phi is a ring homomorphism and R is commutative.  Arbitrary
-    generator images are not accepted: over a commutative ring the identity
-    forces compatibility constraints with no general solution theory, so only
-    this family (and the zero map) is constructible.
-    """
-
-    __slots__ = ("endo", "scale")
-
-    def __init__(self, endo: RingEndomorphism, scale: Poly):
-        if scale.context != endo.context:
-            raise ContextMismatchError("scale polynomial outside the context")
-        if endo.injectivity() is InjectivityStatus.NOT_INJECTIVE:
-            raise NotInjectiveError("the twisting endomorphism must be injective")
-        self.endo = endo
-        self.scale = scale
-
-    @property
-    def context(self) -> VarContext:
-        return self.endo.context
-
-    def apply(self, r: Poly) -> Poly:
-        if r.context != self.context:
-            raise ContextMismatchError("element outside the skew derivation's ring")
-        return self.scale * (self.endo(r) - r)
-
-    __call__ = apply
-
-    def is_zero(self) -> bool:
-        return self.scale.is_zero() or self.endo.is_identity
-
-    def __eq__(self, other):
-        return (isinstance(other, SkewDerivation)
-                and self.endo == other.endo and self.scale == other.scale)
-
-    def __hash__(self):
-        return hash((self.endo, self.scale))
-
-    def __str__(self):
-        return f"r -> ({self.scale}) * (phi(r) - r) with phi: {self.endo}"
-
-
-def family_skew_derivation(scale: Poly, endo: RingEndomorphism) -> SkewDerivation:
-    """Build the c*(phi - id) skew derivation; non-injective phi is rejected."""
-    return SkewDerivation(endo, scale)
 

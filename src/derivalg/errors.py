@@ -55,10 +55,6 @@ class NonCommutingDerivationsError(PreconditionError):
         self.witness = witness
 
 
-class NotInjectiveError(PreconditionError):
-    """An endomorphism required to be injective is not."""
-
-
 class BudgetExceededError(DerivalgError):
     """A step budget ran out before the computation finished."""
 

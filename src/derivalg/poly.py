@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     ContextMismatchError,
@@ -277,13 +277,17 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers take non-negative int exponents")
-        result = self.context.one
+        if not n:
+            return self.context.one
+        # square up to the lowest set bit, so no product is by the unit
         base = self
-        while n:
+        while not n & 1:
+            base, n = base * base, n >> 1
+        result = base
+        while n := n >> 1:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
         return result
 
     def scale(self, c) -> "Poly":
@@ -488,87 +492,6 @@ def _add_terms(a: dict, b: dict, p) -> dict:
             else:
                 del terms[m]
     return terms
-
-
-class InjectivityStatus(enum.Enum):
-    INJECTIVE = "Injective"
-    NOT_INJECTIVE = "NotInjective"
-    UNKNOWN = "Unknown"
-
-
-class RingEndomorphism:
-    """A ring endomorphism of k[x_1..x_n] given by the images of the variables."""
-
-    __slots__ = ("context", "images")
-
-    def __init__(self, context: VarContext, images: Iterable[Poly]):
-        images = tuple(images)
-        if len(images) != context.nvars:
-            raise ValueError("one image per context variable is required")
-        for g in images:
-            if g.context != context:
-                raise ContextMismatchError("endomorphism images leave the context")
-        self.context = context
-        self.images = images
-
-    @classmethod
-    def identity(cls, context: VarContext) -> "RingEndomorphism":
-        return cls(context, [context.var(i) for i in range(context.nvars)])
-
-    @property
-    def is_identity(self) -> bool:
-        return all(g == self.context.var(i) for i, g in enumerate(self.images))
-
-    def __call__(self, f: Poly) -> Poly:
-        """Substitute the images for the variables of f and expand."""
-        if f.context != self.context:
-            raise ContextMismatchError("polynomial is not in the endomorphism's context")
-        return f.substitute(dict(enumerate(self.images)))
-
-    def injectivity(self) -> InjectivityStatus:
-        """Decide injectivity where the theory allows.
-
-        Characteristic 0: injective iff the Jacobian determinant of the
-        images is not identically zero (algebraic-independence criterion).
-        Characteristic p: only the variable-permutation case is decided;
-        everything else is Unknown.
-        """
-        n = self.context.nvars
-        if self.context.field.characteristic != 0:
-            seen = set()
-            for g in self.images:
-                items = list(g._terms.items())
-                if len(items) != 1:
-                    return InjectivityStatus.UNKNOWN
-                mono, coeff = items[0]
-                if sum(mono) != 1 or coeff != 1:
-                    return InjectivityStatus.UNKNOWN
-                seen.add(mono.index(1))
-            if seen == set(range(n)):
-                return InjectivityStatus.INJECTIVE
-            return InjectivityStatus.NOT_INJECTIVE
-        jac = [[self.images[i].partial(j) for j in range(n)] for i in range(n)]
-        det = det_fraction_free(jac, self.context)
-        if det.is_zero():
-            return InjectivityStatus.NOT_INJECTIVE
-        return InjectivityStatus.INJECTIVE
-
-    def __eq__(self, other):
-        return (isinstance(other, RingEndomorphism)
-                and self.context == other.context
-                and self.images == other.images)
-
-    def __hash__(self):
-        return hash((self.context, self.images))
-
-    def __str__(self):
-        pairs = ", ".join(f"{n} -> {g}" for n, g in
-                          zip(self.context.names, self.images))
-        return pairs
-
-
-def apply_endo(phi: RingEndomorphism, f: Poly) -> Poly:
-    return phi(f)
 
 
 def exact_div(f: Poly, g: Poly, order: TermOrder = TermOrder.GREVLEX) -> Poly:

@@ -17,8 +17,8 @@ Negative answers carry a proper nonzero D-stable ideal where one is known; a
 proper J_D is one in any dimension, as d'(d(a)r) = d'(d(a))r + d(a)d'(r).
 
 `d_simplicity` is the one decider that orders these criteria; the CLI's
-`check dsimple`, `dim1_simplicity` and `skew_simplicity` all end in it.
-Everything else is an honest Unknown carrying its reason.
+`check dsimple`, `dim1_simplicity` and `skew_simplicity` (past a constant
+relation among D) use it.  Everything else is Unknown, with its reason.
 """
 
 from __future__ import annotations
@@ -76,6 +76,9 @@ class SimplicityStatus(enum.Enum):
 
 
 class SimplicityVerdict(NamedTuple):
+    """A verdict; `witness` is an ideal of the base ring, or for a skew ring
+    a `skew.CentralWitness`, and either prints and lists `generators`."""
+
     status: SimplicityStatus
     witness: IdealHandle | None = None
     reason: str | None = None
@@ -220,13 +223,14 @@ def principal_stability_check(g: Poly, derivations,
 
 def _principal_witness(ring: QuotientRing, derivations,
                        order: TermOrder, budget: int) -> IdealHandle | None:
-    """First variable or derivation image generating a proper D-stable ideal."""
-    candidates = list(ring.generators())
-    for d in derivations:
-        for img in d.images:
-            if not img.is_zero() and not img.is_constant() and img not in candidates:
-                candidates.append(img)
-    for g in candidates:
+    """First variable or nonconstant derivation image generating a proper
+    D-stable ideal; a constant multiple of an earlier candidate spans the
+    same ideal, so it is not tried again."""
+    candidates = {}
+    for g in (*ring.generators(), *(img for d in derivations for img in d.images)):
+        if not g.is_constant():
+            candidates.setdefault(g.monic(order), g)
+    for g in candidates.values():
         if ring.reduce(g).is_zero():
             continue
         handle = IdealHandle(ring.context, [g] + list(ring.defining.generators))

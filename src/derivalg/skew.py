@@ -1,8 +1,7 @@
-"""Iterated skew polynomial rings of derivation type, and single Ore extensions.
+"""Iterated skew polynomial rings of derivation type.
 
-Both rings share one element type, `SkewPoly`, kept in left-coefficient
-normal form: every element is a sum of base-ring coefficients times monomials
-in the skew variables,
+Elements are `SkewPoly`s kept in left-coefficient normal form: every element
+is a sum of base-ring coefficients times monomials in the skew variables,
 
     u = sum  r_(a) * x1^a1 ... xn^an,
 
@@ -15,8 +14,6 @@ normal-form r one variable at a time by the binomial rule
     x_i^n * r = sum_k  C(n, k) * d_i^k(r) * x_i^(n-k),
 
 and `binomial_push` is its checked one-variable entry.
-`SingleOreDescriptor` pushes by the one recursion x * r = f(r) * x + d(r),
-applied n times for x^n * r, with d = None standing for the zero map.
 
 Coefficients are reduced where they enter a skew ring, and only there: in
 `from_base`, `SkewPoly(...)`, `binomial_push`, and once per output
@@ -30,28 +27,21 @@ coefficient field, so characteristic-p pushes reduce them mod p.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from operator import add
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .derivation import Derivation, SkewDerivation, _as_ring, commuting_set_check
+from .derivation import Derivation, _as_ring, commuting_set_check
 from .errors import (
     ContextMismatchError,
     NonCommutingDerivationsError,
-    NotInjectiveError,
     PreconditionError,
 )
 from .field import FieldElement, FieldSpec, QQ, _outside
 from .groebner import DEFAULT_BUDGET, QuotientRing, TermOrder
-from .poly import (
-    InjectivityStatus,
-    Poly,
-    RingEndomorphism,
-    VarContext,
-    _join_terms,
-    _monomial_text,
-)
+from .poly import Poly, VarContext, _join_terms, _monomial_text, det_fraction_free
 
 if TYPE_CHECKING:
     from .simplicity import SimplicityVerdict
@@ -71,45 +61,7 @@ def _add_into(terms: dict, e, r: Poly) -> None:
         terms[e] = s
 
 
-class _SkewRing:
-    """Element constructors shared by the skew ring descriptors.
-
-    Subclasses provide `base`, `names` and `push(exponents, r)`.
-    """
-
-    __slots__ = ()
-
-    @property
-    def nskew(self) -> int:
-        return len(self.names)
-
-    def zero(self) -> "SkewPoly":
-        return SkewPoly._raw(self, {})
-
-    def one(self) -> "SkewPoly":
-        return self.from_base(self.base.context.one)
-
-    def from_base(self, r: Poly) -> "SkewPoly":
-        r = self.base.reduce(r)
-        if r.is_zero():
-            return SkewPoly._raw(self, {})
-        return SkewPoly._raw(self, {(0,) * self.nskew: r})
-
-    def skew_var(self, i: int = 0) -> "SkewPoly":
-        e = [0] * self.nskew
-        e[i] = 1
-        return SkewPoly._raw(self, {tuple(e): self.base.context.one})
-
-    def base_var(self, i: int) -> "SkewPoly":
-        return self.from_base(self.base.context.var(i))
-
-    def variable(self, name: str) -> "SkewPoly":
-        if name in self.names:
-            return self.skew_var(self.names.index(name))
-        return self.base_var(self.base.context.index(name))
-
-
-class SkewRingDescriptor(_SkewRing):
+class SkewRingDescriptor:
     """R[x1; d1]...[xn; dn] with commuting derivations of a commutative base R."""
 
     __slots__ = ("base", "names", "derivations", "commuting_certified")
@@ -139,6 +91,35 @@ class SkewRingDescriptor(_SkewRing):
         self.names = names
         self.derivations = derivations
         self.commuting_certified = True
+
+    @property
+    def nskew(self) -> int:
+        return len(self.names)
+
+    def zero(self) -> "SkewPoly":
+        return SkewPoly._raw(self, {})
+
+    def one(self) -> "SkewPoly":
+        return self.from_base(self.base.context.one)
+
+    def from_base(self, r: Poly) -> "SkewPoly":
+        r = self.base.reduce(r)
+        if r.is_zero():
+            return SkewPoly._raw(self, {})
+        return SkewPoly._raw(self, {(0,) * self.nskew: r})
+
+    def skew_var(self, i: int = 0) -> "SkewPoly":
+        e = [0] * self.nskew
+        e[i] = 1
+        return SkewPoly._raw(self, {tuple(e): self.base.context.one})
+
+    def base_var(self, i: int) -> "SkewPoly":
+        return self.from_base(self.base.context.var(i))
+
+    def variable(self, name: str) -> "SkewPoly":
+        if name in self.names:
+            return self.skew_var(self.names.index(name))
+        return self.base_var(self.base.context.index(name))
 
     def push(self, exponents, r: Poly) -> dict:
         """x^(a) * r as {exponent: coefficient} for r in normal form, by the
@@ -180,7 +161,7 @@ def build_skew_ring(base, names: Sequence[str],
 
 
 class SkewPoly:
-    """An element of a skew ring or Ore extension in left-coefficient normal form.
+    """An element of a skew ring in left-coefficient normal form.
 
     `terms` maps exponent tuples (one entry per skew variable) to nonzero
     base-ring coefficients.
@@ -334,8 +315,7 @@ def binomial_push(ring: SkewRingDescriptor, i: int, n: int, r: Poly) -> SkewPoly
     return SkewPoly._raw(ring, ring.push(tuple(e), ring.base.reduce(r)))
 
 
-def skew_mul(ring: SkewRingDescriptor | SingleOreDescriptor,
-             u: SkewPoly, v: SkewPoly) -> SkewPoly:
+def skew_mul(ring: SkewRingDescriptor, u: SkewPoly, v: SkewPoly) -> SkewPoly:
     """Normal-form product; restricts to base multiplication in degree 0."""
     if u.ring != ring or v.ring != ring:
         raise ContextMismatchError("operands live in a different skew ring")
@@ -453,101 +433,88 @@ def inner_residuals(ring: SkewRingDescriptor, f: SkewPoly, r: Poly):
 
     The x^0 coefficient is the induced value itself (see inner_induced).
     The list is all zero on every generator exactly when conjugation by f
-    lands in the base ring.  Defined for single-variable rings of
-    derivation type only.
+    lands in the base ring.  Defined for single-variable rings only.
     """
-    if not isinstance(ring, SkewRingDescriptor) or ring.nskew != 1:
-        raise PreconditionError(
-            "residuals are defined for single-variable rings of derivation type")
+    if ring.nskew != 1:
+        raise PreconditionError("residuals are defined for single-variable rings")
     comm = skew_commutator(f, ring.from_base(r))
     return [comm.coefficient((k,)) for k in range(1, f.x_degree() + 1)]
 
 
-class SingleOreDescriptor(_SkewRing):
-    """R[x; f, d] in one variable: multiplication rule x r = f(r) x + d(r).
+class CentralWitness(NamedTuple):
+    """A central z of skew degree 1, so S*z is a proper two-sided ideal;
+    `generators` is (z,), listed and printed as an ideal's are."""
 
-    Three shapes are supported: f = id with an ordinary derivation (the
-    derivation-type case), injective f with d = 0, and injective f with the
-    twisted family d = c*(f - id).
-    """
-
-    __slots__ = ("base", "name", "endo", "derivation")
-
-    def __init__(self, base, name: str, endo: RingEndomorphism,
-                 derivation=None):
-        base = _as_ring(base)
-        if not base.is_trivial:
-            raise PreconditionError("single Ore extensions take a polynomial base")
-        if endo.context != base.context:
-            raise ContextMismatchError("endomorphism outside the base context")
-        if name in base.context.names or not name:
-            raise ValueError("bad skew variable name")
-        if endo.injectivity() is InjectivityStatus.NOT_INJECTIVE:
-            raise NotInjectiveError("the twisting endomorphism must be injective")
-        if isinstance(derivation, Derivation):
-            if not endo.is_identity:
-                raise PreconditionError(
-                    "an ordinary derivation requires the identity twist")
-            if derivation.ring != base:
-                raise ContextMismatchError("derivation outside the base ring")
-        elif isinstance(derivation, SkewDerivation):
-            if derivation.endo != endo:
-                raise PreconditionError(
-                    "the skew derivation must be twisted by the same endomorphism")
-        elif derivation is not None:
-            raise TypeError("unsupported derivation shape")
-        self.base = base
-        self.name = name
-        self.endo = endo
-        self.derivation = derivation
-
-    @property
-    def names(self) -> tuple:
-        return (self.name,)
-
-    def push(self, exponents, r: Poly) -> dict:
-        """x^n * r as {(exponent,): coefficient}, by n steps of the rule
-        x r = f(r) x + d(r); d = None is the zero map."""
-        (n,) = exponents
-        d = self.derivation
-        acc = {(0,): r} if r else {}
-        for _ in range(n):
-            nxt = {}
-            for (k,), c in acc.items():
-                _add_into(nxt, (k + 1,), self.endo(c))
-                if d is not None:
-                    _add_into(nxt, (k,), d.apply(c))
-            acc = nxt
-        return acc
-
-    def __eq__(self, other):
-        return (isinstance(other, SingleOreDescriptor)
-                and self.base == other.base and self.name == other.name
-                and self.endo == other.endo and self.derivation == other.derivation)
-
-    def __hash__(self):
-        return hash((self.base, self.name, self.endo, self.derivation))
+    generators: tuple
 
     def __str__(self):
-        if self.derivation is None:
-            return f"{self.base}[{self.name}; {self.endo}]"
-        return f"{self.base}[{self.name}; {self.endo}, d]"
+        return f"({self.generators[0]})"
 
 
 def skew_simplicity(ring: SkewRingDescriptor,
                     order: TermOrder = TermOrder.GREVLEX,
                     budget: int = DEFAULT_BUDGET) -> SimplicityVerdict:
-    """Simplicity of R[x; D] for commutative R, via D-simplicity of the base.
+    """Simplicity of S = R[t_1..t_m; D] over a commutative base R, with
+    M_ij = d_j(x_i); in characteristic 0 the first rule that applies decides:
 
-    For a commutative base of characteristic 0 the skew ring is simple
-    exactly when the base is D-simple, so the verdict is d_simplicity's on
-    the base.  A prime-characteristic base is Unknown: the transfer is out
-    of scope there.
+    1. m = 1: R's verdict from `d_simplicity`;
+    2. (G1) M*c = 0 for some c != 0 in k^m: NotSimple, witness the central
+       z = sum c_j*t_j ([z, r] = sum c_j*d_j(r) = 0, and the t_j commute);
+    3. R not shown D-simple: R's verdict (S*J is two-sided for a D-stable J);
+    4. (G2) an m x m minor of M nonzero in R, so D is independent over the
+       domain R: R's verdict, Simple;
+    5. otherwise Unknown.  A prime-characteristic base is Unknown too.
     """
     from .simplicity import SimplicityStatus, SimplicityVerdict, d_simplicity
-    base = ring.base
-    if base.context.field.characteristic != 0:
+    if ring.base.context.field.characteristic != 0:
         return SimplicityVerdict(
             SimplicityStatus.UNKNOWN,
             reason="prime-characteristic base: simplicity transfer out of scope")
-    return d_simplicity(base, ring.derivations, order, budget)
+    if ring.nskew > 1 and (z := _central_relation(ring)) is not None:
+        return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE,
+                                 witness=CentralWitness((z,)),
+                                 criterion="constant relation among D")
+    verdict = d_simplicity(ring.base, ring.derivations, order, budget)
+    if (ring.nskew == 1 or verdict.status is not SimplicityStatus.SIMPLE
+            or _independent_over_base(ring)):
+        return verdict
+    return SimplicityVerdict(
+        SimplicityStatus.UNKNOWN,
+        reason="derivations dependent over R, no constant relation found")
+
+
+def _central_relation(ring: SkewRingDescriptor) -> SkewPoly | None:
+    """z = sum c_j*t_j for a nonzero c in k^m with sum c_j*d_j = 0, checked
+    central, or None.  The images d_j(x_i) are normal forms and reduction is
+    k-linear, so c solves one homogeneous linear equation per generator and
+    monomial; `_eliminate` solves every one of them, and the lowest free c_j
+    is set to 1, the other free ones to 0."""
+    from .simplicity import _eliminate
+    m, context = ring.nskew, ring.base.context
+    unit = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    equations = {}
+    for j, d in enumerate(ring.derivations):
+        for i, g in enumerate(d.images):
+            for mono, c in g._terms.items():
+                equations.setdefault((i, mono), {})[unit[j]] = c
+    _, solved = _eliminate([e for _, e in sorted(equations.items())],
+                           VarContext([f"c{j}" for j in range(m)], context.field))
+    free = next((j for j in range(m) if j not in solved), None)
+    if free is None:
+        return None
+    c = [int(j == free) for j in range(m)]
+    for j in reversed(list(solved)):
+        c[j] = context.field.raw(solved[j].evaluate(c))
+    z = SkewPoly(ring, {unit[j]: context.const(v) for j, v in enumerate(c)})
+    if any(skew_commutator(z, ring.variable(n)) for n in context.names + ring.names):
+        raise AssertionError(f"the constant relation {z} is not central")
+    return z
+
+
+def _independent_over_base(ring: SkewRingDescriptor) -> bool:
+    """Whether some m x m minor of M_ij = d_j(x_i) is nonzero in the base;
+    over a domain, whether D is linearly independent over it."""
+    M = [[d.images[i] for d in ring.derivations]
+         for i in range(ring.base.context.nvars)]
+    return any(ring.base.reduce(det_fraction_free(rows, ring.base.context))
+               for rows in itertools.combinations(M, ring.nskew))

@@ -183,14 +183,17 @@ _DEPENDENT_SKEW_ARGS = [
 ]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: check simple prints "
-                   "Simple when D is linearly dependent")
-@pytest.mark.parametrize("args", _DEPENDENT_SKEW_ARGS, ids=["plane", "circle", "line"])
-def test_check_simple_dependent_derivations(args):
-    # t3 - t1 - t2, t2 - 2*t1 and s2 - s1 are central: S is not simple
+@pytest.mark.parametrize("args, central",
+                         zip(_DEPENDENT_SKEW_ARGS,
+                             ["-t1 - t2 + t3", "-2*t1 + t2", "-s1 + s2"]),
+                         ids=["plane", "circle", "line"])
+def test_check_simple_dependent_derivations(args, central):
+    # each witness is central, of skew degree 1: S is not simple
     out = run_cli("--json", "check", "simple", *args)
     assert out.returncode == 0
-    assert json.loads(out.stdout.splitlines()[-1])["status"] == "NotSimple"
+    record = json.loads(out.stdout.splitlines()[-1])
+    assert record["status"] == "NotSimple"
+    assert record["witness"] == [central]
 
 
 def test_integers_past_the_int_digit_limit():

@@ -1,5 +1,4 @@
-"""Derivations: application, commutators, D-ideals, quotient induction,
-and the twisted-Leibniz family."""
+"""Derivations: application, commutators, D-ideals and quotient induction."""
 
 import random
 
@@ -10,15 +9,12 @@ from derivalg import (
     QQ,
     Derivation,
     IdealHandle,
-    NotInjectiveError,
     NotInvariantError,
     QuotientRing,
-    RingEndomorphism,
     VarContext,
     commutator,
     commuting_set_check,
     d_ideal_check,
-    family_skew_derivation,
     ideal_member,
     induce_on_quotient,
 )
@@ -191,63 +187,3 @@ def test_induced_apply_commutes_with_reduction(sphere_setup):
         f = rand_poly(rng, ctx)
         assert induced.apply(sphere.reduce(f)) == sphere.reduce(d1.apply(f))
 
-
-def test_family_skew_derivation_example():
-    ctx = VarContext(("y",), QQ)
-    y = ctx.var(0)
-    phi = RingEndomorphism(ctx, [y ** 2])
-    d = family_skew_derivation(ctx.one, phi)
-    assert d.apply(y) == y ** 2 - y
-    assert d.apply(y ** 2) == y ** 4 - y ** 2
-    assert y * d.apply(y) + d.apply(y) * phi(y) == y ** 4 - y ** 2
-
-
-def test_family_skew_derivation_degenerate_cases():
-    ctx = VarContext(("y",), QQ)
-    y = ctx.var(0)
-    phi = RingEndomorphism(ctx, [y ** 2])
-    assert family_skew_derivation(ctx.zero, phi).apply(y ** 3).is_zero()
-    ident = RingEndomorphism.identity(ctx)
-    d = family_skew_derivation(ctx.one, ident)
-    assert d.is_zero() and d.apply(y).is_zero()
-
-
-def test_family_skew_derivation_rejects_noninjective():
-    ctx = VarContext(("x", "y"), QQ)
-    x = ctx.var(0)
-    collapse = RingEndomorphism(ctx, [x, x])
-    with pytest.raises(NotInjectiveError):
-        family_skew_derivation(ctx.one, collapse)
-
-
-def test_family_skew_identity_random_pairs():
-    ctx = VarContext(("x", "y"), QQ)
-    x, y = ctx.var(0), ctx.var(1)
-    phi = RingEndomorphism(ctx, [x + 1, x * y])
-    d = family_skew_derivation(x - y, phi)
-    rng = random.Random(21)
-    for _ in range(50):
-        a = rand_poly(rng, ctx)
-        b = rand_poly(rng, ctx)
-        assert d.apply(a * b) == a * d.apply(b) + d.apply(a) * phi(b)
-
-
-def _twists():
-    cy = VarContext(("y",), QQ)
-    y = cy.var(0)
-    cxy = VarContext(("x", "y"), QQ)
-    x2, y2 = cxy.var(0), cxy.var(1)
-    return [(RingEndomorphism(cy, [y ** 2]), y ** 2 + 3 * y - 1),
-            (RingEndomorphism(cxy, [x2 + y2, y2]), x2 * y2 - 2)]
-
-
-@pytest.mark.parametrize("case", [0, 1], ids=["y_squared", "shear"])
-def test_skew_derivation_twisted_leibniz(case):
-    # holds by algebra, so family_skew_derivation does not check it
-    phi, c = _twists()[case]
-    d = family_skew_derivation(c, phi)
-    rng = random.Random(20240 + case)
-    for _ in range(25):
-        a = rand_poly(rng, phi.context, max_degree=3)
-        b = rand_poly(rng, phi.context, max_degree=3)
-        assert d.apply(a * b) == a * d.apply(b) + d.apply(a) * phi(b)

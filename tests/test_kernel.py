@@ -203,26 +203,24 @@ def test_cli_import_leaves_out_the_derivation_layers():
 EXPORTS = {
     "errors": "BudgetExceededError ContextMismatchError DerivalgError "
               "FieldMismatchError InexactDivisionError "
-              "NonCommutingDerivationsError NotInjectiveError NotInvariantError "
+              "NonCommutingDerivationsError NotInvariantError "
               "ParseError PreconditionError UnitIdealError "
               "UnknownIdentifierError ZeroPolynomialError",
     "field": "GF QQ FieldElement FieldSpec normalize_rational",
-    "poly": "InjectivityStatus Poly RingEndomorphism TermOrder VarContext "
-            "apply_endo",
+    "poly": "Poly TermOrder VarContext",
     "groebner": "DEFAULT_BUDGET GroebnerBasis IdealHandle QuotientRing "
                 "buchberger groebner_basis ideal_member is_unit_ideal "
                 "krull_dimension normal_form normal_form_with_cofactors "
                 "quotient_reduce",
-    "derivation": "CommuteReport Derivation SkewDerivation commutator "
-                  "commuting_set_check d_ideal_check family_skew_derivation "
-                  "induce_on_quotient",
+    "derivation": "CommuteReport Derivation commutator commuting_set_check "
+                  "d_ideal_check induce_on_quotient",
     "simplicity": "DarbouxResult DarbouxStatus SimplicityCertificate "
                   "SimplicityStatus SimplicityVerdict d_simplicity "
                   "darboux_search dim1_simplicity necessary_unit_condition "
                   "partials_certificate prime_char_obstruction "
                   "principal_stability_check replay_certificate "
                   "truncated_certificate",
-    "skew": "InnerAnalysis SingleOreDescriptor SkewPoly SkewRingDerivation "
+    "skew": "InnerAnalysis SkewPoly SkewRingDerivation "
             "SkewRingDescriptor binomial_push build_skew_ring extend_derivation "
             "inner_induced inner_residuals skew_commutator skew_mul "
             "skew_simplicity weyl_algebra",

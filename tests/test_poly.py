@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, partials, endomorphisms, term orders."""
+"""Polynomial arithmetic, partials, substitution, term orders."""
 
 import random
 from fractions import Fraction
@@ -10,13 +10,10 @@ from derivalg import (
     QQ,
     ContextMismatchError,
     InexactDivisionError,
-    InjectivityStatus,
     Poly,
-    RingEndomorphism,
     TermOrder,
     VarContext,
     ZeroPolynomialError,
-    apply_endo,
 )
 from derivalg.poly import det_fraction_free, exact_div
 
@@ -26,6 +23,33 @@ from conftest import rand_poly
 def test_product_difference_of_squares(ctx_xy):
     x = ctx_xy.var(0)
     assert (x + 1) * (x - 1) == x ** 2 - 1
+
+
+def test_power_makes_no_product_by_the_unit(ctx_xy, monkeypatch):
+    # square-and-multiply from the exponent's lowest set bit: no product is
+    # by the unit, so x^1 takes none and x^2 one
+    x, y = ctx_xy.var(0), ctx_xy.var(1)
+    f = x - 2 * y + 1
+    expected = [ctx_xy.one]
+    for _ in range(12):
+        expected.append(expected[-1] * f)
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    for n, power in enumerate(expected):
+        calls.clear()
+        assert f ** n == power
+        squarings = max(n.bit_length() - 1, 0)
+        assert len(calls) == squarings + max(bin(n).count("1") - 1, 0)
+    calls.clear()
+    assert x ** 1 is x and not calls
+    square = x ** 2
+    assert len(calls) == 1 and square == Poly(ctx_xy, {(2, 0): 1})
 
 
 def test_cancellation_removes_terms(ctx_xy):
@@ -63,41 +87,15 @@ def test_partial_bad_index(ctx_xy):
         ctx_xy.one.partial(5)
 
 
-def test_apply_endo_examples():
+def test_substitute_examples():
     ctx = VarContext(("x",), QQ)
     x = ctx.var(0)
-    phi = RingEndomorphism(ctx, [x ** 2])
-    assert apply_endo(phi, x + 1) == x ** 2 + 1
+    assert (x + 1).substitute({0: x ** 2}) == x ** 2 + 1
+    assert (x ** 2).substitute({0: x + 1}) == x ** 2 + 2 * x + 1
 
     ctx2 = VarContext(("x", "y"), QQ)
     x2, y2 = ctx2.var(0), ctx2.var(1)
-    swap = RingEndomorphism(ctx2, [y2, x2])
-    assert apply_endo(swap, x2 ** 2 * y2) == y2 ** 2 * x2
-
-    shift = RingEndomorphism(ctx, [x + 1])
-    assert apply_endo(shift, x ** 2) == x ** 2 + 2 * x + 1
-
-
-def test_endo_injectivity_jacobian():
-    ctx = VarContext(("x",), QQ)
-    x = ctx.var(0)
-    assert RingEndomorphism(ctx, [x ** 2]).injectivity() is InjectivityStatus.INJECTIVE
-
-    ctx2 = VarContext(("x", "y"), QQ)
-    x2 = ctx2.var(0)
-    collapse = RingEndomorphism(ctx2, [x2, x2])
-    assert collapse.injectivity() is InjectivityStatus.NOT_INJECTIVE
-
-    ident = RingEndomorphism.identity(ctx2)
-    assert ident.injectivity() is InjectivityStatus.INJECTIVE
-
-
-def test_endo_injectivity_char_p():
-    ctx = VarContext(("x", "y"), GF(3))
-    x, y = ctx.var(0), ctx.var(1)
-    assert RingEndomorphism(ctx, [y, x]).injectivity() is InjectivityStatus.INJECTIVE
-    assert RingEndomorphism(ctx, [x ** 3, y]).injectivity() is InjectivityStatus.UNKNOWN
-    assert RingEndomorphism(ctx, [x, x]).injectivity() is InjectivityStatus.NOT_INJECTIVE
+    assert (x2 ** 2 * y2).substitute({0: y2, 1: x2}) == y2 ** 2 * x2
 
 
 def test_leading_term_orders(ctx_xy):
@@ -140,10 +138,14 @@ def test_leibniz_random(ctx_xy):
             assert (f * g).partial(i) == f.partial(i) * g + f * g.partial(i)
 
 
-def test_endo_multiplicative_random(ctx_xy):
+def test_substitute_multiplicative_random(ctx_xy):
     rng = random.Random(7)
     x, y = ctx_xy.var(0), ctx_xy.var(1)
-    phi = RingEndomorphism(ctx_xy, [x + y, x * y - 1])
+    images = {0: x + y, 1: x * y - 1}
+
+    def phi(f):
+        return f.substitute(images)
+
     for _ in range(40):
         f = rand_poly(rng, ctx_xy)
         g = rand_poly(rng, ctx_xy)

@@ -1,7 +1,5 @@
 """Session statements not already covered by the CLI round-trip tests."""
 
-import random
-
 import pytest
 
 from derivalg import (
@@ -9,18 +7,10 @@ from derivalg import (
     NonCommutingDerivationsError,
     ParseError,
     PreconditionError,
-    QQ,
-    RingEndomorphism,
-    SingleOreDescriptor,
-    SkewPoly,
-    VarContext,
-    family_skew_derivation,
 )
 from derivalg import groebner
 from derivalg.parser import parse_session
 from derivalg.session import Session
-
-from conftest import rand_poly
 
 
 def run_lines(text, session=None):
@@ -156,26 +146,6 @@ apply rot x1^2
 """)
     # d(x1^2) = 2 x1 (-x2), reduced in the quotient
     assert out[-1]["result"]["str"] == "-2*x1*x2"
-
-
-def test_ore_products_associate_randomly():
-    ctx = VarContext(("y",), QQ)
-    y = ctx.var(0)
-    phi = RingEndomorphism(ctx, [y ** 2])
-    ring = SingleOreDescriptor(ctx, "x", phi,
-                               family_skew_derivation(ctx.one, phi))
-    rng = random.Random(606)
-
-    def rand_elt():
-        terms = {}
-        for _ in range(rng.randint(1, 2)):
-            terms[(rng.randint(0, 2),)] = rand_poly(rng, ctx, max_degree=2,
-                                                    max_terms=2)
-        return SkewPoly(ring, {e: r for e, r in terms.items() if not r.is_zero()})
-
-    for _ in range(25):
-        u, v, w = rand_elt(), rand_elt(), rand_elt()
-        assert (u * v) * w == u * (v * w)
 
 
 # -- the session memo ----------------------------------------------------------

@@ -268,7 +268,8 @@ def test_d_simplicity_prime_characteristic_delegates():
 
 
 def test_d_simplicity_agrees_with_skew_simplicity(ctx_xy, circle_rotation):
-    # R[t; D] is simple exactly when R is D-simple: one decider, one answer
+    # every D here is linearly independent over R, where R[t; D] is simple
+    # exactly when R is D-simple: skew_simplicity returns R's verdict
     x, y = ctx_xy.var(0), ctx_xy.var(1)
     plane = QuotientRing.trivial(ctx_xy)
     nilpotent = QuotientRing.of(IdealHandle(ctx_xy, [y ** 2]))
@@ -369,6 +370,25 @@ def test_principal_stability_examples():
     d2 = Derivation(ctxs, [sy + 2 * sz, sx * sy * sz - sx, -sx * sy ** 2 - 2 * sx])
     relation = sx ** 2 + sy ** 2 + sz ** 2 - 1
     assert principal_stability_check(relation, [d1, d2])
+
+
+def test_principal_witness_tries_each_constant_multiple_once(circle_rotation,
+                                                            monkeypatch):
+    # the candidates are x1, x2 and the images -x2, x1; (-x2) + I is the
+    # ideal (x2) + I already refused, so two bases are computed, not three
+    ring, rot = circle_rotation
+    bases = []
+    compute = simplicity.groebner_basis
+
+    def counted(handle, *args):
+        bases.append(handle.generators[0])
+        return compute(handle, *args)
+
+    monkeypatch.setattr(simplicity, "groebner_basis", counted)
+    assert simplicity._principal_witness(ring, [rot], TermOrder.GREVLEX,
+                                         DEFAULT_BUDGET) is None
+    x1, x2 = ring.context.var(0), ring.context.var(1)
+    assert bases == [x1, x2]
 
 
 def test_principal_stability_zero_rejected():

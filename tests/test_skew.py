@@ -16,15 +16,13 @@ from derivalg import (
     NonCommutingDerivationsError,
     PreconditionError,
     QuotientRing,
-    RingEndomorphism,
     SimplicityStatus,
-    SingleOreDescriptor,
     SkewPoly,
     VarContext,
     binomial_push,
     build_skew_ring,
+    d_simplicity,
     extend_derivation,
-    family_skew_derivation,
     inner_induced,
     inner_residuals,
     skew_commutator,
@@ -412,82 +410,10 @@ def test_inner_residuals_reject_multivariable(A2):
         inner_residuals(A2, A2.skew_var(0), A2.base.context.var(0))
 
 
-def test_endo_skew_mul_closed_form():
+def test_skew_power_rsub_and_hash():
     ctx = VarContext(("y",), QQ)
     y = ctx.var(0)
-    phi = RingEndomorphism(ctx, [y ** 2])
-    ring = SingleOreDescriptor(ctx, "x", phi)
-    x = ring.skew_var()
-    assert x * ring.from_base(y) == ring.from_base(y ** 2) * x
-    assert x * x * ring.from_base(y) == ring.from_base(y ** 4) * x * x
-
-
-def test_endo_skew_mul_closed_form_matches_recursion():
-    ctx = VarContext(("y",), QQ)
-    y = ctx.var(0)
-    phi = RingEndomorphism(ctx, [y ** 2])
-    zero_d = SingleOreDescriptor(ctx, "x", phi)
-    rng = random.Random(88)
-    for n in range(5):
-        for _ in range(5):
-            r = rand_poly(rng, ctx, max_degree=2, max_terms=2)
-            closed = zero_d.push((n,), r)
-            # recursion oracle: repeated x * (.) steps
-            acc = {0: r} if not r.is_zero() else {}
-            for _ in range(n):
-                nxt = {}
-                for k, c in acc.items():
-                    up = phi(c)
-                    if not up.is_zero():
-                        nxt[k + 1] = nxt.get(k + 1, ctx.zero) + up
-                acc = nxt
-            assert closed == {(k,): c for k, c in acc.items()}
-
-
-def test_endo_skew_mul_identity_twist_matches_weyl(A1):
-    ctx = VarContext(("y",), QQ)
-    y = ctx.var(0)
-    base = QuotientRing.trivial(ctx)
-    ident = RingEndomorphism.identity(ctx)
-    ring = SingleOreDescriptor(base, "x", ident, Derivation.partial(base, 0))
-    x = ring.skew_var()
-    prod = x * ring.from_base(y)
-    assert prod == ring.from_base(y) * x + ring.one()
-    # same computation in the Weyl algebra
-    wx, wy = A1.skew_var(0), A1.base_var(0)
-    weyl_prod = wx * wy
-    assert weyl_prod.terms == prod.terms
-    rng = random.Random(361)
-
-    def rand_terms():
-        return {(rng.randint(0, 3),): rand_poly(rng, ctx, max_degree=3)
-                for _ in range(rng.randint(1, 3))}
-
-    for _ in range(20):
-        terms_u, terms_v = rand_terms(), rand_terms()
-        ore_prod = SkewPoly(ring, terms_u) * SkewPoly(ring, terms_v)
-        weyl_prod = SkewPoly(A1, terms_u) * SkewPoly(A1, terms_v)
-        assert ore_prod.terms == weyl_prod.terms
-
-
-def test_endo_skew_mul_family_derivation():
-    ctx = VarContext(("y",), QQ)
-    y = ctx.var(0)
-    phi = RingEndomorphism(ctx, [y ** 2])
-    d = family_skew_derivation(ctx.one, phi)
-    ring = SingleOreDescriptor(ctx, "x", phi, d)
-    x = ring.skew_var()
-    # x y = phi(y) x + d(y) = y^2 x + (y^2 - y)
-    prod = x * ring.from_base(y)
-    assert prod.terms[(1,)] == y ** 2
-    assert prod.terms[(0,)] == y ** 2 - y
-
-
-def test_ore_family_power_rsub_and_hash():
-    ctx = VarContext(("y",), QQ)
-    y = ctx.var(0)
-    phi = RingEndomorphism(ctx, [y ** 2])
-    ring = SingleOreDescriptor(ctx, "x", phi, family_skew_derivation(y + 1, phi))
+    ring = build_skew_ring(ctx, ["x"], [Derivation(ctx, [y + 1])])
     x = ring.skew_var()
     u = (y - 1) * x ** 2 + x + 3 * y
     assert u ** 3 == u * u * u
@@ -498,74 +424,35 @@ def test_ore_family_power_rsub_and_hash():
     assert len({u, twin, u * x}) == 2
 
 
-def test_skew_derivation_value_equality():
-    ctx = VarContext(("y",), QQ)
-    y = ctx.var(0)
-    sq = RingEndomorphism(ctx, [y ** 2])
-    a = family_skew_derivation(y + 1, sq)
-    b = family_skew_derivation(y + 1, RingEndomorphism(ctx, [y ** 2]))
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert a != family_skew_derivation(y + 2, sq)
-    assert a != family_skew_derivation(y + 1, RingEndomorphism(ctx, [y ** 3]))
-
-
-def test_single_ore_descriptors_compare_by_value():
+def test_skew_ring_descriptors_compare_by_value():
     ctx = VarContext(("y",), QQ)
     y = ctx.var(0)
     base = QuotientRing.trivial(ctx)
-    ident = RingEndomorphism.identity(ctx)
-    sq = RingEndomorphism(ctx, [y ** 2])
     builds = [
-        lambda: SingleOreDescriptor(base, "x", ident, Derivation.partial(base, 0)),
-        lambda: SingleOreDescriptor(ctx, "x", sq, family_skew_derivation(y + 1, sq)),
-        lambda: SingleOreDescriptor(ctx, "x", sq),
+        lambda: build_skew_ring(base, ["x"], [Derivation.partial(base, 0)]),
+        lambda: build_skew_ring(ctx, ["x"], [Derivation(ctx, [y + 1])]),
+        lambda: _circle_rotation_ring(),
     ]
     for build in builds:
         first, second = build(), build()
         assert first == second and hash(first) == hash(second)
-        total = first.skew_var() + second.from_base(y)
+        total = first.skew_var() + second.base_var(0)
         assert total.ring == first
     rings = [build() for build in builds]
     assert len(set(rings)) == 3
 
 
-def test_inner_residuals_reject_ore_ring():
-    ctx = VarContext(("y",), QQ)
-    base = QuotientRing.trivial(ctx)
-    ring = SingleOreDescriptor(base, "x", RingEndomorphism.identity(ctx),
-                               Derivation.partial(base, 0))
-    with pytest.raises(PreconditionError):
-        inner_residuals(ring, ring.skew_var(), ctx.var(0))
-
-
 def test_ore_products_golden_output():
     ctx = VarContext(("y",), QQ)
     y = ctx.var(0)
-    sq = RingEndomorphism(ctx, [y ** 2])
-    closed = SingleOreDescriptor(ctx, "x", sq)
-    family = SingleOreDescriptor(ctx, "x", sq, family_skew_derivation(y + 1, sq))
     base = QuotientRing.trivial(ctx)
-    ident = SingleOreDescriptor(base, "x", RingEndomorphism.identity(ctx),
-                                Derivation.partial(base, 0))
+    ring = build_skew_ring(base, ["x"], [Derivation.partial(base, 0)])
     one = ctx.one
-    products = [
-        SkewPoly(closed, {(2,): y + 1, (1,): -3 * one, (0,): 2 * one})
-        * SkewPoly(closed, {(1,): y ** 2 - 2, (0,): y}),
-        SkewPoly(family, {(2,): one, (0,): y})
-        * SkewPoly(family, {(1,): y - 1, (0,): 2 * y ** 2}),
-        SkewPoly(ident, {(3,): one, (1,): y, (0,): ctx.const(Fraction(-1, 2))})
-        * SkewPoly(ident, {(1,): y ** 2, (0,): y}),
-    ]
-    # printed by the implementation with a separate Ore element type
-    expected = [
-        "(y^9 + y^8 - 2*y - 2)*x^3 + (y^5 - 2*y^4 + 6)*x^2 + (-y^2 - 4)*x + 2*y",
-        "(y^4 - 1)*x^3 + (2*y^8 + y^6 + y^5 + y^4 - y^3 - 2*y^2)*x^2 + "
-        "(2*y^10 + 2*y^9 + 4*y^8 + y^7 - y^6 - 2*y^5 - 5*y^4 - 2*y^3 + y^2)*x + "
-        "(2*y^11 + 2*y^10 + 2*y^9 + 2*y^8 - 2*y^7 - 4*y^6 - 6*y^5 - 2*y^4 "
-        "+ 6*y^3 + 2*y^2)",
-        "y^2*x^4 + 7*y*x^3 + (y^3 + 9)*x^2 + 5/2*y^2*x + 1/2*y",
-    ]
-    assert [str(p) for p in products] == expected
+    product = (SkewPoly(ring, {(3,): one, (1,): y, (0,): ctx.const(Fraction(-1, 2))})
+               * SkewPoly(ring, {(1,): y ** 2, (0,): y}))
+    # printed by a one-variable descriptor that pushed by the single-step
+    # rule x*r = r*x + d(r), independent of the binomial push
+    assert str(product) == "y^2*x^4 + 7*y*x^3 + (y^3 + 9)*x^2 + 5/2*y^2*x + 1/2*y"
 
 
 def test_skew_simplicity_weyl(A1):
@@ -613,8 +500,8 @@ def test_skew_simplicity_char_p_unknown():
 
 
 def _dependent_skew_rings():
-    """ROADMAP item 16's repros: skew rings over linearly dependent D, each
-    with its central z = sum c_i*t_i (c a constant relation of D)."""
+    """Skew rings over linearly dependent D, each with its central
+    z = sum c_i*t_i (c a constant relation of D)."""
     plane = VarContext(("x", "y"), QQ)
     P = QuotientRing.trivial(plane)
     a, b, c = (Derivation(P, images) for images in
@@ -634,8 +521,6 @@ def _dependent_skew_rings():
             (S3, t[2](1) - t[2](0))]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: check simple reads "
-                   "Simple when D is linearly dependent")
 @pytest.mark.parametrize("case", range(3))
 def test_skew_simplicity_dependent_derivations_not_simple(case):
     ring, z = _dependent_skew_rings()[case]
@@ -643,7 +528,100 @@ def test_skew_simplicity_dependent_derivations_not_simple(case):
                   + [ring.skew_var(i) for i in range(ring.nskew)])
     # z is central and of t-degree 1, so S*z is a proper two-sided ideal
     assert all(skew_commutator(z, g).is_zero() for g in generators)
-    assert skew_simplicity(ring).status is SimplicityStatus.NOT_SIMPLE
+    verdict = skew_simplicity(ring)
+    assert verdict.status is SimplicityStatus.NOT_SIMPLE
+    assert verdict.witness.generators == (z,)
+
+
+def _rank(rows):
+    """The rank of a matrix of Fractions, by Gaussian elimination."""
+    rows = [list(map(Fraction, row)) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _independent_commuting_sets():
+    """(base, D) with D commuting and linearly independent over the base."""
+    plane = QuotientRing.trivial(VarContext(("x", "y"), QQ))
+    space = QuotientRing.trivial(VarContext(("x", "y", "z"), QQ))
+    y = plane.context.var(1)
+    circle = _circle_rotation_ring()
+    return [
+        (plane, [Derivation.partial(plane, i) for i in range(2)]),
+        (plane, [Derivation.partial(plane, 0), Derivation(plane, [plane.context.zero, y])]),
+        (space, [Derivation.partial(space, i) for i in range(3)]),
+        (circle.base, list(circle.derivations)),
+    ]
+
+
+def test_skew_simplicity_on_constant_combinations_of_independent_sets():
+    # D' = D*C for a constant matrix C: D' has a constant relation exactly
+    # when C's columns are dependent; then the witness must be central,
+    # and otherwise D' is independent over R and the base's verdict stands
+    rng = random.Random(16)
+    seen = []
+    for _ in range(40):
+        base, D = rng.choice(_independent_commuting_sets())
+        m = rng.randint(2, 3)
+        C = [[rng.randint(-2, 2) for _ in range(m)] for _ in D]
+        shape = rng.random()
+        if shape < 0.3:             # one column a combination of the others
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            for row in C:
+                row[m - 1] = a * row[0] + b * row[1]
+        elif shape < 0.6 and m == len(D):   # D itself, reordered
+            order = rng.sample(range(m), m)
+            C = [[int(order[j] == k) for j in range(m)] for k in range(m)]
+        combos = [Derivation(base, [sum((d.images[i].scale(C[k][j])
+                                         for k, d in enumerate(D)),
+                                        base.context.zero)
+                                    for i in range(base.context.nvars)])
+                  for j in range(m)]
+        ring = build_skew_ring(base, [f"t{j}" for j in range(m)], combos)
+        verdict = skew_simplicity(ring)
+        dependent = _rank(C) < m
+        seen.append((dependent, verdict.status))
+        if dependent:
+            assert verdict.status is SimplicityStatus.NOT_SIMPLE
+            (z,) = verdict.witness.generators
+            assert z.x_degree() == 1
+            generators = ([ring.base_var(i) for i in range(base.context.nvars)]
+                          + [ring.skew_var(j) for j in range(m)])
+            assert all(skew_commutator(z, g).is_zero() for g in generators)
+        else:
+            assert verdict == d_simplicity(base, combos)
+    assert {dependent for dependent, _ in seen} == {False, True}
+    assert (False, SimplicityStatus.SIMPLE) in seen
+
+
+def test_skew_simplicity_unknown_when_dependent_only_over_the_base(monkeypatch):
+    # QQ[x, y]/(x^2 - 2) with d/dy and x*d/dy: x is a constant outside QQ,
+    # so x*t1 - t2 is central but no relation over QQ shows it; a Simple
+    # base verdict must not carry over
+    ctx = VarContext(("x", "y"), QQ)
+    x = ctx.var(0)
+    base = QuotientRing.of(IdealHandle(ctx, [x ** 2 - 2]))
+    ring = build_skew_ring(base, ["t1", "t2"], [Derivation(base, [ctx.zero, ctx.one]),
+                                                Derivation(base, [ctx.zero, x])])
+    z = ring.from_base(x) * ring.skew_var(0) - ring.skew_var(1)
+    assert skew_commutator(z, ring.base_var(1)).is_zero()
+    from derivalg import simplicity
+    monkeypatch.setattr(simplicity, "d_simplicity",
+                        lambda *args: simplicity.SimplicityVerdict(
+                            SimplicityStatus.SIMPLE, criterion="assumed"))
+    verdict = skew_simplicity(ring)
+    assert verdict.status is SimplicityStatus.UNKNOWN
+    assert verdict.reason == "derivations dependent over R, no constant relation found"
 
 
 def test_quotient_base_products_golden_output():
@@ -665,26 +643,23 @@ def test_quotient_base_products_golden_output():
     assert SkewPoly(ring, {(1,): x1 ** 2 + x2 ** 2 - 1}).is_zero()
 
 
-def _ore_shapes():
-    ctx = VarContext(("y",), QQ)
-    y = ctx.var(0)
-    sq = RingEndomorphism(ctx, [y ** 2])
-    base = QuotientRing.trivial(ctx)
-    return [SingleOreDescriptor(ctx, "x", sq),
-            SingleOreDescriptor(ctx, "x", sq, family_skew_derivation(y + 1, sq)),
-            SingleOreDescriptor(base, "x", RingEndomorphism.identity(ctx),
-                                Derivation.partial(base, 0))]
+def _push_shapes():
+    base = QuotientRing.trivial(VarContext(("y",), QQ))
+    return [build_skew_ring(base, ["x"], [Derivation.partial(base, 0)]),
+            _circle_rotation_ring(), weyl_algebra(2)]
 
 
-@pytest.mark.parametrize("ring", _ore_shapes(),
-                         ids=["endo", "family", "derivation"])
+@pytest.mark.parametrize("ring", _push_shapes(),
+                         ids=["derivation", "circle-rotation", "A2"])
 def test_ore_push_edges(ring):
     ctx = ring.base.context
     y = ctx.var(0)
+    zero = (0,) * ring.nskew
     for r in (y, 3 * y ** 2 - 1, ctx.one):
-        assert ring.push((0,), r) == {(0,): r}
+        r = ring.base.reduce(r)
+        assert ring.push(zero, r) == {zero: r}
     for n in range(4):
-        assert ring.push((n,), ctx.zero) == {}
+        assert ring.push((n,) + zero[1:], ctx.zero) == {}
 
 
 def test_skew_equality_with_foreign_values_is_false():
