@@ -33,7 +33,6 @@ from .poly import Poly, VarContext
 # The derivation, simplicity and skew layers are imported by the handlers
 # that use them, so a session of Groebner commands never loads them.
 if TYPE_CHECKING:
-    from .simplicity import SimplicityVerdict
     from .skew import SkewPoly, SkewRingDescriptor
 
 
@@ -51,24 +50,6 @@ def skew_json(u: SkewPoly) -> dict:
         "terms": [{"exponents": list(e), "coefficient": poly_json(r)}
                   for e, r in u.sorted_terms()],
     }
-
-
-def verdict_json(v: SimplicityVerdict) -> dict:
-    return {
-        "status": v.status.value,
-        "criterion": v.criterion,
-        "reason": v.reason,
-        "witness": None if v.witness is None
-        else [str(g) for g in v.witness.generators],
-    }
-
-
-def _verdict_text(record: dict) -> str:
-    """`SimplicityVerdict.__str__`, from the record of `verdict_json`."""
-    witness, reason, criterion = (record[k] for k in ("witness", "reason", "criterion"))
-    extra = (f" witness ({', '.join(witness) or '0'})" if witness is not None
-             else f" ({reason})" if reason else "")
-    return record["status"] + extra + (f" [{criterion}]" if criterion else "")
 
 
 def _walk(node, leaf):
@@ -400,7 +381,8 @@ class Session:
             if d.ring != ring:
                 raise PreconditionError(
                     f"derivation does not live on ring {stmt.ring!r}")
-        from .simplicity import d_simplicity, dim1_simplicity
+        from .simplicity import (_verdict_text, d_simplicity, dim1_simplicity,
+                                 verdict_json)
         if stmt.dim1:
             if len(ders) != 1:
                 raise PreconditionError(
@@ -415,6 +397,7 @@ class Session:
 
     def _do_check_simple(self, stmt: P.CheckSimple):
         ring = self._lookup(self.skew_rings, "skew ring", stmt.ring, stmt.line)
+        from .simplicity import _verdict_text, verdict_json
         from .skew import skew_simplicity
         verdict = skew_simplicity(ring, self.order, self.budget)
         record = {"command": "check_simple", "ring": stmt.ring}

@@ -77,7 +77,8 @@ class SimplicityStatus(enum.Enum):
 
 class SimplicityVerdict(NamedTuple):
     """A verdict; `witness` is an ideal of the base ring, or for a skew ring
-    a `skew.CentralWitness`, and either prints and lists `generators`."""
+    a `skew.CentralWitness`; either lists the `generators` that `verdict_json`
+    and the verdict's text print."""
 
     status: SimplicityStatus
     witness: IdealHandle | None = None
@@ -85,14 +86,25 @@ class SimplicityVerdict(NamedTuple):
     criterion: str | None = None
 
     def __str__(self):
-        extra = ""
-        if self.witness is not None:
-            extra = f" witness {self.witness}"
-        elif self.reason:
-            extra = f" ({self.reason})"
-        if self.criterion:
-            extra += f" [{self.criterion}]"
-        return self.status.value + extra
+        return _verdict_text(verdict_json(self))
+
+
+def verdict_json(v: SimplicityVerdict) -> dict:
+    return {
+        "status": v.status.value,
+        "criterion": v.criterion,
+        "reason": v.reason,
+        "witness": None if v.witness is None
+        else [str(g) for g in v.witness.generators],
+    }
+
+
+def _verdict_text(record: dict) -> str:
+    """A verdict's one-line text, from its record of `verdict_json`."""
+    witness, reason, criterion = (record[k] for k in ("witness", "reason", "criterion"))
+    extra = (f" witness ({', '.join(witness) or '0'})" if witness is not None
+             else f" ({reason})" if reason else "")
+    return record["status"] + extra + (f" [{criterion}]" if criterion else "")
 
 
 class DarbouxStatus(enum.Enum):
@@ -389,14 +401,11 @@ def _charp_witness(ring: QuotientRing, order: TermOrder,
         values = [field.element(a) for a in point]
         if any(not g.evaluate(values).is_zero() for g in gens):
             continue
-        powers = []
-        nonzero = False
-        for i, a in enumerate(values):
-            shifted = (ring.context.var(i) - ring.context.const(a)) ** p
-            powers.append(shifted)
-            if not ring.reduce(shifted).is_zero():
-                nonzero = True
-        if not nonzero:
+        shifted = [(ring.context.var(i) - ring.context.const(a)) ** p
+                   for i, a in enumerate(values)]
+        # a power inside I adds nothing to the witness
+        powers = [g for g in shifted if ring.reduce(g)]
+        if not powers:
             continue
         handle = IdealHandle(ring.context, powers + list(gens))
         if is_unit_ideal(handle, order, budget):

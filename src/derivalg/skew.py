@@ -447,36 +447,29 @@ class CentralWitness(NamedTuple):
 
     generators: tuple
 
-    def __str__(self):
-        return f"({self.generators[0]})"
-
 
 def skew_simplicity(ring: SkewRingDescriptor,
                     order: TermOrder = TermOrder.GREVLEX,
                     budget: int = DEFAULT_BUDGET) -> SimplicityVerdict:
     """Simplicity of S = R[t_1..t_m; D] over a commutative base R, with
-    M_ij = d_j(x_i); in characteristic 0 the first rule that applies decides:
+    M_ij = d_j(x_i); the first rule that applies decides:
 
-    1. m = 1: R's verdict from `d_simplicity`;
-    2. (G1) M*c = 0 for some c != 0 in k^m: NotSimple, witness the central
+    1. (G1) M*c = 0 for some c != 0 in k^m: NotSimple, witness the central
        z = sum c_j*t_j ([z, r] = sum c_j*d_j(r) = 0, and the t_j commute);
-    3. R not shown D-simple: R's verdict (S*J is two-sided for a D-stable J);
-    4. (G2) an m x m minor of M nonzero in R, so D is independent over the
-       domain R: R's verdict, Simple;
-    5. otherwise Unknown.  A prime-characteristic base is Unknown too.
+    2. R's verdict from `d_simplicity` when it is not Simple (S*J is a proper
+       two-sided ideal for a proper D-stable J);
+    3. Simple in characteristic 0 when m = 1 (past rule 1, d != 0 on R) or
+       (G2) an m x m minor of M is nonzero in the domain R; else Unknown.
     """
     from .simplicity import SimplicityStatus, SimplicityVerdict, d_simplicity
-    if ring.base.context.field.characteristic != 0:
-        return SimplicityVerdict(
-            SimplicityStatus.UNKNOWN,
-            reason="prime-characteristic base: simplicity transfer out of scope")
-    if ring.nskew > 1 and (z := _central_relation(ring)) is not None:
+    if (z := _central_relation(ring)) is not None:
         return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE,
                                  witness=CentralWitness((z,)),
                                  criterion="constant relation among D")
     verdict = d_simplicity(ring.base, ring.derivations, order, budget)
-    if (ring.nskew == 1 or verdict.status is not SimplicityStatus.SIMPLE
-            or _independent_over_base(ring)):
+    if verdict.status is not SimplicityStatus.SIMPLE or (
+            ring.base.context.field.characteristic == 0
+            and (ring.nskew == 1 or _independent_over_base(ring))):
         return verdict
     return SimplicityVerdict(
         SimplicityStatus.UNKNOWN,

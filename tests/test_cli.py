@@ -196,6 +196,32 @@ def test_check_simple_dependent_derivations(args, central):
     assert record["witness"] == [central]
 
 
+@pytest.mark.parametrize("args, line", [
+    (("--ring", "QQ[x]", "--ideal", "x^2 + 1", "--skew-var", "t", "--der", "x -> 0"),
+     "NotSimple witness (t) [constant relation among D]"),
+    (("--ring", "QQ[x]", "--skew-var", "t", "--der", "x -> 0"),
+     "NotSimple witness (t) [constant relation among D]"),
+    (("--ring", "GF(5)[y]", "--skew-var", "s1", "--der", "y -> 1",
+      "--skew-var", "s2", "--der", "y -> 1"),
+     "NotSimple witness (4*s1 + s2) [constant relation among D]"),
+    (("--ring", "GF(5)[y]", "--skew-var", "s", "--der", "y -> 1"),
+     "NotSimple witness (y^5) [positive Krull dimension in characteristic p]"),
+], ids=["zero-der-quotient", "zero-der-line", "GF5-two-copies", "GF5-one"])
+def test_check_simple_for_any_m_and_characteristic(args, line):
+    out = run_cli("check", "simple", *args)
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[-1] == f"check simple: {line}"
+
+
+def test_check_dsimple_charp_witness_without_repeats():
+    out = run_cli("check", "dsimple", "--ring", "GF(5)[x, y]", "--ideal", "x^5",
+                  "--der", "x -> 1, y -> 0")
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[-1] == (
+        "check dsimple: NotSimple witness (y^5, x^5) "
+        "[positive Krull dimension in characteristic p]")
+
+
 def test_integers_past_the_int_digit_limit():
     # Python refuses int/str conversions past 4300 digits; the CLI does not
     out = run_cli("--json", "mul", "--ring", "QQ[x]", "10^5000*x")

@@ -352,6 +352,19 @@ def test_charp_witness_on_shifted_variety():
     assert d_ideal_check(verdict.witness, [d])
 
 
+def test_charp_witness_lists_no_power_inside_the_ideal():
+    # at the origin x^5 lies in I = (x^5), so only y^5 joins I's generator
+    ctx = VarContext(("x", "y"), GF(5))
+    x, y = ctx.var(0), ctx.var(1)
+    ring = QuotientRing.of(IdealHandle(ctx, [x ** 5]))
+    d = Derivation(ring, [ctx.one, ctx.zero])
+    verdict = d_simplicity(ring, [d])
+    assert list(verdict.witness.generators) == [y ** 5, x ** 5]
+    assert str(verdict) == ("NotSimple witness (y^5, x^5) "
+                            "[positive Krull dimension in characteristic p]")
+    assert d_ideal_check(verdict.witness, [d])
+
+
 # --------------------------------------------------------------------------
 # principal stability and Darboux
 # --------------------------------------------------------------------------

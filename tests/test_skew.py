@@ -1,6 +1,7 @@
 """Skew polynomial rings: normal-form products, Weyl relations, extensions,
 inner derivations, and the simplicity verdict."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -491,17 +492,22 @@ def test_skew_simplicity_never_simple_with_witness():
     assert verdict.status is SimplicityStatus.NOT_SIMPLE
 
 
-def test_skew_simplicity_char_p_unknown():
+def test_skew_simplicity_char_p_base_not_simple():
+    # no constant relation, so GF(5)[y]'s own proper D-stable ideal (y^5)
+    # gives the proper two-sided ideal S*(y^5)
     ctx = VarContext(("y",), GF(5))
     base = QuotientRing.trivial(ctx)
-    ring = build_skew_ring(base, ["x"], [Derivation.partial(base, 0)])
+    ring = build_skew_ring(base, ["s"], [Derivation.partial(base, 0)])
     verdict = skew_simplicity(ring)
-    assert verdict.status is SimplicityStatus.UNKNOWN
+    assert verdict.status is SimplicityStatus.NOT_SIMPLE
+    assert list(verdict.witness.generators) == [ctx.var(0) ** 5]
+    assert verdict.criterion == "positive Krull dimension in characteristic p"
 
 
 def _dependent_skew_rings():
     """Skew rings over linearly dependent D, each with its central
-    z = sum c_i*t_i (c a constant relation of D)."""
+    z = sum c_i*t_i (c a constant relation of D), in any characteristic;
+    for one zero derivation, z = t."""
     plane = VarContext(("x", "y"), QQ)
     P = QuotientRing.trivial(plane)
     a, b, c = (Derivation(P, images) for images in
@@ -516,12 +522,19 @@ def _dependent_skew_rings():
     L = QuotientRing.trivial(VarContext(("y",), QQ))
     dy = Derivation.partial(L, 0)
     S3 = build_skew_ring(L, ["s1", "s2"], [dy, dy])
-    t = [S.skew_var for S in (S1, S2, S3)]
+    F5 = QuotientRing.trivial(VarContext(("y",), GF(5)))
+    S4 = build_skew_ring(F5, ["s1", "s2"], [Derivation.partial(F5, 0)] * 2)
+    x = VarContext(("x",), QQ).var(0)
+    zeros = [build_skew_ring(R, ["t"], [Derivation(R, [x.context.zero])])
+             for R in (QuotientRing.of(IdealHandle(x.context, [x ** 2 + 1])),
+                       QuotientRing.trivial(x.context))]
+    t = [S.skew_var for S in (S1, S2, S3, S4)]
     return [(S1, t[0](2) - t[0](0) - t[0](1)), (S2, t[1](1) - 2 * t[1](0)),
-            (S3, t[2](1) - t[2](0))]
+            (S3, t[2](1) - t[2](0)), (S4, t[3](1) - t[3](0)),
+            *((S, S.skew_var()) for S in zeros)]
 
 
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(6))
 def test_skew_simplicity_dependent_derivations_not_simple(case):
     ring, z = _dependent_skew_rings()[case]
     generators = ([ring.base_var(j) for j in range(ring.base.context.nvars)]
@@ -533,9 +546,9 @@ def test_skew_simplicity_dependent_derivations_not_simple(case):
     assert verdict.witness.generators == (z,)
 
 
-def _rank(rows):
-    """The rank of a matrix of Fractions, by Gaussian elimination."""
-    rows = [list(map(Fraction, row)) for row in rows]
+def _rank(rows, field):
+    """The rank of an int matrix over `field`, by Gaussian elimination."""
+    rows = [[field.element(a) for a in row] for row in rows]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
@@ -552,33 +565,38 @@ def _rank(rows):
 
 def _independent_commuting_sets():
     """(base, D) with D commuting and linearly independent over the base."""
-    plane = QuotientRing.trivial(VarContext(("x", "y"), QQ))
-    space = QuotientRing.trivial(VarContext(("x", "y", "z"), QQ))
-    y = plane.context.var(1)
+    def partials(ring):
+        return [Derivation.partial(ring, i) for i in range(ring.context.nvars)]
+    sets = []
+    for field in (QQ, GF(5)):
+        plane = QuotientRing.trivial(VarContext(("x", "y"), field))
+        zero, y = plane.context.zero, plane.context.var(1)
+        sets += [(plane, partials(plane)),
+                 (plane, [Derivation.partial(plane, 0), Derivation(plane, [zero, y])])]
+    for field in (QQ, GF(3)):
+        space = QuotientRing.trivial(VarContext(("x", "y", "z"), field))
+        sets.append((space, partials(space)))
     circle = _circle_rotation_ring()
-    return [
-        (plane, [Derivation.partial(plane, i) for i in range(2)]),
-        (plane, [Derivation.partial(plane, 0), Derivation(plane, [plane.context.zero, y])]),
-        (space, [Derivation.partial(space, i) for i in range(3)]),
-        (circle.base, list(circle.derivations)),
-    ]
+    return sets + [(circle.base, list(circle.derivations))]
 
 
 def test_skew_simplicity_on_constant_combinations_of_independent_sets():
     # D' = D*C for a constant matrix C: D' has a constant relation exactly
-    # when C's columns are dependent; then the witness must be central,
-    # and otherwise D' is independent over R and the base's verdict stands
+    # when C's columns are dependent over k (for m = 1, when C = 0 and D'
+    # is the zero derivation); then the witness must be central, and
+    # otherwise D' is independent over R and the base's verdict stands
     rng = random.Random(16)
-    seen = []
-    for _ in range(40):
+    seen = set()
+    for _ in range(80):
         base, D = rng.choice(_independent_commuting_sets())
-        m = rng.randint(2, 3)
+        field = base.context.field
+        m = rng.randint(1, 3)
         C = [[rng.randint(-2, 2) for _ in range(m)] for _ in D]
         shape = rng.random()
         if shape < 0.3:             # one column a combination of the others
             a, b = rng.randint(-2, 2), rng.randint(-2, 2)
             for row in C:
-                row[m - 1] = a * row[0] + b * row[1]
+                row[m - 1] = a * row[0] + b * row[1] if m > 1 else 0
         elif shape < 0.6 and m == len(D):   # D itself, reordered
             order = rng.sample(range(m), m)
             C = [[int(order[j] == k) for j in range(m)] for k in range(m)]
@@ -589,8 +607,8 @@ def test_skew_simplicity_on_constant_combinations_of_independent_sets():
                   for j in range(m)]
         ring = build_skew_ring(base, [f"t{j}" for j in range(m)], combos)
         verdict = skew_simplicity(ring)
-        dependent = _rank(C) < m
-        seen.append((dependent, verdict.status))
+        dependent = _rank(C, field) < m
+        seen.add((field.characteristic > 0, m == 1, dependent, verdict.status))
         if dependent:
             assert verdict.status is SimplicityStatus.NOT_SIMPLE
             (z,) = verdict.witness.generators
@@ -600,8 +618,10 @@ def test_skew_simplicity_on_constant_combinations_of_independent_sets():
             assert all(skew_commutator(z, g).is_zero() for g in generators)
         else:
             assert verdict == d_simplicity(base, combos)
-    assert {dependent for dependent, _ in seen} == {False, True}
-    assert (False, SimplicityStatus.SIMPLE) in seen
+    # both sides occur for each characteristic, with m = 1 and with m > 1
+    assert {case[:3] for case in seen} == set(itertools.product((False, True), repeat=3))
+    assert (False, False, False, SimplicityStatus.SIMPLE) in seen
+    assert (False, True, False, SimplicityStatus.SIMPLE) in seen
 
 
 def test_skew_simplicity_unknown_when_dependent_only_over_the_base(monkeypatch):
@@ -622,6 +642,11 @@ def test_skew_simplicity_unknown_when_dependent_only_over_the_base(monkeypatch):
     verdict = skew_simplicity(ring)
     assert verdict.status is SimplicityStatus.UNKNOWN
     assert verdict.reason == "derivations dependent over R, no constant relation found"
+    # (G2)'s argument divides by the t-exponents, so in characteristic p
+    # even an independent D does not carry a Simple base verdict over
+    line = QuotientRing.trivial(VarContext(("y",), GF(5)))
+    ring = build_skew_ring(line, ["s"], [Derivation.partial(line, 0)])
+    assert skew_simplicity(ring).status is SimplicityStatus.UNKNOWN
 
 
 def test_quotient_base_products_golden_output():
