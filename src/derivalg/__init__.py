@@ -22,15 +22,17 @@ from .errors import (
     DerivalgError,
     FieldMismatchError,
     InexactDivisionError,
+    InvalidArgumentError,
     NonCommutingDerivationsError,
     NotInvariantError,
     ParseError,
     PreconditionError,
     UnitIdealError,
     UnknownIdentifierError,
+    VanishingDenominatorError,
     ZeroPolynomialError,
 )
-from .field import GF, QQ, FieldElement, FieldSpec, normalize_rational
+from .field import GF, QQ, FieldElement, FieldSpec
 from .poly import Poly, TermOrder, VarContext
 from .groebner import (
     DEFAULT_BUDGET,
@@ -44,7 +46,6 @@ from .groebner import (
     krull_dimension,
     normal_form,
     normal_form_with_cofactors,
-    quotient_reduce,
 )
 
 # submodule -> the names it exports, resolved by __getattr__ on first access
@@ -79,8 +80,6 @@ _LAZY = {
         "SkewRingDerivation",
         "SkewRingDescriptor",
         "binomial_push",
-        "build_skew_ring",
-        "extend_derivation",
         "inner_induced",
         "inner_residuals",
         "skew_commutator",

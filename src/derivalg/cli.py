@@ -25,14 +25,7 @@ import re
 import sys
 
 from . import parser as P
-from .errors import (
-    BudgetExceededError,
-    ContextMismatchError,
-    FieldMismatchError,
-    ParseError,
-    PreconditionError,
-    ZeroPolynomialError,
-)
+from .errors import BudgetExceededError, ParseError, PreconditionError
 from .groebner import DEFAULT_BUDGET, TermOrder
 from .session import Session
 
@@ -68,9 +61,7 @@ def _classify(exc) -> int:
         return EXIT_PARSE
     if isinstance(exc, BudgetExceededError):
         return EXIT_BUDGET
-    if isinstance(exc, (PreconditionError, ContextMismatchError,
-                        FieldMismatchError, ZeroPolynomialError,
-                        ZeroDivisionError, ValueError)):
+    if isinstance(exc, PreconditionError):
         return EXIT_PRECONDITION
     return EXIT_INTERNAL
 
@@ -96,9 +87,16 @@ def _cmd_run(args) -> list:
         return [handle.read()]
 
 
-def _ring_script(spec: str) -> str:
-    if not re.fullmatch(r"(QQ|GF\(\d+\))\[[^\]]+\]", spec.replace(" ", "")):
+def _ring_match(spec: str) -> re.Match:
+    # group 1 is p (None over QQ), group 2 the comma-separated variables
+    match = re.fullmatch(r"(?:QQ|GF\((\d+)\))\[([^\]]+)\]", spec.replace(" ", ""))
+    if match is None:
         raise ParseError(f"bad ring designator {spec!r} (use QQ[x,y] or GF(p)[x])")
+    return match
+
+
+def _ring_script(spec: str) -> str:
+    _ring_match(spec)
     return f"ring R = {spec}"
 
 
@@ -134,14 +132,12 @@ def _cmd_darboux(args) -> list:
 
 
 def _cmd_certificate(args) -> list:
-    ring = _ring_script(args.ring)
-    if not args.truncated:
-        return [ring, f"certificate {args.element}"]
-    stmt = P.parse_statement_line(ring)
-    p = stmt.field_spec.p
+    # over GF(p) a certificate lives in the quotient by the p-th powers
+    p, names = _ring_match(args.ring).groups()
+    ring = f"ring R = {args.ring}"
     if p is None:
-        raise ParseError("--truncated needs a GF(p) ring")
-    gens = ", ".join(f"{v}^{p}" for v in stmt.variables)
+        return [ring, f"certificate {args.element}"]
+    gens = ", ".join(f"{v}^{p}" for v in names.split(","))
     return [ring, f"ideal Itrunc in R : {gens}", "quotient T = R / Itrunc",
             f"certificate {args.element} in T"]
 
@@ -242,9 +238,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     cert = sub.add_parser("certificate",
                           help="simplicity certificate for an element")
-    cert.add_argument("--ring", required=True)
-    cert.add_argument("--truncated", action="store_true",
-                      help="work in GF(p)[x..]/(x^p..) instead of the full ring")
+    cert.add_argument("--ring", required=True,
+                      help="QQ[..], or GF(p)[..] for the quotient by the "
+                           "p-th powers of the variables")
     cert.add_argument("element")
     cert.set_defaults(func=_cmd_certificate)
 

@@ -69,12 +69,6 @@ class Derivation:
         zero = ring.context.zero
         return cls(ring, [one if j == i else zero for j in range(n)])
 
-    @classmethod
-    def zero(cls, ring) -> "Derivation":
-        ring = _as_ring(ring)
-        z = ring.context.zero
-        return cls(ring, [z] * ring.context.nvars)
-
     def apply(self, f: Poly) -> Poly:
         if f.context != self.ring.context:
             raise ContextMismatchError("element outside the derivation's ring")

@@ -7,15 +7,22 @@ class DerivalgError(Exception):
     """Base class for every error raised by this library."""
 
 
-class FieldMismatchError(DerivalgError):
+class PreconditionError(DerivalgError):
+    """A mathematical precondition of an operation is not met.
+
+    CLI exit code 2 is reserved for this family.
+    """
+
+
+class FieldMismatchError(PreconditionError):
     """Operands belong to different coefficient fields."""
 
 
-class ContextMismatchError(DerivalgError):
+class ContextMismatchError(PreconditionError):
     """Operands belong to different variable contexts or rings."""
 
 
-class ZeroPolynomialError(DerivalgError):
+class ZeroPolynomialError(PreconditionError):
     """A nonzero polynomial was required."""
 
 
@@ -23,11 +30,12 @@ class InexactDivisionError(DerivalgError):
     """Polynomial division left a nonzero remainder where none was allowed."""
 
 
-class PreconditionError(DerivalgError):
-    """A mathematical precondition of an operation is not met.
+class InvalidArgumentError(PreconditionError, ValueError):
+    """An argument value is refused, as a modulus that is not a prime."""
 
-    CLI exit code 2 is reserved for this family.
-    """
+
+class VanishingDenominatorError(PreconditionError, ZeroDivisionError):
+    """A denominator is zero in the coefficient field."""
 
 
 class UnitIdealError(PreconditionError):

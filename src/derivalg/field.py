@@ -22,23 +22,29 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .errors import FieldMismatchError
+from .errors import (
+    FieldMismatchError,
+    InvalidArgumentError,
+    VanishingDenominatorError,
+)
+
+# Miller-Rabin to the prime bases 2..41 is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    # Deterministic trial division; the moduli used here are small.
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Deterministic Miller-Rabin; refuses n at or past _MR_BOUND."""
+    if n >= _MR_BOUND:
+        raise InvalidArgumentError(
+            f"modulus {n} is past {_MR_BOUND}, the primality test's bound")
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    return all(x == 1 or any(pow(x, 1 << k, n) == n - 1 for k in range(s))
+               for x in (pow(a, d, n) for a in _MR_BASES))
 
 
 class FieldSpec:
@@ -47,9 +53,8 @@ class FieldSpec:
     __slots__ = ("p",)
 
     def __init__(self, p: int | None = None):
-        if p is not None:
-            if not isinstance(p, int) or not _is_prime(p):
-                raise ValueError(f"modulus {p!r} is not a prime")
+        if p is not None and not (isinstance(p, int) and _is_prime(p)):
+            raise InvalidArgumentError(f"modulus {p!r} is not a prime")
         self.p = p
 
     @property
@@ -70,7 +75,8 @@ class FieldSpec:
 
         Over QQ an integral value comes back as an ``int`` and any other as a
         ``Fraction``; over F_p the value is an ``int`` in ``[0, p)``, and a
-        Fraction whose denominator vanishes mod p raises ZeroDivisionError.
+        Fraction whose denominator vanishes mod p raises
+        VanishingDenominatorError.
         """
         if isinstance(value, FieldElement):
             if value.spec != self:
@@ -101,14 +107,15 @@ class FieldSpec:
     def from_ratio(self, numerator: int, denominator: int) -> "FieldElement":
         """The canonical element numerator/denominator.
 
-        Raises ZeroDivisionError when the denominator vanishes (in F_p: is
-        divisible by p).
+        Raises ZeroDivisionError when the denominator vanishes, in F_p a
+        VanishingDenominatorError when it is divisible by p.
         """
         if self.p is None:
             return FieldElement(self, Fraction(numerator, denominator))
         d = denominator % self.p
         if d == 0:
-            raise ZeroDivisionError(f"denominator {denominator} vanishes in {self}")
+            raise VanishingDenominatorError(
+                f"denominator {denominator} vanishes in {self}")
         return FieldElement(self, numerator * pow(d, -1, self.p) % self.p)
 
     @property
@@ -136,11 +143,6 @@ QQ = FieldSpec()
 
 def GF(p: int) -> FieldSpec:
     return FieldSpec(p)
-
-
-def normalize_rational(numerator: int, denominator: int) -> "FieldElement":
-    """Lowest-terms rational with positive denominator; d = 0 raises."""
-    return QQ.from_ratio(numerator, denominator)
 
 
 def _outside(value, spec: FieldSpec) -> bool:

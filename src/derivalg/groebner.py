@@ -826,7 +826,3 @@ class QuotientRing:
         if self.is_trivial:
             return str(self.context)
         return f"{self.context}/{self.defining}"
-
-
-def quotient_reduce(ring: QuotientRing, f: Poly) -> Poly:
-    return ring.reduce(f)

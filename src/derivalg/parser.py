@@ -366,16 +366,6 @@ def parse_session(text: str):
     return statements
 
 
-def parse_statement_line(line: str):
-    """Parse a single statement (REPL); returns None for blank input."""
-    statements = parse_session(line)
-    if not statements:
-        return None
-    if len(statements) > 1:
-        raise ParseError("one statement per line", 1, 1)
-    return statements[0]
-
-
 def _parse_statement(stream: _Stream):
     t = stream.peek()
     if t.kind != "ident":

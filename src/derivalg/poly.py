@@ -27,6 +27,7 @@ from typing import Iterator, Sequence
 from .errors import (
     ContextMismatchError,
     InexactDivisionError,
+    InvalidArgumentError,
     ZeroPolynomialError,
 )
 from .field import FieldElement, FieldSpec, _outside
@@ -65,7 +66,7 @@ class VarContext:
     def __init__(self, names, field: FieldSpec):
         names = tuple(names)
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names in {names}")
+            raise InvalidArgumentError(f"duplicate variable names in {names}")
         if any(not n for n in names):
             raise ValueError("variable names must be nonempty")
         object.__setattr__(self, "names", names)

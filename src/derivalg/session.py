@@ -227,8 +227,8 @@ class Session:
         names = [var for var, _ in stmt.steps]
         ders = [self._lookup(self.derivations, "derivation", d, stmt.line)
                 for _, d in stmt.steps]
-        from .skew import build_skew_ring
-        ring = build_skew_ring(base, names, ders)
+        from .skew import SkewRingDescriptor
+        ring = SkewRingDescriptor(base, names, ders)
         self._bind(self.skew_rings, "skew ring", stmt.name, ring, stmt.line)
         self.current = stmt.name
         record = {"command": "skew", "name": stmt.name, "base": stmt.base,
@@ -429,8 +429,8 @@ class Session:
         derivation = self._lookup(self.derivations, "derivation",
                                   stmt.derivation, stmt.line)
         ring = self._lookup(self.skew_rings, "skew ring", stmt.ring, stmt.line)
-        from .skew import extend_derivation
-        extend_derivation(derivation, ring)
+        from .skew import SkewRingDerivation
+        SkewRingDerivation(ring, derivation)
         record = {"command": "extend", "derivation": stmt.derivation,
                   "ring": stmt.ring, "extends": True}
         return record, lambda: (f"extend {stmt.derivation} into {stmt.ring}: ok "

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from .derivation import Derivation, _as_ring, commuting_set_check
 from .errors import (
     ContextMismatchError,
+    InvalidArgumentError,
     NonCommutingDerivationsError,
     PreconditionError,
 )
@@ -73,9 +74,9 @@ class SkewRingDescriptor:
         if len(names) != len(derivations):
             raise ValueError("one derivation per skew variable is required")
         if len(set(names)) != len(names) or any(not n for n in names):
-            raise ValueError("skew variable names must be distinct and nonempty")
+            raise InvalidArgumentError("skew variable names must be distinct and nonempty")
         if set(names) & set(base.context.names):
-            raise ValueError("skew variable names collide with base variables")
+            raise InvalidArgumentError("skew variable names collide with base variables")
         for d in derivations:
             if d.ring != base:
                 raise ContextMismatchError("derivation does not live on the base ring")
@@ -152,12 +153,6 @@ class SkewRingDescriptor:
     def __str__(self):
         steps = "".join(f"[{n}; {d}]" for n, d in zip(self.names, self.derivations))
         return f"{self.base}{steps}"
-
-
-def build_skew_ring(base, names: Sequence[str],
-                    derivations: Sequence[Derivation]) -> SkewRingDescriptor:
-    """Descriptor for R[x; D]; refuses non-commuting derivation sets."""
-    return SkewRingDescriptor(base, names, derivations)
 
 
 class SkewPoly:
@@ -262,8 +257,8 @@ class SkewPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("skew powers take non-negative int exponents")
-        result = self.ring.one()
-        for _ in range(n):
+        result = self if n else self.ring.one()
+        for _ in range(n - 1):
             result = result * self
         return result
 
@@ -340,7 +335,7 @@ def weyl_algebra(n: int, field: FieldSpec = QQ) -> SkewRingDescriptor:
     x's (and all y's) commute.
     """
     if n < 1:
-        raise ValueError("the Weyl algebra index must be at least 1")
+        raise InvalidArgumentError("the Weyl algebra index must be at least 1")
     if n == 1:
         ynames, xnames = ("y",), ("x",)
     else:
@@ -352,11 +347,24 @@ def weyl_algebra(n: int, field: FieldSpec = QQ) -> SkewRingDescriptor:
 
 
 class SkewRingDerivation:
-    """A derivation of a skew ring acting coefficientwise (skew vars map to 0)."""
+    """A base derivation extended coefficientwise, every x_i sent to 0; refused
+    unless it commutes with every structure derivation d_i (the push rule)."""
 
     __slots__ = ("ring", "base_derivation")
 
     def __init__(self, ring: SkewRingDescriptor, base_derivation: Derivation):
+        if base_derivation.ring != ring.base:
+            raise ContextMismatchError("derivation does not live on the base ring")
+        for name, d in zip(ring.names, ring.derivations):
+            report = commuting_set_check([base_derivation, d])
+            if not report.commute:
+                gen = ring.base.context.names[report.generator]
+                raise NonCommutingDerivationsError(
+                    f"cannot extend: the derivation does not commute with the "
+                    f"structure derivation of {name} "
+                    f"(commutator sends {gen} to {report.witness})",
+                    first=base_derivation, second=d, generator=gen,
+                    witness=report.witness)
         self.ring = ring
         self.base_derivation = base_derivation
 
@@ -371,26 +379,6 @@ class SkewRingDerivation:
         return SkewPoly._raw(self.ring, terms)
 
     __call__ = apply
-
-
-def extend_derivation(d1: Derivation, ring: SkewRingDescriptor) -> SkewRingDerivation:
-    """Extend a base derivation to the skew ring by sending every x_i to 0.
-
-    Possible exactly when d1 commutes with every structure derivation d_i;
-    otherwise the extension would violate the push rule and is refused.
-    """
-    if d1.ring != ring.base:
-        raise ContextMismatchError("derivation does not live on the base ring")
-    for name, d in zip(ring.names, ring.derivations):
-        report = commuting_set_check([d1, d])
-        if not report.commute:
-            gen = ring.base.context.names[report.generator]
-            raise NonCommutingDerivationsError(
-                f"cannot extend: the derivation does not commute with the "
-                f"structure derivation of {name} "
-                f"(commutator sends {gen} to {report.witness})",
-                first=d1, second=d, generator=gen, witness=report.witness)
-    return SkewRingDerivation(ring, d1)
 
 
 class InnerAnalysis(NamedTuple):

@@ -22,10 +22,10 @@ from derivalg import (
     Poly,
     QuotientRing,
     SimplicityStatus,
+    SkewRingDescriptor,
     TermOrder,
     VarContext,
     binomial_push,
-    build_skew_ring,
     d_ideal_check,
     darboux_search,
     dim1_simplicity,
@@ -106,10 +106,10 @@ def test_criterion_04_commuting_gate():
     d1 = Derivation(base, [y2, ctx.zero])
     d2 = Derivation(base, [ctx.zero, y1])
     with pytest.raises(NonCommutingDerivationsError) as err:
-        build_skew_ring(base, ["t1", "t2"], [d1, d2])
+        SkewRingDescriptor(base, ["t1", "t2"], [d1, d2])
     assert err.value.witness == -y1
     partials = [Derivation.partial(base, i) for i in range(2)]
-    ring = build_skew_ring(base, ["t1", "t2"], partials)
+    ring = SkewRingDescriptor(base, ["t1", "t2"], partials)
     assert ring.commuting_certified
     _pass(4, "non-commuting pair refused with witness -y1; partials accepted")
 
@@ -156,7 +156,7 @@ def test_criterion_07_negative_control():
     verdict = dim1_simplicity(ring, d)
     assert verdict.status is SimplicityStatus.NOT_SIMPLE
     assert list(verdict.witness.generators) == [y]
-    skew = build_skew_ring(ring, ["x"], [d])
+    skew = SkewRingDescriptor(ring, ["x"], [d])
     skew_verdict = skew_simplicity(skew)
     assert skew_verdict.status is SimplicityStatus.NOT_SIMPLE
     assert list(skew_verdict.witness.generators) == [y]
@@ -255,7 +255,7 @@ def test_criterion_11_inner_derivations():
         base = QuotientRing.trivial(ctx)
         d = Derivation(base, [rand_poly(rng, ctx, max_degree=1, max_terms=2)
                               for _ in range(nvars)])
-        ring = build_skew_ring(base, ["x"], [d])
+        ring = SkewRingDescriptor(base, ["x"], [d])
         f = rand_skew(rng, ring, x_degree=3, base_degree=1)
         analysis = inner_induced(ring, f)
         residuals_zero = all(

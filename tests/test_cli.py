@@ -98,12 +98,16 @@ def test_certificate_subcommand():
 
 
 def test_certificate_truncated():
-    out = run_cli("--json", "certificate", "--ring", "GF(3)[x]",
-                  "--truncated", "2*x + x^2")
+    # a GF(p) ring certifies in its quotient by the p-th powers
+    out = run_cli("--json", "certificate", "--ring", "GF(3)[x]", "2*x + x^2")
     assert out.returncode == 0
-    record = json.loads(out.stdout.splitlines()[-1])
-    assert record["word"] == ["x", "x"]
-    assert record["constant"] == "2"
+    records = [json.loads(line) for line in out.stdout.splitlines()]
+    assert [r["command"] for r in records] == [
+        "ring", "ideal", "quotient", "certificate"]
+    assert records[-1]["word"] == ["x", "x"]
+    assert records[-1]["constant"] == "2"
+    out = run_cli("certificate", "--ring", "GF(3)[x]", "--truncated", "x")
+    assert out.returncode == 2 and "unrecognized arguments: --truncated" in out.stderr
 
 
 def test_check_commute_false_with_witness_exits_zero():
@@ -404,6 +408,15 @@ def test_two_lines_session_is_not_certified_simple(tmp_path, capsys):
     assert not any("Simple [" in line for line in lines)
 
 
+def test_check_dsimple_skips_generators_zero_modulo_the_ideal():
+    # d(x) = 0 lies in I = (x): it is no witness, and the unit ideal decides
+    out = run_cli("check", "dsimple", "--ring", "QQ[x, y]", "--ideal", "x",
+                  "--der", "x -> 0, y -> 1")
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[-1] == \
+        "check dsimple: Simple [dimension-1 unit-ideal criterion]"
+
+
 def test_check_dsimple_two_parallel_lines_cli():
     out = run_cli("check", "dsimple", "--ring", "QQ[x, y]", "--ideal", "y^2 - 1",
                   "--der", "x -> 1, y -> 0")
@@ -431,6 +444,26 @@ def test_exit_code_internal_error(monkeypatch, capsys):
     assert error == {"kind": "KeyError", "message": "'boom'", "internal": True}
 
 
+@pytest.mark.parametrize("exc", [ValueError("max() arg is an empty sequence"),
+                                 ZeroDivisionError("division by zero")])
+def test_builtin_value_and_zero_division_errors_are_internal(monkeypatch, capsys,
+                                                             exc):
+    # only the library's own error types are refused input; a bare builtin
+    # raised inside a statement is a bug: exit 4 with its traceback
+    from derivalg import cli
+    from derivalg.session import Session
+
+    def broken(self, stmt):
+        raise exc
+
+    monkeypatch.setattr(Session, "execute", broken)
+    assert cli.main(["weyl", "1"]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    kind = type(exc).__name__
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith(f"\n{kind}: {exc}\nerror [internal: {kind}]: {exc}\n")
+
+
 def test_der_with_a_repeated_generator_is_a_parse_error():
     out = run_cli("check", "dsimple", "--ring", "QQ[x]", "--der", "x -> 1, x -> 2")
     assert out.returncode == 1
@@ -445,9 +478,15 @@ def test_der_with_a_repeated_generator_is_a_parse_error():
     (("weyl", "0"), "the Weyl algebra index must be at least 1"),
     (("check", "simple", "--ring", "QQ[x]", "--skew-var", "x", "--der", "x -> 1"),
      "skew variable names collide with base variables"),
+    (("check", "simple", "--ring", "QQ[x]", "--skew-var", "t", "--der", "x -> 1",
+      "--skew-var", "t", "--der", "x -> 1"),
+     "skew variable names must be distinct and nonempty"),
+    (("gb", "--ring", "GF(3317044064679887385961981)[x]", "x"),
+     "is past 3317044064679887385961981, the primality test's bound"),
 ])
 def test_exit_code_of_value_and_zero_division_errors(args, message):
-    # these reach the CLI as ValueError or ZeroDivisionError: exit 2
+    # refused input raises a PreconditionError that is also a ValueError or
+    # a ZeroDivisionError: exit 2
     out = run_cli(*args)
     assert out.returncode == 2
     assert message in out.stderr

@@ -5,26 +5,34 @@ from fractions import Fraction
 
 import pytest
 
-from derivalg import GF, QQ, FieldMismatchError, FieldSpec, normalize_rational
+from derivalg import (
+    GF,
+    QQ,
+    FieldMismatchError,
+    FieldSpec,
+    InvalidArgumentError,
+    PreconditionError,
+)
+from derivalg.field import _MR_BOUND, _is_prime
 
 
 def test_normalize_gcd_reduction():
-    assert normalize_rational(2, 4).value == Fraction(1, 2)
+    assert QQ.from_ratio(2, 4).value == Fraction(1, 2)
 
 
 def test_normalize_sign():
-    e = normalize_rational(3, -3)
+    e = QQ.from_ratio(3, -3)
     assert e.numerator == -1 and e.denominator == 1
 
 
 def test_normalize_zero():
-    e = normalize_rational(0, 7)
+    e = QQ.from_ratio(0, 7)
     assert e.numerator == 0 and e.denominator == 1
 
 
 def test_normalize_zero_denominator():
     with pytest.raises(ZeroDivisionError):
-        normalize_rational(1, 0)
+        QQ.from_ratio(1, 0)
 
 
 def test_rational_add():
@@ -55,6 +63,36 @@ def test_primality_validated():
         FieldSpec(4)
     with pytest.raises(ValueError):
         GF(1)
+    with pytest.raises(InvalidArgumentError, match="is not a prime"):
+        GF((10 ** 9 + 7) * (10 ** 9 + 9))
+    assert GF(10 ** 18 + 3).characteristic == 10 ** 18 + 3
+    # past the bound of the test a modulus is refused, prime or not
+    with pytest.raises(PreconditionError, match=f"past {_MR_BOUND}, the primality"):
+        GF(_MR_BOUND)
+
+
+def test_primality_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31)
+    near = [10 ** 9 + k for k in range(-100, 100)]
+    values = (list(range(-5, 3000)) + near
+              + [a * b for a in near[:20] for b in near[-20:]]
+              + [rng.randrange(2, 1 << rng.randrange(2, 81)) for _ in range(3000)])
+    for n in values:
+        assert _is_prime(n) == sympy.isprime(n), n
+
+
+@pytest.mark.parametrize("n", [
+    561, 1105, 1729, 41041, 825265, 321197185,
+    56052361, 118901521, 172947529,  # Carmichael, no prime factor below 43
+    3215031751,                  # strong pseudoprime to the bases 2, 3, 5, 7
+    3825123056546413051,         # ... to the bases 2 through 23
+    318665857834031151167461,    # ... to the bases 2 through 37
+])
+def test_primality_refutes_carmichael_numbers_and_strong_pseudoprimes(n):
+    assert not _is_prime(n)
+    with pytest.raises(InvalidArgumentError, match="is not a prime"):
+        GF(n)
 
 
 def test_mixed_field_operands_rejected():
@@ -100,7 +138,7 @@ def test_rational_canonical_invariants():
     for _ in range(100):
         n = rng.randint(-40, 40)
         d = rng.choice([x for x in range(-15, 16) if x])
-        e = normalize_rational(n, d)
+        e = QQ.from_ratio(n, d)
         assert e.denominator > 0
         from math import gcd
         assert gcd(abs(e.numerator), e.denominator) == 1

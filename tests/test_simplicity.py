@@ -18,10 +18,10 @@ from derivalg import (
     PreconditionError,
     QuotientRing,
     SimplicityStatus,
+    SkewRingDescriptor,
     TermOrder,
     VarContext,
     ZeroPolynomialError,
-    build_skew_ring,
     d_ideal_check,
     d_simplicity,
     darboux_search,
@@ -282,10 +282,10 @@ def test_d_simplicity_agrees_with_skew_simplicity(ctx_xy, circle_rotation):
         (ellipse, Derivation(ellipse, [7 * (8 * x - 4) * y, -6 * (8 * x - 4) * x])),
     ]
     for ring, d in cases:
-        skew = build_skew_ring(ring, ["t"], [d])
+        skew = SkewRingDescriptor(ring, ["t"], [d])
         assert skew_simplicity(skew) == d_simplicity(ring, [d])
     partials = [Derivation.partial(plane, i) for i in range(2)]
-    skew = build_skew_ring(plane, ["t1", "t2"], partials)
+    skew = SkewRingDescriptor(plane, ["t1", "t2"], partials)
     assert skew_simplicity(skew) == d_simplicity(plane, partials)
     assert skew_simplicity(skew).status is SimplicityStatus.SIMPLE
 
@@ -602,7 +602,7 @@ def test_two_parallel_lines_are_not_certified_simple(ctx_xy):
     assert verdict.status is SimplicityStatus.UNKNOWN
     assert verdict.reason == "primality not certified"
     assert dim1_simplicity(ring, d) == verdict
-    assert skew_simplicity(build_skew_ring(ring, ["t"], [d])) == verdict
+    assert skew_simplicity(SkewRingDescriptor(ring, ["t"], [d])) == verdict
 
 
 def _circle_pair(ctx, left, right):

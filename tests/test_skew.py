@@ -19,11 +19,11 @@ from derivalg import (
     QuotientRing,
     SimplicityStatus,
     SkewPoly,
+    SkewRingDerivation,
+    SkewRingDescriptor,
     VarContext,
     binomial_push,
-    build_skew_ring,
     d_simplicity,
-    extend_derivation,
     inner_induced,
     inner_residuals,
     skew_commutator,
@@ -124,7 +124,7 @@ def test_binomial_push_char_p():
     # in characteristic 2 the middle binomial coefficient of n=2 vanishes
     ctx = VarContext(("y",), GF(2))
     base = QuotientRing.trivial(ctx)
-    ring = build_skew_ring(base, ["x"], [Derivation.partial(base, 0)])
+    ring = SkewRingDescriptor(base, ["x"], [Derivation.partial(base, 0)])
     y = ctx.var(0)
     pushed = binomial_push(ring, 0, 2, y ** 2)
     assert pushed == ring.from_base(y ** 2) * ring.skew_var(0) ** 2
@@ -156,7 +156,7 @@ def two_derivation_quotient_ring():
     base = QuotientRing.of(IdealHandle(ctx, [x ** 2 - 1]))
     dy = Derivation(base, [ctx.zero, ctx.one])
     x_dy = Derivation(base, [ctx.zero, x])
-    return build_skew_ring(base, ["s", "t"], [dy, x_dy])
+    return SkewRingDescriptor(base, ["s", "t"], [dy, x_dy])
 
 
 @pytest.mark.parametrize("make_ring", [two_derivation_quotient_ring,
@@ -188,7 +188,7 @@ def custom_two_derivation_ring():
     base = QuotientRing.trivial(ctx)
     d1 = Derivation.partial(base, 0)
     d2 = Derivation(base, [ctx.zero, ctx.var(1)])  # y2 d/dy2, commutes with d/dy1
-    return build_skew_ring(base, ["t1", "t2"], [d1, d2])
+    return SkewRingDescriptor(base, ["t1", "t2"], [d1, d2])
 
 
 def rand_skew(rng, ring, x_degree=3, base_degree=2):
@@ -219,7 +219,7 @@ def test_associativity_quotient_base():
     x1, x2 = ctx.var(0), ctx.var(1)
     circle = QuotientRing.of(IdealHandle(ctx, [x1 ** 2 + x2 ** 2 - 1]))
     rot = Derivation(circle, [-x2, x1])
-    ring = build_skew_ring(circle, ["t"], [rot])
+    ring = SkewRingDescriptor(circle, ["t"], [rot])
     rng = random.Random(11)
     from derivalg.skew import SkewPoly
 
@@ -249,24 +249,24 @@ def test_build_skew_ring_gate():
     d1 = Derivation(base, [y2, ctx.zero])
     d2 = Derivation(base, [ctx.zero, y1])
     with pytest.raises(NonCommutingDerivationsError) as err:
-        build_skew_ring(base, ["t1", "t2"], [d1, d2])
+        SkewRingDescriptor(base, ["t1", "t2"], [d1, d2])
     assert err.value.generator == "y1"
     assert err.value.witness == -y1
 
     partials = [Derivation.partial(base, i) for i in range(2)]
-    ring = build_skew_ring(base, ["t1", "t2"], partials)
+    ring = SkewRingDescriptor(base, ["t1", "t2"], partials)
     assert ring.commuting_certified
 
-    single = build_skew_ring(base, ["t"], [d1])
+    single = SkewRingDescriptor(base, ["t"], [d1])
     assert single.commuting_certified
 
 
 def test_extend_derivation_coefficientwise():
     ctx = VarContext(("y", "z"), QQ)
     base = QuotientRing.trivial(ctx)
-    ring = build_skew_ring(base, ["x"], [Derivation.partial(base, 0)])
+    ring = SkewRingDescriptor(base, ["x"], [Derivation.partial(base, 0)])
     dz = Derivation.partial(base, 1)
-    ext = extend_derivation(dz, ring)
+    ext = SkewRingDerivation(ring, dz)
     z = ring.from_base(ctx.var(1))
     y = ring.from_base(ctx.var(0))
     x = ring.skew_var(0)
@@ -275,7 +275,7 @@ def test_extend_derivation_coefficientwise():
 
 def test_extend_derivation_self(A1):
     dy = Derivation.partial(A1.base, 0)
-    ext = extend_derivation(dy, A1)
+    ext = SkewRingDerivation(A1, dy)
     y, x = A1.base_var(0), A1.skew_var(0)
     assert ext.apply(y * x) == x
 
@@ -283,19 +283,49 @@ def test_extend_derivation_self(A1):
 def test_extend_derivation_refused():
     ctx = VarContext(("y",), QQ)
     base = QuotientRing.trivial(ctx)
-    ring = build_skew_ring(base, ["x"], [Derivation.partial(base, 0)])
+    ring = SkewRingDescriptor(base, ["x"], [Derivation.partial(base, 0)])
     ydy = Derivation(base, [ctx.var(0)])
-    with pytest.raises(NonCommutingDerivationsError):
-        extend_derivation(ydy, ring)
+    with pytest.raises(NonCommutingDerivationsError) as err:
+        SkewRingDerivation(ring, ydy)
+    assert str(err.value) == (
+        "cannot extend: the derivation does not commute with the structure "
+        "derivation of x (commutator sends y to -1)")
+    assert (err.value.first, err.value.second) == (ydy, ring.derivations[0])
+    assert (err.value.generator, err.value.witness) == ("y", -ctx.one)
+    other = QuotientRing.trivial(VarContext(("z",), QQ))
+    with pytest.raises(ContextMismatchError, match="does not live on the base"):
+        SkewRingDerivation(ring, Derivation.partial(other, 0))
 
 
 def test_extension_leibniz_against_skew_mul(A1):
     rng = random.Random(77)
-    ext = extend_derivation(Derivation.partial(A1.base, 0), A1)
+    ext = SkewRingDerivation(A1, Derivation.partial(A1.base, 0))
     for _ in range(25):
         u = rand_skew(rng, A1)
         v = rand_skew(rng, A1)
         assert ext.apply(u * v) == ext.apply(u) * v + u * ext.apply(v)
+
+
+def test_skew_power_makes_no_product_by_the_unit(A1, monkeypatch):
+    # repeated multiplication from u: u^k takes k - 1 products, u^0 none
+    from derivalg import skew
+    u = A1.skew_var(0) + A1.base_var(0)
+    expected = [A1.one()]
+    for _ in range(6):
+        expected.append(expected[-1] * u)
+    calls = []
+    mul = skew.skew_mul
+
+    def counted(ring, a, b):
+        calls.append(1)
+        return mul(ring, a, b)
+
+    monkeypatch.setattr(skew, "skew_mul", counted)
+    for k, power in enumerate(expected):
+        calls.clear()
+        assert u ** k == power
+        assert len(calls) == max(k - 1, 0)
+    assert u ** 1 is u
 
 
 def test_inner_induced_weyl(A1):
@@ -352,7 +382,7 @@ def test_inner_residuals_match_analysis_randomized():
         base = QuotientRing.trivial(ctx)
         d = Derivation(base, [rand_poly(rng, ctx, max_degree=1, max_terms=2)
                               for _ in range(nvars)])
-        ring = build_skew_ring(base, ["x"], [d])
+        ring = SkewRingDescriptor(base, ["x"], [d])
         f = rand_skew(rng, ring, x_degree=3, base_degree=1)
         analysis = inner_induced(ring, f)
         all_zero = all(
@@ -388,7 +418,7 @@ def _circle_rotation_ring():
     ctx = VarContext(("x1", "x2"), QQ)
     x1, x2 = ctx.var(0), ctx.var(1)
     circle = QuotientRing.of(IdealHandle(ctx, [x1 ** 2 + x2 ** 2 - 1]))
-    return build_skew_ring(circle, ["t"], [Derivation(circle, [-x2, x1])])
+    return SkewRingDescriptor(circle, ["t"], [Derivation(circle, [-x2, x1])])
 
 
 @pytest.mark.parametrize("ring", [weyl_algebra(1), weyl_algebra(1, GF(7)),
@@ -414,7 +444,7 @@ def test_inner_residuals_reject_multivariable(A2):
 def test_skew_power_rsub_and_hash():
     ctx = VarContext(("y",), QQ)
     y = ctx.var(0)
-    ring = build_skew_ring(ctx, ["x"], [Derivation(ctx, [y + 1])])
+    ring = SkewRingDescriptor(ctx, ["x"], [Derivation(ctx, [y + 1])])
     x = ring.skew_var()
     u = (y - 1) * x ** 2 + x + 3 * y
     assert u ** 3 == u * u * u
@@ -430,8 +460,8 @@ def test_skew_ring_descriptors_compare_by_value():
     y = ctx.var(0)
     base = QuotientRing.trivial(ctx)
     builds = [
-        lambda: build_skew_ring(base, ["x"], [Derivation.partial(base, 0)]),
-        lambda: build_skew_ring(ctx, ["x"], [Derivation(ctx, [y + 1])]),
+        lambda: SkewRingDescriptor(base, ["x"], [Derivation.partial(base, 0)]),
+        lambda: SkewRingDescriptor(ctx, ["x"], [Derivation(ctx, [y + 1])]),
         lambda: _circle_rotation_ring(),
     ]
     for build in builds:
@@ -447,7 +477,7 @@ def test_ore_products_golden_output():
     ctx = VarContext(("y",), QQ)
     y = ctx.var(0)
     base = QuotientRing.trivial(ctx)
-    ring = build_skew_ring(base, ["x"], [Derivation.partial(base, 0)])
+    ring = SkewRingDescriptor(base, ["x"], [Derivation.partial(base, 0)])
     one = ctx.one
     product = (SkewPoly(ring, {(3,): one, (1,): y, (0,): ctx.const(Fraction(-1, 2))})
                * SkewPoly(ring, {(1,): y ** 2, (0,): y}))
@@ -465,7 +495,7 @@ def test_skew_simplicity_negative():
     ctx = VarContext(("y",), QQ)
     y = ctx.var(0)
     base = QuotientRing.trivial(ctx)
-    ring = build_skew_ring(base, ["x"], [Derivation(base, [y])])
+    ring = SkewRingDescriptor(base, ["x"], [Derivation(base, [y])])
     verdict = skew_simplicity(ring)
     assert verdict.status is SimplicityStatus.NOT_SIMPLE
     assert list(verdict.witness.generators) == [y]
@@ -476,7 +506,7 @@ def test_skew_simplicity_circle_rotation():
     x1, x2 = ctx.var(0), ctx.var(1)
     ring = QuotientRing.of(IdealHandle(ctx, [x1 ** 2 + x2 ** 2 - 1]))
     rot = Derivation(ring, [-x2, x1])
-    S = build_skew_ring(ring, ["t"], [rot])
+    S = SkewRingDescriptor(ring, ["t"], [rot])
     verdict = skew_simplicity(S)
     assert verdict.status is SimplicityStatus.SIMPLE
 
@@ -487,7 +517,7 @@ def test_skew_simplicity_never_simple_with_witness():
     y1 = ctx.var(0)
     base = QuotientRing.trivial(ctx)
     d = Derivation(base, [y1, ctx.one])  # d(y1) = y1 stabilizes (y1)
-    ring = build_skew_ring(base, ["x"], [d])
+    ring = SkewRingDescriptor(base, ["x"], [d])
     verdict = skew_simplicity(ring)
     assert verdict.status is SimplicityStatus.NOT_SIMPLE
 
@@ -497,7 +527,7 @@ def test_skew_simplicity_char_p_base_not_simple():
     # gives the proper two-sided ideal S*(y^5)
     ctx = VarContext(("y",), GF(5))
     base = QuotientRing.trivial(ctx)
-    ring = build_skew_ring(base, ["s"], [Derivation.partial(base, 0)])
+    ring = SkewRingDescriptor(base, ["s"], [Derivation.partial(base, 0)])
     verdict = skew_simplicity(ring)
     assert verdict.status is SimplicityStatus.NOT_SIMPLE
     assert list(verdict.witness.generators) == [ctx.var(0) ** 5]
@@ -513,19 +543,19 @@ def _dependent_skew_rings():
     a, b, c = (Derivation(P, images) for images in
                ([plane.one, plane.zero], [plane.zero, plane.one],
                 [plane.one, plane.one]))
-    S1 = build_skew_ring(P, ["t1", "t2", "t3"], [a, b, c])
+    S1 = SkewRingDescriptor(P, ["t1", "t2", "t3"], [a, b, c])
     circle = VarContext(("x1", "x2"), QQ)
     x1, x2 = circle.var(0), circle.var(1)
     R = QuotientRing.of(IdealHandle(circle, [x1 ** 2 + x2 ** 2 - 1]))
-    S2 = build_skew_ring(R, ["t1", "t2"], [Derivation(R, [-x2, x1]),
-                                           Derivation(R, [-2 * x2, 2 * x1])])
+    S2 = SkewRingDescriptor(R, ["t1", "t2"], [Derivation(R, [-x2, x1]),
+                                              Derivation(R, [-2 * x2, 2 * x1])])
     L = QuotientRing.trivial(VarContext(("y",), QQ))
     dy = Derivation.partial(L, 0)
-    S3 = build_skew_ring(L, ["s1", "s2"], [dy, dy])
+    S3 = SkewRingDescriptor(L, ["s1", "s2"], [dy, dy])
     F5 = QuotientRing.trivial(VarContext(("y",), GF(5)))
-    S4 = build_skew_ring(F5, ["s1", "s2"], [Derivation.partial(F5, 0)] * 2)
+    S4 = SkewRingDescriptor(F5, ["s1", "s2"], [Derivation.partial(F5, 0)] * 2)
     x = VarContext(("x",), QQ).var(0)
-    zeros = [build_skew_ring(R, ["t"], [Derivation(R, [x.context.zero])])
+    zeros = [SkewRingDescriptor(R, ["t"], [Derivation(R, [x.context.zero])])
              for R in (QuotientRing.of(IdealHandle(x.context, [x ** 2 + 1])),
                        QuotientRing.trivial(x.context))]
     t = [S.skew_var for S in (S1, S2, S3, S4)]
@@ -605,7 +635,7 @@ def test_skew_simplicity_on_constant_combinations_of_independent_sets():
                                         base.context.zero)
                                     for i in range(base.context.nvars)])
                   for j in range(m)]
-        ring = build_skew_ring(base, [f"t{j}" for j in range(m)], combos)
+        ring = SkewRingDescriptor(base, [f"t{j}" for j in range(m)], combos)
         verdict = skew_simplicity(ring)
         dependent = _rank(C, field) < m
         seen.add((field.characteristic > 0, m == 1, dependent, verdict.status))
@@ -631,8 +661,9 @@ def test_skew_simplicity_unknown_when_dependent_only_over_the_base(monkeypatch):
     ctx = VarContext(("x", "y"), QQ)
     x = ctx.var(0)
     base = QuotientRing.of(IdealHandle(ctx, [x ** 2 - 2]))
-    ring = build_skew_ring(base, ["t1", "t2"], [Derivation(base, [ctx.zero, ctx.one]),
-                                                Derivation(base, [ctx.zero, x])])
+    ring = SkewRingDescriptor(base, ["t1", "t2"],
+                              [Derivation(base, [ctx.zero, ctx.one]),
+                               Derivation(base, [ctx.zero, x])])
     z = ring.from_base(x) * ring.skew_var(0) - ring.skew_var(1)
     assert skew_commutator(z, ring.base_var(1)).is_zero()
     from derivalg import simplicity
@@ -645,7 +676,7 @@ def test_skew_simplicity_unknown_when_dependent_only_over_the_base(monkeypatch):
     # (G2)'s argument divides by the t-exponents, so in characteristic p
     # even an independent D does not carry a Simple base verdict over
     line = QuotientRing.trivial(VarContext(("y",), GF(5)))
-    ring = build_skew_ring(line, ["s"], [Derivation.partial(line, 0)])
+    ring = SkewRingDescriptor(line, ["s"], [Derivation.partial(line, 0)])
     assert skew_simplicity(ring).status is SimplicityStatus.UNKNOWN
 
 
@@ -670,7 +701,7 @@ def test_quotient_base_products_golden_output():
 
 def _push_shapes():
     base = QuotientRing.trivial(VarContext(("y",), QQ))
-    return [build_skew_ring(base, ["x"], [Derivation.partial(base, 0)]),
+    return [SkewRingDescriptor(base, ["x"], [Derivation.partial(base, 0)]),
             _circle_rotation_ring(), weyl_algebra(2)]
 
 
