@@ -191,7 +191,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     top.add_argument("--json", action="store_true",
                      help="machine-readable JSON output, one object per line")
     top.add_argument("--order", choices=["lex", "grevlex"], default="grevlex",
-                     help="term order for Groebner computations")
+                     help="term order of printed bases, cofactors and quotient "
+                          "normal forms; dim and every check compute in grevlex")
     top.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                      help="step budget for Groebner computations")
     sub = top.add_subparsers(dest="subcommand", required=True)

@@ -21,7 +21,6 @@ from .groebner import (
     GroebnerBasis,
     IdealHandle,
     QuotientRing,
-    TermOrder,
     groebner_basis,
     normal_form,
 )
@@ -146,8 +145,13 @@ def commuting_set_check(derivations: Sequence[Derivation]) -> CommuteReport:
     for d in derivations[1:]:
         if d.ring != derivations[0].ring:
             raise ContextMismatchError("derivations live on different rings")
+    # a derivation with constant images only is a k-combination of the
+    # partials, and two of them commute: d_i(d_j(x_k)) = d_i(constant) = 0
+    constant = [all(g.is_constant() for g in d.images) for d in derivations]
     for i in range(len(derivations)):
         for j in range(i + 1, len(derivations)):
+            if constant[i] and constant[j]:
+                continue
             c = commutator(derivations[i], derivations[j])
             for g, img in enumerate(c.images):
                 if not img.is_zero():
@@ -155,8 +159,7 @@ def commuting_set_check(derivations: Sequence[Derivation]) -> CommuteReport:
     return CommuteReport(True)
 
 
-def d_ideal_check(ideal: IdealHandle, derivations: Sequence[Derivation],
-                  order: TermOrder = TermOrder.GREVLEX,
+def d_ideal_check(ideal: IdealHandle, derivations: Sequence[Derivation], *,
                   budget: int = DEFAULT_BUDGET) -> bool:
     """True iff d(I) <= I for every derivation in the list.
 
@@ -168,7 +171,7 @@ def d_ideal_check(ideal: IdealHandle, derivations: Sequence[Derivation],
     for d in derivations:
         if d.ring.context != ideal.context:
             raise ContextMismatchError("derivation outside the ideal's context")
-    basis = groebner_basis(ideal, order, budget)
+    basis = groebner_basis(ideal, budget=budget)
     return _escape(ideal.generators, derivations, basis) is None
 
 

@@ -3,7 +3,10 @@
 Everything downstream (D-ideal checks, unit-ideal criteria, Krull dimension,
 quotient normal forms) reduces to the unique reduced Groebner basis of an
 ideal under a term order.  Determinism is part of the contract: recomputing
-a basis yields an identical object, and normal forms are unique.
+a basis yields an identical object, and normal forms are unique.  The order
+is a parameter only where it shapes the result (a basis, its cofactors, a
+normal form); membership, the unit test and the dimension are decided in
+grevlex.
 
 `buchberger` is signature-based (RB: Eder & Faugere, J. Symbolic Comput.
 80, 2017; Roune & Stillman, ISSAC 2012).  Each element carries a
@@ -726,27 +729,21 @@ def groebner_basis(ideal: IdealHandle, order: TermOrder = TermOrder.GREVLEX,
     return buchberger(ideal.generators, order, budget)
 
 
-def ideal_member(f: Poly, ideal: IdealHandle,
-                 order: TermOrder = TermOrder.GREVLEX,
+def ideal_member(f: Poly, ideal: IdealHandle, *,
                  budget: int = DEFAULT_BUDGET) -> bool:
     """True iff f lies in the ideal (zero normal form)."""
-    basis = groebner_basis(ideal, order, budget)
-    return normal_form(f, basis).is_zero()
+    return normal_form(f, groebner_basis(ideal, budget=budget)).is_zero()
 
 
-def is_unit_ideal(ideal: IdealHandle, order: TermOrder = TermOrder.GREVLEX,
-                  budget: int = DEFAULT_BUDGET) -> bool:
+def is_unit_ideal(ideal: IdealHandle, *, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff 1 lies in the ideal (reduced basis == {1})."""
-    return groebner_basis(ideal, order, budget).is_unit
+    return groebner_basis(ideal, budget=budget).is_unit
 
 
-def krull_dimension(ideal: IdealHandle, order: TermOrder = TermOrder.GREVLEX,
-                    budget: int = DEFAULT_BUDGET) -> int:
-    """dim k[x_1..x_n]/I via the initial ideal.
-
-    The answer is independent of the chosen term order.
-    """
-    basis = groebner_basis(ideal, order, budget)
+def krull_dimension(ideal: IdealHandle, *, budget: int = DEFAULT_BUDGET) -> int:
+    """dim k[x_1..x_n]/I via the initial ideal of the grevlex basis (any term
+    order gives the same answer)."""
+    basis = groebner_basis(ideal, budget=budget)
     if basis.is_unit:
         raise UnitIdealError("the unit ideal has no Krull dimension")
     return _initial_dimension(basis)

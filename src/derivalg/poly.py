@@ -495,22 +495,22 @@ def _add_terms(a: dict, b: dict, p) -> dict:
     return terms
 
 
-def exact_div(f: Poly, g: Poly, order: TermOrder = TermOrder.GREVLEX) -> Poly:
+def exact_div(f: Poly, g: Poly) -> Poly:
     """The quotient f/g when g divides f exactly; otherwise raises.
 
     The one-element basis {g} is g made monic, so its normal-form cofactor
-    is exact; that cofactor times 1/LC(g) is f/g."""
+    is exact; that cofactor times 1/LC(g) is f/g, whatever the term order."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if f.context != g.context:
         raise ContextMismatchError("exact_div operands share no context")
     # here, not at the top: groebner imports poly
     from .groebner import GroebnerBasis, normal_form_with_cofactors
-    remainder, (quotient,) = normal_form_with_cofactors(
-        f, GroebnerBasis(f.context, order, [g]))
+    basis = GroebnerBasis(f.context, TermOrder.GREVLEX, [g])
+    remainder, (quotient,) = normal_form_with_cofactors(f, basis)
     if not remainder.is_zero():
         raise InexactDivisionError(f"({g}) does not divide ({f})")
-    return quotient.scale(f.context.field.raw_inverse(g._lead(order)[1]))
+    return quotient.scale(f.context.field.raw_inverse(g._lead(basis.order)[1]))
 
 
 def det_fraction_free(matrix, context: VarContext) -> Poly:

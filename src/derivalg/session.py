@@ -74,6 +74,8 @@ class Session:
     Each session keeps one memo of Groebner bases and D-simplicity verdicts
     (see `groebner._MEMO`), active while `execute` runs a statement, so it
     computes each of them once; the memo lives as long as the session.
+    `order` is the term order of printed bases, cofactors and quotient
+    normal forms; `dim` and every `check` compute in grevlex.
     """
 
     def __init__(self, order: TermOrder = TermOrder.GREVLEX,
@@ -302,7 +304,7 @@ class Session:
 
     def _do_dim(self, stmt: P.DimCommand):
         handle = self._lookup(self.ideals, "ideal", stmt.ideal, stmt.line)
-        dim = krull_dimension(handle, self.order, self.budget)
+        dim = krull_dimension(handle, budget=self.budget)
         record = {"command": "dim", "ideal": stmt.ideal, "dimension": dim}
         return record, lambda: f"dim {stmt.ideal}: {dim}"
 
@@ -368,7 +370,7 @@ class Session:
         ders = [self._lookup(self.derivations, "derivation", d, stmt.line)
                 for d in stmt.derivations]
         from .derivation import d_ideal_check
-        ok = d_ideal_check(handle, ders, self.order, self.budget)
+        ok = d_ideal_check(handle, ders, budget=self.budget)
         record = {"command": "check_dideal", "ideal": stmt.ideal,
                   "derivations": list(stmt.derivations), "d_ideal": ok}
         return record, lambda: f"check dideal: {str(ok).lower()}"
@@ -387,9 +389,9 @@ class Session:
             if len(ders) != 1:
                 raise PreconditionError(
                     "the dimension-1 criterion takes a single derivation")
-            verdict = dim1_simplicity(ring, ders[0], self.order, self.budget)
+            verdict = dim1_simplicity(ring, ders[0], budget=self.budget)
         else:
-            verdict = d_simplicity(ring, ders, self.order, self.budget)
+            verdict = d_simplicity(ring, ders, budget=self.budget)
         record = {"command": "check_dsimple", "ring": stmt.ring,
                   "derivations": list(stmt.derivations)}
         record.update(verdict_json(verdict))
@@ -399,7 +401,7 @@ class Session:
         ring = self._lookup(self.skew_rings, "skew ring", stmt.ring, stmt.line)
         from .simplicity import _verdict_text, verdict_json
         from .skew import skew_simplicity
-        verdict = skew_simplicity(ring, self.order, self.budget)
+        verdict = skew_simplicity(ring, budget=self.budget)
         record = {"command": "check_simple", "ring": stmt.ring}
         record.update(verdict_json(verdict))
         return record, lambda: f"check simple: {_verdict_text(record)}"

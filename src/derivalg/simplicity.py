@@ -194,8 +194,7 @@ def _image_ideal(ring: QuotientRing, derivations) -> IdealHandle:
     return IdealHandle(ring.context, gens + list(ring.defining.generators))
 
 
-def necessary_unit_condition(ring: QuotientRing, d: Derivation,
-                             order: TermOrder = TermOrder.GREVLEX,
+def necessary_unit_condition(ring: QuotientRing, d: Derivation, *,
                              budget: int = DEFAULT_BUDGET) -> bool:
     """1 in (d(x_1), ..., d(x_n)) + I — necessary for d-simplicity.
 
@@ -206,11 +205,10 @@ def necessary_unit_condition(ring: QuotientRing, d: Derivation,
         raise PreconditionError("unit-ideal condition applies in characteristic 0")
     if d.ring != ring:
         raise ContextMismatchError("derivation does not live on the given ring")
-    return is_unit_ideal(_image_ideal(ring, [d]), order, budget)
+    return is_unit_ideal(_image_ideal(ring, [d]), budget=budget)
 
 
-def principal_stability_check(g: Poly, derivations,
-                              order: TermOrder = TermOrder.GREVLEX,
+def principal_stability_check(g: Poly, derivations, *,
                               budget: int = DEFAULT_BUDGET) -> bool:
     """True iff d(g) lies in (g) (plus the defining ideal) for every d.
 
@@ -229,24 +227,24 @@ def principal_stability_check(g: Poly, derivations,
         if d.ring != ring:
             raise ContextMismatchError("derivations live on different rings")
     handle = IdealHandle(ring.context, [g] + list(ring.defining.generators))
-    basis = groebner_basis(handle, order, budget)
+    basis = groebner_basis(handle, budget=budget)
     return _escape([g], derivations, basis) is None
 
 
-def _principal_witness(ring: QuotientRing, derivations,
-                       order: TermOrder, budget: int) -> IdealHandle | None:
+def _principal_witness(ring: QuotientRing, derivations, *,
+                       budget: int) -> IdealHandle | None:
     """First variable or nonconstant derivation image generating a proper
     D-stable ideal; a constant multiple of an earlier candidate spans the
     same ideal, so it is not tried again."""
     candidates = {}
     for g in (*ring.generators(), *(img for d in derivations for img in d.images)):
         if not g.is_constant():
-            candidates.setdefault(g.monic(order), g)
+            candidates.setdefault(g.monic(TermOrder.GREVLEX), g)
     for g in candidates.values():
         if ring.reduce(g).is_zero():
             continue
         handle = IdealHandle(ring.context, [g] + list(ring.defining.generators))
-        basis = groebner_basis(handle, order, budget)
+        basis = groebner_basis(handle, budget=budget)
         if basis.is_unit:
             continue
         if _escape([g], derivations, basis) is None:
@@ -254,8 +252,7 @@ def _principal_witness(ring: QuotientRing, derivations,
     return None
 
 
-def d_simplicity(ring: QuotientRing, derivations,
-                 order: TermOrder = TermOrder.GREVLEX,
+def d_simplicity(ring: QuotientRing, derivations, *,
                  budget: int = DEFAULT_BUDGET) -> SimplicityVerdict:
     """D-simplicity of R = k[x_1..x_n]/I; the first criterion that applies decides:
 
@@ -272,9 +269,10 @@ def d_simplicity(ring: QuotientRing, derivations,
     7. anything else: Unknown.
 
     Inside a session statement (see `groebner._MEMO`) the verdict is
-    decided once per (ring, defining generators, D, order, budget): the
-    generators are part of the key because a witness prints them, and equal
-    rings may be defined by different generators.
+    decided once per (ring, defining generators, D, budget): the generators
+    are part of the key because a witness prints them, and equal rings may
+    be defined by different generators.  Every ideal it decides on is
+    computed in grevlex, whatever the order of the ring's basis.
     """
     derivations = tuple(derivations)
     for d in derivations:
@@ -282,29 +280,29 @@ def d_simplicity(ring: QuotientRing, derivations,
             raise ContextMismatchError("derivation does not live on the given ring")
     memo = _MEMO.get()
     if memo is None:
-        return _decide(ring, derivations, order, budget)
-    key = _MemoKey((ring, ring.defining, derivations, order, budget))
+        return _decide(ring, derivations, budget=budget)
+    key = _MemoKey((ring, ring.defining, derivations, budget))
     verdict = memo.get(key)
     if verdict is None:
-        verdict = memo[key] = _decide(ring, derivations, order, budget)
+        verdict = memo[key] = _decide(ring, derivations, budget=budget)
     return verdict
 
 
-def _decide(ring: QuotientRing, derivations: tuple, order: TermOrder,
+def _decide(ring: QuotientRing, derivations: tuple, *,
             budget: int) -> SimplicityVerdict:
     """The verdict of `d_simplicity`, decided afresh."""
     if ring.context.field.characteristic != 0:
-        return prime_char_obstruction(ring, derivations, order, budget)
+        return prime_char_obstruction(ring, derivations, budget=budget)
     if _all_partials_present(ring, derivations):
         return SimplicityVerdict(
             SimplicityStatus.SIMPLE,
             criterion="polynomial base with all partial derivatives")
-    witness = _principal_witness(ring, derivations, order, budget)
+    witness = _principal_witness(ring, derivations, budget=budget)
     if witness is not None:
         return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=witness,
                                  criterion="stable principal ideal witness")
     J = _image_ideal(ring, derivations)
-    proper = not is_unit_ideal(J, order, budget)
+    proper = not is_unit_ideal(J, budget=budget)
     dim1 = ring.dimension() == 1
     criterion = ("dimension-1 unit-ideal criterion" if dim1
                  else "proper D-stable image ideal")
@@ -316,13 +314,13 @@ def _decide(ring: QuotientRing, derivations: tuple, order: TermOrder,
                                  reason="no applicable criterion")
     if proper:
         return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, criterion=criterion)
-    if not _certified_prime(ring, order, budget):
+    if not _certified_prime(ring, budget=budget):
         return SimplicityVerdict(SimplicityStatus.UNKNOWN,
                                  reason="primality not certified")
     return SimplicityVerdict(SimplicityStatus.SIMPLE, criterion=criterion)
 
 
-def _certified_prime(ring: QuotientRing, order: TermOrder, budget: int) -> bool:
+def _certified_prime(ring: QuotientRing, *, budget: int) -> bool:
     """True when the defining ideal I is certified prime: I = 0, or I = (f)
     with f in two variables and a smooth projective closure F, i.e. the
     basis of (F, F_x, F_y, F_z) is the unit ideal or has dimension 0.  Two
@@ -339,12 +337,11 @@ def _certified_prime(ring: QuotientRing, order: TermOrder, budget: int) -> bool:
     plane = VarContext(("x", "y", "z"), ring.context.field)
     F = Poly._raw(plane, {(a, b, n - a - b): c for (a, b), c in f._terms.items()})
     singular = IdealHandle(plane, [F] + [F.partial(i) for i in range(3)])
-    basis = groebner_basis(singular, order, budget)
+    basis = groebner_basis(singular, budget=budget)
     return basis.is_unit or _initial_dimension(basis) == 0
 
 
-def dim1_simplicity(ring: QuotientRing, d: Derivation,
-                    order: TermOrder = TermOrder.GREVLEX,
+def dim1_simplicity(ring: QuotientRing, d: Derivation, *,
                     budget: int = DEFAULT_BUDGET) -> SimplicityVerdict:
     """d-simplicity of a 1-dimensional finitely generated algebra (char 0).
 
@@ -359,11 +356,10 @@ def dim1_simplicity(ring: QuotientRing, d: Derivation,
         raise ContextMismatchError("derivation does not live on the given ring")
     if ring.dimension() != 1:
         return SimplicityVerdict(SimplicityStatus.UNKNOWN, reason="dimension != 1")
-    return d_simplicity(ring, [d], order, budget)
+    return d_simplicity(ring, [d], budget=budget)
 
 
-def prime_char_obstruction(ring: QuotientRing, derivations,
-                           order: TermOrder = TermOrder.GREVLEX,
+def prime_char_obstruction(ring: QuotientRing, derivations, *,
                            budget: int = DEFAULT_BUDGET) -> SimplicityVerdict:
     """Dimension obstruction in characteristic p.
 
@@ -381,7 +377,7 @@ def prime_char_obstruction(ring: QuotientRing, derivations,
     if ring.dimension() == 0:
         return SimplicityVerdict(SimplicityStatus.UNKNOWN,
                                  reason="necessary condition passed")
-    witness = _charp_witness(ring, order, budget)
+    witness = _charp_witness(ring, budget=budget)
     reason = None if witness is not None else (
         "positive dimension forces NotSimple; no rational-point witness found")
     return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=witness,
@@ -389,8 +385,7 @@ def prime_char_obstruction(ring: QuotientRing, derivations,
                              criterion="positive Krull dimension in characteristic p")
 
 
-def _charp_witness(ring: QuotientRing, order: TermOrder,
-                   budget: int) -> IdealHandle | None:
+def _charp_witness(ring: QuotientRing, *, budget: int) -> IdealHandle | None:
     p = ring.context.field.characteristic
     n = ring.context.nvars
     if p ** n > POINT_BUDGET:
@@ -408,7 +403,7 @@ def _charp_witness(ring: QuotientRing, order: TermOrder,
         if not powers:
             continue
         handle = IdealHandle(ring.context, powers + list(gens))
-        if is_unit_ideal(handle, order, budget):
+        if is_unit_ideal(handle, budget=budget):
             continue
         return handle
     return None

@@ -41,7 +41,7 @@ from .errors import (
     PreconditionError,
 )
 from .field import FieldElement, FieldSpec, QQ, _outside
-from .groebner import DEFAULT_BUDGET, QuotientRing, TermOrder
+from .groebner import DEFAULT_BUDGET, QuotientRing
 from .poly import Poly, VarContext, _join_terms, _monomial_text, det_fraction_free
 
 if TYPE_CHECKING:
@@ -65,7 +65,7 @@ def _add_into(terms: dict, e, r: Poly) -> None:
 class SkewRingDescriptor:
     """R[x1; d1]...[xn; dn] with commuting derivations of a commutative base R."""
 
-    __slots__ = ("base", "names", "derivations", "commuting_certified")
+    __slots__ = ("base", "names", "derivations")
 
     def __init__(self, base, names: Sequence[str], derivations: Sequence[Derivation]):
         base = _as_ring(base)
@@ -80,8 +80,8 @@ class SkewRingDescriptor:
         for d in derivations:
             if d.ring != base:
                 raise ContextMismatchError("derivation does not live on the base ring")
-        report = commuting_set_check(derivations) if derivations else None
-        if report is not None and not report.commute:
+        report = commuting_set_check(derivations)
+        if not report.commute:
             gen = base.context.names[report.generator]
             raise NonCommutingDerivationsError(
                 f"derivations {report.first} and {report.second} do not commute: "
@@ -91,7 +91,6 @@ class SkewRingDescriptor:
         self.base = base
         self.names = names
         self.derivations = derivations
-        self.commuting_certified = True
 
     @property
     def nskew(self) -> int:
@@ -436,8 +435,7 @@ class CentralWitness(NamedTuple):
     generators: tuple
 
 
-def skew_simplicity(ring: SkewRingDescriptor,
-                    order: TermOrder = TermOrder.GREVLEX,
+def skew_simplicity(ring: SkewRingDescriptor, *,
                     budget: int = DEFAULT_BUDGET) -> SimplicityVerdict:
     """Simplicity of S = R[t_1..t_m; D] over a commutative base R, with
     M_ij = d_j(x_i); the first rule that applies decides:
@@ -454,7 +452,7 @@ def skew_simplicity(ring: SkewRingDescriptor,
         return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE,
                                  witness=CentralWitness((z,)),
                                  criterion="constant relation among D")
-    verdict = d_simplicity(ring.base, ring.derivations, order, budget)
+    verdict = d_simplicity(ring.base, ring.derivations, budget=budget)
     if verdict.status is not SimplicityStatus.SIMPLE or (
             ring.base.context.field.characteristic == 0
             and (ring.nskew == 1 or _independent_over_base(ring))):

@@ -9,15 +9,19 @@ from derivalg import (
     QQ,
     Derivation,
     IdealHandle,
+    NonCommutingDerivationsError,
     NotInvariantError,
     QuotientRing,
+    SkewRingDescriptor,
     VarContext,
     commutator,
     commuting_set_check,
     d_ideal_check,
     ideal_member,
     induce_on_quotient,
+    weyl_algebra,
 )
+from derivalg import derivation
 
 from conftest import rand_derivation, rand_poly
 
@@ -88,6 +92,38 @@ def test_commuting_set_check():
     assert report.witness == -y1
 
     assert commuting_set_check([d1]).commute
+
+
+def test_weyl_algebra_builds_no_commutator(monkeypatch):
+    # the partials have constant images, so every pair commutes unchecked
+    calls = []
+
+    def counted(d1, d2):
+        calls.append((d1, d2))
+        return commutator(d1, d2)
+
+    monkeypatch.setattr(derivation, "commutator", counted)
+    ring = weyl_algebra(6)
+    assert ring.nskew == 6
+    assert calls == []
+
+
+def test_constant_derivation_is_checked_against_a_nonconstant_one(ctx_xy):
+    # [d/dx, x*d/dy] sends y to d/dx(x) = 1: a constant-image derivation
+    # paired with a non-constant one is still checked and refused
+    x = ctx_xy.var(0)
+    dx = Derivation.partial(ctx_xy, 0)
+    xdy = Derivation(ctx_xy, [ctx_xy.zero, x])
+    report = commuting_set_check([dx, xdy])
+    assert not report.commute
+    assert (report.first, report.second, report.generator) == (0, 1, 1)
+    assert report.witness == ctx_xy.one
+    with pytest.raises(NonCommutingDerivationsError) as err:
+        SkewRingDescriptor(ctx_xy, ["s", "t"], [dx, xdy])
+    assert str(err.value) == ("derivations 0 and 1 do not commute: "
+                              "commutator sends y to 1")
+    assert (err.value.first, err.value.second) == (0, 1)
+    assert (err.value.generator, err.value.witness) == ("y", ctx_xy.one)
 
 
 def test_d_ideal_sphere(sphere_setup):

@@ -36,7 +36,7 @@ from derivalg import (
 )
 
 from derivalg import groebner
-from derivalg.groebner import _divide, _Packer
+from derivalg.groebner import _divide, _initial_dimension, _Packer
 from derivalg.poly import exact_div
 
 from conftest import rand_poly
@@ -262,8 +262,8 @@ def test_krull_dimension_order_independent(ctx_xy, ctx_xyz):
         IdealHandle(ctx_xyz, [sx * sy, sy * sz]),
     ]
     for handle in fixed:
-        assert (krull_dimension(handle, TermOrder.LEX)
-                == krull_dimension(handle, TermOrder.GREVLEX))
+        assert (_initial_dimension(groebner_basis(handle, TermOrder.LEX))
+                == krull_dimension(handle))
 
 
 def test_quotient_reduce_examples(ctx_xyz):
@@ -975,7 +975,7 @@ def test_every_division_meets_the_coefficient_invariant(field, monkeypatch):
                 r, cofactors = normal_form_with_cofactors(f, divisors)
                 assert r + sum((q * g for q, g in zip(cofactors, divisors)),
                                ctx.zero) == f
-            assert exact_div(f * gens[0], gens[0], order) == f
+        assert exact_div(f * gens[0], gens[0]) == f
     assert {"buchberger", "_reduce_basis", "_normal_form"} <= set(callers)
     assert bool(pseudo) == (field is QQ)
 

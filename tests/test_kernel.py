@@ -117,10 +117,9 @@ def test_exact_div_recovers_the_cofactor(problem):
     ctx, (f, g), _ = problem
     if g.is_zero():
         return
-    for order in TermOrder:
-        q = exact_div(f * g, g, order)
-        _assert_canonical(q)
-        assert q == f
+    q = exact_div(f * g, g)
+    _assert_canonical(q)
+    assert q == f
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

@@ -169,29 +169,28 @@ def test_exact_division_roundtrip(ctx_xy):
         assert exact_div(f * g, g) == f
 
 
-@pytest.mark.parametrize("order", list(TermOrder), ids=str)
 @pytest.mark.parametrize("field", [QQ, GF(32003), GF(7)], ids=str)
-def test_exact_div_refusals_and_non_monic_divisors(field, order):
+def test_exact_div_refusals_and_non_monic_divisors(field):
     ctx = VarContext(("x", "y"), field)
     x, y = ctx.var(0), ctx.var(1)
     # the leading term x*y is divisible by x, the later term 1 is not
     with pytest.raises(InexactDivisionError) as info:
-        exact_div(x * y + 1, x, order)
+        exact_div(x * y + 1, x)
     assert str(info.value) == "(x) does not divide (x*y + 1)"
     f, g = x ** 2 + 5 * y, x * y - 2 * y + 1
     with pytest.raises(InexactDivisionError) as info:
-        exact_div(f * g + x ** 9, g, order)
+        exact_div(f * g + x ** 9, g)
     assert str(info.value) == f"({g}) does not divide ({f * g + x ** 9})"
     with pytest.raises(ZeroDivisionError, match="zero polynomial"):
-        exact_div(f, ctx.zero, order)
+        exact_div(f, ctx.zero)
     with pytest.raises(ContextMismatchError):
-        exact_div(f, VarContext(("u", "v"), field).var(0), order)
+        exact_div(f, VarContext(("u", "v"), field).var(0))
     # non-monic divisors: a Fraction leading coefficient over QQ, 3 over F_p
     lc = Fraction(2, 3) if field.p is None else 3
     h = g.scale(lc)
-    assert exact_div(f * h, h, order) == f
-    assert exact_div(f * h, f.scale(lc), order) == h.scale(Fraction(1) / lc)
-    assert exact_div(ctx.zero, h, order).is_zero()
+    assert exact_div(f * h, h) == f
+    assert exact_div(f * h, f.scale(lc)) == h.scale(Fraction(1) / lc)
+    assert exact_div(ctx.zero, h).is_zero()
 
 
 def test_determinant_vs_cofactor_expansion(ctx_xy):

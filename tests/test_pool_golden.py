@@ -8,6 +8,11 @@ dim, check dsimple --dim1, gb, member with cofactors, skew, check simple,
 certificate and darboux.  ``pool_<shape>_transcript.txt`` and ``.jsonl``
 are the text and ``--json`` output of ``derivalg run`` on it; a change to
 parsing, evaluation or printing must leave them byte-identical.
+
+``--order`` orders printed bases, cofactors and normal forms only: under
+``--order lex`` these sessions print the same ``check`` and ``dim`` lines,
+and each shape's quotient with a lex basis gets the verdicts of the grevlex
+one.
 """
 
 import pathlib
@@ -15,6 +20,20 @@ import subprocess
 import sys
 
 import pytest
+
+from derivalg import (
+    QQ,
+    Derivation,
+    IdealHandle,
+    QuotientRing,
+    SkewRingDescriptor,
+    TermOrder,
+    VarContext,
+    d_ideal_check,
+    d_simplicity,
+    dim1_simplicity,
+    skew_simplicity,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 SHAPES = ["ellipse", "circle", "two_lines", "crossing_lines"]
@@ -24,9 +43,57 @@ SHAPES = ["ellipse", "circle", "two_lines", "crossing_lines"]
 @pytest.mark.parametrize("flags, suffix", [((), "txt"), (("--json",), "jsonl")],
                          ids=["text", "json"])
 def test_pool_transcript_matches_golden(shape, flags, suffix):
+    assert (_run(DATA / f"pool_{shape}.dsl", *flags)
+            == (DATA / f"pool_{shape}_transcript.{suffix}").read_text())
+
+
+def _run(path, *flags):
+    """The standard output of `derivalg *flags run path`."""
     out = subprocess.run(
-        [sys.executable, "-m", "derivalg", *flags, "run",
-         str(DATA / f"pool_{shape}.dsl")],
+        [sys.executable, "-m", "derivalg", *flags, "run", str(path)],
         capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == (DATA / f"pool_{shape}_transcript.{suffix}").read_text()
+    return out.stdout
+
+
+@pytest.mark.parametrize("session", ["acceptance_session"]
+                         + [f"pool_{shape}" for shape in SHAPES])
+def test_order_lex_prints_the_same_verdicts(session):
+    path = DATA / f"{session}.dsl"
+    verdicts = [[line for line in _run(path, *flags).splitlines()
+                 if line.startswith(("check ", "dim "))]
+                for flags in ((), ("--order", "lex"))]
+    assert verdicts[0] and verdicts[0] == verdicts[1]
+
+
+def _pool_shape(shape, order):
+    """The quotient Q = QQ[x, y]/I of a pool shape with its basis in
+    `order`, I, the pool's second ideal J (I plus a line) and d on Q."""
+    ctx = VarContext(("x", "y"), QQ)
+    x, y = ctx.var(0), ctx.var(1)
+    relation, line, images = {
+        "ellipse": (x ** 2 + 5 * y ** 2 - 4, x - 5 * y - 6, [30 * y, -6 * x]),
+        "circle": (x ** 2 + y ** 2 - 49, x - 5 * y - 1,
+                   [-(3 * x - 5) * y, (3 * x - 5) * x]),
+        "two_lines": (y ** 2 - 25, x - 5 * y - 8, [1 + 5 * y, y ** 2 - 25]),
+        "crossing_lines": ((x - 7) * (y - 4), x - 7 * y - 7,
+                           [(x - 7) * (9 * x - 2), -(y - 4) * (9 * x - 2)]),
+    }[shape]
+    I = IdealHandle(ctx, [relation])
+    ring = QuotientRing.of(I, order) if order else QuotientRing.of(I)
+    return ring, I, IdealHandle(ctx, [relation, line]), Derivation(ring, images)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_lex_quotient_meets_grevlex_verdicts(shape):
+    # a ring basis in lex, the verdicts' ideals in grevlex: the same answers
+    lex_ring, I, J, d_lex = _pool_shape(shape, TermOrder.LEX)
+    ring, _, _, d = _pool_shape(shape, None)
+    assert lex_ring.basis.order is TermOrder.LEX
+    assert ring.basis.order is TermOrder.GREVLEX
+    assert d_simplicity(lex_ring, [d_lex]) == d_simplicity(ring, [d])
+    assert dim1_simplicity(lex_ring, d_lex) == dim1_simplicity(ring, d)
+    assert (skew_simplicity(SkewRingDescriptor(lex_ring, ["t"], [d_lex]))
+            == skew_simplicity(SkewRingDescriptor(ring, ["t"], [d])))
+    for ideal in (I, J):
+        assert d_ideal_check(ideal, [d_lex]) == d_ideal_check(ideal, [d])

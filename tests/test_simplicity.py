@@ -19,7 +19,6 @@ from derivalg import (
     QuotientRing,
     SimplicityStatus,
     SkewRingDescriptor,
-    TermOrder,
     VarContext,
     ZeroPolynomialError,
     d_ideal_check,
@@ -393,13 +392,13 @@ def test_principal_witness_tries_each_constant_multiple_once(circle_rotation,
     bases = []
     compute = simplicity.groebner_basis
 
-    def counted(handle, *args):
+    def counted(handle, *args, **kwargs):
         bases.append(handle.generators[0])
-        return compute(handle, *args)
+        return compute(handle, *args, **kwargs)
 
     monkeypatch.setattr(simplicity, "groebner_basis", counted)
-    assert simplicity._principal_witness(ring, [rot], TermOrder.GREVLEX,
-                                         DEFAULT_BUDGET) is None
+    assert simplicity._principal_witness(ring, [rot],
+                                         budget=DEFAULT_BUDGET) is None
     x1, x2 = ring.context.var(0), ring.context.var(1)
     assert bases == [x1, x2]
 
@@ -649,17 +648,17 @@ def test_primality_certificate(ctx_xy):
     # singular ones: parallel lines, crossing lines, a cusp, a double line
     x, y = ctx_xy.var(0), ctx_xy.var(1)
     assert _certified_prime(QuotientRing.trivial(VarContext(("x",), QQ)),
-                            TermOrder.GREVLEX, DEFAULT_BUDGET)
+                            budget=DEFAULT_BUDGET)
     smooth = [x ** 2 + y ** 2 - 1, 6 * x ** 2 + 7 * y ** 2 - 7, x * y - 1,
               y - x ** 2, 2 * x - 3 * y + 1, x ** 3 + y ** 3 - 1]
     singular = [y ** 2 - 81, (x - 7) * (y - 9), y ** 2 - x ** 3,
                 (x + y - 1) ** 2]
     for f, expected in [(f, True) for f in smooth] + [(f, False) for f in singular]:
         ring = QuotientRing.of(IdealHandle(ctx_xy, [f]))
-        assert _certified_prime(ring, TermOrder.GREVLEX, DEFAULT_BUDGET) is expected, f
+        assert _certified_prime(ring, budget=DEFAULT_BUDGET) is expected, f
     # a non-principal ideal is not certified
     ring = QuotientRing.of(IdealHandle(ctx_xy, [x * y, y ** 2]))
-    assert not _certified_prime(ring, TermOrder.GREVLEX, DEFAULT_BUDGET)
+    assert not _certified_prime(ring, budget=DEFAULT_BUDGET)
 
 
 def test_principal_stability_needs_a_derivation():
