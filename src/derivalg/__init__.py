@@ -56,7 +56,6 @@ _LAZY = {
         "commutator",
         "commuting_set_check",
         "d_ideal_check",
-        "induce_on_quotient",
     ),
     "simplicity": (
         "DarbouxResult",
@@ -64,15 +63,14 @@ _LAZY = {
         "SimplicityCertificate",
         "SimplicityStatus",
         "SimplicityVerdict",
+        "certificate",
         "d_simplicity",
         "darboux_search",
         "dim1_simplicity",
         "necessary_unit_condition",
-        "partials_certificate",
         "prime_char_obstruction",
         "principal_stability_check",
         "replay_certificate",
-        "truncated_certificate",
     ),
     "skew": (
         "InnerAnalysis",

@@ -173,13 +173,3 @@ def d_ideal_check(ideal: IdealHandle, derivations: Sequence[Derivation], *,
             raise ContextMismatchError("derivation outside the ideal's context")
     basis = groebner_basis(ideal, budget=budget)
     return _escape(ideal.generators, derivations, basis) is None
-
-
-def induce_on_quotient(d: Derivation, ring: QuotientRing) -> Derivation:
-    """Push an ambient derivation down to R/I when d(I) <= I; else raise."""
-    if not d.ring.is_trivial:
-        raise ContextMismatchError("induce_on_quotient expects an ambient derivation")
-    if d.ring.context != ring.context:
-        raise ContextMismatchError("ambient and quotient contexts differ")
-    return Derivation(ring, d.images)
-

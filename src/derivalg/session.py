@@ -83,9 +83,9 @@ class Session:
         self.order = order
         self.budget = budget
         self.rings = {}        # name -> QuotientRing (trivial = plain ring)
+                               #         or SkewRingDescriptor
         self.ideals = {}       # name -> IdealHandle
         self.derivations = {}  # name -> Derivation
-        self.skew_rings = {}   # name -> SkewRingDescriptor
         self.elements = {}     # name -> Poly | SkewPoly
         self.current = None    # name of the ring in scope for bare commands
         self._memo = {}        # see `execute`
@@ -97,8 +97,9 @@ class Session:
             raise ParseError(f"{kind} {name!r} is already defined", line, 1)
         table[name] = value
 
-    def _lookup(self, table: dict, kind: str, name: str, line: int):
-        if name in table:
+    def _lookup(self, table: dict, kind: str, name: str, line: int,
+                expected: type = object):
+        if name in table and isinstance(table[name], expected):
             return table[name]
         raise UnknownIdentifierError(f"unknown {kind} {name!r}", line, 1)
 
@@ -108,8 +109,6 @@ class Session:
             if name is None:
                 raise UnknownIdentifierError("no ring in scope; define one first",
                                              line, 1)
-        if name in self.skew_rings:
-            return self.skew_rings[name]
         return self._lookup(self.rings, "ring", name, line)
 
     # -- expression evaluation ----------------------------------------------
@@ -177,7 +176,7 @@ class Session:
         return record, lambda: f"ring {stmt.name} = {context}"
 
     def _do_ideal(self, stmt: P.DefineIdeal):
-        ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line)
+        ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line, QuotientRing)
         if not ring.is_trivial:
             raise PreconditionError("ideals are defined in polynomial rings")
         gens = [self.eval_poly(e, ring) for e in stmt.generators]
@@ -189,7 +188,7 @@ class Session:
             stmt.name, ", ".join(record["generators"]) or "0", stmt.ring)
 
     def _do_quotient(self, stmt: P.DefineQuotient):
-        ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line)
+        ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line, QuotientRing)
         if not ring.is_trivial:
             raise PreconditionError("quotients are taken over polynomial rings")
         handle = self._lookup(self.ideals, "ideal", stmt.ideal, stmt.line)
@@ -205,7 +204,7 @@ class Session:
         return record, lambda: f"quotient {stmt.name} = {quotient}"
 
     def _do_der(self, stmt: P.DefineDerivation):
-        ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line)
+        ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line, QuotientRing)
         names = ring.context.names
         images = {}
         for var, expr in stmt.assignments:
@@ -225,13 +224,13 @@ class Session:
             f"{n} -> {g}" for n, g in record["images"].items())
 
     def _do_skew(self, stmt: P.DefineSkew):
-        base = self._lookup(self.rings, "ring", stmt.base, stmt.line)
+        base = self._lookup(self.rings, "ring", stmt.base, stmt.line, QuotientRing)
         names = [var for var, _ in stmt.steps]
         ders = [self._lookup(self.derivations, "derivation", d, stmt.line)
                 for _, d in stmt.steps]
         from .skew import SkewRingDescriptor
         ring = SkewRingDescriptor(base, names, ders)
-        self._bind(self.skew_rings, "skew ring", stmt.name, ring, stmt.line)
+        self._bind(self.rings, "skew ring", stmt.name, ring, stmt.line)
         self.current = stmt.name
         record = {"command": "skew", "name": stmt.name, "base": stmt.base,
                   "variables": names,
@@ -241,7 +240,7 @@ class Session:
     def _do_weyl(self, stmt: P.DefineWeyl):
         from .skew import weyl_algebra
         ring = weyl_algebra(stmt.n)
-        self._bind(self.skew_rings, "skew ring", stmt.name, ring, stmt.line)
+        self._bind(self.rings, "skew ring", stmt.name, ring, stmt.line)
         self.current = stmt.name
         record = {"command": "weyl", "name": stmt.name, "n": stmt.n,
                   "base_variables": list(ring.base.context.names),
@@ -312,20 +311,9 @@ class Session:
         ring = self._any_ring(stmt.ring, stmt.line)
         if not isinstance(ring, QuotientRing):
             raise PreconditionError("certificates live in commutative rings")
-        from .simplicity import partials_certificate, truncated_certificate
+        from .simplicity import certificate
         f = self.eval_poly(stmt.expr, ring)
-        p = ring.context.field.characteristic
-        if p == 0:
-            if not ring.is_trivial:
-                raise PreconditionError(
-                    "characteristic-0 certificates need the full polynomial ring")
-            cert = partials_certificate(f)
-        else:
-            if not _is_truncated_ring(ring):
-                raise PreconditionError(
-                    "characteristic-p certificates need the quotient by "
-                    "the p-th powers of the variables")
-            cert = truncated_certificate(f)
+        cert = certificate(ring, f)
         names = ring.context.names
         record = {"command": "certificate", "element": str(f),
                   "word": [names[i] for i in cert.word],
@@ -376,7 +364,7 @@ class Session:
         return record, lambda: f"check dideal: {str(ok).lower()}"
 
     def _do_check_dsimple(self, stmt: P.CheckDsimple):
-        ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line)
+        ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line, QuotientRing)
         ders = [self._lookup(self.derivations, "derivation", d, stmt.line)
                 for d in stmt.derivations]
         for d in ders:
@@ -398,9 +386,10 @@ class Session:
         return record, lambda: f"check dsimple: {_verdict_text(record)}"
 
     def _do_check_simple(self, stmt: P.CheckSimple):
-        ring = self._lookup(self.skew_rings, "skew ring", stmt.ring, stmt.line)
         from .simplicity import _verdict_text, verdict_json
-        from .skew import skew_simplicity
+        from .skew import SkewRingDescriptor, skew_simplicity
+        ring = self._lookup(self.rings, "skew ring", stmt.ring, stmt.line,
+                            SkewRingDescriptor)
         verdict = skew_simplicity(ring, budget=self.budget)
         record = {"command": "check_simple", "ring": stmt.ring}
         record.update(verdict_json(verdict))
@@ -430,8 +419,9 @@ class Session:
     def _do_extend(self, stmt: P.ExtendCommand):
         derivation = self._lookup(self.derivations, "derivation",
                                   stmt.derivation, stmt.line)
-        ring = self._lookup(self.skew_rings, "skew ring", stmt.ring, stmt.line)
-        from .skew import SkewRingDerivation
+        from .skew import SkewRingDerivation, SkewRingDescriptor
+        ring = self._lookup(self.rings, "skew ring", stmt.ring, stmt.line,
+                            SkewRingDescriptor)
         SkewRingDerivation(ring, derivation)
         record = {"command": "extend", "derivation": stmt.derivation,
                   "ring": stmt.ring, "extends": True}
@@ -460,14 +450,3 @@ class Session:
         P.InnerCommand: _do_inner,
         P.ExtendCommand: _do_extend,
     }
-
-
-def _is_truncated_ring(ring: QuotientRing) -> bool:
-    """True when the defining ideal is exactly (x_1^p, ..., x_n^p)."""
-    p = ring.context.field.characteristic
-    if ring.is_trivial:
-        return False
-    expected = sorted((ring.context.var(i) ** p
-                       for i in range(ring.context.nvars)), key=str)
-    actual = sorted(ring.basis.polys, key=str)
-    return expected == actual

@@ -2,10 +2,10 @@
 
 Positive answers are constructive wherever the theory allows:
 
-* over a characteristic-0 polynomial ring with all partials, a word of
-  partial derivatives reducing any nonzero element to a nonzero constant;
-* over the truncated ring F_p[x]/(x_i^p) with the induced partials, the same
-  kind of word (every exponent is < p, so the factorials never vanish);
+* `certificate(ring, f)`: over a characteristic-0 polynomial ring, or over
+  the truncated ring F_p[x]/(x_i^p) with the induced partials, a word of
+  partial derivatives reducing any nonzero element to a nonzero constant
+  (in the truncated ring every exponent is < p, so no factorial vanishes);
 * for a 1-dimensional finitely generated algebra R = k[x]/I with a finite
   set D of derivations, the unit-ideal criterion 1 in the image ideal
   J_D = (d(x_i) : d in D, all i) + I, once I is certified prime (I = 0, or
@@ -119,41 +119,37 @@ class DarbouxResult(NamedTuple):
     bound: int
 
 
-def partials_certificate(f: Poly) -> SimplicityCertificate:
-    """Reduce f != 0 to a nonzero constant with partial derivatives (char 0).
+def certificate(ring: QuotientRing, f: Poly) -> SimplicityCertificate:
+    """Reduce the normal form of f != 0 in `ring` to a nonzero constant with
+    the (induced) partial derivatives.
 
-    Strategy: repeatedly differentiate the lowest-index variable present, at
-    its maximal exponent m.  That step multiplies the top coefficient by m!,
-    which cannot vanish in characteristic zero, and eliminates the variable;
-    the word length is at most the total degree.
+    The ring decides which certificate applies: in characteristic 0 it must
+    be the polynomial ring, in characteristic p the truncated ring
+    F_p[x]/(x_1^p..x_n^p), whose normal forms have every exponent < p.  In
+    either ring the maximal exponent m of a variable has m! != 0, so the
+    strategy of `_reduce_to_constant` goes through.
     """
-    if f.context.field.characteristic != 0:
-        raise PreconditionError("partials certificate needs characteristic 0")
-    return _reduce_to_constant(f)
-
-
-def truncated_certificate(f: Poly) -> SimplicityCertificate:
-    """Certificate for a canonical representative in F_p[x]/(x_1^p..x_n^p).
-
-    Requires every exponent of f to be < p; then the maximal exponent m of
-    the chosen variable satisfies m! != 0 mod p and the char-0 reduction
-    strategy goes through verbatim with the induced partials.
-    """
-    p = f.context.field.characteristic
+    context = ring.context
+    p = context.field.characteristic
     if p == 0:
-        raise PreconditionError("truncated certificate needs prime characteristic")
-    for mono in f._terms:
-        if any(e >= p for e in mono):
+        if not ring.is_trivial:
             raise PreconditionError(
-                f"representative has an exponent >= {p}; reduce it first")
-    return _reduce_to_constant(f)
+                "characteristic-0 certificates need the full polynomial ring")
+    elif set(ring.basis.polys) != {context.var(i) ** p
+                                   for i in range(context.nvars)}:
+        raise PreconditionError(
+            "characteristic-p certificates need the quotient by "
+            "the p-th powers of the variables")
+    return _reduce_to_constant(ring.reduce(f))
 
 
 def _reduce_to_constant(f: Poly) -> SimplicityCertificate:
     """A word of partials taking f != 0 to a nonzero constant.
 
     Differentiates the lowest variable present at its maximal exponent m
-    until f is constant; callers guarantee that m! never vanishes.
+    until f is constant; each such step multiplies the top coefficient by
+    m!, which the caller guarantees does not vanish, and eliminates the
+    variable, so the word length is at most the total degree.
     """
     if f.is_zero():
         raise ZeroPolynomialError("cannot certify the zero element")
@@ -171,7 +167,10 @@ def _reduce_to_constant(f: Poly) -> SimplicityCertificate:
 
 
 def replay_certificate(cert: SimplicityCertificate, f: Poly) -> FieldElement:
-    """Apply the certificate word to f; returns the resulting constant."""
+    """Apply the certificate word to f; returns the resulting constant.
+
+    A certificate of `certificate(ring, f)` replays on the normal form
+    `ring.reduce(f)`, which it certifies."""
     g = f
     for i in cert.word:
         g = g.partial(i)
@@ -292,7 +291,7 @@ def _decide(ring: QuotientRing, derivations: tuple, *,
             budget: int) -> SimplicityVerdict:
     """The verdict of `d_simplicity`, decided afresh."""
     if ring.context.field.characteristic != 0:
-        return prime_char_obstruction(ring, derivations, budget=budget)
+        return prime_char_obstruction(ring, budget=budget)
     if _all_partials_present(ring, derivations):
         return SimplicityVerdict(
             SimplicityStatus.SIMPLE,
@@ -359,13 +358,13 @@ def dim1_simplicity(ring: QuotientRing, d: Derivation, *,
     return d_simplicity(ring, [d], budget=budget)
 
 
-def prime_char_obstruction(ring: QuotientRing, derivations, *,
+def prime_char_obstruction(ring: QuotientRing, *,
                            budget: int = DEFAULT_BUDGET) -> SimplicityVerdict:
     """Dimension obstruction in characteristic p.
 
-    A D-simple ring of characteristic p is 0-dimensional, whatever D is: the
-    ideal generated by p-th powers of a maximal ideal is proper and D-stable
-    (d(g^p) = p g^(p-1) d(g) = 0).  So positive dimension means NotSimple;
+    A D-simple ring of characteristic p is 0-dimensional, whatever D is, so
+    the check takes no derivations: the ideal generated by p-th powers of a
+    maximal ideal is proper and D-stable (d(g^p) = p g^(p-1) d(g) = 0).  So positive dimension means NotSimple;
     the witness attached is ((x_1-a_1)^p, ..., (x_n-a_n)^p) + I for a
     rational point a of V(I), when one exists in F_p^n and p^n is at most
     POINT_BUDGET.  Dimension 0 leaves the question open.

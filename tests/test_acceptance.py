@@ -26,21 +26,19 @@ from derivalg import (
     TermOrder,
     VarContext,
     binomial_push,
+    certificate,
     d_ideal_check,
     darboux_search,
     dim1_simplicity,
     groebner_basis,
     ideal_member,
-    induce_on_quotient,
     inner_induced,
     inner_residuals,
     is_unit_ideal,
     krull_dimension,
     normal_form,
-    partials_certificate,
     prime_char_obstruction,
     skew_simplicity,
-    truncated_certificate,
     weyl_algebra,
 )
 from derivalg.groebner import _initial_dimension
@@ -125,7 +123,7 @@ def test_criterion_05_sphere_tangency():
     assert d2.apply(relation).is_zero()
     sphere = QuotientRing.of(IdealHandle(ctx, [relation]))
     for d in (d1, d2):
-        induced = induce_on_quotient(d, sphere)
+        induced = Derivation(sphere, d.images)
         assert induced.ring == sphere
     _pass(5, "both sphere derivations annihilate the relation and descend")
 
@@ -171,7 +169,7 @@ def test_criterion_08_certificates():
     partials = [Derivation.partial(ring, i) for i in range(3)]
     for _ in range(100):
         f = rand_poly(rng, ctx, max_degree=5, max_terms=6, nonzero=True)
-        cert = partials_certificate(f)
+        cert = certificate(ring, f)
         g = f
         for i in cert.word:
             g = partials[i].apply(g)
@@ -182,8 +180,7 @@ def test_criterion_08_certificates():
         fctx = VarContext(("x1", "x2"), GF(p))
         truncated = QuotientRing.of(
             IdealHandle(fctx, [fctx.var(i) ** p for i in range(2)]))
-        induced = [induce_on_quotient(Derivation.partial(fctx, i), truncated)
-                   for i in range(2)]
+        induced = [Derivation.partial(truncated, i) for i in range(2)]
         produced = 0
         while produced < 100:
             terms = {}
@@ -193,7 +190,7 @@ def test_criterion_08_certificates():
             f = Poly(fctx, terms)
             if f.is_zero():
                 continue
-            cert = truncated_certificate(f)
+            cert = certificate(truncated, f)
             g = f
             for i in cert.word:
                 g = induced[i].apply(g)
@@ -207,7 +204,7 @@ def test_criterion_09_charp_obstruction():
     ctx = VarContext(("x",), GF(2))
     ring = QuotientRing.trivial(ctx)
     d = Derivation.partial(ring, 0)
-    verdict = prime_char_obstruction(ring, [d])
+    verdict = prime_char_obstruction(ring)
     assert verdict.status is SimplicityStatus.NOT_SIMPLE
     witness = verdict.witness
     assert witness is not None

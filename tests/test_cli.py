@@ -309,6 +309,38 @@ def test_exit_code_precondition_failure():
     assert "do not commute" in out.stderr
 
 
+CIRCLE = "ring R = QQ[x, y]\nideal I in R : x^2 + y^2 - 1\nquotient Q = R / I\n"
+
+
+@pytest.mark.parametrize("script, code, kind, error", [
+    (CIRCLE + "certificate x in Q", 2, "PreconditionError",
+     "characteristic-0 certificates need the full polynomial ring"),
+    ("ring R = GF(3)[x]\ncertificate x in R", 2, "PreconditionError",
+     "characteristic-p certificates need the quotient by the p-th powers of "
+     "the variables"),
+    ("weyl 1\ncertificate x in A1", 2, "PreconditionError",
+     "certificates live in commutative rings"),
+    (CIRCLE + "darboux y bound 1 in Q", 2, "PreconditionError",
+     "Darboux search runs over a polynomial ring"),
+    (CIRCLE + "der d1 on Q : x -> -y, y -> x\nder d2 on Q : x -> y, y -> -x\n"
+     "check dsimple Q d1 d2 --dim1", 2, "PreconditionError",
+     "the dimension-1 criterion takes a single derivation"),
+    (CIRCLE + "der d on R : x -> -y, y -> x\ncheck dsimple Q d", 2,
+     "PreconditionError", "derivation does not live on ring 'Q'"),
+    # commutative and skew rings share one namespace
+    ("ring R = QQ[x]\nder d on R : x -> 1\nskew R = R[t; d]", 1, "ParseError",
+     "line 3, col 1: skew ring 'R' is already defined"),
+    ("weyl 1\nring A1 = QQ[x]", 1, "ParseError",
+     "line 2, col 1: ring 'A1' is already defined"),
+])
+def test_session_refusals(tmp_path, capsys, script, code, kind, error):
+    from derivalg import cli
+    path = tmp_path / "s.dsl"
+    path.write_text(script + "\n")
+    assert cli.main(["run", str(path)]) == code
+    assert capsys.readouterr().err == f"error [{kind}]: {error}\n"
+
+
 def test_exit_code_budget_exhaustion():
     out = run_cli("--budget", "0", "--order", "lex", "gb",
                   "--ring", "QQ[x, y]", "x*y - 1", "y^2 - 1")

@@ -212,13 +212,12 @@ EXPORTS = {
                 "buchberger groebner_basis ideal_member is_unit_ideal "
                 "krull_dimension normal_form normal_form_with_cofactors",
     "derivation": "CommuteReport Derivation commutator commuting_set_check "
-                  "d_ideal_check induce_on_quotient",
+                  "d_ideal_check",
     "simplicity": "DarbouxResult DarbouxStatus SimplicityCertificate "
-                  "SimplicityStatus SimplicityVerdict d_simplicity "
+                  "SimplicityStatus SimplicityVerdict certificate d_simplicity "
                   "darboux_search dim1_simplicity necessary_unit_condition "
-                  "partials_certificate prime_char_obstruction "
-                  "principal_stability_check replay_certificate "
-                  "truncated_certificate",
+                  "prime_char_obstruction principal_stability_check "
+                  "replay_certificate",
     "skew": "InnerAnalysis SkewPoly SkewRingDerivation "
             "SkewRingDescriptor binomial_push "
             "inner_induced inner_residuals skew_commutator skew_mul "
@@ -249,6 +248,14 @@ print(count, len(listed), bad)
 """
     count = sum(len(names.split()) for names in EXPORTS.values())
     assert _fresh_python(code) == f"{count} {count} []"
+
+
+def test_readme_quick_tour_runs():
+    # the python block of README.md, run as it stands in a new interpreter
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    assert _fresh_python(block + "\nprint('done')") == "done"
 
 
 def test_unknown_name_raises_attribute_error():

@@ -19,22 +19,21 @@ from derivalg import (
     QuotientRing,
     SimplicityStatus,
     SkewRingDescriptor,
+    TermOrder,
     VarContext,
     ZeroPolynomialError,
+    certificate,
     d_ideal_check,
     d_simplicity,
     darboux_search,
     dim1_simplicity,
-    induce_on_quotient,
     is_unit_ideal,
     krull_dimension,
     necessary_unit_condition,
-    partials_certificate,
     prime_char_obstruction,
     principal_stability_check,
     replay_certificate,
     skew_simplicity,
-    truncated_certificate,
 )
 from derivalg import simplicity
 from derivalg.simplicity import (
@@ -52,11 +51,18 @@ from conftest import rand_poly
 # --------------------------------------------------------------------------
 
 
+def _truncated(ctx):
+    """The truncated ring F_p[x]/(x_1^p, ..., x_n^p) over ctx's field."""
+    p = ctx.field.characteristic
+    return QuotientRing.of(IdealHandle(ctx, [ctx.var(i) ** p
+                                             for i in range(ctx.nvars)]))
+
+
 def test_partials_certificate_example():
     ctx = VarContext(("x1", "x2"), QQ)
     x1, x2 = ctx.var(0), ctx.var(1)
     f = x1 ** 2 * x2 + 3 * x1
-    cert = partials_certificate(f)
+    cert = certificate(QuotientRing.trivial(ctx), f)
     # lowest-index variable first, at its maximal exponent
     assert cert.word == (0, 0, 1)
     assert cert.final_constant == QQ.element(2)
@@ -65,25 +71,26 @@ def test_partials_certificate_example():
 
 def test_partials_certificate_trivial_cases():
     ctx = VarContext(("x1",), QQ)
-    five = ctx.const(5)
-    cert = partials_certificate(five)
+    ring = QuotientRing.trivial(ctx)
+    cert = certificate(ring, ctx.const(5))
     assert cert.word == () and cert.final_constant == QQ.element(5)
-    cert = partials_certificate(ctx.var(0))
+    cert = certificate(ring, ctx.var(0))
     assert cert.word == (0,) and cert.final_constant == QQ.element(1)
 
 
 def test_partials_certificate_zero_rejected():
     ctx = VarContext(("x1",), QQ)
     with pytest.raises(ZeroPolynomialError):
-        partials_certificate(ctx.zero)
+        certificate(QuotientRing.trivial(ctx), ctx.zero)
 
 
 def test_partials_certificate_word_length_bounded():
     ctx = VarContext(("x1", "x2", "x3"), QQ)
+    ring = QuotientRing.trivial(ctx)
     rng = random.Random(3)
     for _ in range(50):
         f = rand_poly(rng, ctx, max_degree=5, max_terms=5, nonzero=True)
-        cert = partials_certificate(f)
+        cert = certificate(ring, f)
         assert len(cert.word) <= max(f.total_degree(), 0)
         assert not cert.final_constant.is_zero()
 
@@ -91,39 +98,67 @@ def test_partials_certificate_word_length_bounded():
 def test_truncated_certificate_examples():
     ctx3 = VarContext(("x",), GF(3))
     x = ctx3.var(0)
-    cert = truncated_certificate(2 * x + x ** 2)
+    cert = certificate(_truncated(ctx3), 2 * x + x ** 2)
     assert cert.word == (0, 0)
     assert cert.final_constant == GF(3).element(2)
 
     ctx2 = VarContext(("x",), GF(2))
-    cert = truncated_certificate(ctx2.var(0))
+    cert = certificate(_truncated(ctx2), ctx2.var(0))
     assert cert.word == (0,)
     assert cert.final_constant == GF(2).element(1)
 
     ctx5 = VarContext(("x",), GF(5))
-    cert = truncated_certificate(ctx5.const(3))
+    cert = certificate(_truncated(ctx5), ctx5.const(3))
     assert cert.word == () and cert.final_constant == GF(5).element(3)
 
 
 def test_truncated_certificate_rejects_big_exponents():
+    # the certificate is of the normal form: x^3 is 0 in GF(3)[x]/(x^3)
     ctx = VarContext(("x",), GF(3))
-    with pytest.raises(PreconditionError):
-        truncated_certificate(ctx.var(0) ** 3)
+    with pytest.raises(ZeroPolynomialError):
+        certificate(_truncated(ctx), ctx.var(0) ** 3)
+
+
+def test_certificate_of_the_normal_form():
+    ctx = VarContext(("x",), GF(3))
+    x = ctx.var(0)
+    T = _truncated(ctx)
+    f = x ** 4 + x
+    cert = certificate(T, f)
+    assert T.reduce(f) == x
+    assert cert == certificate(T, x)
+    assert cert.word == (0,) and cert.final_constant == GF(3).element(1)
+    assert replay_certificate(cert, T.reduce(f)) == cert.final_constant
+
+
+def test_certificate_needs_exactly_the_truncated_ring():
+    # the basis must be {x_1^p, ..., x_n^p}, whatever generators and term
+    # order gave it
+    ctx = VarContext(("x", "y"), GF(3))
+    x, y = ctx.var(0), ctx.var(1)
+    message = ("characteristic-p certificates need the quotient by the "
+               "p-th powers of the variables")
+    for gens in ([], [x ** 3], [x ** 3, y ** 3, x * y], [x ** 2, y ** 2]):
+        ring = QuotientRing.of(IdealHandle(ctx, gens))
+        with pytest.raises(PreconditionError, match=message):
+            certificate(ring, x)
+    ring = QuotientRing.of(IdealHandle(ctx, [y ** 3, x ** 3 + y ** 3, x ** 3]),
+                           TermOrder.LEX)
+    assert certificate(ring, x * y ** 2).word == (0, 1, 1)
 
 
 def test_certificate_replay_through_quotient_derivations():
     # replay uses the induced derivations of the truncated ring, not partial()
     p = 3
     ctx = VarContext(("x1", "x2"), GF(p))
-    ring = QuotientRing.of(IdealHandle(ctx, [ctx.var(i) ** p for i in range(2)]))
-    induced = [induce_on_quotient(Derivation.partial(ctx, i), ring)
-               for i in range(2)]
+    ring = _truncated(ctx)
+    induced = [Derivation.partial(ring, i) for i in range(2)]
     rng = random.Random(44)
     for _ in range(30):
         f = Poly_random_truncated(rng, ctx, p)
         if f.is_zero():
             continue
-        cert = truncated_certificate(f)
+        cert = certificate(ring, f)
         g = f
         for i in cert.word:
             g = induced[i].apply(g)
@@ -263,7 +298,7 @@ def test_d_simplicity_prime_characteristic_delegates():
     ctx = VarContext(("x",), GF(2))
     ring = QuotientRing.trivial(ctx)
     D = [Derivation.partial(ring, 0)]
-    assert d_simplicity(ring, D) == prime_char_obstruction(ring, D)
+    assert d_simplicity(ring, D) == prime_char_obstruction(ring)
 
 
 def test_d_simplicity_agrees_with_skew_simplicity(ctx_xy, circle_rotation):
@@ -309,7 +344,7 @@ def test_charp_obstruction_f2x():
     ctx = VarContext(("x",), GF(2))
     ring = QuotientRing.trivial(ctx)
     d = Derivation.partial(ring, 0)
-    verdict = prime_char_obstruction(ring, [d])
+    verdict = prime_char_obstruction(ring)
     assert verdict.status is SimplicityStatus.NOT_SIMPLE
     assert list(verdict.witness.generators) == [ctx.var(0) ** 2]
     # the witness is a proper D-stable ideal
@@ -321,8 +356,7 @@ def test_charp_obstruction_dim0_unknown():
     ctx = VarContext(("x",), GF(3))
     x = ctx.var(0)
     ring = QuotientRing.of(IdealHandle(ctx, [x ** 3]))
-    d = induce_on_quotient(Derivation.partial(ctx, 0), ring)
-    verdict = prime_char_obstruction(ring, [d])
+    verdict = prime_char_obstruction(ring)
     assert verdict.status is SimplicityStatus.UNKNOWN
     assert verdict.reason == "necessary condition passed"
 
@@ -331,7 +365,7 @@ def test_charp_obstruction_dim2():
     ctx = VarContext(("x", "y"), GF(5))
     ring = QuotientRing.trivial(ctx)
     D = [Derivation.partial(ring, i) for i in range(2)]
-    verdict = prime_char_obstruction(ring, D)
+    verdict = prime_char_obstruction(ring)
     assert verdict.status is SimplicityStatus.NOT_SIMPLE
     assert verdict.witness is not None
     assert d_ideal_check(verdict.witness, D)
@@ -344,7 +378,7 @@ def test_charp_witness_on_shifted_variety():
     x, y = ctx.var(0), ctx.var(1)
     ring = QuotientRing.of(IdealHandle(ctx, [x * y - 1]))
     d = Derivation(ring, [x, y])  # Euler derivation preserves (xy - 1): x(y)+y(x)=2xy=0
-    verdict = prime_char_obstruction(ring, [d])
+    verdict = prime_char_obstruction(ring)
     assert verdict.status is SimplicityStatus.NOT_SIMPLE
     assert verdict.witness is not None
     assert not is_unit_ideal(verdict.witness)
