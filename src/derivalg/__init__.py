@@ -49,6 +49,7 @@ from .groebner import (
 )
 
 # submodule -> the names it exports, resolved by __getattr__ on first access
+# (bench/tracing.py hooks dim1_simplicity and binomial_push by name)
 _LAZY = {
     "derivation": (
         "CommuteReport",
@@ -67,9 +68,7 @@ _LAZY = {
         "d_simplicity",
         "darboux_search",
         "dim1_simplicity",
-        "necessary_unit_condition",
         "prime_char_obstruction",
-        "principal_stability_check",
         "replay_certificate",
     ),
     "skew": (
@@ -79,7 +78,6 @@ _LAZY = {
         "SkewRingDescriptor",
         "binomial_push",
         "inner_induced",
-        "inner_residuals",
         "skew_commutator",
         "skew_mul",
         "skew_simplicity",

@@ -142,9 +142,27 @@ def _cmd_certificate(args) -> list:
             f"certificate {args.element} in T"]
 
 
+# the options each check reads; `check simple --weyl N` reads only --weyl
+_CHECK_READS = {
+    "commute": {"--ring", "--ideal", "--der"},
+    "dideal": {"--ring", "--ideal", "--der"},
+    "dsimple": {"--ring", "--ideal", "--der", "--dim1"},
+    "simple": {"--ring", "--ideal", "--der", "--skew-var"},
+}
+
+
 def _cmd_check(args) -> list:
     what, ders = args.what, args.derivations
-    if what == "simple" and args.weyl is not None:
+    given = {flag for flag, value in (
+        ("--ring", args.ring is not None), ("--ideal", args.ideal),
+        ("--der", ders), ("--skew-var", args.skew_var),
+        ("--weyl", args.weyl is not None), ("--dim1", args.dim1)) if value}
+    weyl = what == "simple" and args.weyl is not None
+    unread = sorted(given - ({"--weyl"} if weyl else _CHECK_READS[what]))
+    if unread:
+        scope = f"check {what}" + (" --weyl" if weyl else "")
+        raise ParseError(f"{scope} does not take {', '.join(unread)}")
+    if weyl:
         return [f"weyl {args.weyl} as S", "check simple S"]
     if what != "simple":
         if not ders:
@@ -158,7 +176,7 @@ def _cmd_check(args) -> list:
             "check simple needs --weyl N, or --ring with --skew-var/--der")
     lines = [_ring_script(args.ring)]
     base = "R"
-    if args.ideal and what != "commute":
+    if args.ideal:
         lines.append("ideal I in R : " + ", ".join(args.ideal))
         if what != "dideal":
             lines.append("quotient Q = R / I")

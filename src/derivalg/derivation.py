@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ContextMismatchError, NotInvariantError
+from .errors import ContextMismatchError, InvalidArgumentError, NotInvariantError
 from .groebner import (
     DEFAULT_BUDGET,
     GroebnerBasis,
@@ -44,7 +44,7 @@ class Derivation:
         ring = _as_ring(ring)
         images = tuple(images)
         if len(images) != ring.context.nvars:
-            raise ValueError("one image per ring generator is required")
+            raise InvalidArgumentError("one image per ring generator is required")
         for g in images:
             if g.context != ring.context:
                 raise ContextMismatchError("derivation image outside the ring")

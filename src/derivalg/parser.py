@@ -23,8 +23,9 @@ Grammar (one statement per line, `#` starts a comment):
     extend DER into SKEWRING
 
 `check dsimple` runs `simplicity.d_simplicity`, as does `check simple` on the
-skew ring's base (characteristic 0 only); `--dim1` takes one derivation and
-answers Unknown unless the ring has characteristic 0 and dimension 1.
+skew ring's base, in every characteristic, when no constant relation among
+D (G1) decides first; `--dim1` takes one derivation and answers Unknown
+unless the ring has characteristic 0 and dimension 1.
 
 Expressions: ASCII integers, `a/b` rationals, identifiers, `+ - * ^`, parentheses;
 `*` is mandatory between factors and `^` takes a non-negative integer.

@@ -187,49 +187,6 @@ def _all_partials_present(ring: QuotientRing, derivations) -> bool:
     return partials <= set(derivations)
 
 
-def _image_ideal(ring: QuotientRing, derivations) -> IdealHandle:
-    """J_D = (d(x_i) for every d in D and every i) + I, lifted to k[x]."""
-    gens = [g for d in derivations for g in d.images]
-    return IdealHandle(ring.context, gens + list(ring.defining.generators))
-
-
-def necessary_unit_condition(ring: QuotientRing, d: Derivation, *,
-                             budget: int = DEFAULT_BUDGET) -> bool:
-    """1 in (d(x_1), ..., d(x_n)) + I — necessary for d-simplicity.
-
-    False certifies that the ring is *not* d-simple; True alone decides
-    nothing unless the dimension-1 criterion applies.
-    """
-    if ring.context.field.characteristic != 0:
-        raise PreconditionError("unit-ideal condition applies in characteristic 0")
-    if d.ring != ring:
-        raise ContextMismatchError("derivation does not live on the given ring")
-    return is_unit_ideal(_image_ideal(ring, [d]), budget=budget)
-
-
-def principal_stability_check(g: Poly, derivations, *,
-                              budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff d(g) lies in (g) (plus the defining ideal) for every d.
-
-    A nonunit g passing this check generates a proper D-stable ideal, i.e. a
-    NotSimple witness.
-    """
-    if g.is_zero():
-        raise ZeroPolynomialError("principal stability needs a nonzero generator")
-    derivations = list(derivations)
-    if not derivations:
-        raise PreconditionError("principal stability needs at least one derivation")
-    ring = derivations[0].ring
-    if g.context != ring.context:
-        raise ContextMismatchError("generator outside the derivations' ring")
-    for d in derivations:
-        if d.ring != ring:
-            raise ContextMismatchError("derivations live on different rings")
-    handle = IdealHandle(ring.context, [g] + list(ring.defining.generators))
-    basis = groebner_basis(handle, budget=budget)
-    return _escape([g], derivations, basis) is None
-
-
 def _principal_witness(ring: QuotientRing, derivations, *,
                        budget: int) -> IdealHandle | None:
     """First variable or nonconstant derivation image generating a proper
@@ -300,7 +257,9 @@ def _decide(ring: QuotientRing, derivations: tuple, *,
     if witness is not None:
         return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=witness,
                                  criterion="stable principal ideal witness")
-    J = _image_ideal(ring, derivations)
+    # J_D = (d(x_i) for every d in D and every i) + I, lifted to k[x]
+    J = IdealHandle(ring.context, [g for d in derivations for g in d.images]
+                    + list(ring.defining.generators))
     proper = not is_unit_ideal(J, budget=budget)
     dim1 = ring.dimension() == 1
     criterion = ("dimension-1 unit-ideal criterion" if dim1

@@ -38,7 +38,6 @@ from .errors import (
     ContextMismatchError,
     InvalidArgumentError,
     NonCommutingDerivationsError,
-    PreconditionError,
 )
 from .field import FieldElement, FieldSpec, QQ, _outside
 from .groebner import DEFAULT_BUDGET, QuotientRing
@@ -72,7 +71,7 @@ class SkewRingDescriptor:
         names = tuple(names)
         derivations = tuple(derivations)
         if len(names) != len(derivations):
-            raise ValueError("one derivation per skew variable is required")
+            raise InvalidArgumentError("one derivation per skew variable is required")
         if len(set(names)) != len(names) or any(not n for n in names):
             raise InvalidArgumentError("skew variable names must be distinct and nonempty")
         if set(names) & set(base.context.names):
@@ -411,21 +410,6 @@ def inner_induced(ring: SkewRingDescriptor, f: SkewPoly) -> InnerAnalysis:
                                  residual=comm)
         images.append(comm.base_part())
     return InnerAnalysis(element=f, derivation=Derivation(ring.base, images))
-
-
-def inner_residuals(ring: SkewRingDescriptor, f: SkewPoly, r: Poly):
-    """Obstructions to f = sum a_i x^i (i <= n) inducing a base derivation,
-    at one r: the coefficients of x^1 .. x^n in the commutator f*r - r*f,
-    read off `skew_commutator`.
-
-    The x^0 coefficient is the induced value itself (see inner_induced).
-    The list is all zero on every generator exactly when conjugation by f
-    lands in the base ring.  Defined for single-variable rings only.
-    """
-    if ring.nskew != 1:
-        raise PreconditionError("residuals are defined for single-variable rings")
-    comm = skew_commutator(f, ring.from_base(r))
-    return [comm.coefficient((k,)) for k in range(1, f.x_degree() + 1)]
 
 
 class CentralWitness(NamedTuple):

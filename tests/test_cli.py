@@ -275,6 +275,39 @@ def test_check_missing_arguments_fail_cleanly():
     assert "needs at least one --ideal" in out.stderr
 
 
+def test_check_commute_lives_on_the_quotient(capsys):
+    # the commutator sends x to y in QQ[x, y], and y is 0 in QQ[x, y]/(y)
+    from derivalg import cli
+    assert cli.main(["check", "commute", "--ring", "QQ[x, y]", "--ideal", "y",
+                     "--der", "x -> 1, y -> 0", "--der", "x -> x*y, y -> 0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "quotient Q = QQ[x, y]/(y)" in lines
+    assert lines[-1] == "check commute: true"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("dsimple", "--ring", "QQ[x, y]", "--der", "x -> 1, y -> 0",
+      "--skew-var", "t"), "check dsimple does not take --skew-var"),
+    (("commute", "--ring", "QQ[x]", "--der", "x -> 1", "--der", "x -> 2",
+      "--weyl", "1"), "check commute does not take --weyl"),
+    (("dideal", "--ring", "QQ[x]", "--ideal", "x", "--der", "x -> x",
+      "--dim1"), "check dideal does not take --dim1"),
+    (("simple", "--ring", "QQ[y]", "--skew-var", "x", "--der", "y -> y",
+      "--dim1"), "check simple does not take --dim1"),
+    (("simple", "--weyl", "2", "--ring", "QQ[x]", "--der", "x -> 1"),
+     "check simple --weyl does not take --der, --ring"),
+    (("simple", "--weyl", "1", "--ideal", "y"),
+     "check simple --weyl does not take --ideal"),
+    (("simple", "--weyl", "1", "--skew-var", "t"),
+     "check simple --weyl does not take --skew-var"),
+])
+def test_check_refuses_an_option_it_does_not_read(capsys, args, message):
+    from derivalg import cli
+    assert cli.main(["check", *args]) == cli.EXIT_PARSE
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error [ParseError]: {message}\n")
+
+
 def test_check_simple_quotient_base_via_cli():
     out = run_cli("--json", "check", "simple", "--ring", "QQ[x1, x2]",
                   "--ideal", "x1^2 + x2^2 - 1", "--skew-var", "t",

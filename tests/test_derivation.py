@@ -7,6 +7,7 @@ import pytest
 from derivalg import (
     GF,
     QQ,
+    DerivalgError,
     Derivation,
     IdealHandle,
     NonCommutingDerivationsError,
@@ -123,6 +124,17 @@ def test_constant_derivation_is_checked_against_a_nonconstant_one(ctx_xy):
                               "commutator sends y to 1")
     assert (err.value.first, err.value.second) == (0, 1)
     assert (err.value.generator, err.value.witness) == ("y", ctx_xy.one)
+
+
+def test_arity_refusals_are_library_errors(ctx_xy):
+    # refused as InvalidArgumentError, still a ValueError
+    d = Derivation.partial(ctx_xy, 0)
+    with pytest.raises(DerivalgError, match="one image per ring generator") as err:
+        Derivation(ctx_xy, [ctx_xy.one])
+    assert isinstance(err.value, ValueError)
+    with pytest.raises(DerivalgError, match="one derivation per skew variable") as err:
+        SkewRingDescriptor(ctx_xy, ["s", "t"], [d])
+    assert isinstance(err.value, ValueError)
 
 
 def test_d_ideal_sphere(sphere_setup):

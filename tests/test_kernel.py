@@ -215,12 +215,11 @@ EXPORTS = {
                   "d_ideal_check",
     "simplicity": "DarbouxResult DarbouxStatus SimplicityCertificate "
                   "SimplicityStatus SimplicityVerdict certificate d_simplicity "
-                  "darboux_search dim1_simplicity necessary_unit_condition "
-                  "prime_char_obstruction principal_stability_check "
+                  "darboux_search dim1_simplicity prime_char_obstruction "
                   "replay_certificate",
     "skew": "InnerAnalysis SkewPoly SkewRingDerivation "
             "SkewRingDescriptor binomial_push "
-            "inner_induced inner_residuals skew_commutator skew_mul "
+            "inner_induced skew_commutator skew_mul "
             "skew_simplicity weyl_algebra",
 }
 
