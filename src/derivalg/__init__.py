@@ -41,9 +41,7 @@ from .groebner import (
     QuotientRing,
     buchberger,
     groebner_basis,
-    ideal_member,
     is_unit_ideal,
-    krull_dimension,
     normal_form,
     normal_form_with_cofactors,
 )

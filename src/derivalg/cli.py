@@ -11,8 +11,8 @@ file, and each one-shot `_cmd_*` writes one from its arguments (`ring R =
 line the same way and goes on after an error.  `build_arg_parser` builds the
 argparse tree once per process, and every `main` call reuses it.
 
-Exit codes: 0 success (including "false"/NotSimple answers), 1 parse or
-name-resolution error, 2 mathematical precondition failure, 3 step-budget
+Exit codes: 0 success (including "false"/NotSimple answers), 1 parse, usage
+or name-resolution error, 2 mathematical precondition failure, 3 step-budget
 exhaustion, 4 internal error (a bug in derivalg, not in the input).
 """
 
@@ -119,7 +119,8 @@ def _cmd_dim(args) -> list:
 
 
 def _cmd_mul(args) -> list:
-    scope = f"weyl {args.weyl}" if args.ring is None else _ring_script(args.ring)
+    weyl = 1 if args.weyl is None else args.weyl
+    scope = f"weyl {weyl}" if args.ring is None else _ring_script(args.ring)
     return [scope, f"mul {args.expr}"]
 
 
@@ -200,9 +201,16 @@ def _cmd_check(args) -> list:
     return lines
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Its usage errors, and its subparsers', are ParseErrors (exit 1)."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="derivalg",
         description="exact computer algebra for derivations, differential "
                     "simplicity, and skew polynomial rings")
@@ -239,9 +247,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     dim.set_defaults(func=_cmd_dim)
 
     mul = sub.add_parser("mul", help="normal-form product of an expression")
-    mul.add_argument("--weyl", type=int, default=1,
-                     help="evaluate inside the n-th Weyl algebra (default 1)")
-    mul.add_argument("--ring", help="evaluate in a commutative ring instead")
+    scope = mul.add_mutually_exclusive_group()
+    scope.add_argument("--weyl", type=int,
+                       help="evaluate inside the n-th Weyl algebra (default 1)")
+    scope.add_argument("--ring", help="evaluate in a commutative ring instead")
     mul.add_argument("expr")
     mul.set_defaults(func=_cmd_mul)
 
@@ -293,7 +302,18 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    args = build_arg_parser().parse_args(argv)
+    # a usage error after --json finds args.json already set
+    args = argparse.Namespace(json=False)
+    try:
+        build_arg_parser().parse_args(argv, args)
+        lines = [] if args.subcommand == "repl" else args.func(args)
+        # pasted into a script line, a `#` or line break would end it early
+        for line in lines if args.subcommand != "run" else ():
+            if "#" in line or "\n" in line:
+                raise ParseError(f"an argument holds '#' or a line break: {line!r}")
+    except (ParseError, OSError) as exc:
+        _emit_error(exc, args.json)
+        return EXIT_PARSE
     session = Session(order=TermOrder(args.order), budget=args.budget)
     if args.subcommand == "repl":
         if sys.stdin.isatty():
@@ -302,12 +322,7 @@ def _main(argv) -> int:
         for line in sys.stdin:
             _script(session, line, args.json)
         return EXIT_OK
-    try:
-        text = "\n".join(args.func(args))
-    except (ParseError, OSError) as exc:
-        _emit_error(exc, args.json)
-        return EXIT_PARSE
-    return _script(session, text, args.json)
+    return _script(session, "\n".join(lines), args.json)
 
 
 if __name__ == "__main__":

@@ -161,15 +161,20 @@ def commuting_set_check(derivations: Sequence[Derivation]) -> CommuteReport:
 
 def d_ideal_check(ideal: IdealHandle, derivations: Sequence[Derivation], *,
                   budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff d(I) <= I for every derivation in the list.
+    """True iff d(J) <= J + I for every derivation d in the list, J the
+    ideal and I the defining ideal of the derivations' common ring R/I.
 
-    Checking the generators suffices: by the Leibniz rule the image of any
-    combination sum(a_i g_i) is sum(d(a_i) g_i + a_i d(g_i)), which stays in
-    I once every d(g_i) does.
+    Checking the generators of J suffices: d(I) <= I, and by the Leibniz rule
+    d(sum a_i g_i) = sum(d(a_i) g_i + a_i d(g_i)) stays in J + I once every
+    d(g_i) does.
     """
     derivations = list(derivations)
     for d in derivations:
         if d.ring.context != ideal.context:
             raise ContextMismatchError("derivation outside the ideal's context")
-    basis = groebner_basis(ideal, budget=budget)
+        if d.ring != derivations[0].ring:
+            raise ContextMismatchError("derivations live on different rings")
+    defining = derivations[0].ring.defining.generators if derivations else ()
+    joined = IdealHandle(ideal.context, [*ideal.generators, *defining])
+    basis = groebner_basis(joined, budget=budget)
     return _escape(ideal.generators, derivations, basis) is None

@@ -729,24 +729,9 @@ def groebner_basis(ideal: IdealHandle, order: TermOrder = TermOrder.GREVLEX,
     return buchberger(ideal.generators, order, budget)
 
 
-def ideal_member(f: Poly, ideal: IdealHandle, *,
-                 budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff f lies in the ideal (zero normal form)."""
-    return normal_form(f, groebner_basis(ideal, budget=budget)).is_zero()
-
-
 def is_unit_ideal(ideal: IdealHandle, *, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff 1 lies in the ideal (reduced basis == {1})."""
     return groebner_basis(ideal, budget=budget).is_unit
-
-
-def krull_dimension(ideal: IdealHandle, *, budget: int = DEFAULT_BUDGET) -> int:
-    """dim k[x_1..x_n]/I via the initial ideal of the grevlex basis (any term
-    order gives the same answer)."""
-    basis = groebner_basis(ideal, budget=budget)
-    if basis.is_unit:
-        raise UnitIdealError("the unit ideal has no Krull dimension")
-    return _initial_dimension(basis)
 
 
 def _initial_dimension(basis: GroebnerBasis) -> int:

@@ -25,7 +25,6 @@ from .groebner import (
     QuotientRing,
     TermOrder,
     groebner_basis,
-    krull_dimension,
     normal_form_with_cofactors,
 )
 from .poly import Poly, VarContext
@@ -303,7 +302,7 @@ class Session:
 
     def _do_dim(self, stmt: P.DimCommand):
         handle = self._lookup(self.ideals, "ideal", stmt.ideal, stmt.line)
-        dim = krull_dimension(handle, budget=self.budget)
+        dim = QuotientRing.of(handle, budget=self.budget).dimension()
         record = {"command": "dim", "ideal": stmt.ideal, "dimension": dim}
         return record, lambda: f"dim {stmt.ideal}: {dim}"
 

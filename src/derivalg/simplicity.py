@@ -248,7 +248,7 @@ def _decide(ring: QuotientRing, derivations: tuple, *,
             budget: int) -> SimplicityVerdict:
     """The verdict of `d_simplicity`, decided afresh."""
     if ring.context.field.characteristic != 0:
-        return prime_char_obstruction(ring, budget=budget)
+        return prime_char_obstruction(ring)
     if _all_partials_present(ring, derivations):
         return SimplicityVerdict(
             SimplicityStatus.SIMPLE,
@@ -317,8 +317,7 @@ def dim1_simplicity(ring: QuotientRing, d: Derivation, *,
     return d_simplicity(ring, [d], budget=budget)
 
 
-def prime_char_obstruction(ring: QuotientRing, *,
-                           budget: int = DEFAULT_BUDGET) -> SimplicityVerdict:
+def prime_char_obstruction(ring: QuotientRing) -> SimplicityVerdict:
     """Dimension obstruction in characteristic p.
 
     A D-simple ring of characteristic p is 0-dimensional, whatever D is, so
@@ -335,7 +334,7 @@ def prime_char_obstruction(ring: QuotientRing, *,
     if ring.dimension() == 0:
         return SimplicityVerdict(SimplicityStatus.UNKNOWN,
                                  reason="necessary condition passed")
-    witness = _charp_witness(ring, budget=budget)
+    witness = _charp_witness(ring)
     reason = None if witness is not None else (
         "positive dimension forces NotSimple; no rational-point witness found")
     return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=witness,
@@ -343,7 +342,7 @@ def prime_char_obstruction(ring: QuotientRing, *,
                              criterion="positive Krull dimension in characteristic p")
 
 
-def _charp_witness(ring: QuotientRing, *, budget: int) -> IdealHandle | None:
+def _charp_witness(ring: QuotientRing) -> IdealHandle | None:
     p = ring.context.field.characteristic
     n = ring.context.nvars
     if p ** n > POINT_BUDGET:
@@ -360,10 +359,8 @@ def _charp_witness(ring: QuotientRing, *, budget: int) -> IdealHandle | None:
         powers = [g for g in shifted if ring.reduce(g)]
         if not powers:
             continue
-        handle = IdealHandle(ring.context, powers + list(gens))
-        if is_unit_ideal(handle, budget=budget):
-            continue
-        return handle
+        # every generator vanishes at a, so the ideal is proper
+        return IdealHandle(ring.context, powers + list(gens))
     return None
 
 

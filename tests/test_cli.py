@@ -107,7 +107,7 @@ def test_certificate_truncated():
     assert records[-1]["word"] == ["x", "x"]
     assert records[-1]["constant"] == "2"
     out = run_cli("certificate", "--ring", "GF(3)[x]", "--truncated", "x")
-    assert out.returncode == 2 and "unrecognized arguments: --truncated" in out.stderr
+    assert out.returncode == 1 and "unrecognized arguments: --truncated" in out.stderr
 
 
 def test_check_commute_false_with_witness_exits_zero():
@@ -273,6 +273,45 @@ def test_check_missing_arguments_fail_cleanly():
     out = run_cli("check", "dideal", "--ring", "QQ[y]", "--der", "y -> 1")
     assert out.returncode == 1
     assert "needs at least one --ideal" in out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "dsimple", "--ring", "QQ[x, y]", "--der", "x -> 1, y -> 0 # , y -> x"],
+    ["gb", "--ring", "QQ[x, y]", "x^2 # + y"],
+    ["gb", "--ring", "QQ[x]", "x\nweyl 1"],
+])
+def test_one_shot_refuses_a_comment_or_a_line_break(capsys, argv):
+    # pasted into the script, the rest of the argument would be a comment
+    # or a statement of its own
+    from derivalg import cli
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(
+        "error [ParseError]: an argument holds '#' or a line break: ")
+
+
+def test_mul_refuses_weyl_beside_ring(capsys):
+    from derivalg import cli
+    for argv in (["mul", "--weyl", "2", "--ring", "QQ[x]", "x*x"],
+                 ["mul", "--ring", "QQ[x]", "--weyl", "1", "x*x"]):
+        assert cli.main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "not allowed with argument" in out.err
+
+
+def test_usage_error_is_a_parse_error(capsys):
+    from derivalg import cli
+    assert cli.main(["gb", "x"]) == 1
+    assert capsys.readouterr().err == (
+        "error [ParseError]: derivalg gb: the following arguments are "
+        "required: --ring\n")
+    assert cli.main(["--json", "gb", "x"]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": {
+        "kind": "ParseError",
+        "message": "derivalg gb: the following arguments are required: --ring"}}
+    out = run_cli("gb", "-h")
+    assert out.returncode == 0 and out.stdout.startswith("usage: derivalg gb")
 
 
 def test_check_commute_lives_on_the_quotient(capsys):

@@ -209,8 +209,8 @@ EXPORTS = {
     "field": "GF QQ FieldElement FieldSpec",
     "poly": "Poly TermOrder VarContext",
     "groebner": "DEFAULT_BUDGET GroebnerBasis IdealHandle QuotientRing "
-                "buchberger groebner_basis ideal_member is_unit_ideal "
-                "krull_dimension normal_form normal_form_with_cofactors",
+                "buchberger groebner_basis is_unit_ideal normal_form "
+                "normal_form_with_cofactors",
     "derivation": "CommuteReport Derivation commutator commuting_set_check "
                   "d_ideal_check",
     "simplicity": "DarbouxResult DarbouxStatus SimplicityCertificate "

@@ -7,6 +7,7 @@ from derivalg import (
     NonCommutingDerivationsError,
     ParseError,
     PreconditionError,
+    UnitIdealError,
 )
 from derivalg import groebner
 from derivalg.parser import parse_session
@@ -146,6 +147,24 @@ apply rot x1^2
 """)
     # d(x1^2) = 2 x1 (-x2), reduced in the quotient
     assert out[-1]["result"]["str"] == "-2*x1*x2"
+
+
+def test_check_dideal_works_modulo_the_defining_ideal():
+    # e(xy) = y^2 lies in J + I = (xy, y^2): (xy) is e-stable in Q
+    _, out = run_lines("""
+ring R = QQ[x, y]
+ideal I in R : y^2
+quotient Q = R / I
+der e on Q : x -> y
+ideal J in R : x*y
+check dideal J e
+""")
+    assert out[-1]["d_ideal"] is True
+
+
+def test_dim_of_the_unit_ideal_is_refused():
+    with pytest.raises(UnitIdealError, match="defining ideal is the whole ring"):
+        run_lines("ring R = QQ[x]\nideal I in R : x, x + 1\ndim I\n")
 
 
 # -- the session memo ----------------------------------------------------------
