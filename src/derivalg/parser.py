@@ -14,7 +14,7 @@ Grammar (one statement per line, `#` starts a comment):
     gb IDEAL                           member EXPR in IDEAL [with cofactors]
     dim IDEAL
     certificate EXPR [in RING]
-    darboux EXPR bound N
+    darboux EXPR bound N [in RING]
     check commute D1 D2
     check dideal IDEAL D1 [D2 ...]
     check dsimple RING D1 [D2 ...] [--dim1]
@@ -30,6 +30,11 @@ unless the ring has characteristic 0 and dimension 1.
 Expressions: ASCII integers, `a/b` rationals, identifiers, `+ - * ^`, parentheses;
 `*` is mandatory between factors and `^` takes a non-negative integer.
 
+One recursive descent parses statements and expressions alike: each rule
+takes the token list and an index and returns (value, index past it).  A
+rule tells keywords and punctuation apart by their text alone, as no token
+of another kind can have the text of an `op` token or of a keyword.
+
 Tokens, expression nodes and statements are `typing.NamedTuple` records, and
 every statement has its source `line` as the first field.  Like any tuple, a
 record compares equal to a plain tuple of the same values, whatever its
@@ -39,18 +44,20 @@ class: tell statements apart by type, as `Session.execute` does.
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import NamedTuple, Optional
 
 from .errors import ParseError
 
 # spaces and comments match no group and make no token; `bad` catches the
-# first character no token starts with
+# first character no token starts with.  `--` right after an operand (a
+# letter, digit, `_` or `)`) is two minus signs, so `x--y` is x - (-y).
 _TOKEN_RE = re.compile(r"""
     [ \t]+
   | \#[^\n]*
   | (?P<newline>\n)
   | (?P<number>[0-9]+)
-  | (?P<flag>--[A-Za-z][A-Za-z0-9_]*)
+  | (?P<flag>(?<![A-Za-z0-9_)])--[A-Za-z][A-Za-z0-9_]*)
   | (?P<arrow>->)
   | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
   | (?P<op>[-+*^/()\[\],:;=])
@@ -139,33 +146,17 @@ def _number(t: Token) -> int:
                          t.line, t.col) from None
 
 
-class _Stream:
-    def __init__(self, tokens, start=0):
-        self.tokens = tokens
-        self.i = start
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def next(self) -> Token:
-        t = self.tokens[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            raise _expected(text if text is not None else kind, t)
-        return self.next()
-
-    def at_op(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "op" and t.text == text
+def _expect(tokens, i, kind, text=None):
+    """The index past tokens[i], which must be a `kind` token (with `text`)."""
+    t = tokens[i]
+    if t.kind != kind or (text is not None and t.text != text):
+        raise _expected(kind if text is None else text, t)
+    return i + 1
 
 
-def parse_expression(stream: _Stream):
-    node, stream.i = _sum(stream.tokens, stream.i)
-    return node
+def _ident(tokens, i):
+    """(name, index past it) of the identifier at tokens[i]."""
+    return tokens[i].text, _expect(tokens, i, "ident")
 
 
 def _sum(tokens, i):
@@ -354,227 +345,198 @@ class ExtendCommand(NamedTuple):
 def parse_session(text: str):
     """Parse a full session; any syntax error aborts with its line/column."""
     tokens = tokenize(text)
-    stream = _Stream(tokens)
     statements = []
-    while stream.peek().kind != "eof":
-        if stream.peek().kind == "newline":
-            stream.next()
+    i = 0
+    while True:
+        kind, word, line, col = tokens[i]
+        if kind == "eof":
+            return statements
+        if kind == "newline":
+            i += 1
             continue
-        statements.append(_parse_statement(stream))
-        t = stream.peek()
+        if kind != "ident":
+            raise ParseError(f"expected a statement keyword, found {word!r}",
+                             line, col)
+        parse = _STATEMENTS.get(word)
+        if parse is None:
+            raise ParseError(f"unknown statement {word!r}", line, col)
+        stmt, i = parse(tokens, i + 1, line)
+        statements.append(stmt)
+        t = tokens[i]
         if t.kind not in ("newline", "eof"):
             raise ParseError(f"unexpected trailing {t.text!r}", t.line, t.col)
-    return statements
 
 
-def _parse_statement(stream: _Stream):
-    t = stream.peek()
-    if t.kind != "ident":
-        raise ParseError(f"expected a statement keyword, found {t.text!r}",
-                         t.line, t.col)
-    keyword = t.text
-    handler = _STATEMENTS.get(keyword)
-    if handler is None:
-        raise ParseError(f"unknown statement {keyword!r}", t.line, t.col)
-    stream.next()
-    return handler(stream, t.line)
+def _comma_list(tokens, i, item):
+    """(tuple of items, index past them) of `item (, item)*`, each item
+    parsed by `item(tokens, i) -> (value, i)`."""
+    value, i = item(tokens, i)
+    items = [value]
+    while tokens[i][1] == ",":
+        value, i = item(tokens, i + 1)
+        items.append(value)
+    return tuple(items), i
 
 
-def _ident(stream: _Stream) -> str:
-    return stream.expect("ident").text
+def _opt_in_ring(tokens, i):
+    """(RING or None, index past it) of an optional `in RING`."""
+    if tokens[i][1] == "in":
+        return _ident(tokens, i + 1)
+    return None, i
 
 
-def _parse_ring_stmt(stream, line):
-    name = _ident(stream)
-    stream.expect("op", "=")
-    spec = _parse_field(stream)
-    stream.expect("op", "[")
-    variables = [_ident(stream)]
-    while stream.at_op(","):
-        stream.next()
-        variables.append(_ident(stream))
-    stream.expect("op", "]")
-    return DefineRing(line, name, spec, tuple(variables))
+def _parse_ring_stmt(tokens, i, line):
+    name, i = _ident(tokens, i)
+    spec, i = _parse_field(tokens, _expect(tokens, i, "op", "="))
+    variables, i = _comma_list(tokens, _expect(tokens, i, "op", "["), _ident)
+    return DefineRing(line, name, spec, variables), _expect(tokens, i, "op", "]")
 
 
-def _parse_field(stream: _Stream) -> FieldDesignator:
-    t = stream.expect("ident")
+def _parse_field(tokens, i):
+    t = tokens[i]
+    i = _expect(tokens, i, "ident")
     if t.text == "QQ":
-        return FieldDesignator(None)
+        return FieldDesignator(None), i
     if t.text == "GF":
-        stream.expect("op", "(")
-        p = _number(stream.next())
-        stream.expect("op", ")")
-        return FieldDesignator(p)
+        i = _expect(tokens, i, "op", "(")
+        p = _number(tokens[i])
+        return FieldDesignator(p), _expect(tokens, i + 1, "op", ")")
     raise ParseError(f"unknown field {t.text!r} (use QQ or GF(p))",
                      t.line, t.col)
 
 
-def _parse_ideal_stmt(stream, line):
-    name = _ident(stream)
-    stream.expect("ident", "in")
-    ring = _ident(stream)
-    stream.expect("op", ":")
-    gens = [parse_expression(stream)]
-    while stream.at_op(","):
-        stream.next()
-        gens.append(parse_expression(stream))
-    return DefineIdeal(line, name, ring, tuple(gens))
+def _parse_ideal_stmt(tokens, i, line):
+    name, i = _ident(tokens, i)
+    ring, i = _ident(tokens, _expect(tokens, i, "ident", "in"))
+    gens, i = _comma_list(tokens, _expect(tokens, i, "op", ":"), _sum)
+    return DefineIdeal(line, name, ring, gens), i
 
 
-def _parse_quotient_stmt(stream, line):
-    name = _ident(stream)
-    stream.expect("op", "=")
-    ring = _ident(stream)
-    stream.expect("op", "/")
-    ideal = _ident(stream)
-    return DefineQuotient(line, name, ring, ideal)
+def _parse_quotient_stmt(tokens, i, line):
+    name, i = _ident(tokens, i)
+    ring, i = _ident(tokens, _expect(tokens, i, "op", "="))
+    ideal, i = _ident(tokens, _expect(tokens, i, "op", "/"))
+    return DefineQuotient(line, name, ring, ideal), i
 
 
-def _parse_der_stmt(stream, line):
-    name = _ident(stream)
-    stream.expect("ident", "on")
-    ring = _ident(stream)
-    stream.expect("op", ":")
-    assignments = []
-    while True:
-        var = _ident(stream)
-        stream.expect("arrow")
-        assignments.append((var, parse_expression(stream)))
-        if stream.at_op(","):
-            stream.next()
-            continue
-        break
-    return DefineDerivation(line, name, ring, tuple(assignments))
+def _parse_der_stmt(tokens, i, line):
+    name, i = _ident(tokens, i)
+    ring, i = _ident(tokens, _expect(tokens, i, "ident", "on"))
+    assignments, i = _comma_list(tokens, _expect(tokens, i, "op", ":"),
+                                 _assignment)
+    return DefineDerivation(line, name, ring, assignments), i
 
 
-def _parse_skew_stmt(stream, line):
-    name = _ident(stream)
-    stream.expect("op", "=")
-    base = _ident(stream)
+def _assignment(tokens, i):
+    """((var, expr), index past it) of `var -> EXPR`."""
+    var, i = _ident(tokens, i)
+    expr, i = _sum(tokens, _expect(tokens, i, "arrow"))
+    return (var, expr), i
+
+
+def _parse_skew_stmt(tokens, i, line):
+    name, i = _ident(tokens, i)
+    base, i = _ident(tokens, _expect(tokens, i, "op", "="))
     steps = []
-    while stream.at_op("["):
-        stream.next()
-        var = _ident(stream)
-        stream.expect("op", ";")
-        der = _ident(stream)
-        stream.expect("op", "]")
+    while tokens[i][1] == "[":
+        var, i = _ident(tokens, i + 1)
+        der, i = _ident(tokens, _expect(tokens, i, "op", ";"))
         steps.append((var, der))
+        i = _expect(tokens, i, "op", "]")
     if not steps:
-        t = stream.peek()
+        t = tokens[i]
         raise ParseError("a skew ring needs at least one [var; derivation] step",
                          t.line, t.col)
-    return DefineSkew(line, name, base, tuple(steps))
+    return DefineSkew(line, name, base, tuple(steps)), i
 
 
-def _parse_weyl_stmt(stream, line):
-    n = _number(stream.next())
-    name = f"A{n}"
-    if stream.peek().kind == "ident" and stream.peek().text == "as":
-        stream.next()
-        name = _ident(stream)
-    return DefineWeyl(line, n, name)
+def _parse_weyl_stmt(tokens, i, line):
+    n = _number(tokens[i])
+    name, i = f"A{n}", i + 1
+    if tokens[i][1] == "as":
+        name, i = _ident(tokens, i + 1)
+    return DefineWeyl(line, n, name), i
 
 
-def _parse_let_stmt(stream, line):
-    name = _ident(stream)
-    stream.expect("op", "=")
-    expr = parse_expression(stream)
-    ring = _opt_in_ring(stream)
-    return LetElement(line, name, expr, ring)
+def _parse_let_stmt(tokens, i, line):
+    name, i = _ident(tokens, i)
+    expr, i = _sum(tokens, _expect(tokens, i, "op", "="))
+    ring, i = _opt_in_ring(tokens, i)
+    return LetElement(line, name, expr, ring), i
 
 
-def _opt_in_ring(stream: _Stream) -> Optional[str]:
-    if stream.peek().kind == "ident" and stream.peek().text == "in":
-        stream.next()
-        return _ident(stream)
-    return None
+def _parse_expr_in_ring(record, tokens, i, line):
+    """`EXPR [in RING]`, the statement of `mul`, `certificate` and `inner`."""
+    expr, i = _sum(tokens, i)
+    ring, i = _opt_in_ring(tokens, i)
+    return record(line, expr, ring), i
 
 
-def _parse_mul_stmt(stream, line):
-    expr = parse_expression(stream)
-    return MulCommand(line, expr, _opt_in_ring(stream))
+def _parse_name(record, tokens, i, line):
+    """`NAME`, the statement of `gb`, `dim` and `check simple`."""
+    name, i = _ident(tokens, i)
+    return record(line, name), i
 
 
-def _parse_apply_stmt(stream, line):
-    der = _ident(stream)
-    expr = parse_expression(stream)
-    return ApplyCommand(line, der, expr)
+def _parse_apply_stmt(tokens, i, line):
+    der, i = _ident(tokens, i)
+    expr, i = _sum(tokens, i)
+    return ApplyCommand(line, der, expr), i
 
 
-def _parse_gb_stmt(stream, line):
-    return GbCommand(line, _ident(stream))
+def _parse_member_stmt(tokens, i, line):
+    expr, i = _sum(tokens, i)
+    ideal, i = _ident(tokens, _expect(tokens, i, "ident", "in"))
+    cofactors = tokens[i][1] == "with"
+    if cofactors:
+        i = _expect(tokens, i + 1, "ident", "cofactors")
+    return MemberCommand(line, expr, ideal, cofactors), i
 
 
-def _parse_member_stmt(stream, line):
-    expr = parse_expression(stream)
-    stream.expect("ident", "in")
-    ideal = _ident(stream)
-    cof = False
-    if stream.peek().kind == "ident" and stream.peek().text == "with":
-        stream.next()
-        stream.expect("ident", "cofactors")
-        cof = True
-    return MemberCommand(line, expr, ideal, cof)
+def _parse_darboux_stmt(tokens, i, line):
+    expr, i = _sum(tokens, i)
+    i = _expect(tokens, i, "ident", "bound")
+    n = _number(tokens[i])
+    ring, i = _opt_in_ring(tokens, i + 1)
+    return DarbouxCommand(line, expr, n, ring), i
 
 
-def _parse_dim_stmt(stream, line):
-    return DimCommand(line, _ident(stream))
+def _parse_check_stmt(tokens, i, line):
+    t = tokens[i]
+    what, i = _ident(tokens, i)
+    if what == "commute":
+        first, i = _ident(tokens, i)
+        second, i = _ident(tokens, i)
+        return CheckCommute(line, first, second), i
+    if what == "simple":
+        return _parse_name(CheckSimple, tokens, i, line)
+    if what not in ("dideal", "dsimple"):
+        raise ParseError(f"unknown check {what!r}", t.line, t.col)
+    target, i = _ident(tokens, i)
+    der, i = _ident(tokens, i)
+    ders, dim1 = [der], False
+    while True:     # D2 ...; only dsimple reads --dim1, anywhere after D1
+        kind, text = tokens[i][:2]
+        if kind == "ident":
+            ders.append(text)
+        elif text == "--dim1" and what == "dsimple":
+            dim1 = True
+        else:
+            break
+        i += 1
+    if what == "dideal":
+        return CheckDideal(line, target, tuple(ders)), i
+    return CheckDsimple(line, target, tuple(ders), dim1), i
 
 
-def _parse_certificate_stmt(stream, line):
-    expr = parse_expression(stream)
-    return CertificateCommand(line, expr, _opt_in_ring(stream))
+def _parse_extend_stmt(tokens, i, line):
+    der, i = _ident(tokens, i)
+    ring, i = _ident(tokens, _expect(tokens, i, "ident", "into"))
+    return ExtendCommand(line, der, ring), i
 
 
-def _parse_darboux_stmt(stream, line):
-    expr = parse_expression(stream)
-    stream.expect("ident", "bound")
-    n = _number(stream.next())
-    return DarbouxCommand(line, expr, n, _opt_in_ring(stream))
-
-
-def _parse_check_stmt(stream, line):
-    what = stream.expect("ident")
-    if what.text == "commute":
-        return CheckCommute(line, _ident(stream), _ident(stream))
-    if what.text == "dideal":
-        ideal = _ident(stream)
-        ders = [_ident(stream)]
-        while stream.peek().kind == "ident":
-            ders.append(_ident(stream))
-        return CheckDideal(line, ideal, tuple(ders))
-    if what.text == "dsimple":
-        ring = _ident(stream)
-        ders = [_ident(stream)]
-        dim1 = False
-        while True:
-            t = stream.peek()
-            if t.kind == "ident":
-                ders.append(_ident(stream))
-            elif t.kind == "flag" and t.text == "--dim1":
-                stream.next()
-                dim1 = True
-            else:
-                break
-        return CheckDsimple(line, ring, tuple(ders), dim1)
-    if what.text == "simple":
-        return CheckSimple(line, _ident(stream))
-    raise ParseError(f"unknown check {what.text!r}", what.line, what.col)
-
-
-def _parse_inner_stmt(stream, line):
-    expr = parse_expression(stream)
-    return InnerCommand(line, expr, _opt_in_ring(stream))
-
-
-def _parse_extend_stmt(stream, line):
-    der = _ident(stream)
-    stream.expect("ident", "into")
-    ring = _ident(stream)
-    return ExtendCommand(line, der, ring)
-
-
+# each parser takes (tokens, index past the keyword, line) and returns
+# (record, index past the statement)
 _STATEMENTS = {
     "ring": _parse_ring_stmt,
     "ideal": _parse_ideal_stmt,
@@ -583,14 +545,14 @@ _STATEMENTS = {
     "skew": _parse_skew_stmt,
     "weyl": _parse_weyl_stmt,
     "let": _parse_let_stmt,
-    "mul": _parse_mul_stmt,
+    "mul": partial(_parse_expr_in_ring, MulCommand),
     "apply": _parse_apply_stmt,
-    "gb": _parse_gb_stmt,
+    "gb": partial(_parse_name, GbCommand),
     "member": _parse_member_stmt,
-    "dim": _parse_dim_stmt,
-    "certificate": _parse_certificate_stmt,
+    "dim": partial(_parse_name, DimCommand),
+    "certificate": partial(_parse_expr_in_ring, CertificateCommand),
     "darboux": _parse_darboux_stmt,
     "check": _parse_check_stmt,
-    "inner": _parse_inner_stmt,
+    "inner": partial(_parse_expr_in_ring, InnerCommand),
     "extend": _parse_extend_stmt,
 }

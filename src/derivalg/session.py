@@ -258,6 +258,12 @@ class Session:
 
     def _do_let(self, stmt: P.LetElement):
         value, rendered = self._evaluate(stmt)
+        # a variable of the value's ring hides any element of its name
+        variables = (value.context.names if isinstance(value, Poly)
+                     else value.ring.names + value.ring.base.context.names)
+        if stmt.name in variables:
+            raise ParseError(f"element {stmt.name!r} is a variable of its ring",
+                             stmt.line, 1)
         self._bind(self.elements, "element", stmt.name, value, stmt.line)
         record = {"command": "let", "name": stmt.name, "value": rendered}
         return record, lambda: f"let {stmt.name} = {rendered['str']}"

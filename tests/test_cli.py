@@ -594,3 +594,14 @@ def test_exit_code_of_value_and_zero_division_errors(args, message):
     out = run_cli(*args)
     assert out.returncode == 2
     assert message in out.stderr
+
+
+@pytest.mark.parametrize("expr, value", [
+    ("x--y", "x + y"),
+    ("2--x", "x + 2"),
+    ("(x)--y", "x + y"),
+])
+def test_double_minus_after_an_operand_is_two_minus_signs(capsys, expr, value):
+    from derivalg import cli
+    assert cli.main(["mul", "--ring", "QQ[x, y]", expr]) == 0
+    assert capsys.readouterr().out == f"ring R = QQ[x, y]\nmul: {value}\n"

@@ -62,6 +62,75 @@ def test_parse_reports_line_and_column():
     assert err.value.col > 0
 
 
+
+# one or more refusals of each statement kind, with the exact message
+_PARSE_ERRORS = [
+    ("ring R QQ[x]", "line 1, col 8: expected '=', found 'QQ'"),
+    ("ring R = QQ[x,]", "line 1, col 15: expected 'ident', found ']'"),
+    ("ring R = QQ[x y]", "line 1, col 15: expected ']', found 'y'"),
+    ("ring R = GF(x)[y]", "line 1, col 13: expected 'number', found 'x'"),
+    ("ring R = GF(5[x]", "line 1, col 14: expected ')', found '['"),
+    ("ring R = ZZ[x]", "line 1, col 10: unknown field 'ZZ' (use QQ or GF(p))"),
+    ("ideal I R : x", "line 1, col 9: expected 'in', found 'R'"),
+    ("ideal I in R x", "line 1, col 14: expected ':', found 'x'"),
+    ("ideal I in R : x,", "line 1, col 18: expected an expression, found 'eof'"),
+    ("quotient Q = R I", "line 1, col 16: expected '/', found 'I'"),
+    ("quotient Q R / I", "line 1, col 12: expected '=', found 'R'"),
+    ("der d on R : x 1", "line 1, col 16: expected 'arrow', found '1'"),
+    ("der d R : x -> 1", "line 1, col 7: expected 'on', found 'R'"),
+    ("der d on R : x -> 1,", "line 1, col 21: expected 'ident', found 'eof'"),
+    ("skew S = R[t d]", "line 1, col 14: expected ';', found 'd'"),
+    ("skew S = R[t; d", "line 1, col 16: expected ']', found 'eof'"),
+    ("skew S = R",
+     "line 1, col 11: a skew ring needs at least one [var; derivation] step"),
+    ("weyl x", "line 1, col 6: expected 'number', found 'x'"),
+    ("weyl 2 as", "line 1, col 10: expected 'ident', found 'eof'"),
+    ("let f x", "line 1, col 7: expected '=', found 'x'"),
+    ("let f = x in", "line 1, col 13: expected 'ident', found 'eof'"),
+    ("mul", "line 1, col 4: expected an expression, found 'eof'"),
+    ("mul x y", "line 1, col 7: unexpected trailing 'y'"),
+    ("mul x in", "line 1, col 9: expected 'ident', found 'eof'"),
+    ("apply d", "line 1, col 8: expected an expression, found 'eof'"),
+    ("gb 2", "line 1, col 4: expected 'ident', found '2'"),
+    ("member x I", "line 1, col 10: expected 'in', found 'I'"),
+    ("member x in I with", "line 1, col 19: expected 'cofactors', found 'eof'"),
+    ("dim", "line 1, col 4: expected 'ident', found 'eof'"),
+    ("certificate x in 3", "line 1, col 18: expected 'ident', found '3'"),
+    ("darboux x 2", "line 1, col 11: expected 'bound', found '2'"),
+    ("darboux x bound", "line 1, col 16: expected 'number', found 'eof'"),
+    ("darboux x bound 2 in", "line 1, col 21: expected 'ident', found 'eof'"),
+    ("check", "line 1, col 6: expected 'ident', found 'eof'"),
+    ("check foo", "line 1, col 7: unknown check 'foo'"),
+    ("check commute d", "line 1, col 16: expected 'ident', found 'eof'"),
+    ("check dideal I", "line 1, col 15: expected 'ident', found 'eof'"),
+    ("check dideal I d --dim1", "line 1, col 18: unexpected trailing '--dim1'"),
+    ("check dsimple Q", "line 1, col 16: expected 'ident', found 'eof'"),
+    ("check dsimple Q d --foo", "line 1, col 19: unexpected trailing '--foo'"),
+    ("check simple", "line 1, col 13: expected 'ident', found 'eof'"),
+    ("inner x in 3", "line 1, col 12: expected 'ident', found '3'"),
+    ("extend d S", "line 1, col 10: expected 'into', found 'S'"),
+    ("extend d into", "line 1, col 14: expected 'ident', found 'eof'"),
+    ("3 x", "line 1, col 1: expected a statement keyword, found '3'"),
+    ("frob x", "line 1, col 1: unknown statement 'frob'"),
+    ("ring R = QQ[x]\n\n  gb I J", "line 3, col 8: unexpected trailing 'J'"),
+]
+
+
+@pytest.mark.parametrize("text, message", _PARSE_ERRORS)
+def test_parse_error_of_each_statement_kind(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_session(text)
+    assert str(err.value) == message
+
+
+def test_a_flag_needs_a_space_after_an_operand():
+    # right after an operand `--` is two minus signs: d--dim1 is d - (-dim1)
+    with pytest.raises(ParseError) as err:
+        parse_session("check dsimple Q d--dim1")
+    assert str(err.value) == "line 1, col 18: unexpected trailing '-'"
+    (stmt,) = parse_session("check dsimple Q d --dim1")
+    assert stmt.dim1
+
 def test_unexpected_character_after_a_comment():
     # columns count from the start of the line the character is on
     with pytest.raises(ParseError, match="unexpected character '\\$'") as err:

@@ -167,6 +167,22 @@ def test_dim_of_the_unit_ideal_is_refused():
         run_lines("ring R = QQ[x]\nideal I in R : x, x + 1\ndim I\n")
 
 
+
+@pytest.mark.parametrize("text, name", [
+    ("ring R = QQ[x, y]\nlet x = y + 1\n", "x"),
+    ("weyl 1\nlet x = y\n", "x"),         # a skew variable of A1
+    ("weyl 1\nlet y = x\n", "y"),         # a base variable of A1
+    ("ring R = QQ[y]\nder d on R : y -> 1\nskew S = R[x; d]\n"
+     "let y = x in S\n", "y"),
+])
+def test_let_refuses_a_variable_of_its_ring(text, name):
+    # the variable wins every lookup, so the binding could never be read
+    session = Session()
+    with pytest.raises(ParseError,
+                       match=f"element '{name}' is a variable of its ring"):
+        run_lines(text, session)
+    assert name not in session.elements
+
 # -- the session memo ----------------------------------------------------------
 
 KATSURA3 = """
