@@ -220,7 +220,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                      help="term order of printed bases, cofactors and quotient "
                           "normal forms; dim and every check compute in grevlex")
     top.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                     help="step budget for Groebner computations")
+                     help="step budget for Groebner computations and skew powers")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     run = sub.add_parser("run", help="execute a session file")

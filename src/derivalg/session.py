@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 
 from . import parser as P
 from .errors import (
+    BudgetExceededError,
     ParseError,
     PreconditionError,
     UnknownIdentifierError,
@@ -51,19 +52,19 @@ def skew_json(u: SkewPoly) -> dict:
     }
 
 
-def _walk(node, leaf):
+def _walk(node, leaf, power=pow):
     """The value of an expression AST: `leaf` gives each Num and Name node its
-    value, and the values' own + - * ^ combine them, left operand first."""
+    value, the values' own + - * and `power` combine them, left operand first."""
     cls = node.__class__
     if cls is P.Binary:
-        op, left = node.op, _walk(node.left, leaf)
+        op, left = node.op, _walk(node.left, leaf, power)
         if op == "^":
-            return left ** node.right.numerator
-        right = _walk(node.right, leaf)
+            return power(left, node.right.numerator)
+        right = _walk(node.right, leaf, power)
         return (left + right if op == "+" else left - right if op == "-"
                 else left * right)
     if cls is P.Unary:
-        return -_walk(node.operand, leaf)
+        return -_walk(node.operand, leaf, power)
     return leaf(node)
 
 
@@ -129,7 +130,14 @@ class Session:
                 return bound
             raise UnknownIdentifierError(f"unknown identifier {name!r}",
                                          node.line, node.col)
-        return _walk(node, leaf)
+
+        def power(u, n):   # u ** n makes n - 1 products, a step each
+            if n - 1 > self.budget:
+                raise BudgetExceededError(
+                    f"the skew power with exponent {n} takes {n - 1} products, "
+                    f"over the step budget ({self.budget})")
+            return u ** n
+        return _walk(node, leaf, power)
 
     def eval_poly(self, node, ring: QuotientRing) -> Poly:
         """The normal form of an expression in a polynomial or quotient ring:

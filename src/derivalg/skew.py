@@ -5,15 +5,16 @@ is a sum of base-ring coefficients times monomials in the skew variables,
 
     u = sum  r_(a) * x1^a1 ... xn^an,
 
-and `skew_mul` multiplies by asking the ring descriptor's `push(a, r)` for
-x^(a) * r in normal form, summing the unreduced products for each output
-exponent and reducing each sum once.  `SkewRingDescriptor.push` expands a
-normal-form r one variable at a time by the binomial rule
+and `skew_mul` multiplies term by term, expanding each x^(a) * s in normal
+form one variable at a time by the binomial rule
 
     x_i * r = r * x_i + d_i(r),
     x_i^n * r = sum_k  C(n, k) * d_i^k(r) * x_i^(n-k),
 
-and `binomial_push` is its checked one-variable entry.
+taking each d^k(s) = d1^k1 ... dn^kn (s) once per product (it does not
+depend on a) and reducing each output coefficient once.  `push(a, r)` is
+the same expansion for one x^(a) * r, and `binomial_push` its checked
+one-variable entry.
 
 Coefficients are reduced where they enter a skew ring, and only there: in
 `from_base`, `SkewPoly(...)`, `binomial_push`, and once per output
@@ -30,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .derivation import Derivation, _as_ring, commuting_set_check
@@ -121,23 +122,33 @@ class SkewRingDescriptor:
         return self.base_var(self.base.context.index(name))
 
     def push(self, exponents, r: Poly) -> dict:
-        """x^(a) * r as {exponent: coefficient} for r in normal form, by the
-        binomial rule one variable at a time; every d_i^k(c) and multiple of
-        it is a normal form, so nothing is reduced here."""
-        acc = {(0,) * self.nskew: r} if r else {}
+        """x^(a) * r as {exponent: coefficient} for r in normal form."""
+        return self._push(exponents, {(0,) * self.nskew: r})
+
+    def _push(self, exponents, table: dict) -> dict:
+        """x^(a) * s as {a - k: C(a, k) * d^k(s)}, C(a, k) = prod C(a_i, k_i),
+        by the binomial rule one variable at a time.  `table` maps k to
+        d^k(s), from {0: s}; a missing entry is d_i(table[k - e_i]), a normal
+        form and the same by every path as the d_i commute."""
+        weights = {(0,) * len(exponents): 1}   # k -> C(a, k), for the k reached
         for i, n in enumerate(exponents):
             if n == 0:
                 continue
-            d = self.derivations[i]
             nxt = {}
-            for e, c in acc.items():
-                for k in range(n + 1):
-                    _add_into(nxt, (*e[:i], e[i] + n - k, *e[i + 1:]),
-                              c.scale(math.comb(n, k)))
-                    if k == n or not (c := d.apply(c)):
+            for k, w in weights.items():
+                c, head, tail = table[k], k[:i], k[i + 1:]
+                for j in range(n + 1):
+                    nxt[k] = w * math.comb(n, j)
+                    if j == n:
                         break
-            acc = nxt
-        return acc
+                    k = (*head, j + 1, *tail)
+                    if k not in table:
+                        table[k] = self.derivations[i].apply(c)
+                    if not (c := table[k]):
+                        break
+            weights = nxt
+        return {tuple(map(sub, exponents, k)): c for k, w in weights.items()
+                if (c := table[k] if w == 1 else table[k].scale(w))}
 
     def __eq__(self, other):
         return (isinstance(other, SkewRingDescriptor)
@@ -309,13 +320,16 @@ def binomial_push(ring: SkewRingDescriptor, i: int, n: int, r: Poly) -> SkewPoly
 
 
 def skew_mul(ring: SkewRingDescriptor, u: SkewPoly, v: SkewPoly) -> SkewPoly:
-    """Normal-form product; restricts to base multiplication in degree 0."""
+    """Normal-form product; restricts to base multiplication in degree 0.
+    Each term of v keeps one derivative table for every term of u."""
     if u.ring != ring or v.ring != ring:
         raise ContextMismatchError("operands live in a different skew ring")
+    zero = (0,) * ring.nskew
+    tables = [(b, {zero: s}) for b, s in v.terms.items()]
     terms = {}
     for a, r in u.terms.items():
-        for b, s in v.terms.items():
-            for e, coeff in ring.push(a, s).items():
+        for b, table in tables:
+            for e, coeff in ring._push(a, table).items():
                 _add_into(terms, tuple(map(add, e, b)), r * coeff)
     # reduction is linear, so one normal form per output coefficient suffices
     reduce = ring.base.reduce

@@ -419,6 +419,22 @@ def test_exit_code_budget_exhaustion():
     assert out.returncode == 3
 
 
+def test_skew_power_over_the_budget_is_refused_at_once():
+    # u^n makes n - 1 skew products; past the budget it is refused before
+    # the first one, so an exponent of 10^11 exits 3 at once
+    out = run_cli("mul", "--weyl", "1", "x^100000000000")
+    assert out.returncode == 3
+    assert out.stderr == (
+        "error [BudgetExceededError]: the skew power with exponent "
+        "100000000000 takes 99999999999 products, over the step budget "
+        "(20000)\n")
+    assert run_cli("--budget", "5", "mul", "--weyl", "1",
+                   "(x + y)^6").returncode == 0
+    out = run_cli("--budget", "5", "mul", "--weyl", "1", "(x + y)^7")
+    assert out.returncode == 3
+    assert "exponent 7 takes 6 products" in out.stderr
+
+
 def test_no_partial_execution_on_parse_failure(tmp_path):
     script = tmp_path / "s.dsl"
     script.write_text("ring R = QQ[x]\nthis is not a statement\n")

@@ -326,6 +326,79 @@ def test_skew_power_makes_no_product_by_the_unit(A1, monkeypatch):
     assert u ** 1 is u
 
 
+def pairwise_push_product(ring, u, v):
+    """Oracle: u * v as the sum over every pair of terms of r_a * x^(a) * s_b
+    * x^(b), each x^(a) * s_b expanded afresh by the binomial rule one
+    variable at a time, scaling at every variable step."""
+    acc = {}
+    for a, r in u.terms.items():
+        for b, s in v.terms.items():
+            pushed = {(0,) * ring.nskew: s}
+            for i, n in enumerate(a):
+                nxt = {}
+                for e, c in pushed.items():
+                    for k in range(n + 1):
+                        key = (*e[:i], e[i] + n - k, *e[i + 1:])
+                        nxt[key] = (nxt.get(key, ring.base.context.zero)
+                                    + c.scale(math.comb(n, k)))
+                        c = ring.derivations[i].apply(c)
+                pushed = nxt
+            for e, c in pushed.items():
+                key = tuple(x + y for x, y in zip(e, b))
+                acc[key] = acc.get(key, ring.base.context.zero) + r * c
+    return SkewPoly(ring, acc)
+
+
+@pytest.mark.parametrize("make_ring", [
+    lambda: weyl_algebra(1), lambda: weyl_algebra(2), lambda: weyl_algebra(3),
+    lambda: weyl_algebra(1, GF(3)), lambda: weyl_algebra(2, GF(3)),
+    lambda: weyl_algebra(3, GF(3)), two_derivation_quotient_ring,
+    lambda: _circle_rotation_ring()],
+    ids=["A1", "A2", "A3", "A1-GF3", "A2-GF3", "A3-GF3", "quotient",
+         "circle-rotation"])
+def test_products_and_powers_match_the_pairwise_push_oracle(make_ring):
+    # skew-degree 3 and more reaches C(3, k) = 0 mod 3 over GF(3), and the
+    # quotient bases reduce their derivatives mod the defining ideal
+    ring = make_ring()
+    rng = random.Random(36)
+    for _ in range(12):
+        u = rand_skew(rng, ring, x_degree=4, base_degree=3)
+        v = rand_skew(rng, ring, x_degree=4, base_degree=3)
+        assert u * v == pairwise_push_product(ring, u, v)
+    u = rand_skew(rng, ring, x_degree=1, base_degree=1)
+    power = ring.one()
+    for k in range(8):
+        assert u ** k == power
+        power = pairwise_push_product(ring, power, u)
+
+
+def test_skew_product_takes_each_derivative_once(monkeypatch):
+    # each derivative d^k(s) of a term s of the right factor is taken once
+    # per product, so the count does not grow with the left factor: for a
+    # linear u, u^2 already has every x^(a) that reaches a nonzero d^k(s)
+    A2 = weyl_algebra(2)
+    rng = random.Random(5)
+    u = A2.one() * rng.randint(1, 9)
+    for name in A2.names + A2.base.context.names:
+        u = u + A2.variable(name) * rng.randint(1, 9)
+    left = {k: u ** k for k in (2, 5)}
+    calls = []
+    apply = Derivation.apply
+
+    def counted(self, f):
+        calls.append(1)
+        return apply(self, f)
+
+    monkeypatch.setattr(Derivation, "apply", counted)
+    counts = {}
+    for k, w in left.items():
+        calls.clear()
+        w * u
+        counts[k] = len(calls)
+    assert len(left[5].terms) > len(left[2].terms)
+    assert counts[5] == counts[2] > 0
+
+
 def test_inner_induced_weyl(A1):
     x = A1.skew_var(0)
     analysis = inner_induced(A1, x)
