@@ -2,7 +2,8 @@
 
 Subcommands: `repl`, `run <file>`, and one-shot forms (`gb`, `member`,
 `dim`, `mul`, `weyl`, `darboux`, `certificate`, `check ...`).  Global flags:
-`--json` for machine-readable output, `--order lex|grevlex`, `--budget N`.
+`--json` for machine-readable output, `--order lex|grevlex`, `--budget N`
+(N >= 0).
 
 Every subcommand but `repl` is a session script: `run` reads one from its
 file, and each one-shot `_cmd_*` writes one from its arguments (`ring R =
@@ -201,6 +202,14 @@ def _cmd_check(args) -> list:
     return lines
 
 
+def _budget(text: str) -> int:
+    """A --budget value: a non-negative int; 0 allows no step."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"the step budget must be a non-negative integer, not {text!r}")
+    return int(text)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Its usage errors, and its subparsers', are ParseErrors (exit 1)."""
 
@@ -219,7 +228,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     top.add_argument("--order", choices=["lex", "grevlex"], default="grevlex",
                      help="term order of printed bases, cofactors and quotient "
                           "normal forms; dim and every check compute in grevlex")
-    top.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    top.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                      help="step budget for Groebner computations and skew powers")
     sub = top.add_subparsers(dest="subcommand", required=True)
 

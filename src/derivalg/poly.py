@@ -265,12 +265,7 @@ class Poly:
         if o is None:
             return NotImplemented
         acc = {}
-        get = acc.get
-        for ma, ca in self._terms.items():
-            for mb, cb in o._terms.items():
-                m = tuple(map(add, ma, mb))
-                c = get(m)
-                acc[m] = ca * cb if c is None else c + ca * cb
+        _mul_into(acc, self._terms, o._terms)
         return Poly._raw(self.context, _canonical(acc, self.context.field.p))
 
     __rmul__ = __mul__
@@ -464,6 +459,18 @@ def _canonical(acc: dict, p) -> dict:
         if c:
             terms[m] = c
     return terms
+
+
+def _mul_into(acc: dict, a: dict, b: dict) -> None:
+    """acc += a * b for raw term maps, in place: the one product loop.  The
+    sums are left unreduced (zeros, integral Fractions, ints >= p), so `acc`
+    takes any number of products before one `_canonical`."""
+    get = acc.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(map(add, ma, mb))
+            c = get(m)
+            acc[m] = ca * cb if c is None else c + ca * cb
 
 
 def _add_terms(a: dict, b: dict, p) -> dict:

@@ -134,7 +134,8 @@ class Session:
         def power(u, n):   # u ** n makes n - 1 products, a step each
             if n - 1 > self.budget:
                 raise BudgetExceededError(
-                    f"the skew power with exponent {n} takes {n - 1} products, "
+                    f"the skew power with exponent {n} takes {n - 1} "
+                    f"product{'s' if n > 2 else ''}, "
                     f"over the step budget ({self.budget})")
             return u ** n
         return _walk(node, leaf, power)

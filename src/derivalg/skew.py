@@ -12,9 +12,11 @@ form one variable at a time by the binomial rule
     x_i^n * r = sum_k  C(n, k) * d_i^k(r) * x_i^(n-k),
 
 taking each d^k(s) = d1^k1 ... dn^kn (s) once per product (it does not
-depend on a) and reducing each output coefficient once.  `push(a, r)` is
-the same expansion for one x^(a) * r, and `binomial_push` its checked
-one-variable entry.
+depend on a).  Every product r_(a) * C(a, k) d^k(s) is added in place into
+one raw, unreduced term map per output exponent by `poly._mul_into`, the
+loop `Poly.__mul__` runs, and each output coefficient is made canonical and
+reduced once.  `push(a, r)` is the same expansion for one x^(a) * r, and
+`binomial_push` its checked one-variable entry.
 
 Coefficients are reduced where they enter a skew ring, and only there: in
 `from_base`, `SkewPoly(...)`, `binomial_push`, and once per output
@@ -42,7 +44,8 @@ from .errors import (
 )
 from .field import FieldElement, FieldSpec, QQ, _outside
 from .groebner import DEFAULT_BUDGET, QuotientRing
-from .poly import Poly, VarContext, _join_terms, _monomial_text, det_fraction_free
+from .poly import (Poly, VarContext, _canonical, _join_terms, _monomial_text,
+                   _mul_into, det_fraction_free)
 
 if TYPE_CHECKING:
     from .simplicity import SimplicityVerdict
@@ -321,19 +324,22 @@ def binomial_push(ring: SkewRingDescriptor, i: int, n: int, r: Poly) -> SkewPoly
 
 def skew_mul(ring: SkewRingDescriptor, u: SkewPoly, v: SkewPoly) -> SkewPoly:
     """Normal-form product; restricts to base multiplication in degree 0.
-    Each term of v keeps one derivative table for every term of u."""
+    Each term of v keeps one derivative table for every term of u, and each
+    output exponent one raw term map that `_mul_into` adds every product to."""
     if u.ring != ring or v.ring != ring:
         raise ContextMismatchError("operands live in a different skew ring")
     zero = (0,) * ring.nskew
     tables = [(b, {zero: s}) for b, s in v.terms.items()]
-    terms = {}
+    acc = {}
     for a, r in u.terms.items():
         for b, table in tables:
             for e, coeff in ring._push(a, table).items():
-                _add_into(terms, tuple(map(add, e, b)), r * coeff)
+                _mul_into(acc.setdefault(tuple(map(add, e, b)), {}),
+                          r._terms, coeff._terms)
     # reduction is linear, so one normal form per output coefficient suffices
-    reduce = ring.base.reduce
-    return SkewPoly._raw(ring, {e: c for e, t in terms.items() if (c := reduce(t))})
+    base, p = ring.base, ring.base.context.field.p
+    return SkewPoly._raw(ring, {e: c for e, t in acc.items() if (
+        c := base.reduce(Poly._raw(base.context, _canonical(t, p))))})
 
 
 def skew_commutator(u: SkewPoly, v: SkewPoly) -> SkewPoly:

@@ -435,6 +435,29 @@ def test_skew_power_over_the_budget_is_refused_at_once():
     assert "exponent 7 takes 6 products" in out.stderr
 
 
+@pytest.mark.parametrize("budget, argv", [
+    ("-1", ["gb", "--ring", "QQ[x]", "x"]),
+    ("-5", ["gb", "--ring", "QQ[x, y]", "x^2 - y", "x*y - 1"]),
+    ("-1", ["mul", "--weyl", "1", "x^2"]),
+    ("ten", ["gb", "--ring", "QQ[x]", "x"]),
+])
+def test_a_negative_or_non_integer_budget_is_a_usage_error(capsys, budget, argv):
+    from derivalg import cli
+    assert cli.main(["--budget", budget, *argv]) == cli.EXIT_PARSE
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", (
+        "error [ParseError]: derivalg: argument --budget: the step budget "
+        f"must be a non-negative integer, not '{budget}'\n"))
+
+
+def test_a_zero_budget_refuses_one_skew_product(capsys):
+    from derivalg import cli
+    assert cli.main(["--budget", "0", "mul", "--weyl", "1", "x^2"]) == cli.EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        "error [BudgetExceededError]: the skew power with exponent 2 takes "
+        "1 product, over the step budget (0)\n")
+
+
 def test_no_partial_execution_on_parse_failure(tmp_path):
     script = tmp_path / "s.dsl"
     script.write_text("ring R = QQ[x]\nthis is not a statement\n")

@@ -15,6 +15,7 @@ from derivalg import (
     GF,
     IdealHandle,
     NonCommutingDerivationsError,
+    Poly,
     QuotientRing,
     SimplicityStatus,
     SkewPoly,
@@ -352,13 +353,16 @@ def pairwise_push_product(ring, u, v):
 @pytest.mark.parametrize("make_ring", [
     lambda: weyl_algebra(1), lambda: weyl_algebra(2), lambda: weyl_algebra(3),
     lambda: weyl_algebra(1, GF(3)), lambda: weyl_algebra(2, GF(3)),
-    lambda: weyl_algebra(3, GF(3)), two_derivation_quotient_ring,
+    lambda: weyl_algebra(3, GF(3)), lambda: weyl_algebra(2, GF(32003)),
+    lambda: weyl_algebra(3, GF(32003)), two_derivation_quotient_ring,
     lambda: _circle_rotation_ring()],
-    ids=["A1", "A2", "A3", "A1-GF3", "A2-GF3", "A3-GF3", "quotient",
-         "circle-rotation"])
+    ids=["A1", "A2", "A3", "A1-GF3", "A2-GF3", "A3-GF3", "A2-GF32003",
+         "A3-GF32003", "quotient", "circle-rotation"])
 def test_products_and_powers_match_the_pairwise_push_oracle(make_ring):
-    # skew-degree 3 and more reaches C(3, k) = 0 mod 3 over GF(3), and the
-    # quotient bases reduce their derivatives mod the defining ideal
+    # skew-degree 3 and more reaches C(3, k) = 0 mod 3 over GF(3); over
+    # GF(32003) the unreduced sums of one output coefficient pass p before
+    # its one reduction; and the quotient bases reduce their derivatives mod
+    # the defining ideal
     ring = make_ring()
     rng = random.Random(36)
     for _ in range(12):
@@ -372,16 +376,22 @@ def test_products_and_powers_match_the_pairwise_push_oracle(make_ring):
         power = pairwise_push_product(ring, power, u)
 
 
+def _linear_a2(seed):
+    """A seeded u = c0 + sum c_v * v over the generators v of A_2, with the
+    powers u^2 and u^5 as left factors of u."""
+    A2 = weyl_algebra(2)
+    rng = random.Random(seed)
+    u = A2.one() * rng.randint(1, 9)
+    for name in A2.names + A2.base.context.names:
+        u = u + A2.variable(name) * rng.randint(1, 9)
+    return u, {k: u ** k for k in (2, 5)}
+
+
 def test_skew_product_takes_each_derivative_once(monkeypatch):
     # each derivative d^k(s) of a term s of the right factor is taken once
     # per product, so the count does not grow with the left factor: for a
     # linear u, u^2 already has every x^(a) that reaches a nonzero d^k(s)
-    A2 = weyl_algebra(2)
-    rng = random.Random(5)
-    u = A2.one() * rng.randint(1, 9)
-    for name in A2.names + A2.base.context.names:
-        u = u + A2.variable(name) * rng.randint(1, 9)
-    left = {k: u ** k for k in (2, 5)}
+    u, left = _linear_a2(5)
     calls = []
     apply = Derivation.apply
 
@@ -397,6 +407,34 @@ def test_skew_product_takes_each_derivative_once(monkeypatch):
         counts[k] = len(calls)
     assert len(left[5].terms) > len(left[2].terms)
     assert counts[5] == counts[2] > 0
+
+
+def test_skew_product_sums_each_coefficient_in_one_term_map(monkeypatch):
+    # every product r_a * d^k(s_b) is added in place into the raw term map of
+    # its output exponent, so no Poly is multiplied and the Poly additions
+    # are the derivative tables' alone, which do not grow with the left factor
+    u, left = _linear_a2(7)
+    calls = {"mul": 0, "add": 0}
+    mul, add = Poly.__mul__, Poly.__add__
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counted_add(self, other):
+        calls["add"] += 1
+        return add(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    monkeypatch.setattr(Poly, "__add__", counted_add)
+    counts = {}
+    for k, w in left.items():
+        calls.update(mul=0, add=0)
+        w * u
+        counts[k] = dict(calls)
+    assert len(left[5].terms) > len(left[2].terms)
+    assert counts[5]["mul"] == counts[2]["mul"] == 0
+    assert counts[5]["add"] == counts[2]["add"] > 0
 
 
 def test_inner_induced_weyl(A1):
