@@ -24,7 +24,7 @@ from .groebner import (
     groebner_basis,
     normal_form,
 )
-from .poly import Poly, VarContext
+from .poly import Poly, VarContext, _canonical, _mul_into
 
 
 def _as_ring(ring) -> QuotientRing:
@@ -64,6 +64,8 @@ class Derivation:
         """The i-th partial derivative (or its induced quotient map)."""
         ring = _as_ring(ring)
         n = ring.context.nvars
+        if not 0 <= i < n:
+            raise IndexError(f"variable index {i} out of range")
         one = ring.context.one
         zero = ring.context.zero
         return cls(ring, [one if j == i else zero for j in range(n)])
@@ -95,16 +97,11 @@ class Derivation:
 
 
 def _chain_rule(f: Poly, images: Sequence[Poly]) -> Poly:
-    total = f.context.zero
+    acc = {}
     for i, g in enumerate(images):
-        if g.is_zero():
-            continue
-        p = f.partial(i)
-        if not p.is_zero():
-            # a constant image (a partial derivative, say) only scales
-            total = total + (p.scale(g.constant_value()) if g.is_constant()
-                             else p * g)
-    return total
+        if g:
+            _mul_into(acc, f.partial(i)._terms, g._terms)
+    return Poly._raw(f.context, _canonical(acc, f.context.field.p))
 
 
 def _escape(generators: Iterable[Poly], derivations: Sequence[Derivation],

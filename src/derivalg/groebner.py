@@ -135,9 +135,12 @@ class GroebnerBasis:
 
     def __init__(self, context: VarContext, order: TermOrder,
                  polys: Sequence[Poly]):
+        polys = tuple(g.monic(order) for g in polys)
+        if any(g.context != context for g in polys):
+            raise ContextMismatchError("basis element outside the context")
         self.context = context
         self.order = order
-        self.polys = tuple(g.monic(order) for g in polys)
+        self.polys = polys
         self._packed = None
 
     def __iter__(self):

@@ -105,6 +105,8 @@ class VarContext:
             raise KeyError(f"no variable {name!r} in context {self}") from None
 
     def var(self, i: int) -> "Poly":
+        if not 0 <= i < self.nvars:
+            raise IndexError(f"variable index {i} out of range")
         exp = [0] * self.nvars
         exp[i] = 1
         return Poly._raw(self, {tuple(exp): 1})
@@ -346,17 +348,18 @@ class Poly:
         term free of the substituted variables is copied as it is, and f
         itself is returned when none of them occurs in it.
         """
-        if any(g.context != self.context for g in values.values()):
-            raise ContextMismatchError("substituted values leave the context")
+        for i, g in values.items():
+            if not 0 <= i < self.context.nvars:
+                raise IndexError(f"variable index {i} out of range")
+            if g.context != self.context:
+                raise ContextMismatchError("substituted values leave the context")
         terms = self._terms
         if not any(m[i] for m in terms for i in values):
             return self
-        powers = {}              # i -> [None, image, image^2, ...]
+        powers = {i: [None, g] for i, g in values.items()}  # [_, g, g^2, ...]
 
         def power(i, e):
-            cache = powers.get(i)
-            if cache is None:
-                cache = powers[i] = [None, values[i]]
+            cache = powers[i]
             while len(cache) <= e:
                 cache.append(cache[-1] * values[i])
             return cache[e]
@@ -377,11 +380,8 @@ class Poly:
             if image is None:
                 old = get(m)
                 acc[m] = c if old is None else old + c
-                continue
-            for mi, ci in image._terms.items():
-                key = tuple(map(add, rest, mi))
-                old = get(key)
-                acc[key] = c * ci if old is None else old + c * ci
+            else:
+                _mul_into(acc, {tuple(rest): c}, image._terms)
         return Poly._raw(self.context, _canonical(acc, self.context.field.p))
 
     def evaluate(self, point: Sequence) -> FieldElement:
@@ -474,31 +474,20 @@ def _mul_into(acc: dict, a: dict, b: dict) -> None:
 
 
 def _add_terms(a: dict, b: dict, p) -> dict:
-    """The term map of a + b for canonical raw term maps over QQ or F_p."""
+    """The term map of a + b for canonical raw term maps over QQ or F_p (an
+    int is its own numerator, so one normalisation serves both fields)."""
     terms = dict(a)
     get = terms.get
-    if p is None:
-        for m, c in b.items():
-            acc = get(m)
-            if acc is None:
-                terms[m] = c
-                continue
-            s = acc + c
-            if s:
-                terms[m] = s.numerator if s.denominator == 1 else s
-            else:
-                del terms[m]
-    else:
-        for m, c in b.items():
-            acc = get(m)
-            if acc is None:
-                terms[m] = c
-                continue
-            s = (acc + c) % p
-            if s:
-                terms[m] = s
-            else:
-                del terms[m]
+    for m, c in b.items():
+        acc = get(m)
+        if acc is None:
+            terms[m] = c
+            continue
+        s = acc + c if p is None else (acc + c) % p
+        if s:
+            terms[m] = s.numerator if s.denominator == 1 else s
+        else:
+            del terms[m]
     return terms
 
 

@@ -30,7 +30,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .derivation import Derivation, _escape
+from .derivation import Derivation, _chain_rule, _escape
 from .errors import (
     BudgetExceededError,
     ContextMismatchError,
@@ -462,8 +462,8 @@ def darboux_search(F: Poly, bound: int,
         values[rank.index(r)] = 1   # the pivot normalization, not a free 0
         h = Poly(ctx, dict(zip(h_monos, values)))
         cof = Poly(ctx, dict(zip(cof_monos, values[M:])))
-        lhs = h.partial(0) + F * h.partial(1)
-        if h.is_constant() or lhs != cof * h:
+        # d = d/dx + F d/dy, applied by the chain rule, not by the equations
+        if h.is_constant() or _chain_rule(h, (ctx.one, F)) != cof * h:
             raise AssertionError("extracted Darboux pair failed verification")
         return DarbouxResult(DarbouxStatus.FOUND, h, cof, bound)
 

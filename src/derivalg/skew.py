@@ -112,6 +112,8 @@ class SkewRingDescriptor:
         return SkewPoly._raw(self, {(0,) * self.nskew: r})
 
     def skew_var(self, i: int = 0) -> "SkewPoly":
+        if not 0 <= i < self.nskew:
+            raise IndexError(f"skew index {i} out of range")
         e = [0] * self.nskew
         e[i] = 1
         return SkewPoly._raw(self, {tuple(e): self.base.context.one})

@@ -139,6 +139,25 @@ def test_arity_refusals_are_library_errors(ctx_xy):
     assert isinstance(err.value, ValueError)
 
 
+_INDEXED = {
+    "var": lambda ctx, i: ctx.var(i),
+    "substitute": lambda ctx, i: ctx.one.substitute({i: ctx.var(0)}),
+    "Poly.partial": lambda ctx, i: ctx.one.partial(i),
+    "Derivation.partial": lambda ctx, i: Derivation.partial(ctx, i),
+    "skew_var": lambda ctx, i: weyl_algebra(2).skew_var(i),
+    "base_var": lambda ctx, i: weyl_algebra(2).base_var(i),
+}
+
+
+@pytest.mark.parametrize("i", [2, 5, -1])
+@pytest.mark.parametrize("entry", _INDEXED, ids=str)
+def test_variable_and_skew_indices_are_range_checked(ctx_xy, entry, i):
+    # two variables in QQ[x, y] and two skew variables in A_2: a negative
+    # index must not read as the last one, nor a large one give a zero map
+    with pytest.raises(IndexError, match=f" index {i} out of range"):
+        _INDEXED[entry](ctx_xy, i)
+
+
 def test_d_ideal_sphere(sphere_setup):
     ctx, d1, d2, relation = sphere_setup
     assert d_ideal_check(IdealHandle(ctx, [relation]), [d1, d2])

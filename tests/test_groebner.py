@@ -19,6 +19,7 @@ from derivalg import (
     GF,
     QQ,
     BudgetExceededError,
+    ContextMismatchError,
     GroebnerBasis,
     IdealHandle,
     Poly,
@@ -192,6 +193,17 @@ def test_hand_built_basis_is_made_monic():
     gf = VarContext(("x",), GF(7))
     assert GroebnerBasis(gf, TermOrder.GREVLEX, [3 * gf.var(0) + 1]).polys == (
         gf.var(0) + 5,)
+
+
+def test_hand_built_basis_refuses_an_element_of_another_context():
+    # packed against QQ[x, y], z would lose its exponent and read as 1, so
+    # every normal form modulo {z} came out 0
+    c2 = VarContext(("x", "y"), QQ)
+    z = VarContext(("x", "y", "z"), QQ).var(2)
+    with pytest.raises(ContextMismatchError, match="outside the context"):
+        GroebnerBasis(c2, TermOrder.GREVLEX, [z])
+    with pytest.raises(ContextMismatchError, match="outside the context"):
+        GroebnerBasis(c2, TermOrder.LEX, [c2.var(0), z])
 
 
 def test_normal_form_linearity(ctx_xy):

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import derivalg
-from derivalg import GF, QQ, FieldElement, Poly, TermOrder, VarContext
+from derivalg import (GF, QQ, Derivation, FieldElement, Poly, QuotientRing,
+                      TermOrder, VarContext)
 from derivalg.poly import exact_div
 
 FIELDS = [QQ, GF(32003)]
@@ -109,6 +110,47 @@ def test_scale_monic_partial_match_boxed_reference(problem):
         _assert_canonical(got)
         inverse = f.leading_term(order)[1].inverse()
         assert got == _reference(ctx, [(m, v * inverse) for m, v in ft])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys(4), st.data())
+def test_chain_rule_matches_boxed_reference(problem, data):
+    ctx, (f, *drawn), c = problem
+    field = ctx.field
+    # each image zero, a constant or a drawn polynomial (of any kind)
+    kinds = data.draw(st.lists(st.sampled_from(["zero", "constant", "drawn"]),
+                               min_size=ctx.nvars, max_size=ctx.nvars))
+    images = [ctx.zero if kind == "zero" else
+              ctx.const(c or 1) if kind == "constant" else drawn[i]
+              for i, kind in enumerate(kinds)]
+    got = Derivation(QuotientRing.trivial(ctx), images).apply(f)
+    _assert_canonical(got)
+    assert got == _reference(ctx, [
+        (tuple(a + b for a, b in zip(m[:i] + (m[i] - 1,) + m[i + 1:], mg)),
+         v * field.element(m[i]) * cg)
+        for i, g in enumerate(images) for m, v in f.terms() if m[i]
+        for mg, cg in g.terms()])
+
+
+def test_chain_rule_adds_no_poly(monkeypatch):
+    # every product of a partial with an image goes into one raw term map
+    ctx = VarContext(("x", "y"), QQ)
+    x, y = ctx.var(0), ctx.var(1)
+    d = Derivation(ctx, [x * y + 1, x ** 2 - y])
+    f = x ** 3 * y + Fraction(1, 2) * x * y ** 2 - 3
+    expected = d.apply(f)
+    calls = []
+
+    def counted(name, method):
+        def wrapper(self, other):
+            calls.append(name)
+            return method(self, other)
+        return wrapper
+
+    monkeypatch.setattr(Poly, "__mul__", counted("mul", Poly.__mul__))
+    monkeypatch.setattr(Poly, "__add__", counted("add", Poly.__add__))
+    assert d.apply(f) == expected
+    assert calls == []
 
 
 @settings(max_examples=100, deadline=None)
