@@ -24,7 +24,7 @@ from .groebner import (
     groebner_basis,
     normal_form,
 )
-from .poly import Poly, VarContext, _canonical, _mul_into
+from .poly import Poly, VarContext, _canonical, _mul_into, _partial_terms
 
 
 def _as_ring(ring) -> QuotientRing:
@@ -100,7 +100,7 @@ def _chain_rule(f: Poly, images: Sequence[Poly]) -> Poly:
     acc = {}
     for i, g in enumerate(images):
         if g:
-            _mul_into(acc, f.partial(i)._terms, g._terms)
+            _mul_into(acc, _partial_terms(f._terms, i), g._terms)
     return Poly._raw(f.context, _canonical(acc, f.context.field.p))
 
 

@@ -135,6 +135,8 @@ class GroebnerBasis:
 
     def __init__(self, context: VarContext, order: TermOrder,
                  polys: Sequence[Poly]):
+        if not isinstance(order, TermOrder):
+            raise TypeError(f"not a term order: {order!r}")
         polys = tuple(g.monic(order) for g in polys)
         if any(g.context != context for g in polys):
             raise ContextMismatchError("basis element outside the context")
@@ -509,6 +511,8 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
     object, and raises as the loop would when its step count exceeds
     `budget`.  A call that raises stores nothing.
     """
+    if not isinstance(order, TermOrder):
+        raise TypeError(f"not a term order: {order!r}")
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise ValueError("buchberger needs a context; use an IdealHandle for (0)")

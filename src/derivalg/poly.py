@@ -7,11 +7,12 @@ value is integral and a ``Fraction`` otherwise, over F_p an ``int`` in
 polynomials are equal exactly when their term maps are identical, so
 structural equality is mathematical equality.
 
-Arithmetic works on the raw numbers and branches once per operation on the
-field's modulus; a product over F_p accumulates unreduced and reduces once
-per output term.  :class:`~derivalg.field.FieldElement` is the boundary type:
-constructors accept it, and ``terms``, ``coeff``, ``leading_term``,
-``constant_value`` and ``evaluate`` return it.
+Arithmetic works on the raw numbers by one coefficient rule: each operation
+builds a raw, unreduced term map and `_canonical` alone makes it canonical,
+with one ``% p`` per output term over F_p.
+:class:`~derivalg.field.FieldElement` is the boundary type: constructors
+accept it, and ``terms``, ``coeff``, ``leading_term``, ``constant_value``
+and ``evaluate`` return it.
 
 Contexts are small (a handful of variables at desk scale), so exponent
 vectors are dense tuples rather than sparse maps.
@@ -184,7 +185,10 @@ class Poly:
         return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def coeff(self, mono: Monomial) -> FieldElement:
-        return self.context.field.element(self._terms.get(tuple(mono), 0))
+        mono = tuple(mono)
+        if len(mono) != self.context.nvars or any(e < 0 for e in mono):
+            raise ValueError(f"bad exponent vector {mono} for {self.context}")
+        return self.context.field.element(self._terms.get(mono, 0))
 
     def total_degree(self) -> int:
         """Max term degree; -1 for the zero polynomial."""
@@ -194,6 +198,8 @@ class Poly:
 
     def degree_in(self, i: int) -> int:
         """Max exponent of variable i; 0 if the variable is absent."""
+        if not 0 <= i < self.context.nvars:
+            raise IndexError(f"variable index {i} out of range")
         if not self._terms:
             return 0
         return max(m[i] for m in self._terms)
@@ -238,23 +244,23 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Poly._raw(self.context, _add_terms(self._terms, o._terms,
-                                                  self.context.field.p))
+        terms = dict(self._terms)
+        get = terms.get
+        for m, c in o._terms.items():
+            terms[m] = get(m, 0) + c
+        return Poly._raw(self.context, _canonical(terms, self.context.field.p))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.context.field.p
-        if p is None:
-            return Poly._raw(self.context, {m: -c for m, c in self._terms.items()})
-        return Poly._raw(self.context, {m: p - c for m, c in self._terms.items()})
+        return Poly._raw(self.context, _canonical(
+            {m: -c for m, c in self._terms.items()}, self.context.field.p))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Poly._raw(self.context, _add_terms(self._terms, (-o)._terms,
-                                                  self.context.field.p))
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -296,15 +302,8 @@ class Poly:
             return self.context.zero
         if c == 1:
             return self
-        p = field.p
-        if p is not None:
-            return Poly._raw(self.context,
-                             {m: v * c % p for m, v in self._terms.items()})
-        terms = {}
-        for m, v in self._terms.items():
-            v *= c
-            terms[m] = v.numerator if v.denominator == 1 else v
-        return Poly._raw(self.context, terms)
+        return Poly._raw(self.context, _canonical(
+            {m: v * c for m, v in self._terms.items()}, field.p))
 
     def monic(self, order: TermOrder) -> "Poly":
         _, lc = self._lead(order)
@@ -322,22 +321,8 @@ class Poly:
         """
         if not 0 <= i < self.context.nvars:
             raise IndexError(f"variable index {i} out of range")
-        p = self.context.field.p
-        terms = {}
-        for m, c in self._terms.items():
-            e = m[i]
-            if e == 0:
-                continue
-            c *= e
-            if p is None:
-                if c.denominator == 1:
-                    c = c.numerator
-            else:
-                c %= p
-                if not c:
-                    continue
-            terms[m[:i] + (e - 1,) + m[i + 1:]] = c
-        return Poly._raw(self.context, terms)
+        return Poly._raw(self.context, _canonical(_partial_terms(self._terms, i),
+                                                  self.context.field.p))
 
     def substitute(self, values: dict) -> "Poly":
         """f with the polynomial values[i] put for variable i, expanded.
@@ -447,9 +432,10 @@ def _join_terms(terms) -> str:
 
 
 def _canonical(acc: dict, p) -> dict:
-    """The canonical raw term map of an accumulated one, whose entries may be
-    zero, integral Fractions (over QQ) or unreduced ints (over F_p): zeros
-    dropped, an integral Fraction demoted to int, one ``% p`` per term."""
+    """The canonical raw term map of a computed one, whose entries may be
+    zero, integral Fractions (over QQ) or ints outside [0, p) (over F_p):
+    zeros dropped, an integral Fraction demoted to int, one ``% p`` per term.
+    The one place computed coefficients are made canonical."""
     if p is None:
         return {m: c.numerator if c.denominator == 1 else c
                 for m, c in acc.items() if c}
@@ -473,22 +459,11 @@ def _mul_into(acc: dict, a: dict, b: dict) -> None:
             acc[m] = ca * cb if c is None else c + ca * cb
 
 
-def _add_terms(a: dict, b: dict, p) -> dict:
-    """The term map of a + b for canonical raw term maps over QQ or F_p (an
-    int is its own numerator, so one normalisation serves both fields)."""
-    terms = dict(a)
-    get = terms.get
-    for m, c in b.items():
-        acc = get(m)
-        if acc is None:
-            terms[m] = c
-            continue
-        s = acc + c if p is None else (acc + c) % p
-        if s:
-            terms[m] = s.numerator if s.denominator == 1 else s
-        else:
-            del terms[m]
-    return terms
+def _partial_terms(terms: dict, i: int) -> dict:
+    """The raw, unreduced term map of d/dx_i of a raw term map: each term
+    with a positive exponent e in x_i becomes e*c times m/x_i."""
+    return {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+            for m, c in terms.items() if m[i]}
 
 
 def exact_div(f: Poly, g: Poly) -> Poly:

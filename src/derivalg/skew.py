@@ -15,12 +15,12 @@ taking each d^k(s) = d1^k1 ... dn^kn (s) once per product (it does not
 depend on a).  Every product r_(a) * C(a, k) d^k(s) is added in place into
 one raw, unreduced term map per output exponent by `poly._mul_into`, the
 loop `Poly.__mul__` runs, and each output coefficient is made canonical and
-reduced once.  `push(a, r)` is the same expansion for one x^(a) * r, and
-`binomial_push` its checked one-variable entry.
+reduced once.  `push(a, r)` is the same expansion for one x^(a) * r, checked
+and reduced, and `binomial_push` its one-variable entry.
 
 Coefficients are reduced where they enter a skew ring, and only there: in
-`from_base`, `SkewPoly(...)`, `binomial_push`, and once per output
-coefficient in `skew_mul`.
+`from_base`, `SkewPoly(...)`, `push` (so `binomial_push`), and once per
+output coefficient in `skew_mul`.
 
 The construction demands pairwise commuting derivations; a non-commuting
 pair is refused at descriptor construction with the violating pair and a
@@ -53,6 +53,14 @@ if TYPE_CHECKING:
 
 def _graded_lex_key(exponents):
     return (sum(exponents), exponents)
+
+
+def _skew_exponents(exponents, n: int) -> tuple:
+    """`exponents` as a tuple; refused unless it has n entries, none negative."""
+    e = tuple(exponents)
+    if len(e) != n or any(x < 0 for x in e):
+        raise ValueError(f"bad skew exponent vector {e}")
+    return e
 
 
 def _add_into(terms: dict, e, r: Poly) -> None:
@@ -127,8 +135,13 @@ class SkewRingDescriptor:
         return self.base_var(self.base.context.index(name))
 
     def push(self, exponents, r: Poly) -> dict:
-        """x^(a) * r as {exponent: coefficient} for r in normal form."""
-        return self._push(exponents, {(0,) * self.nskew: r})
+        """x^(a) * r as {exponent: coefficient}, r reduced first.
+
+        The checked entry to the expansion: it refuses an exponent vector of
+        the wrong length or with a negative entry, and an r of another
+        context."""
+        exponents = _skew_exponents(exponents, self.nskew)
+        return self._push(exponents, {(0,) * self.nskew: self.base.reduce(r)})
 
     def _push(self, exponents, table: dict) -> dict:
         """x^(a) * s as {a - k: C(a, k) * d^k(s)}, C(a, k) = prod C(a_i, k_i),
@@ -179,13 +192,9 @@ class SkewPoly:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms: dict):
-        n = ring.nskew
         clean = {}
         for e, r in terms.items():
-            e = tuple(e)
-            if len(e) != n or any(x < 0 for x in e):
-                raise ValueError(f"bad skew exponent vector {e}")
-            _add_into(clean, e, ring.base.reduce(r))
+            _add_into(clean, _skew_exponents(e, ring.nskew), ring.base.reduce(r))
         self.ring = ring
         self.terms = clean
 
@@ -213,7 +222,8 @@ class SkewPoly:
         return self.terms.get((0,) * self.ring.nskew, self.ring.base.context.zero)
 
     def coefficient(self, exponents) -> Poly:
-        return self.terms.get(tuple(exponents), self.ring.base.context.zero)
+        return self.terms.get(_skew_exponents(exponents, self.ring.nskew),
+                              self.ring.base.context.zero)
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
@@ -312,8 +322,8 @@ def _signed_chunk(r: Poly, mono: str):
 def binomial_push(ring: SkewRingDescriptor, i: int, n: int, r: Poly) -> SkewPoly:
     """x_i^n * r in normal form: sum_k C(n,k) d_i^k(r) x_i^(n-k).
 
-    The checked one-variable entry to `SkewRingDescriptor.push`: it checks
-    i and n, reduces r once (refusing an r of another context) and delegates.
+    The one-variable entry to `SkewRingDescriptor.push`: it checks i and n
+    and delegates, and `push` reduces r (refusing an r of another context).
     """
     if not 0 <= i < ring.nskew:
         raise IndexError(f"skew index {i} out of range")
@@ -321,7 +331,7 @@ def binomial_push(ring: SkewRingDescriptor, i: int, n: int, r: Poly) -> SkewPoly
         raise ValueError("negative skew powers are not defined")
     e = [0] * ring.nskew
     e[i] = n
-    return SkewPoly._raw(ring, ring.push(tuple(e), ring.base.reduce(r)))
+    return SkewPoly._raw(ring, ring.push(e, r))
 
 
 def skew_mul(ring: SkewRingDescriptor, u: SkewPoly, v: SkewPoly) -> SkewPoly:

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -644,3 +645,17 @@ def test_double_minus_after_an_operand_is_two_minus_signs(capsys, expr, value):
     from derivalg import cli
     assert cli.main(["mul", "--ring", "QQ[x, y]", expr]) == 0
     assert capsys.readouterr().out == f"ring R = QQ[x, y]\nmul: {value}\n"
+
+
+def test_readme_one_shot_forms_exit_zero(capsys):
+    # the sh block of README.md, each line run through cli.main in-process
+    from derivalg import cli
+
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("One-shot forms:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(lines) == 12
+    for words in lines:
+        assert words[0] == "derivalg"
+        assert cli.main(words[1:]) == 0, (words, capsys.readouterr())

@@ -146,6 +146,7 @@ _INDEXED = {
     "Derivation.partial": lambda ctx, i: Derivation.partial(ctx, i),
     "skew_var": lambda ctx, i: weyl_algebra(2).skew_var(i),
     "base_var": lambda ctx, i: weyl_algebra(2).base_var(i),
+    "degree_in": lambda ctx, i: (ctx.var(0) ** 3 * ctx.var(1)).degree_in(i),
 }
 
 
@@ -156,6 +157,19 @@ def test_variable_and_skew_indices_are_range_checked(ctx_xy, entry, i):
     # index must not read as the last one, nor a large one give a zero map
     with pytest.raises(IndexError, match=f" index {i} out of range"):
         _INDEXED[entry](ctx_xy, i)
+
+
+@pytest.mark.parametrize("exponents", [(1,), (-1, 1), (1, 0, 0)], ids=str)
+def test_coefficient_reads_check_their_exponent_vector(ctx_xy, exponents):
+    # QQ[x, y] and A_2: a short, long or negative vector read as 0 before
+    x, y = ctx_xy.var(0), ctx_xy.var(1)
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        (x ** 3 * y + 1).coeff(exponents)
+    A2 = weyl_algebra(2)
+    with pytest.raises(ValueError, match="bad skew exponent vector"):
+        A2.skew_var(0).coefficient(exponents)
+    assert (x ** 3 * y + 1).coeff((3, 1)) == 1
+    assert A2.skew_var(0).coefficient((1, 0)) == A2.base.context.one
 
 
 def test_d_ideal_sphere(sphere_setup):

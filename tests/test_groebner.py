@@ -206,6 +206,24 @@ def test_hand_built_basis_refuses_an_element_of_another_context():
         GroebnerBasis(c2, TermOrder.LEX, [c2.var(0), z])
 
 
+@pytest.mark.parametrize("order", ["lex", None, 3], ids=repr)
+def test_a_term_order_must_be_a_term_order(order):
+    # "lex" was taken for grevlex: the basis {x^2 - y, x*y - 1, -x + y^2}
+    # came back labelled lex, and a hand-built basis failed later, in
+    # normal_form, with an AttributeError
+    ctx = VarContext(("x", "y"), QQ)
+    x, y = ctx.var(0), ctx.var(1)
+    gens = [x * y - 1, y ** 2 - x]
+    for build in (lambda: buchberger(gens, order),
+                  lambda: groebner_basis(IdealHandle(ctx, gens), order),
+                  lambda: QuotientRing.of(IdealHandle(ctx, gens), order),
+                  lambda: GroebnerBasis(ctx, order, [x]),
+                  lambda: groebner_basis(IdealHandle(ctx, []), order)):
+        with pytest.raises(TypeError, match="not a term order"):
+            build()
+    assert buchberger(gens, TermOrder.LEX).polys == (x - y ** 2, y ** 3 - 1)
+
+
 def test_normal_form_linearity(ctx_xy):
     rng = random.Random(23)
     gens = [rand_poly(rng, ctx_xy, nonzero=True) for _ in range(2)]

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import derivalg
 from derivalg import (GF, QQ, Derivation, FieldElement, Poly, QuotientRing,
                       TermOrder, VarContext)
+from derivalg import poly
 from derivalg.poly import exact_div
 
 FIELDS = [QQ, GF(32003)]
@@ -133,7 +134,8 @@ def test_chain_rule_matches_boxed_reference(problem, data):
 
 
 def test_chain_rule_adds_no_poly(monkeypatch):
-    # every product of a partial with an image goes into one raw term map
+    # every product of a partial with an image goes into one raw term map,
+    # and no partial is built as a Poly on the way
     ctx = VarContext(("x", "y"), QQ)
     x, y = ctx.var(0), ctx.var(1)
     d = Derivation(ctx, [x * y + 1, x ** 2 - y])
@@ -149,8 +151,93 @@ def test_chain_rule_adds_no_poly(monkeypatch):
 
     monkeypatch.setattr(Poly, "__mul__", counted("mul", Poly.__mul__))
     monkeypatch.setattr(Poly, "__add__", counted("add", Poly.__add__))
+    monkeypatch.setattr(Poly, "partial", counted("partial", Poly.partial))
     assert d.apply(f) == expected
     assert calls == []
+
+
+def test_every_operation_finishes_through_canonical(monkeypatch):
+    # the term map each operation returns is the one `_canonical` made last
+    ctx = VarContext(("x", "y"), GF(5))
+    x, y = ctx.var(0), ctx.var(1)
+    f, g = 3 * x ** 5 * y + 2 * x - 1, 2 * x ** 5 * y + 4 * y ** 2 + 1
+    made, real = [], poly._canonical
+
+    def canonical(acc, p):
+        made.append(real(acc, p))
+        return made[-1]
+
+    monkeypatch.setattr(poly, "_canonical", canonical)
+    for name, op in [("add", lambda: f + g), ("sub", lambda: f - g),
+                     ("neg", lambda: -f), ("scale", lambda: f.scale(3)),
+                     ("partial", lambda: f.partial(0))]:
+        made.clear()
+        got = op()
+        assert made and got._terms is made[-1], name
+        _assert_canonical(got)
+
+
+SMALL_PRIMES = [GF(2), GF(3)]
+
+
+@st.composite
+def _small_prime_polys(draw):
+    # exponents up to 6, so p divides some of them
+    ctx = VarContext(("x", "y"), draw(st.sampled_from(SMALL_PRIMES)))
+    monomials = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    polys = [Poly(ctx, draw(st.dictionaries(monomials, st.integers(-4, 4),
+                                            max_size=4)))
+             for _ in range(3)]
+    return ctx, polys
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_prime_polys())
+def test_small_prime_kernel_matches_boxed_reference(problem):
+    ctx, (f, g, h) = problem
+    field = ctx.field
+    ft, gt = list(f.terms()), list(g.terms())
+    got = f + g
+    _assert_canonical(got)
+    assert got == _reference(ctx, ft + gt)
+    got = f - g
+    _assert_canonical(got)
+    assert got == _reference(ctx, ft + [(m, -c) for m, c in gt])
+    for i in range(ctx.nvars):
+        got = f.partial(i)
+        _assert_canonical(got)
+        assert got == _reference(ctx, [
+            (m[:i] + (m[i] - 1,) + m[i + 1:], v * field.element(m[i]))
+            for m, v in ft if m[i]])
+    got = Derivation(ctx, [g, h]).apply(f)
+    _assert_canonical(got)
+    assert got == _reference(ctx, [
+        (tuple(a + b for a, b in zip(m[:i] + (m[i] - 1,) + m[i + 1:], mg)),
+         v * field.element(m[i]) * cg)
+        for i, image in enumerate((g, h)) for m, v in ft if m[i]
+        for mg, cg in image.terms()])
+
+
+@pytest.mark.parametrize("field", SMALL_PRIMES, ids=str)
+def test_small_prime_results_that_wrap_to_zero(field):
+    ctx = VarContext(("x", "y"), field)
+    x, y = ctx.var(0), ctx.var(1)
+    p = field.p
+    f = x ** p * y + x * y ** (2 * p) + 1
+    # p copies of f, and f minus itself, are zero; over GF(2) -f is f
+    total = ctx.zero
+    for _ in range(p):
+        total = total + f
+    for got in (total, f - f, f + (-f)):
+        assert got.is_zero() and got._terms == {}
+    assert (-f == f) is (p == 2)
+    _assert_canonical(-f)
+    # p divides every exponent of x in x^p*y and every exponent of y in y^(2p)
+    assert f.partial(0) == y ** (2 * p)
+    assert f.partial(1) == x ** p
+    _assert_canonical(f.partial(0))
+    assert Derivation(ctx, [ctx.one, ctx.zero]).apply(x ** p + x ** (2 * p)).is_zero()
+    assert Derivation(ctx, [y, x]).apply(f) == y ** (2 * p + 1) + x ** (p + 1)
 
 
 @settings(max_examples=100, deadline=None)

@@ -830,6 +830,29 @@ def test_ore_push_edges(ring):
         assert ring.push((n,) + zero[1:], ctx.zero) == {}
 
 
+@pytest.mark.parametrize("exponents", [(-1, 0), (1,), (1, 0, 0)], ids=str)
+def test_push_refuses_a_bad_exponent_vector(exponents):
+    # (-1, 0) read as x1^-1 * y1 = 0, the others died with a bare KeyError
+    A2 = weyl_algebra(2)
+    with pytest.raises(ValueError, match="bad skew exponent vector"):
+        A2.push(exponents, A2.base.context.var(0))
+
+
+def test_push_reduces_its_coefficient_and_refuses_another_context():
+    A2 = weyl_algebra(2)
+    with pytest.raises(ContextMismatchError):
+        A2.push((0, 0), VarContext(("a", "b", "c"), QQ).var(2))
+    # on the circle x^2 = 1 - y^2, so t * x^2 = (1 - y^2) t - 2xy, which
+    # binomial_push already gave; push returned the coefficient x^2 as it was
+    ring = _circle_rotation_ring()
+    ctx = ring.base.context
+    x, y = ctx.var(0), ctx.var(1)
+    pushed = ring.push((1,), x ** 2)
+    assert pushed == {(1,): 1 - y ** 2, (0,): -2 * x * y}
+    assert pushed == ring.push((1,), ring.base.reduce(x ** 2))
+    assert SkewPoly._raw(ring, pushed) == binomial_push(ring, 0, 1, x ** 2)
+
+
 def test_skew_equality_with_foreign_values_is_false():
     A1 = weyl_algebra(1)
     x = A1.skew_var(0)
