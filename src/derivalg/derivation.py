@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ContextMismatchError, InvalidArgumentError, NotInvariantError
+from .field import _Keyed
 from .groebner import (
     DEFAULT_BUDGET,
     GroebnerBasis,
@@ -35,7 +36,7 @@ def _as_ring(ring) -> QuotientRing:
     raise TypeError(f"not a ring handle: {ring!r}")
 
 
-class Derivation:
+class Derivation(_Keyed):
     """A derivation of a polynomial or quotient ring, given by generator images."""
 
     __slots__ = ("ring", "images")
@@ -80,13 +81,8 @@ class Derivation:
     def is_zero(self) -> bool:
         return all(g.is_zero() for g in self.images)
 
-    def __eq__(self, other):
-        return (isinstance(other, Derivation)
-                and self.ring == other.ring
-                and self.images == other.images)
-
-    def __hash__(self):
-        return hash((self.ring, self.images))
+    def _key(self):
+        return (self.ring, self.images)
 
     def __str__(self):
         names = self.ring.context.names

@@ -47,7 +47,39 @@ def _is_prime(n: int) -> bool:
                for x in (pow(a, d, n) for a in _MR_BASES))
 
 
-class FieldSpec:
+class _Keyed:
+    """Equality and hashing from `_key()`, within one class; the identity
+    test comes first, as every Poly operation compares two contexts."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self is other or (other.__class__ is self.__class__
+                                 and self._key() == other._key())
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class _Arithmetic:
+    """Subtraction from `+` and negation, with the operand from `_coerce`."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + -o
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + -self
+
+
+class FieldSpec(_Keyed):
     """The rationals (``p is None``) or the prime field F_p."""
 
     __slots__ = ("p",)
@@ -126,11 +158,8 @@ class FieldSpec:
     def one(self) -> "FieldElement":
         return self.element(1)
 
-    def __eq__(self, other):
-        return isinstance(other, FieldSpec) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("FieldSpec", self.p))
+    def _key(self):
+        return ("FieldSpec", self.p)
 
     def __str__(self):
         return "QQ" if self.p is None else f"GF({self.p})"
@@ -154,7 +183,7 @@ def _outside(value, spec: FieldSpec) -> bool:
             and value.denominator % spec.p == 0)
 
 
-class FieldElement:
+class FieldElement(_Arithmetic):
     """An exact field value tagged with its :class:`FieldSpec`.
 
     Instances are immutable; arithmetic between elements of different fields
@@ -185,18 +214,6 @@ class FieldElement:
         return self.spec.element(self.value + o.value)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.spec.element(self.value - o.value)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)

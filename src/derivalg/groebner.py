@@ -58,6 +58,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, ContextMismatchError, UnitIdealError
+from .field import _Keyed
 from .poly import Poly, TermOrder, VarContext
 
 DEFAULT_BUDGET = 20_000
@@ -69,24 +70,7 @@ _MIN_BITS = 4            # the narrowest exponent field of a packed key
 _MEMO: ContextVar = ContextVar("derivalg_memo", default=None)
 
 
-class _MemoKey:
-    """A key of `_MEMO` that hashes its tuple once, so that a miss (a
-    lookup, then a store) pays for one hash."""
-
-    __slots__ = ("key", "hash")
-
-    def __init__(self, key: tuple):
-        self.key = key
-        self.hash = hash(key)
-
-    def __hash__(self):
-        return self.hash
-
-    def __eq__(self, other):
-        return self.key == other.key
-
-
-class IdealHandle:
+class IdealHandle(_Keyed):
     """A finitely generated ideal, held by its generator list.
 
     Zero generators are dropped at construction; the empty list is the zero
@@ -105,13 +89,8 @@ class IdealHandle:
         self.context = context
         self.generators = tuple(gens)
 
-    def __eq__(self, other):
-        return (isinstance(other, IdealHandle)
-                and self.context == other.context
-                and self.generators == other.generators)
-
-    def __hash__(self):
-        return hash((self.context, self.generators))
+    def _key(self):
+        return (self.context, self.generators)
 
     def __str__(self):
         if not self.generators:
@@ -119,7 +98,7 @@ class IdealHandle:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
 
-class GroebnerBasis:
+class GroebnerBasis(_Keyed):
     """The reduced Groebner basis of an ideal under a fixed term order.
 
     Reduced means: every element is monic, and no leading monomial divides
@@ -177,14 +156,8 @@ class GroebnerBasis:
             self._packed = _packing(self.context, self.polys, self.order, need)
         return self._packed
 
-    def __eq__(self, other):
-        return (isinstance(other, GroebnerBasis)
-                and self.context == other.context
-                and self.order == other.order
-                and self.polys == other.polys)
-
-    def __hash__(self):
-        return hash((self.context, self.order, self.polys))
+    def _key(self):
+        return (self.context, self.order, self.polys)
 
     def __str__(self):
         return "{" + ", ".join(str(g) for g in self.polys) + "}"
@@ -522,7 +495,7 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
             raise ContextMismatchError("generators live in different contexts")
     memo = _MEMO.get()
     if memo is not None:
-        memo_key = _MemoKey((order, tuple(gens)))
+        memo_key = (order, tuple(gens))
         hit = memo.get(memo_key)
         if hit is not None:
             basis, steps = hit
@@ -755,7 +728,7 @@ def _initial_dimension(basis: GroebnerBasis) -> int:
     raise AssertionError("unreachable: the empty set is always independent")
 
 
-class QuotientRing:
+class QuotientRing(_Keyed):
     """k[x_1..x_n]/I with elements held as normal forms modulo I's basis.
 
     An empty defining basis models the polynomial ring itself, which lets
@@ -803,13 +776,8 @@ class QuotientRing:
     def generators(self):
         return tuple(self.context.var(i) for i in range(self.context.nvars))
 
-    def __eq__(self, other):
-        return (isinstance(other, QuotientRing)
-                and self.context == other.context
-                and self.basis == other.basis)
-
-    def __hash__(self):
-        return hash((self.context, self.basis))
+    def _key(self):
+        return (self.context, self.basis)
 
     def __str__(self):
         if self.is_trivial:

@@ -31,7 +31,7 @@ from .errors import (
     InvalidArgumentError,
     ZeroPolynomialError,
 )
-from .field import FieldElement, FieldSpec, _outside
+from .field import FieldElement, FieldSpec, _Arithmetic, _Keyed, _outside
 
 Monomial = tuple  # exponent vector; length == number of context variables
 
@@ -54,7 +54,7 @@ class TermOrder(enum.Enum):
         return self.value
 
 
-class VarContext:
+class VarContext(_Keyed):
     """An ordered tuple of distinct variable names plus the coefficient field.
 
     The order is fixed at creation; every polynomial operation below assumes
@@ -79,15 +79,8 @@ class VarContext:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of VarContext")
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not VarContext:
-            return NotImplemented
-        return self.names == other.names and self.field == other.field
-
-    def __hash__(self):
-        return hash((self.names, self.field))
+    def _key(self):
+        return (self.names, self.field)
 
     def __repr__(self):
         return f"VarContext(names={self.names!r}, field={self.field!r})"
@@ -133,14 +126,14 @@ class VarContext:
         return f"{self.field}[{', '.join(self.names)}]"
 
 
-class Poly:
+class Poly(_Arithmetic):
     """An exact multivariate polynomial in a :class:`VarContext`.
 
     Immutable by convention; arithmetic returns fresh objects and never
-    stores zero coefficients.
+    stores zero coefficients.  The hash is computed on first use and kept.
     """
 
-    __slots__ = ("context", "_terms")
+    __slots__ = ("context", "_terms", "_hash")
 
     def __init__(self, context: VarContext, terms: dict):
         n = context.nvars
@@ -255,18 +248,6 @@ class Poly:
     def __neg__(self):
         return Poly._raw(self.context, _canonical(
             {m: -c for m, c in self._terms.items()}, self.context.field.p))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -395,7 +376,15 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.context, frozenset(self._terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.context, frozenset(self._terms.items())))
+            return self._hash
+
+    def __reduce__(self):
+        # a str hash differs between processes, so the cached one stays here
+        return (Poly._raw, (self.context, self._terms))
 
     # -- printing --------------------------------------------------------
 

@@ -42,7 +42,6 @@ from .groebner import (
     DEFAULT_BUDGET,
     _MEMO,
     IdealHandle,
-    _MemoKey,
     QuotientRing,
     TermOrder,
     _initial_dimension,
@@ -237,7 +236,7 @@ def d_simplicity(ring: QuotientRing, derivations, *,
     memo = _MEMO.get()
     if memo is None:
         return _decide(ring, derivations, budget=budget)
-    key = _MemoKey((ring, ring.defining, derivations, budget))
+    key = (ring, ring.defining, derivations, budget)
     verdict = memo.get(key)
     if verdict is None:
         verdict = memo[key] = _decide(ring, derivations, budget=budget)

@@ -42,7 +42,7 @@ from .errors import (
     InvalidArgumentError,
     NonCommutingDerivationsError,
 )
-from .field import FieldElement, FieldSpec, QQ, _outside
+from .field import FieldElement, FieldSpec, QQ, _Arithmetic, _Keyed, _outside
 from .groebner import DEFAULT_BUDGET, QuotientRing
 from .poly import (Poly, VarContext, _canonical, _join_terms, _monomial_text,
                    _mul_into, det_fraction_free)
@@ -73,7 +73,7 @@ def _add_into(terms: dict, e, r: Poly) -> None:
         terms[e] = s
 
 
-class SkewRingDescriptor:
+class SkewRingDescriptor(_Keyed):
     """R[x1; d1]...[xn; dn] with commuting derivations of a commutative base R."""
 
     __slots__ = ("base", "names", "derivations")
@@ -168,21 +168,15 @@ class SkewRingDescriptor:
         return {tuple(map(sub, exponents, k)): c for k, w in weights.items()
                 if (c := table[k] if w == 1 else table[k].scale(w))}
 
-    def __eq__(self, other):
-        return (isinstance(other, SkewRingDescriptor)
-                and self.base == other.base
-                and self.names == other.names
-                and self.derivations == other.derivations)
-
-    def __hash__(self):
-        return hash((self.base, self.names, self.derivations))
+    def _key(self):
+        return (self.base, self.names, self.derivations)
 
     def __str__(self):
         steps = "".join(f"[{n}; {d}]" for n, d in zip(self.names, self.derivations))
         return f"{self.base}{steps}"
 
 
-class SkewPoly:
+class SkewPoly(_Arithmetic):
     """An element of a skew ring in left-coefficient normal form.
 
     `terms` maps exponent tuples (one entry per skew variable) to nonzero
@@ -253,18 +247,6 @@ class SkewPoly:
 
     def __neg__(self):
         return SkewPoly._raw(self.ring, {e: -r for e, r in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
