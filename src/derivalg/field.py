@@ -244,9 +244,6 @@ class FieldElement(_Arithmetic):
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def is_one(self) -> bool:
-        return self.value == 1
-
     @property
     def numerator(self) -> int:
         return self.value.numerator if self.spec.p is None else self.value

@@ -10,8 +10,9 @@ Positive answers are constructive wherever the theory allows:
   set D of derivations, the unit-ideal criterion 1 in the image ideal
   J_D = (d(x_i) : d in D, all i) + I, once I is certified prime (I = 0, or
   a plane curve with a smooth projective closure);
-* in characteristic p, a D-stable proper witness ideal of p-th powers
-  whenever the Krull dimension is positive (simplicity is impossible there).
+* in characteristic p, whenever the Krull dimension is positive (simplicity
+  is impossible there), the D-stable proper witness (x_i^p - r) + I for the
+  first x_i - r that cuts the dimension, or no witness when the tries run out.
 
 Negative answers carry a proper nonzero D-stable ideal where one is known; a
 proper J_D is one in any dimension, as d'(d(a)r) = d'(d(a))r + d(a)d'(r).
@@ -24,7 +25,6 @@ relation among D) use it.  Everything else is Unknown, with its reason.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -50,10 +50,6 @@ from .groebner import (
     is_unit_ideal,
 )
 from .poly import Poly, VarContext, _canonical
-
-# Largest p^n for which prime_char_obstruction searches F_p^n for a rational
-# point of V(I) to build its witness.
-POINT_BUDGET = 200_000
 
 
 class SimplicityCertificate(NamedTuple):
@@ -211,7 +207,8 @@ def d_simplicity(ring: QuotientRing, derivations, *,
                  budget: int = DEFAULT_BUDGET) -> SimplicityVerdict:
     """D-simplicity of R = k[x_1..x_n]/I; the first criterion that applies decides:
 
-    1. characteristic p: prime_char_obstruction;
+    1. characteristic p: prime_char_obstruction, NotSimple in positive
+       dimension, with the witness (x_i^p - r) + I when a try finds one;
     2. a polynomial ring with every partial in D: Simple;
     3. a variable or image generating a proper nonzero D-stable ideal: NotSimple;
     4. the image ideal J_D = (d(x_i) : d in D, all i) + I is D-stable; proper
@@ -247,7 +244,7 @@ def _decide(ring: QuotientRing, derivations: tuple, *,
             budget: int) -> SimplicityVerdict:
     """The verdict of `d_simplicity`, decided afresh."""
     if ring.context.field.characteristic != 0:
-        return prime_char_obstruction(ring)
+        return prime_char_obstruction(ring, budget=budget)
     if _all_partials_present(ring, derivations):
         return SimplicityVerdict(
             SimplicityStatus.SIMPLE,
@@ -316,51 +313,44 @@ def dim1_simplicity(ring: QuotientRing, d: Derivation, *,
     return d_simplicity(ring, [d], budget=budget)
 
 
-def prime_char_obstruction(ring: QuotientRing) -> SimplicityVerdict:
+def prime_char_obstruction(ring: QuotientRing, *,
+                           budget: int = DEFAULT_BUDGET) -> SimplicityVerdict:
     """Dimension obstruction in characteristic p.
 
     A D-simple ring of characteristic p is 0-dimensional, whatever D is, so
-    the check takes no derivations: the ideal generated by p-th powers of a
-    maximal ideal is proper and D-stable (d(g^p) = p g^(p-1) d(g) = 0).  So positive dimension means NotSimple;
-    the witness attached is ((x_1-a_1)^p, ..., (x_n-a_n)^p) + I for a
-    rational point a of V(I), when one exists in F_p^n and p^n is at most
-    POINT_BUDGET.  Dimension 0 leaves the question open.
+    the check takes no derivations and positive dimension means NotSimple.
+    For any g, d(g^p) = p g^(p-1) d(g) = 0, so (g^p) + I is D-stable; it is
+    proper when (g) + I is, and g^p is not in I when dim((g) + I) < dim R
+    (else g is nilpotent on R).  The tries g = x_i - r, for r = 0, 1, 2, ...
+    and in each r every variable in turn, take one basis each; the first
+    proper one of lower dimension gives the witness (x_i^p - r) + I, as
+    (x_i - r)^p = x_i^p - r.  After `budget` tries, or all p * n of them,
+    the verdict is NotSimple without a witness; a basis past the budget
+    raises BudgetExceededError.  Dimension 0 leaves the question open.
     """
     p = ring.context.field.characteristic
     if p == 0:
         return SimplicityVerdict(SimplicityStatus.UNKNOWN,
                                  reason="characteristic is 0")
-    if ring.dimension() == 0:
+    dim = ring.dimension()
+    if dim == 0:
         return SimplicityVerdict(SimplicityStatus.UNKNOWN,
                                  reason="necessary condition passed")
-    witness = _charp_witness(ring)
+    context, n = ring.context, ring.context.nvars
+    gens = list(ring.defining.generators)
+    witness = None
+    for k in range(min(budget, p * n)):
+        r, i = divmod(k, n)
+        x, c = context.var(i), context.const(r)
+        basis = groebner_basis(IdealHandle(context, [x - c] + gens), budget=budget)
+        if not basis.is_unit and _initial_dimension(basis) < dim:
+            witness = IdealHandle(context, [x ** p - c] + gens)
+            break
     reason = None if witness is not None else (
-        "positive dimension forces NotSimple; no rational-point witness found")
+        "positive dimension forces NotSimple; no (x_i - r)^p witness found")
     return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=witness,
                              reason=reason,
                              criterion="positive Krull dimension in characteristic p")
-
-
-def _charp_witness(ring: QuotientRing) -> IdealHandle | None:
-    p = ring.context.field.characteristic
-    n = ring.context.nvars
-    if p ** n > POINT_BUDGET:
-        return None
-    field = ring.context.field
-    gens = ring.defining.generators
-    for point in itertools.product(range(p), repeat=n):
-        values = [field.element(a) for a in point]
-        if any(not g.evaluate(values).is_zero() for g in gens):
-            continue
-        shifted = [(ring.context.var(i) - ring.context.const(a)) ** p
-                   for i, a in enumerate(values)]
-        # a power inside I adds nothing to the witness
-        powers = [g for g in shifted if ring.reduce(g)]
-        if not powers:
-            continue
-        # every generator vanishes at a, so the ideal is proper
-        return IdealHandle(ring.context, powers + list(gens))
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,27 @@ def test_check_dsimple_charp_witness_without_repeats():
         "[positive Krull dimension in characteristic p]")
 
 
+@pytest.mark.parametrize("field, ideal, der, line", [
+    ("GF(32003)", "x^2 + y^2 - 1", "x -> -y, y -> x",
+     "NotSimple witness (x^32003, x^2 + y^2 + 32002)"),
+    ("GF(443)", "x^2 + 1", "x -> 0, y -> 1", "NotSimple witness (y^443, x^2 + 1)"),
+    ("GF(2)", "(x^2 - x)*y - 1", "x -> x^2 - x, y -> y",
+     "NotSimple witness (y^2 + 1, x^2*y + x*y + 1)"),
+    # a search over the points or the values of GF(p) would not end here
+    ("GF(1000000000000000003)", "x^2 + y^2 - 1", "x -> -y, y -> x",
+     "NotSimple witness (x^1000000000000000003, x^2 + y^2 + 1000000000000000002)"),
+    ("GF(2)", "(x^2 + x)*(y^2 + y) - 1", "x -> 0, y -> 0",
+     "NotSimple (positive dimension forces NotSimple; no (x_i - r)^p witness found)"),
+], ids=["GF32003-circle", "GF443-no-rational-point", "GF2-y-shifted",
+        "GF(10^18+3)-circle", "GF2-no-witness"])
+def test_check_dsimple_charp_witness_of_a_shifted_variable(field, ideal, der, line):
+    out = run_cli("check", "dsimple", "--ring", f"{field}[x, y]", "--ideal", ideal,
+                  "--der", der)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == (
+        f"check dsimple: {line} [positive Krull dimension in characteristic p]")
+
+
 def test_integers_past_the_int_digit_limit():
     # Python refuses int/str conversions past 4300 digits; the CLI does not
     out = run_cli("--json", "mul", "--ring", "QQ[x]", "10^5000*x")

@@ -677,7 +677,7 @@ def test_reduced_basis_structural_invariants():
             basis = buchberger(gens, order)
             leads = [leading_monomial(g, order) for g in basis.polys]
             for i, g in enumerate(basis.polys):
-                assert g.leading_term(order)[1].is_one()
+                assert g.leading_term(order)[1] == 1
                 for j, lead in enumerate(leads):
                     if i == j:
                         continue

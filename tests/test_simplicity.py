@@ -27,12 +27,14 @@ from derivalg import (
     d_simplicity,
     darboux_search,
     dim1_simplicity,
+    groebner_basis,
     is_unit_ideal,
     prime_char_obstruction,
     replay_certificate,
     skew_simplicity,
 )
 from derivalg import simplicity
+from derivalg.groebner import _initial_dimension
 from derivalg.simplicity import (
     _certified_prime,
     _rational_roots,
@@ -380,10 +382,12 @@ def test_charp_obstruction_dim2():
     assert verdict.witness is not None
     assert d_ideal_check(verdict.witness, D)
     assert not is_unit_ideal(verdict.witness)
+    assert list(verdict.witness.generators) == [ctx.var(0) ** 5]
+    _assert_charp_witness(ring, D, verdict)
 
 
 def test_charp_witness_on_shifted_variety():
-    # V(xy - 1) misses the origin over GF(2); the point search must shift
+    # x and y are units modulo xy - 1, so the tries must shift to r = 1
     ctx = VarContext(("x", "y"), GF(2))
     x, y = ctx.var(0), ctx.var(1)
     ring = QuotientRing.of(IdealHandle(ctx, [x * y - 1]))
@@ -393,10 +397,12 @@ def test_charp_witness_on_shifted_variety():
     assert verdict.witness is not None
     assert not is_unit_ideal(verdict.witness)
     assert d_ideal_check(verdict.witness, [d])
+    _assert_charp_witness(ring, [d], verdict)
 
 
 def test_charp_witness_lists_no_power_inside_the_ideal():
-    # at the origin x^5 lies in I = (x^5), so only y^5 joins I's generator
+    # x is nilpotent modulo I = (x^5), so x - r never cuts the dimension;
+    # y^5 joins I's generator
     ctx = VarContext(("x", "y"), GF(5))
     x, y = ctx.var(0), ctx.var(1)
     ring = QuotientRing.of(IdealHandle(ctx, [x ** 5]))
@@ -406,6 +412,85 @@ def test_charp_witness_lists_no_power_inside_the_ideal():
     assert str(verdict) == ("NotSimple witness (y^5, x^5) "
                             "[positive Krull dimension in characteristic p]")
     assert d_ideal_check(verdict.witness, [d])
+    _assert_charp_witness(ring, [d], verdict)
+
+
+def _assert_charp_witness(ring, D, verdict):
+    # a witness (x_i^p - r) + I, checked without a basis of the p-th power:
+    # (x_i - r) + I is proper and of lower dimension, and each d kills
+    # x_i^p - r
+    ctx = ring.context
+    p = ctx.field.characteristic
+    assert verdict.status is SimplicityStatus.NOT_SIMPLE
+    g, *rest = verdict.witness.generators
+    assert rest == list(ring.defining.generators)
+    (i,) = [i for i in range(ctx.nvars) if g.degree_in(i)]
+    r = ctx.var(i) ** p - g
+    assert r.is_constant()
+    basis = groebner_basis(IdealHandle(ctx, [ctx.var(i) - r] + rest))
+    assert not basis.is_unit
+    assert _initial_dimension(basis) < ring.dimension()
+    assert all(d(g).is_zero() for d in D)
+
+
+def _charp_case(p, case):
+    # the ring GF(p)[x, y]/(f) and the derivation d, for (f, (d(x), d(y)))
+    # = case(x, y, 1)
+    ctx = VarContext(("x", "y"), GF(p))
+    f, images = case(ctx.var(0), ctx.var(1), ctx.one)
+    ring = QuotientRing.of(IdealHandle(ctx, [f]))
+    return ring, [Derivation(ring, images)]
+
+
+@pytest.mark.parametrize("p, case, text", [
+    (32003, lambda x, y, one: (x ** 2 + y ** 2 - 1, (-y, x)),
+     "(x^32003, x^2 + y^2 + 32002)"),
+    # x^2 + 1 has no root mod 443, so there is no rational point; y cuts
+    (443, lambda x, y, one: (x ** 2 + 1, (0 * one, one)),
+     "(y^443, x^2 + 1)"),
+    # x takes no value of GF(2), where x^2 - x vanishes; y - 1 works
+    (2, lambda x, y, one: ((x ** 2 - x) * y - 1, (x ** 2 - x, y)),
+     "(y^2 + 1, x^2*y + x*y + 1)"),
+    (1000000000000000003, lambda x, y, one: (x ** 2 + y ** 2 - 1, (-y, x)),
+     "(x^1000000000000000003, x^2 + y^2 + 1000000000000000002)"),
+], ids=["GF32003-circle", "GF443-no-rational-point", "GF2-y-shifted",
+        "GF(10^18+3)-circle"])
+def test_charp_witness_is_a_shifted_variable_power(p, case, text):
+    ring, D = _charp_case(p, case)
+    verdict = d_simplicity(ring, D)
+    assert str(verdict) == (f"NotSimple witness {text} "
+                            "[positive Krull dimension in characteristic p]")
+    _assert_charp_witness(ring, D, verdict)
+
+
+NO_WITNESS = ("positive dimension forces NotSimple; "
+              "no (x_i - r)^p witness found")
+
+
+def test_charp_every_try_fails_without_a_witness():
+    # over GF(2) both x^2 + x and y^2 + y are units modulo I, so every
+    # x_i - r with r in GF(2) generates the unit ideal with I
+    ring, D = _charp_case(2, lambda x, y, one: (
+        (x ** 2 + x) * (y ** 2 + y) - 1, (x ** 2 + x, y ** 2 + y)))
+    verdict = d_simplicity(ring, D)
+    assert verdict.status is SimplicityStatus.NOT_SIMPLE
+    assert verdict.witness is None
+    assert verdict.reason == NO_WITNESS
+
+
+def test_charp_tries_stop_at_the_budget(monkeypatch):
+    # all 886 tries fail on this ring; a budget of 5 makes only 5 of them
+    ring, D = _charp_case(443, lambda x, y, one: (
+        (x ** 443 - x) * (y ** 443 - y) - 1, (0 * one, 0 * one)))
+    tries = []
+    basis_of = simplicity.groebner_basis
+    monkeypatch.setattr(simplicity, "groebner_basis",
+                        lambda *a, **k: tries.append(a) or basis_of(*a, **k))
+    verdict = d_simplicity(ring, D, budget=5)
+    assert len(tries) == 5
+    assert verdict.status is SimplicityStatus.NOT_SIMPLE
+    assert verdict.witness is None
+    assert verdict.reason == NO_WITNESS
 
 
 # --------------------------------------------------------------------------
