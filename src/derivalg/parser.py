@@ -33,19 +33,21 @@ Expressions: ASCII integers, `a/b` rationals, identifiers, `+ - * ^`, parenthese
 One recursive descent parses statements and expressions alike: each rule
 takes the token list and an index and returns (value, index past it).  A
 rule tells keywords and punctuation apart by their text alone, as no token
-of another kind can have the text of an `op` token or of a keyword.
+of another kind can have the text of an `op` token or of a keyword.  Most
+statement rules are `_seq`s of texts and operand rules, so the tables at the
+end of the module read like the grammar above.
 
-Tokens, expression nodes and statements are `typing.NamedTuple` records, and
-every statement has its source `line` as the first field.  Like any tuple, a
-record compares equal to a plain tuple of the same values, whatever its
-class: tell statements apart by type, as `Session.execute` does.
+Tokens and expression nodes are `typing.NamedTuple` records.  A statement is
+one record, `Statement(line, kind, operands)`: its source line, its kind (the
+keyword, or `check_<what>` for a check) and the tuple of values its rule
+reads, which `Session.execute` passes to `Session._do_<kind>` after the line.
 """
 
 from __future__ import annotations
 
 import re
 from functools import partial
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -146,11 +148,10 @@ def _number(t: Token) -> int:
                          t.line, t.col) from None
 
 
-def _expect(tokens, i, kind, text=None):
-    """The index past tokens[i], which must be a `kind` token (with `text`)."""
-    t = tokens[i]
-    if t.kind != kind or (text is not None and t.text != text):
-        raise _expected(kind if text is None else text, t)
+def _expect(tokens, i, kind):
+    """The index past tokens[i], which must be a `kind` token."""
+    if tokens[i].kind != kind:
+        raise _expected(kind, tokens[i])
     return i + 1
 
 
@@ -212,134 +213,10 @@ def _factor(tokens, i):
 # --------------------------------------------------------------------------
 
 
-class FieldDesignator(NamedTuple):
-    p: Optional[int]    # None = QQ
-
-
-class DefineRing(NamedTuple):
+class Statement(NamedTuple):
     line: int
-    name: str
-    field_spec: FieldDesignator
-    variables: tuple
-
-
-class DefineIdeal(NamedTuple):
-    line: int
-    name: str
-    ring: str
-    generators: tuple
-
-
-class DefineQuotient(NamedTuple):
-    line: int
-    name: str
-    ring: str
-    ideal: str
-
-
-class DefineDerivation(NamedTuple):
-    line: int
-    name: str
-    ring: str
-    assignments: tuple  # ((varname, expr), ...)
-
-
-class DefineSkew(NamedTuple):
-    line: int
-    name: str
-    base: str
-    steps: tuple        # ((varname, dername), ...)
-
-
-class DefineWeyl(NamedTuple):
-    line: int
-    n: int
-    name: str
-
-
-class LetElement(NamedTuple):
-    line: int
-    name: str
-    expr: object
-    ring: Optional[str]
-
-
-class MulCommand(NamedTuple):
-    line: int
-    expr: object
-    ring: Optional[str]
-
-
-class ApplyCommand(NamedTuple):
-    line: int
-    derivation: str
-    expr: object
-
-
-class GbCommand(NamedTuple):
-    line: int
-    ideal: str
-
-
-class MemberCommand(NamedTuple):
-    line: int
-    expr: object
-    ideal: str
-    cofactors: bool
-
-
-class DimCommand(NamedTuple):
-    line: int
-    ideal: str
-
-
-class CertificateCommand(NamedTuple):
-    line: int
-    expr: object
-    ring: Optional[str]
-
-
-class DarbouxCommand(NamedTuple):
-    line: int
-    expr: object
-    bound: int
-    ring: Optional[str]
-
-
-class CheckCommute(NamedTuple):
-    line: int
-    first: str
-    second: str
-
-
-class CheckDideal(NamedTuple):
-    line: int
-    ideal: str
-    derivations: tuple
-
-
-class CheckDsimple(NamedTuple):
-    line: int
-    ring: str
-    derivations: tuple
-    dim1: bool
-
-
-class CheckSimple(NamedTuple):
-    line: int
-    ring: str
-
-
-class InnerCommand(NamedTuple):
-    line: int
-    expr: object
-    ring: Optional[str]
-
-
-class ExtendCommand(NamedTuple):
-    line: int
-    derivation: str
-    ring: str
+    kind: str           # the keyword, or check_<what> for a check
+    operands: tuple     # the values its rule reads, in source order
 
 
 def parse_session(text: str):
@@ -357,74 +234,82 @@ def parse_session(text: str):
         if kind != "ident":
             raise ParseError(f"expected a statement keyword, found {word!r}",
                              line, col)
-        parse = _STATEMENTS.get(word)
-        if parse is None:
-            raise ParseError(f"unknown statement {word!r}", line, col)
-        stmt, i = parse(tokens, i + 1, line)
-        statements.append(stmt)
+        if word == "check":
+            t = tokens[i + 1]
+            what, i = _ident(tokens, i + 1)
+            word = "check_" + what
+            rule = _CHECKS.get(word)
+            if rule is None:
+                raise ParseError(f"unknown check {what!r}", t.line, t.col)
+        else:
+            rule = _STATEMENTS.get(word)
+            if rule is None:
+                raise ParseError(f"unknown statement {word!r}", line, col)
+            i += 1
+        operands, i = rule(tokens, i)
+        statements.append(_new(Statement, (line, word, operands)))
         t = tokens[i]
         if t.kind not in ("newline", "eof"):
             raise ParseError(f"unexpected trailing {t.text!r}", t.line, t.col)
 
 
-def _comma_list(tokens, i, item):
-    """(tuple of items, index past them) of `item (, item)*`, each item
-    parsed by `item(tokens, i) -> (value, i)`."""
-    value, i = item(tokens, i)
-    items = [value]
-    while tokens[i][1] == ",":
-        value, i = item(tokens, i + 1)
-        items.append(value)
-    return tuple(items), i
+def _seq(*parts):
+    """The rule that reads `parts` in turn: a string is the text of the
+    keyword or punctuation that must come next, any other part a rule whose
+    value is the next operand.  Its value is the tuple of the operands."""
+    def rule(tokens, i):
+        operands = []
+        for part in parts:
+            if part.__class__ is str:
+                if tokens[i][1] != part:
+                    raise _expected(part, tokens[i])
+                i += 1
+            else:
+                value, i = part(tokens, i)
+                operands.append(value)
+        return tuple(operands), i
+    return rule
 
 
-def _opt_in_ring(tokens, i):
+def _comma_list(item):
+    """The rule of `item (, item)*`, whose value is the tuple of the items."""
+    def rule(tokens, i):
+        value, i = item(tokens, i)
+        items = [value]
+        while tokens[i][1] == ",":
+            value, i = item(tokens, i + 1)
+            items.append(value)
+        return tuple(items), i
+    return rule
+
+
+def _num(tokens, i):
+    """(value, index past it) of the number at tokens[i]."""
+    return _number(tokens[i]), i + 1
+
+
+def _in_ring(tokens, i):
     """(RING or None, index past it) of an optional `in RING`."""
     if tokens[i][1] == "in":
         return _ident(tokens, i + 1)
     return None, i
 
 
-def _parse_ring_stmt(tokens, i, line):
-    name, i = _ident(tokens, i)
-    spec, i = _parse_field(tokens, _expect(tokens, i, "op", "="))
-    variables, i = _comma_list(tokens, _expect(tokens, i, "op", "["), _ident)
-    return DefineRing(line, name, spec, variables), _expect(tokens, i, "op", "]")
+_GF = _seq("(", _num, ")")
 
 
-def _parse_field(tokens, i):
+def _field(tokens, i):
+    """(p, index past it) of `GF(p)`, or of `QQ` with p None."""
     t = tokens[i]
-    i = _expect(tokens, i, "ident")
     if t.text == "QQ":
-        return FieldDesignator(None), i
+        return None, i + 1
     if t.text == "GF":
-        i = _expect(tokens, i, "op", "(")
-        p = _number(tokens[i])
-        return FieldDesignator(p), _expect(tokens, i + 1, "op", ")")
+        (p,), i = _GF(tokens, i + 1)
+        return p, i
+    if t.kind != "ident":
+        raise _expected("ident", t)
     raise ParseError(f"unknown field {t.text!r} (use QQ or GF(p))",
                      t.line, t.col)
-
-
-def _parse_ideal_stmt(tokens, i, line):
-    name, i = _ident(tokens, i)
-    ring, i = _ident(tokens, _expect(tokens, i, "ident", "in"))
-    gens, i = _comma_list(tokens, _expect(tokens, i, "op", ":"), _sum)
-    return DefineIdeal(line, name, ring, gens), i
-
-
-def _parse_quotient_stmt(tokens, i, line):
-    name, i = _ident(tokens, i)
-    ring, i = _ident(tokens, _expect(tokens, i, "op", "="))
-    ideal, i = _ident(tokens, _expect(tokens, i, "op", "/"))
-    return DefineQuotient(line, name, ring, ideal), i
-
-
-def _parse_der_stmt(tokens, i, line):
-    name, i = _ident(tokens, i)
-    ring, i = _ident(tokens, _expect(tokens, i, "ident", "on"))
-    assignments, i = _comma_list(tokens, _expect(tokens, i, "op", ":"),
-                                 _assignment)
-    return DefineDerivation(line, name, ring, assignments), i
 
 
 def _assignment(tokens, i):
@@ -434,125 +319,88 @@ def _assignment(tokens, i):
     return (var, expr), i
 
 
-def _parse_skew_stmt(tokens, i, line):
-    name, i = _ident(tokens, i)
-    base, i = _ident(tokens, _expect(tokens, i, "op", "="))
+_STEP = _seq("[", _ident, ";", _ident, "]")
+
+
+def _steps(tokens, i):
+    """(((var, der), ...), index past them) of one or more `[var; der]`."""
     steps = []
     while tokens[i][1] == "[":
-        var, i = _ident(tokens, i + 1)
-        der, i = _ident(tokens, _expect(tokens, i, "op", ";"))
-        steps.append((var, der))
-        i = _expect(tokens, i, "op", "]")
+        step, i = _STEP(tokens, i)
+        steps.append(step)
     if not steps:
         t = tokens[i]
         raise ParseError("a skew ring needs at least one [var; derivation] step",
                          t.line, t.col)
-    return DefineSkew(line, name, base, tuple(steps)), i
+    return tuple(steps), i
 
 
-def _parse_weyl_stmt(tokens, i, line):
-    n = _number(tokens[i])
-    name, i = f"A{n}", i + 1
-    if tokens[i][1] == "as":
-        name, i = _ident(tokens, i + 1)
-    return DefineWeyl(line, n, name), i
+def _weyl(tokens, i):
+    """`N [as NAME]`; the name is AN without `as`."""
+    n, i = _num(tokens, i)
+    if tokens[i][1] != "as":
+        return (n, f"A{n}"), i
+    name, i = _ident(tokens, i + 1)
+    return (n, name), i
 
 
-def _parse_let_stmt(tokens, i, line):
+def _cofactors(tokens, i):
+    """(True, index past it) of `with cofactors`, or (False, i) without."""
+    if tokens[i][1] != "with":
+        return False, i
+    if tokens[i + 1][1] != "cofactors":
+        raise _expected("cofactors", tokens[i + 1])
+    return True, i + 2
+
+
+def _derivations(flag, tokens, i):
+    """((NAME, (D1, D2, ...)), index past them) of `NAME D1 [D2 ...]`, the
+    operands of `check dideal`.  Given a `flag`, which may stand anywhere
+    after D1, whether it does is a third operand: `check dsimple`'s --dim1."""
     name, i = _ident(tokens, i)
-    expr, i = _sum(tokens, _expect(tokens, i, "op", "="))
-    ring, i = _opt_in_ring(tokens, i)
-    return LetElement(line, name, expr, ring), i
-
-
-def _parse_expr_in_ring(record, tokens, i, line):
-    """`EXPR [in RING]`, the statement of `mul`, `certificate` and `inner`."""
-    expr, i = _sum(tokens, i)
-    ring, i = _opt_in_ring(tokens, i)
-    return record(line, expr, ring), i
-
-
-def _parse_name(record, tokens, i, line):
-    """`NAME`, the statement of `gb`, `dim` and `check simple`."""
-    name, i = _ident(tokens, i)
-    return record(line, name), i
-
-
-def _parse_apply_stmt(tokens, i, line):
     der, i = _ident(tokens, i)
-    expr, i = _sum(tokens, i)
-    return ApplyCommand(line, der, expr), i
-
-
-def _parse_member_stmt(tokens, i, line):
-    expr, i = _sum(tokens, i)
-    ideal, i = _ident(tokens, _expect(tokens, i, "ident", "in"))
-    cofactors = tokens[i][1] == "with"
-    if cofactors:
-        i = _expect(tokens, i + 1, "ident", "cofactors")
-    return MemberCommand(line, expr, ideal, cofactors), i
-
-
-def _parse_darboux_stmt(tokens, i, line):
-    expr, i = _sum(tokens, i)
-    i = _expect(tokens, i, "ident", "bound")
-    n = _number(tokens[i])
-    ring, i = _opt_in_ring(tokens, i + 1)
-    return DarbouxCommand(line, expr, n, ring), i
-
-
-def _parse_check_stmt(tokens, i, line):
-    t = tokens[i]
-    what, i = _ident(tokens, i)
-    if what == "commute":
-        first, i = _ident(tokens, i)
-        second, i = _ident(tokens, i)
-        return CheckCommute(line, first, second), i
-    if what == "simple":
-        return _parse_name(CheckSimple, tokens, i, line)
-    if what not in ("dideal", "dsimple"):
-        raise ParseError(f"unknown check {what!r}", t.line, t.col)
-    target, i = _ident(tokens, i)
-    der, i = _ident(tokens, i)
-    ders, dim1 = [der], False
-    while True:     # D2 ...; only dsimple reads --dim1, anywhere after D1
+    ders, flagged = [der], False
+    while True:
         kind, text = tokens[i][:2]
         if kind == "ident":
             ders.append(text)
-        elif text == "--dim1" and what == "dsimple":
-            dim1 = True
+        elif text == flag:
+            flagged = True
         else:
             break
         i += 1
-    if what == "dideal":
-        return CheckDideal(line, target, tuple(ders)), i
-    return CheckDsimple(line, target, tuple(ders), dim1), i
+    if flag is None:
+        return (name, tuple(ders)), i
+    return (name, tuple(ders), flagged), i
 
 
-def _parse_extend_stmt(tokens, i, line):
-    der, i = _ident(tokens, i)
-    ring, i = _ident(tokens, _expect(tokens, i, "ident", "into"))
-    return ExtendCommand(line, der, ring), i
-
-
-# each parser takes (tokens, index past the keyword, line) and returns
-# (record, index past the statement)
+# each rule takes (tokens, index past the keyword) and returns (operands,
+# index past the statement); the operands are what `Session._do_<kind>`
+# takes after the line
 _STATEMENTS = {
-    "ring": _parse_ring_stmt,
-    "ideal": _parse_ideal_stmt,
-    "quotient": _parse_quotient_stmt,
-    "der": _parse_der_stmt,
-    "skew": _parse_skew_stmt,
-    "weyl": _parse_weyl_stmt,
-    "let": _parse_let_stmt,
-    "mul": partial(_parse_expr_in_ring, MulCommand),
-    "apply": _parse_apply_stmt,
-    "gb": partial(_parse_name, GbCommand),
-    "member": _parse_member_stmt,
-    "dim": partial(_parse_name, DimCommand),
-    "certificate": partial(_parse_expr_in_ring, CertificateCommand),
-    "darboux": _parse_darboux_stmt,
-    "check": _parse_check_stmt,
-    "inner": partial(_parse_expr_in_ring, InnerCommand),
-    "extend": _parse_extend_stmt,
+    "ring": _seq(_ident, "=", _field, "[", _comma_list(_ident), "]"),
+    "ideal": _seq(_ident, "in", _ident, ":", _comma_list(_sum)),
+    "quotient": _seq(_ident, "=", _ident, "/", _ident),
+    "der": _seq(_ident, "on", _ident, ":", _comma_list(_assignment)),
+    "skew": _seq(_ident, "=", _ident, _steps),
+    "weyl": _weyl,
+    "let": _seq(_ident, "=", _sum, _in_ring),
+    "mul": _seq(_sum, _in_ring),
+    "apply": _seq(_ident, _sum),
+    "gb": _seq(_ident),
+    "member": _seq(_sum, "in", _ident, _cofactors),
+    "dim": _seq(_ident),
+    "certificate": _seq(_sum, _in_ring),
+    "darboux": _seq(_sum, "bound", _num, _in_ring),
+    "inner": _seq(_sum, _in_ring),
+    "extend": _seq(_ident, "into", _ident),
+}
+
+# the rules of `check <what>`, by kind; they are looked up only after
+# `check`, so no kind of theirs is a keyword
+_CHECKS = {
+    "check_commute": _seq(_ident, _ident),
+    "check_dideal": partial(_derivations, None),
+    "check_dsimple": partial(_derivations, "--dim1"),
+    "check_simple": _seq(_ident),
 }

@@ -162,171 +162,172 @@ class Session:
 
     # -- statement dispatch --------------------------------------------------
 
-    def execute(self, stmt):
-        """Run one statement, with the session's memo active.
+    def execute(self, stmt: P.Statement):
+        """Run one statement as `self._do_<kind>(line, *operands)`, with the
+        session's memo active.
 
         Returns (json_record, human): `human()` formats the statement's text
         output from the record's strings, so a JSON run never builds it."""
-        handler = self._DISPATCH[type(stmt)]
+        line, kind, operands = stmt
+        handler = getattr(self, "_do_" + kind)
         token = _MEMO.set(self._memo)
         try:
-            return handler(self, stmt)
+            return handler(line, *operands)
         finally:
             _MEMO.reset(token)
 
-    def _do_ring(self, stmt: P.DefineRing):
-        context = VarContext(stmt.variables, FieldSpec(stmt.field_spec.p))
+    def _do_ring(self, line, name, p, variables):
+        context = VarContext(variables, FieldSpec(p))
         ring = QuotientRing.trivial(context)
-        self._bind(self.rings, "ring", stmt.name, ring, stmt.line)
-        self.current = stmt.name
-        record = {"command": "ring", "name": stmt.name,
+        self._bind(self.rings, "ring", name, ring, line)
+        self.current = name
+        record = {"command": "ring", "name": name,
                   "field": str(context.field), "variables": list(context.names)}
-        return record, lambda: f"ring {stmt.name} = {context}"
+        return record, lambda: f"ring {name} = {context}"
 
-    def _do_ideal(self, stmt: P.DefineIdeal):
-        ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line, QuotientRing)
+    def _do_ideal(self, line, name, ring_name, generators):
+        ring = self._lookup(self.rings, "ring", ring_name, line, QuotientRing)
         if not ring.is_trivial:
             raise PreconditionError("ideals are defined in polynomial rings")
-        gens = [self.eval_poly(e, ring) for e in stmt.generators]
+        gens = [self.eval_poly(e, ring) for e in generators]
         handle = IdealHandle(ring.context, gens)
-        self._bind(self.ideals, "ideal", stmt.name, handle, stmt.line)
-        record = {"command": "ideal", "name": stmt.name, "ring": stmt.ring,
+        self._bind(self.ideals, "ideal", name, handle, line)
+        record = {"command": "ideal", "name": name, "ring": ring_name,
                   "generators": [str(g) for g in handle.generators]}
         return record, lambda: "ideal {} = ({}) in {}".format(
-            stmt.name, ", ".join(record["generators"]) or "0", stmt.ring)
+            name, ", ".join(record["generators"]) or "0", ring_name)
 
-    def _do_quotient(self, stmt: P.DefineQuotient):
-        ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line, QuotientRing)
+    def _do_quotient(self, line, name, ring_name, ideal):
+        ring = self._lookup(self.rings, "ring", ring_name, line, QuotientRing)
         if not ring.is_trivial:
             raise PreconditionError("quotients are taken over polynomial rings")
-        handle = self._lookup(self.ideals, "ideal", stmt.ideal, stmt.line)
+        handle = self._lookup(self.ideals, "ideal", ideal, line)
         if handle.context != ring.context:
             raise PreconditionError(
-                f"ideal {stmt.ideal!r} does not live in ring {stmt.ring!r}")
+                f"ideal {ideal!r} does not live in ring {ring_name!r}")
         quotient = QuotientRing.of(handle, self.order, self.budget)
-        self._bind(self.rings, "ring", stmt.name, quotient, stmt.line)
-        self.current = stmt.name
-        record = {"command": "quotient", "name": stmt.name, "ring": stmt.ring,
-                  "ideal": stmt.ideal,
+        self._bind(self.rings, "ring", name, quotient, line)
+        self.current = name
+        record = {"command": "quotient", "name": name, "ring": ring_name,
+                  "ideal": ideal,
                   "groebner_basis": [str(g) for g in quotient.basis.polys]}
-        return record, lambda: f"quotient {stmt.name} = {quotient}"
+        return record, lambda: f"quotient {name} = {quotient}"
 
-    def _do_der(self, stmt: P.DefineDerivation):
-        ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line, QuotientRing)
+    def _do_der(self, line, name, ring_name, assignments):
+        ring = self._lookup(self.rings, "ring", ring_name, line, QuotientRing)
         names = ring.context.names
         images = {}
-        for var, expr in stmt.assignments:
+        for var, expr in assignments:
             if var not in names:
                 raise UnknownIdentifierError(
-                    f"{var!r} is not a variable of {stmt.ring}", stmt.line, 1)
+                    f"{var!r} is not a variable of {ring_name}", line, 1)
             if var in images:
                 raise ParseError(
-                    f"{var!r} is given two images in der {stmt.name}", stmt.line, 1)
+                    f"{var!r} is given two images in der {name}", line, 1)
             images[var] = self.eval_poly(expr, ring)
         from .derivation import Derivation
         derivation = Derivation(ring, [images.get(n, ring.context.zero) for n in names])
-        self._bind(self.derivations, "derivation", stmt.name, derivation, stmt.line)
-        record = {"command": "der", "name": stmt.name, "ring": stmt.ring,
+        self._bind(self.derivations, "derivation", name, derivation, line)
+        record = {"command": "der", "name": name, "ring": ring_name,
                   "images": {n: str(g) for n, g in zip(names, derivation.images)}}
-        return record, lambda: f"der {stmt.name} on {stmt.ring} : " + ", ".join(
+        return record, lambda: f"der {name} on {ring_name} : " + ", ".join(
             f"{n} -> {g}" for n, g in record["images"].items())
 
-    def _do_skew(self, stmt: P.DefineSkew):
-        base = self._lookup(self.rings, "ring", stmt.base, stmt.line, QuotientRing)
-        names = [var for var, _ in stmt.steps]
-        ders = [self._lookup(self.derivations, "derivation", d, stmt.line)
-                for _, d in stmt.steps]
+    def _do_skew(self, line, name, base_name, steps):
+        base = self._lookup(self.rings, "ring", base_name, line, QuotientRing)
+        names = [var for var, _ in steps]
+        ders = [self._lookup(self.derivations, "derivation", d, line)
+                for _, d in steps]
         from .skew import SkewRingDescriptor
         ring = SkewRingDescriptor(base, names, ders)
-        self._bind(self.rings, "skew ring", stmt.name, ring, stmt.line)
-        self.current = stmt.name
-        record = {"command": "skew", "name": stmt.name, "base": stmt.base,
+        self._bind(self.rings, "skew ring", name, ring, line)
+        self.current = name
+        record = {"command": "skew", "name": name, "base": base_name,
                   "variables": names,
-                  "derivations": [d for _, d in stmt.steps]}
-        return record, lambda: f"skew {stmt.name} = {ring}"
+                  "derivations": [d for _, d in steps]}
+        return record, lambda: f"skew {name} = {ring}"
 
-    def _do_weyl(self, stmt: P.DefineWeyl):
+    def _do_weyl(self, line, n, name):
         from .skew import weyl_algebra
-        ring = weyl_algebra(stmt.n)
-        self._bind(self.rings, "skew ring", stmt.name, ring, stmt.line)
-        self.current = stmt.name
-        record = {"command": "weyl", "name": stmt.name, "n": stmt.n,
+        ring = weyl_algebra(n)
+        self._bind(self.rings, "skew ring", name, ring, line)
+        self.current = name
+        record = {"command": "weyl", "name": name, "n": n,
                   "base_variables": list(ring.base.context.names),
                   "skew_variables": list(ring.names)}
-        return record, lambda: f"weyl {stmt.n}: {stmt.name} = {ring}"
+        return record, lambda: f"weyl {n}: {name} = {ring}"
 
-    def _evaluate(self, stmt):
-        """stmt.expr in stmt.ring (default: the ring in scope), reduced, and
-        its JSON rendering."""
-        ring = self._any_ring(stmt.ring, stmt.line)
+    def _evaluate(self, line, expr, ring_name):
+        """expr in ring_name (default: the ring in scope), reduced, and its
+        JSON rendering."""
+        ring = self._any_ring(ring_name, line)
         if isinstance(ring, QuotientRing):
-            value = self.eval_poly(stmt.expr, ring)
+            value = self.eval_poly(expr, ring)
             return value, poly_json(value)
-        value = self.eval_in(stmt.expr, ring)
+        value = self.eval_in(expr, ring)
         return value, skew_json(value)
 
-    def _do_let(self, stmt: P.LetElement):
-        value, rendered = self._evaluate(stmt)
+    def _do_let(self, line, name, expr, ring_name):
+        value, rendered = self._evaluate(line, expr, ring_name)
         # a variable of the value's ring hides any element of its name
         variables = (value.context.names if isinstance(value, Poly)
                      else value.ring.names + value.ring.base.context.names)
-        if stmt.name in variables:
-            raise ParseError(f"element {stmt.name!r} is a variable of its ring",
-                             stmt.line, 1)
-        self._bind(self.elements, "element", stmt.name, value, stmt.line)
-        record = {"command": "let", "name": stmt.name, "value": rendered}
-        return record, lambda: f"let {stmt.name} = {rendered['str']}"
+        if name in variables:
+            raise ParseError(f"element {name!r} is a variable of its ring",
+                             line, 1)
+        self._bind(self.elements, "element", name, value, line)
+        record = {"command": "let", "name": name, "value": rendered}
+        return record, lambda: f"let {name} = {rendered['str']}"
 
-    def _do_mul(self, stmt: P.MulCommand):
-        _, rendered = self._evaluate(stmt)
+    def _do_mul(self, line, expr, ring_name):
+        _, rendered = self._evaluate(line, expr, ring_name)
         record = {"command": "mul", "result": rendered}
         return record, lambda: f"mul: {rendered['str']}"
 
-    def _do_apply(self, stmt: P.ApplyCommand):
-        derivation = self._lookup(self.derivations, "derivation",
-                                  stmt.derivation, stmt.line)
-        value = self.eval_poly(stmt.expr, derivation.ring)
+    def _do_apply(self, line, der_name, expr):
+        derivation = self._lookup(self.derivations, "derivation", der_name, line)
+        value = self.eval_poly(expr, derivation.ring)
         image = derivation.apply(value)
-        record = {"command": "apply", "derivation": stmt.derivation,
+        record = {"command": "apply", "derivation": der_name,
                   "element": str(value), "result": poly_json(image)}
-        return record, lambda: f"apply {stmt.derivation}: {record['result']['str']}"
+        return record, lambda: f"apply {der_name}: {record['result']['str']}"
 
-    def _do_gb(self, stmt: P.GbCommand):
-        handle = self._lookup(self.ideals, "ideal", stmt.ideal, stmt.line)
+    def _do_gb(self, line, ideal):
+        handle = self._lookup(self.ideals, "ideal", ideal, line)
         basis = groebner_basis(handle, self.order, self.budget)
-        record = {"command": "gb", "ideal": stmt.ideal, "order": str(self.order),
+        record = {"command": "gb", "ideal": ideal, "order": str(self.order),
                   "basis": [str(g) for g in basis.polys]}
-        return record, lambda: f"gb {stmt.ideal}: {{{', '.join(record['basis'])}}}"
+        return record, lambda: f"gb {ideal}: {{{', '.join(record['basis'])}}}"
 
-    def _do_member(self, stmt: P.MemberCommand):
-        handle = self._lookup(self.ideals, "ideal", stmt.ideal, stmt.line)
+    def _do_member(self, line, expr, ideal, cofactors):
+        handle = self._lookup(self.ideals, "ideal", ideal, line)
         ring = QuotientRing.trivial(handle.context)
-        f = self.eval_poly(stmt.expr, ring)
+        f = self.eval_poly(expr, ring)
         basis = groebner_basis(handle, self.order, self.budget)
         remainder, cof = normal_form_with_cofactors(f, basis)
         member = remainder.is_zero()
-        record = {"command": "member", "ideal": stmt.ideal, "element": str(f),
+        record = {"command": "member", "ideal": ideal, "element": str(f),
                   "member": member}
-        if stmt.cofactors:
+        if cofactors:
             record["cofactors"] = [
                 {"basis_element": str(g), "cofactor": str(q)}
                 for g, q in zip(basis.polys, cof)]
             record["remainder"] = str(remainder)
-        return record, lambda: (f"member {record['element']} in {stmt.ideal}: "
+        return record, lambda: (f"member {record['element']} in {ideal}: "
                                 f"{str(member).lower()}")
 
-    def _do_dim(self, stmt: P.DimCommand):
-        handle = self._lookup(self.ideals, "ideal", stmt.ideal, stmt.line)
+    def _do_dim(self, line, ideal):
+        handle = self._lookup(self.ideals, "ideal", ideal, line)
         dim = QuotientRing.of(handle, budget=self.budget).dimension()
-        record = {"command": "dim", "ideal": stmt.ideal, "dimension": dim}
-        return record, lambda: f"dim {stmt.ideal}: {dim}"
+        record = {"command": "dim", "ideal": ideal, "dimension": dim}
+        return record, lambda: f"dim {ideal}: {dim}"
 
-    def _do_certificate(self, stmt: P.CertificateCommand):
-        ring = self._any_ring(stmt.ring, stmt.line)
+    def _do_certificate(self, line, expr, ring_name):
+        ring = self._any_ring(ring_name, line)
         if not isinstance(ring, QuotientRing):
             raise PreconditionError("certificates live in commutative rings")
         from .simplicity import certificate
-        f = self.eval_poly(stmt.expr, ring)
+        f = self.eval_poly(expr, ring)
         cert = certificate(ring, f)
         names = ring.context.names
         record = {"command": "certificate", "element": str(f),
@@ -337,29 +338,29 @@ class Session:
         return record, lambda: (f"certificate: word [{word}] "
                                 f"constant {record['constant']}")
 
-    def _do_darboux(self, stmt: P.DarbouxCommand):
-        ring = self._any_ring(stmt.ring, stmt.line)
+    def _do_darboux(self, line, expr, bound, ring_name):
+        ring = self._any_ring(ring_name, line)
         if not isinstance(ring, QuotientRing) or not ring.is_trivial:
             raise PreconditionError("Darboux search runs over a polynomial ring")
         from .simplicity import DarbouxStatus, darboux_search
-        F = self.eval_poly(stmt.expr, ring)
-        result = darboux_search(F, stmt.bound, self.budget)
-        record = {"command": "darboux", "F": str(F), "bound": stmt.bound,
+        F = self.eval_poly(expr, ring)
+        result = darboux_search(F, bound, self.budget)
+        record = {"command": "darboux", "F": str(F), "bound": bound,
                   "status": result.status.value}
         if result.status is DarbouxStatus.FOUND:
             record["h"] = str(result.h)
             record["cofactor"] = str(result.cofactor)
             return record, lambda: (f"darboux: found h = {record['h']}, "
                                     f"cofactor = {record['cofactor']}")
-        return record, lambda: f"darboux: none up to degree {stmt.bound}"
+        return record, lambda: f"darboux: none up to degree {bound}"
 
-    def _do_check_commute(self, stmt: P.CheckCommute):
-        d1 = self._lookup(self.derivations, "derivation", stmt.first, stmt.line)
-        d2 = self._lookup(self.derivations, "derivation", stmt.second, stmt.line)
+    def _do_check_commute(self, line, first, second):
+        d1 = self._lookup(self.derivations, "derivation", first, line)
+        d2 = self._lookup(self.derivations, "derivation", second, line)
         from .derivation import commuting_set_check
         report = commuting_set_check([d1, d2])
-        record = {"command": "check_commute", "first": stmt.first,
-                  "second": stmt.second, "commute": report.commute}
+        record = {"command": "check_commute", "first": first,
+                  "second": second, "commute": report.commute}
         if not report.commute:
             gen = d1.ring.context.names[report.generator]
             record["witness"] = {"generator": gen, "image": str(report.witness)}
@@ -367,54 +368,54 @@ class Session:
                                     f"to {record['witness']['image']})")
         return record, lambda: "check commute: true"
 
-    def _do_check_dideal(self, stmt: P.CheckDideal):
-        handle = self._lookup(self.ideals, "ideal", stmt.ideal, stmt.line)
-        ders = [self._lookup(self.derivations, "derivation", d, stmt.line)
-                for d in stmt.derivations]
+    def _do_check_dideal(self, line, ideal, der_names):
+        handle = self._lookup(self.ideals, "ideal", ideal, line)
+        ders = [self._lookup(self.derivations, "derivation", d, line)
+                for d in der_names]
         from .derivation import d_ideal_check
         ok = d_ideal_check(handle, ders, budget=self.budget)
-        record = {"command": "check_dideal", "ideal": stmt.ideal,
-                  "derivations": list(stmt.derivations), "d_ideal": ok}
+        record = {"command": "check_dideal", "ideal": ideal,
+                  "derivations": list(der_names), "d_ideal": ok}
         return record, lambda: f"check dideal: {str(ok).lower()}"
 
-    def _do_check_dsimple(self, stmt: P.CheckDsimple):
-        ring = self._lookup(self.rings, "ring", stmt.ring, stmt.line, QuotientRing)
-        ders = [self._lookup(self.derivations, "derivation", d, stmt.line)
-                for d in stmt.derivations]
+    def _do_check_dsimple(self, line, ring_name, der_names, dim1):
+        ring = self._lookup(self.rings, "ring", ring_name, line, QuotientRing)
+        ders = [self._lookup(self.derivations, "derivation", d, line)
+                for d in der_names]
         for d in ders:
             if d.ring != ring:
                 raise PreconditionError(
-                    f"derivation does not live on ring {stmt.ring!r}")
+                    f"derivation does not live on ring {ring_name!r}")
         from .simplicity import (_verdict_text, d_simplicity, dim1_simplicity,
                                  verdict_json)
-        if stmt.dim1:
+        if dim1:
             if len(ders) != 1:
                 raise PreconditionError(
                     "the dimension-1 criterion takes a single derivation")
             verdict = dim1_simplicity(ring, ders[0], budget=self.budget)
         else:
             verdict = d_simplicity(ring, ders, budget=self.budget)
-        record = {"command": "check_dsimple", "ring": stmt.ring,
-                  "derivations": list(stmt.derivations)}
+        record = {"command": "check_dsimple", "ring": ring_name,
+                  "derivations": list(der_names)}
         record.update(verdict_json(verdict))
         return record, lambda: f"check dsimple: {_verdict_text(record)}"
 
-    def _do_check_simple(self, stmt: P.CheckSimple):
+    def _do_check_simple(self, line, ring_name):
         from .simplicity import _verdict_text, verdict_json
         from .skew import SkewRingDescriptor, skew_simplicity
-        ring = self._lookup(self.rings, "skew ring", stmt.ring, stmt.line,
+        ring = self._lookup(self.rings, "skew ring", ring_name, line,
                             SkewRingDescriptor)
         verdict = skew_simplicity(ring, budget=self.budget)
-        record = {"command": "check_simple", "ring": stmt.ring}
+        record = {"command": "check_simple", "ring": ring_name}
         record.update(verdict_json(verdict))
         return record, lambda: f"check simple: {_verdict_text(record)}"
 
-    def _do_inner(self, stmt: P.InnerCommand):
-        ring = self._any_ring(stmt.ring, stmt.line)
+    def _do_inner(self, line, expr, ring_name):
+        ring = self._any_ring(ring_name, line)
         if isinstance(ring, QuotientRing):
             raise PreconditionError("inner analysis runs in a skew ring")
         from .skew import inner_induced
-        f = self.eval_in(stmt.expr, ring)
+        f = self.eval_in(expr, ring)
         analysis = inner_induced(ring, f)
         record = {"command": "inner", "element": str(f),
                   "inner_induced": analysis.induced}
@@ -430,37 +431,13 @@ class Session:
                                 f"{record['offending_generator']}, "
                                 f"residual {record['residual']}")
 
-    def _do_extend(self, stmt: P.ExtendCommand):
-        derivation = self._lookup(self.derivations, "derivation",
-                                  stmt.derivation, stmt.line)
+    def _do_extend(self, line, der_name, ring_name):
+        derivation = self._lookup(self.derivations, "derivation", der_name, line)
         from .skew import SkewRingDerivation, SkewRingDescriptor
-        ring = self._lookup(self.rings, "skew ring", stmt.ring, stmt.line,
+        ring = self._lookup(self.rings, "skew ring", ring_name, line,
                             SkewRingDescriptor)
         SkewRingDerivation(ring, derivation)
-        record = {"command": "extend", "derivation": stmt.derivation,
-                  "ring": stmt.ring, "extends": True}
-        return record, lambda: (f"extend {stmt.derivation} into {stmt.ring}: ok "
+        record = {"command": "extend", "derivation": der_name,
+                  "ring": ring_name, "extends": True}
+        return record, lambda: (f"extend {der_name} into {ring_name}: ok "
                                 f"(skew variables map to 0)")
-
-    _DISPATCH = {
-        P.DefineRing: _do_ring,
-        P.DefineIdeal: _do_ideal,
-        P.DefineQuotient: _do_quotient,
-        P.DefineDerivation: _do_der,
-        P.DefineSkew: _do_skew,
-        P.DefineWeyl: _do_weyl,
-        P.LetElement: _do_let,
-        P.MulCommand: _do_mul,
-        P.ApplyCommand: _do_apply,
-        P.GbCommand: _do_gb,
-        P.MemberCommand: _do_member,
-        P.DimCommand: _do_dim,
-        P.CertificateCommand: _do_certificate,
-        P.DarbouxCommand: _do_darboux,
-        P.CheckCommute: _do_check_commute,
-        P.CheckDideal: _do_check_dideal,
-        P.CheckDsimple: _do_check_dsimple,
-        P.CheckSimple: _do_check_simple,
-        P.InnerCommand: _do_inner,
-        P.ExtendCommand: _do_extend,
-    }

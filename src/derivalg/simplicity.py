@@ -221,10 +221,11 @@ def d_simplicity(ring: QuotientRing, derivations, *,
     7. anything else: Unknown.
 
     Inside a session statement (see `groebner._MEMO`) the verdict is
-    decided once per (ring, defining generators, D, budget): the generators
-    are part of the key because a witness prints them, and equal rings may
-    be defined by different generators.  Every ideal it decides on is
-    computed in grevlex, whatever the order of the ring's basis.
+    decided once per (ring, defining generators, images of D, budget): the
+    generators are part of the key because a witness prints them, and equal
+    rings may be defined by different generators; each d lives on the ring,
+    so its images name it.  Every ideal it decides on is computed in
+    grevlex, whatever the order of the ring's basis.
     """
     derivations = tuple(derivations)
     for d in derivations:
@@ -233,7 +234,7 @@ def d_simplicity(ring: QuotientRing, derivations, *,
     memo = _MEMO.get()
     if memo is None:
         return _decide(ring, derivations, budget=budget)
-    key = (ring, ring.defining, derivations, budget)
+    key = (ring, ring.defining, tuple(d.images for d in derivations), budget)
     verdict = memo.get(key)
     if verdict is None:
         verdict = memo[key] = _decide(ring, derivations, budget=budget)

@@ -680,3 +680,20 @@ def test_readme_one_shot_forms_exit_zero(capsys):
     for words in lines:
         assert words[0] == "derivalg"
         assert cli.main(words[1:]) == 0, (words, capsys.readouterr())
+
+
+def test_readme_session_example_prints_what_its_comments_say(tmp_path):
+    # the session block of README.md, run as a file through `derivalg run`
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    start = readme.index("```\nring R = QQ[x, y, z]\n") + len("```\n")
+    block = readme[start:readme.index("```", start)]
+    assert block.rstrip().endswith("check simple A1      # Simple")
+    path = tmp_path / "readme.dsl"
+    path.write_text(block)
+    out = run_cli("run", str(path))
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert "mul: y*x + 1" in lines
+    assert "inner: induces y -> 1" in lines
+    assert lines[-1].startswith("check simple: Simple")

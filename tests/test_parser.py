@@ -15,12 +15,7 @@ from derivalg import (
     VanishingDenominatorError,
     VarContext,
 )
-from derivalg.parser import (
-    CheckCommute,
-    DefineDerivation,
-    DefineRing,
-    parse_session,
-)
+from derivalg.parser import _CHECKS, _STATEMENTS, Statement, parse_session
 from derivalg.session import Session
 
 
@@ -34,25 +29,49 @@ def run_lines(text):
 
 def test_parse_ring_statement():
     (stmt,) = parse_session("ring R = QQ[x, y]")
-    assert isinstance(stmt, DefineRing)
-    assert stmt.name == "R" and stmt.variables == ("x", "y")
-    assert stmt.field_spec.p is None
+    assert stmt.kind == "ring"
+    name, p, variables = stmt.operands
+    assert name == "R" and variables == ("x", "y")
+    assert p is None
 
 
 def test_parse_gf_ring():
     (stmt,) = parse_session("ring F = GF(5)[x]")
-    assert stmt.field_spec.p == 5
+    _, p, _ = stmt.operands
+    assert p == 5
 
 
 def test_parse_derivation_statement():
     (stmt,) = parse_session("der d on R : x -> -y, y -> x")
-    assert isinstance(stmt, DefineDerivation)
-    assert stmt.name == "d" and len(stmt.assignments) == 2
+    assert stmt.kind == "der"
+    name, _, assignments = stmt.operands
+    assert name == "d" and len(assignments) == 2
 
 
 def test_parse_check_commute():
     (stmt,) = parse_session("check commute d1 d2")
-    assert isinstance(stmt, CheckCommute)
+    assert stmt.kind == "check_commute"
+
+
+def test_statements_of_different_kinds_differ():
+    # the kind is a field, so equal operands do not make equal statements
+    assert parse_session("gb I") == [Statement(1, "gb", ("I",))]
+    assert parse_session("gb I") != parse_session("dim I")
+    assert parse_session("check simple S") != parse_session("gb S")
+
+
+@pytest.mark.parametrize("word", sorted(_CHECKS))
+def test_a_check_kind_is_no_keyword(word):
+    with pytest.raises(ParseError) as err:
+        parse_session(f"{word} Q d")
+    assert str(err.value) == f"line 1, col 1: unknown statement {word!r}"
+
+
+def test_every_kind_has_one_handler():
+    kinds = set(_STATEMENTS) | set(_CHECKS)
+    handlers = {name[len("_do_"):] for name in vars(Session)
+                if name.startswith("_do_")}
+    assert kinds == handlers and len(kinds) == 20
 
 
 def test_parse_reports_line_and_column():
@@ -129,7 +148,8 @@ def test_a_flag_needs_a_space_after_an_operand():
         parse_session("check dsimple Q d--dim1")
     assert str(err.value) == "line 1, col 18: unexpected trailing '-'"
     (stmt,) = parse_session("check dsimple Q d --dim1")
-    assert stmt.dim1
+    _, _, dim1 = stmt.operands
+    assert dim1
 
 def test_unexpected_character_after_a_comment():
     # columns count from the start of the line the character is on
@@ -361,7 +381,8 @@ def test_evaluator_matches_poly_arithmetic(field, ring, tree):
     stmt, _ = _statement(tree, ring)
     expected = quotient.reduce(_oracle(tree, quotient.context,
                                        session.elements["f"]))
-    assert session.eval_poly(stmt.expr, quotient) == expected
+    expr, _ = stmt.operands
+    assert session.eval_poly(expr, quotient) == expected
     record, human = session.execute(stmt)
     assert record["result"]["str"] == str(expected)
     assert human() == f"mul: {expected}"

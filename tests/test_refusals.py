@@ -11,7 +11,8 @@ from derivalg import (QQ, ContextMismatchError, Derivation, GroebnerBasis,
                       SkewRingDerivation, SkewRingDescriptor, TermOrder,
                       UnknownIdentifierError, VarContext, buchberger,
                       commutator, commuting_set_check, d_ideal_check,
-                      inner_induced, normal_form, skew_mul, weyl_algebra)
+                      d_simplicity, dim1_simplicity, inner_induced, normal_form,
+                      skew_mul, weyl_algebra)
 from derivalg.cli import build_arg_parser
 from derivalg.parser import parse_session
 from derivalg.poly import det_fraction_free
@@ -71,6 +72,26 @@ REFUSALS = [
     pytest.param(lambda: _session("ring R = QQ[x]\nder d on R : y -> 1"),
                  UnknownIdentifierError, "'y' is not a variable of R",
                  id="session-der-foreign-variable"),
+    pytest.param(lambda: _session("mul x"),
+                 UnknownIdentifierError,
+                 "line 1, col 1: no ring in scope; define one first",
+                 id="session-no-ring-in-scope"),
+    pytest.param(lambda: _session("ring R = QQ[x]\ninner x"),
+                 PreconditionError, "inner analysis runs in a skew ring",
+                 id="session-inner-in-a-commutative-ring"),
+    pytest.param(lambda: _session("ring R = QQ[x]\nideal I in S : x"),
+                 UnknownIdentifierError, "line 2, col 1: unknown ring 'S'",
+                 id="session-unknown-ring"),
+    pytest.param(lambda: _session("ring R = QQ[x]\nder d on R : x -> 1\n"
+                                  "extend d into S"),
+                 UnknownIdentifierError, "line 3, col 1: unknown skew ring 'S'",
+                 id="session-unknown-skew-ring"),
+    pytest.param(lambda: _session("ring R = QQ[x]\n\ngb I"),
+                 UnknownIdentifierError, "line 3, col 1: unknown ideal 'I'",
+                 id="session-unknown-ideal"),
+    pytest.param(lambda: _session("ring R = QQ[x]\napply d x"),
+                 UnknownIdentifierError, "line 2, col 1: unknown derivation 'd'",
+                 id="session-unknown-derivation"),
     # groebner
     pytest.param(lambda: IdealHandle(CTX, [U]),
                  ContextMismatchError, "ideal generator outside the context",
@@ -103,6 +124,13 @@ REFUSALS = [
     pytest.param(lambda: d_ideal_check(IdealHandle(CTX, [X]), [D_OTHER]),
                  ContextMismatchError, "derivation outside the ideal's context",
                  id="d-ideal-foreign-derivation"),
+    # simplicity
+    pytest.param(lambda: d_simplicity(R, [D_OTHER]),
+                 ContextMismatchError, "derivation does not live on the given ring",
+                 id="d-simplicity-foreign-derivation"),
+    pytest.param(lambda: dim1_simplicity(R, D_OTHER),
+                 ContextMismatchError, "derivation does not live on the given ring",
+                 id="dim1-simplicity-foreign-derivation"),
     # skew
     pytest.param(lambda: SkewRingDescriptor(R, ["t"], [D_OTHER]),
                  ContextMismatchError, "derivation does not live on the base ring",

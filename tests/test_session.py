@@ -9,7 +9,7 @@ from derivalg import (
     PreconditionError,
     UnitIdealError,
 )
-from derivalg import groebner
+from derivalg import QuotientRing, groebner
 from derivalg.parser import parse_session
 from derivalg.session import Session
 
@@ -277,6 +277,25 @@ skew S = Q[t; d]
     assert counts["divide"] == 0
     for key in ("status", "criterion", "reason", "witness"):
         assert simple[key] == out[4][key]
+
+
+def test_a_verdict_memo_hit_hashes_its_ring_once(monkeypatch):
+    # the key holds the images of each d, not d, whose own key holds the
+    # ring again
+    session, _ = run_lines("""
+ring R = QQ[x, y]
+ideal I in R : x^2 + y^2 - 1
+quotient Q = R / I
+der d on Q : x -> -y, y -> x
+check dsimple Q d
+""")
+    calls = []
+    key = QuotientRing._key
+    monkeypatch.setattr(QuotientRing, "_key",
+                        lambda ring: calls.append(ring) or key(ring))
+    _, [verdict] = run_lines("check dsimple Q d\n", session)
+    assert verdict["status"] == "Simple"
+    assert calls == [session.rings["Q"]]
 
 
 def test_verdicts_of_equal_rings_keep_their_own_generators():

@@ -235,6 +235,20 @@ def test_dim1_simplicity_dimension_gate(ctx_xy):
     assert verdict.reason == "dimension != 1"
 
 
+def test_dim1_simplicity_characteristic_gate():
+    ring = QuotientRing.trivial(VarContext(("x",), GF(5)))
+    verdict = dim1_simplicity(ring, Derivation.partial(ring, 0))
+    assert verdict.status is SimplicityStatus.UNKNOWN
+    assert verdict.reason == "characteristic is not 0"
+
+
+def test_charp_obstruction_in_characteristic_0(circle_rotation):
+    ring, _ = circle_rotation
+    verdict = prime_char_obstruction(ring)
+    assert verdict.status is SimplicityStatus.UNKNOWN
+    assert verdict.reason == "characteristic is 0"
+
+
 def test_simple_implies_necessary_condition(circle_rotation):
     ring, rot = circle_rotation
     if dim1_simplicity(ring, rot).status is SimplicityStatus.SIMPLE:
