@@ -99,9 +99,16 @@ class Session:
 
     def _lookup(self, table: dict, kind: str, name: str, line: int,
                 expected: type = object):
-        if name in table and isinstance(table[name], expected):
-            return table[name]
-        raise UnknownIdentifierError(f"unknown {kind} {name!r}", line, 1)
+        if name not in table:
+            raise UnknownIdentifierError(f"unknown {kind} {name!r}", line, 1)
+        value = table[name]
+        if isinstance(value, expected):
+            return value
+        # only the ring table holds two kinds, so a wrong one is the other
+        kinds = ("polynomial or quotient ring", "skew ring")
+        held, wanted = kinds if isinstance(value, QuotientRing) else kinds[::-1]
+        raise UnknownIdentifierError(f"{name!r} is a {held}, not a {wanted}",
+                                     line, 1)
 
     def _any_ring(self, name: str | None, line: int):
         if name is None:

@@ -11,10 +11,13 @@ form one variable at a time by the binomial rule
     x_i * r = r * x_i + d_i(r),
     x_i^n * r = sum_k  C(n, k) * d_i^k(r) * x_i^(n-k),
 
-taking each d^k(s) = d1^k1 ... dn^kn (s) once per product (it does not
-depend on a).  Every product r_(a) * C(a, k) d^k(s) is added in place into
-one raw, unreduced term map per output exponent by `poly._mul_into`, the
-loop `Poly.__mul__` runs, and each output coefficient is made canonical and
+taking each d^k(s) = d1^k1 ... dn^kn (s) once per right factor (it does
+not depend on a) and expanding each x^(a) * s once per right factor.  The
+expansion state of a right factor (`_RightFactor`) lives for one product, or
+for the n - 1 products of a power u ** n, which all take u as right factor.
+Every product r_(a) * C(a, k) d^k(s) is added in place into one raw,
+unreduced term map per output exponent by `poly._mul_into`, the loop
+`Poly.__mul__` runs, and each output coefficient is made canonical and
 reduced once.  `push(a, r)` is the same expansion for one x^(a) * r, checked
 and reduced, and `binomial_push` its one-variable entry.
 
@@ -141,13 +144,15 @@ class SkewRingDescriptor(_Keyed):
         the wrong length or with a negative entry, and an r of another
         context."""
         exponents = _skew_exponents(exponents, self.nskew)
-        return self._push(exponents, {(0,) * self.nskew: self.base.reduce(r)})
+        zero = (0,) * self.nskew
+        return self._push(exponents, {zero: self.base.reduce(r)}, zero)
 
-    def _push(self, exponents, table: dict) -> dict:
-        """x^(a) * s as {a - k: C(a, k) * d^k(s)}, C(a, k) = prod C(a_i, k_i),
-        by the binomial rule one variable at a time.  `table` maps k to
-        d^k(s), from {0: s}; a missing entry is d_i(table[k - e_i]), a normal
-        form and the same by every path as the d_i commute."""
+    def _push(self, exponents, table: dict, b) -> dict:
+        """x^(a) * s * x^(b) as {a - k + b: C(a, k) * d^k(s)} for a =
+        `exponents`, C(a, k) = prod C(a_i, k_i), by the binomial rule one
+        variable at a time.  `table` maps k to d^k(s), from {0: s}; a missing
+        entry is d_i(table[k - e_i]), a normal form and the same by every
+        path as the d_i commute."""
         weights = {(0,) * len(exponents): 1}   # k -> C(a, k), for the k reached
         for i, n in enumerate(exponents):
             if n == 0:
@@ -165,7 +170,8 @@ class SkewRingDescriptor(_Keyed):
                     if not (c := table[k]):
                         break
             weights = nxt
-        return {tuple(map(sub, exponents, k)): c for k, w in weights.items()
+        top = tuple(map(add, exponents, b))
+        return {tuple(map(sub, top, k)): c for k, w in weights.items()
                 if (c := table[k] if w == 1 else table[k].scale(w))}
 
     def _key(self):
@@ -261,11 +267,15 @@ class SkewPoly(_Arithmetic):
         return skew_mul(self.ring, o, self)
 
     def __pow__(self, n: int):
+        """n - 1 products through `skew_mul`, each by self on the right, which
+        share one `_RightFactor`: self's derivative tables and the expansion of
+        every x^(a) * s_b are computed once for the whole power."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("skew powers take non-negative int exponents")
         result = self if n else self.ring.one()
+        right = _RightFactor(self)
         for _ in range(n - 1):
-            result = result * self
+            result = skew_mul(self.ring, result, right)
         return result
 
     def __eq__(self, other):
@@ -316,20 +326,40 @@ def binomial_push(ring: SkewRingDescriptor, i: int, n: int, r: Poly) -> SkewPoly
     return SkewPoly._raw(ring, ring.push(e, r))
 
 
-def skew_mul(ring: SkewRingDescriptor, u: SkewPoly, v: SkewPoly) -> SkewPoly:
+class _RightFactor:
+    """A right factor v with its expansion state: for each term s_b * x^(b)
+    of v, the derivative table k -> d^k(s_b) that `_push` fills, and a memo
+    from each left exponent a to the expansions x^(a) * s_b * x^(b), one per
+    term.  Built for one product, or once for the n - 1 products of `v ** n`."""
+
+    __slots__ = ("ring", "tables", "pushed")
+
+    def __init__(self, v: SkewPoly):
+        zero = (0,) * v.ring.nskew
+        self.ring = v.ring
+        self.tables = [(b, {zero: s}) for b, s in v.terms.items()]
+        self.pushed = {}
+
+
+def skew_mul(ring: SkewRingDescriptor, u: SkewPoly, v) -> SkewPoly:
     """Normal-form product; restricts to base multiplication in degree 0.
-    Each term of v keeps one derivative table for every term of u, and each
-    output exponent one raw term map that `_mul_into` adds every product to."""
-    if u.ring != ring or v.ring != ring:
+    v is a SkewPoly or, when it is the right factor of several products,
+    its `_RightFactor`: each x^(a) * s_b is expanded once and each d^k(s_b)
+    taken once for all of them.  Each output exponent keeps one raw term
+    map that `_mul_into` adds every product to."""
+    right = v if isinstance(v, _RightFactor) else _RightFactor(v)
+    if u.ring != ring or right.ring != ring:
         raise ContextMismatchError("operands live in a different skew ring")
-    zero = (0,) * ring.nskew
-    tables = [(b, {zero: s}) for b, s in v.terms.items()]
+    memo, tables = right.pushed, right.tables
     acc = {}
     for a, r in u.terms.items():
-        for b, table in tables:
-            for e, coeff in ring._push(a, table).items():
-                _mul_into(acc.setdefault(tuple(map(add, e, b)), {}),
-                          r._terms, coeff._terms)
+        r = r._terms
+        pushes = memo.get(a)
+        if pushes is None:
+            pushes = memo[a] = [ring._push(a, table, b) for b, table in tables]
+        for pushed in pushes:
+            for e, coeff in pushed.items():
+                _mul_into(acc.setdefault(e, {}), r, coeff._terms)
     # reduction is linear, so one normal form per output coefficient suffices
     base, p = ring.base, ring.base.context.field.p
     return SkewPoly._raw(ring, {e: c for e, t in acc.items() if (

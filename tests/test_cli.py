@@ -176,6 +176,14 @@ def test_acceptance_transcript_matches_golden():
         assert out.stdout == (DATA / golden).read_text()
 
 
+def test_weyl_powers_transcript_matches_golden():
+    # the powers f^5 and g^3 of test_skew_golden.py in A_2 and A_3, through
+    # the session language's `^`
+    out = run_cli("run", str(DATA / "weyl_powers.dsl"))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (DATA / "weyl_powers_transcript.txt").read_text()
+
+
 _DEPENDENT_SKEW_ARGS = [
     ("--ring", "QQ[x, y]", "--skew-var", "t1", "--der", "x -> 1, y -> 0",
      "--skew-var", "t2", "--der", "x -> 0, y -> 1",

@@ -86,6 +86,27 @@ REFUSALS = [
                                   "extend d into S"),
                  UnknownIdentifierError, "line 3, col 1: unknown skew ring 'S'",
                  id="session-unknown-skew-ring"),
+    pytest.param(lambda: _session("weyl 1\nder d on A1 : x -> 1"),
+                 UnknownIdentifierError, "line 2, col 1: 'A1' is a skew ring, "
+                 "not a polynomial or quotient ring", id="session-der-on-a-skew-ring"),
+    pytest.param(lambda: _session("weyl 1\nideal I in A1 : x"),
+                 UnknownIdentifierError, "line 2, col 1: 'A1' is a skew ring, "
+                 "not a polynomial or quotient ring", id="session-ideal-in-a-skew-ring"),
+    pytest.param(lambda: _session(QUOTIENT + "weyl 1\nquotient T = A1 / I"),
+                 UnknownIdentifierError, "line 5, col 1: 'A1' is a skew ring, "
+                 "not a polynomial or quotient ring",
+                 id="session-quotient-over-a-skew-ring"),
+    pytest.param(lambda: _session("ring R = QQ[x]\nder d on R : x -> 1\nweyl 1\n"
+                                  "check dsimple A1 d"),
+                 UnknownIdentifierError, "line 4, col 1: 'A1' is a skew ring, "
+                 "not a polynomial or quotient ring",
+                 id="session-check-dsimple-on-a-skew-ring"),
+    pytest.param(lambda: _session("ring R = QQ[x]\ncheck simple R"),
+                 UnknownIdentifierError, "line 2, col 1: 'R' is a polynomial or "
+                 "quotient ring, not a skew ring", id="session-check-simple-on-a-ring"),
+    pytest.param(lambda: _session(QUOTIENT + "der d on R : x -> 1\nextend d into Q"),
+                 UnknownIdentifierError, "line 5, col 1: 'Q' is a polynomial or "
+                 "quotient ring, not a skew ring", id="session-extend-into-a-quotient"),
     pytest.param(lambda: _session("ring R = QQ[x]\n\ngb I"),
                  UnknownIdentifierError, "line 3, col 1: unknown ideal 'I'",
                  id="session-unknown-ideal"),

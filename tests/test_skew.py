@@ -350,6 +350,16 @@ def pairwise_push_product(ring, u, v):
     return SkewPoly(ring, acc)
 
 
+def _nonlinear_skew(rng, ring):
+    """A `rand_skew` of skew degree 2 with two terms or more, one of them with
+    a non-constant coefficient."""
+    while True:
+        u = rand_skew(rng, ring, x_degree=2, base_degree=2)
+        if (u.x_degree() == 2 and len(u.terms) > 1
+                and not all(r.is_constant() for r in u.terms.values())):
+            return u
+
+
 @pytest.mark.parametrize("make_ring", [
     lambda: weyl_algebra(1), lambda: weyl_algebra(2), lambda: weyl_algebra(3),
     lambda: weyl_algebra(1, GF(3)), lambda: weyl_algebra(2, GF(3)),
@@ -369,21 +379,24 @@ def test_products_and_powers_match_the_pairwise_push_oracle(make_ring):
         u = rand_skew(rng, ring, x_degree=4, base_degree=3)
         v = rand_skew(rng, ring, x_degree=4, base_degree=3)
         assert u * v == pairwise_push_product(ring, u, v)
-    u = rand_skew(rng, ring, x_degree=1, base_degree=1)
-    power = ring.one()
-    for k in range(8):
-        assert u ** k == power
-        power = pairwise_push_product(ring, power, u)
+    # a linear u, and a nonlinear one whose terms s_b are not constants, so
+    # the pushes a power keeps carry deeper derivative tables
+    for u, top in ((rand_skew(rng, ring, x_degree=1, base_degree=1), 7),
+                   (_nonlinear_skew(rng, ring), 4)):
+        power = ring.one()
+        for k in range(top + 1):
+            assert u ** k == power
+            power = pairwise_push_product(ring, power, u)
 
 
-def _linear_a2(seed):
-    """A seeded u = c0 + sum c_v * v over the generators v of A_2, with the
+def _linear_weyl(seed, n=2, field=QQ):
+    """A seeded u = c0 + sum c_v * v over the generators v of A_n, with the
     powers u^2 and u^5 as left factors of u."""
-    A2 = weyl_algebra(2)
+    A = weyl_algebra(n, field)
     rng = random.Random(seed)
-    u = A2.one() * rng.randint(1, 9)
-    for name in A2.names + A2.base.context.names:
-        u = u + A2.variable(name) * rng.randint(1, 9)
+    u = A.one() * rng.randint(1, 9)
+    for name in A.names + A.base.context.names:
+        u = u + A.variable(name) * rng.randint(1, 9)
     return u, {k: u ** k for k in (2, 5)}
 
 
@@ -391,7 +404,7 @@ def test_skew_product_takes_each_derivative_once(monkeypatch):
     # each derivative d^k(s) of a term s of the right factor is taken once
     # per product, so the count does not grow with the left factor: for a
     # linear u, u^2 already has every x^(a) that reaches a nonzero d^k(s)
-    u, left = _linear_a2(5)
+    u, left = _linear_weyl(5)
     calls = []
     apply = Derivation.apply
 
@@ -409,11 +422,42 @@ def test_skew_product_takes_each_derivative_once(monkeypatch):
     assert counts[5] == counts[2] > 0
 
 
+@pytest.mark.parametrize("n, field", [(2, QQ), (3, QQ), (3, GF(32003))],
+                         ids=["A2", "A3", "A3-GF32003"])
+def test_skew_power_expands_its_right_factor_once(n, field, monkeypatch):
+    # u ** 6 keeps u's derivative tables and its expansions x^(a) * s_b over
+    # its five products, so it takes each d^k(s_b) and expands each x^(a) *
+    # s_b once in all; for a linear u the exponents of u^5 hold those of
+    # every lower power, so the single product u^5 * u does the same work
+    u, left = _linear_weyl(5, n, field)
+    calls = {"apply": 0, "push": 0}
+    apply, push = Derivation.apply, SkewRingDescriptor._push
+
+    def counted_apply(self, f):
+        calls["apply"] += 1
+        return apply(self, f)
+
+    def counted_push(self, *args):
+        calls["push"] += 1
+        return push(self, *args)
+
+    monkeypatch.setattr(Derivation, "apply", counted_apply)
+    monkeypatch.setattr(SkewRingDescriptor, "_push", counted_push)
+    power = u ** 6
+    powered = dict(calls)
+    calls.update(apply=0, push=0)
+    product = left[5] * u
+    assert power == product
+    assert powered == calls
+    assert calls["apply"] > 0
+    assert calls["push"] == len(left[5].terms) * len(u.terms)
+
+
 def test_skew_product_sums_each_coefficient_in_one_term_map(monkeypatch):
     # every product r_a * d^k(s_b) is added in place into the raw term map of
     # its output exponent, and the derivative tables apply the chain rule in
     # one raw term map too, so no Poly is multiplied or added at all
-    u, left = _linear_a2(7)
+    u, left = _linear_weyl(7)
     calls = {"mul": 0, "add": 0}
     mul, add = Poly.__mul__, Poly.__add__
 
