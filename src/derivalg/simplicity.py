@@ -9,13 +9,13 @@ Positive answers are constructive wherever the theory allows:
 * for a 1-dimensional finitely generated algebra R = k[x]/I with a finite
   set D of derivations, the unit-ideal criterion 1 in the image ideal
   J_D = (d(x_i) : d in D, all i) + I, once I is certified prime (I = 0, or
-  a plane curve with a smooth projective closure);
-* in characteristic p, whenever the Krull dimension is positive (simplicity
-  is impossible there), the D-stable proper witness (x_i^p - r) + I for the
-  first x_i - r that cuts the dimension, or no witness when the tries run out.
+  a plane curve with a smooth projective closure).
 
-Negative answers carry a proper nonzero D-stable ideal where one is known; a
-proper J_D is one in any dimension, as d'(d(a)r) = d'(d(a))r + d(a)d'(r).
+Negative answers carry a proper nonzero D-stable ideal where one is known: a
+proper J_D in any dimension, as d'(d(a)r) = d'(d(a))r + d(a)d'(r), or one of
+`_witness`, which tries (g) + I for g a variable, an image or a shift of a
+variable, and in characteristic p, where positive dimension rules simplicity
+out, (g^p) + I for the first shift g that cuts the dimension.
 
 `d_simplicity` is the one decider that orders these criteria; the CLI's
 `check dsimple`, `dim1_simplicity` and `skew_simplicity` (past a constant
@@ -174,33 +174,45 @@ def replay_certificate(cert: SimplicityCertificate, f: Poly) -> FieldElement:
     return g.constant_value()
 
 
-def _all_partials_present(ring: QuotientRing, derivations) -> bool:
-    """True when ring is a polynomial ring and every partial is among derivations."""
-    if not ring.is_trivial:
-        return False
-    partials = {Derivation.partial(ring, i) for i in range(ring.context.nvars)}
-    return partials <= set(derivations)
-
-
-def _principal_witness(ring: QuotientRing, derivations, *,
-                       budget: int) -> IdealHandle | None:
-    """First variable or nonconstant derivation image generating a proper
-    D-stable ideal; a constant multiple of an earlier candidate spans the
-    same ideal, so it is not tried again."""
-    candidates = {}
-    for g in (*ring.generators(), *(img for d in derivations for img in d.images)):
-        if not g.is_constant():
-            candidates.setdefault(g.monic(TermOrder.GREVLEX), g)
-    for g in candidates.values():
-        if ring.reduce(g).is_zero():
+def _witness(ring: QuotientRing, derivations, candidates, *,
+             budget: int) -> IdealHandle | None:
+    """The first witness among the candidates g: (g) + I when it is proper
+    and D-stable, or with derivations None (characteristic p), (g^p) + I
+    when (g) + I is proper and of lower dimension than R.  Each try takes
+    one basis of (g) + I, at most `budget` of them; constants, g zero on R
+    and constant multiples of an earlier g are skipped."""
+    context, gens, tried = ring.context, list(ring.defining.generators), set()
+    for g in candidates:
+        key = None if g.is_constant() else g.monic(TermOrder.GREVLEX)
+        if key is None or key in tried or ring.reduce(g).is_zero():
             continue
-        handle = IdealHandle(ring.context, [g] + list(ring.defining.generators))
+        if len(tried) == budget:
+            return None
+        tried.add(key)
+        handle = IdealHandle(context, [g] + gens)
         basis = groebner_basis(handle, budget=budget)
         if basis.is_unit:
             continue
-        if _escape([g], derivations, basis) is None:
-            return handle
+        if derivations is not None:
+            if _escape([g], derivations, basis) is None:
+                return handle
+        elif _initial_dimension(basis) < ring.dimension():
+            p = context.field.characteristic   # g^p, as c^p = c in F_p
+            power = {tuple(e * p for e in m): c for m, c in g._terms.items()}
+            return IdealHandle(context, [Poly._raw(context, power)] + gens)
     return None
+
+
+def _shifts(ring: QuotientRing):
+    """x_i - r for r = 0, 1, 2, ... in F_p (0, 1, -1, 2, -2 over QQ), each r
+    for every variable; then, over F_p and lazily, each x_i^2 + a*x_i + b
+    without a root (Euler's criterion on a^2 - 4b; x^2 + x + 1 for p = 2)."""
+    xs, p = ring.generators(), ring.context.field.characteristic
+    for r in range(p) if p else (0, 1, -1, 2, -2):
+        yield from (x - ring.context.const(r) for x in xs)
+    for a, b in ((a, b) for a in range(p) for b in range(p)):
+        if (a == b == 1) if p == 2 else pow(a * a - 4 * b, p // 2, p) == p - 1:
+            yield from (x * x + a * x + b for x in xs)
 
 
 def d_simplicity(ring: QuotientRing, derivations, *,
@@ -208,17 +220,17 @@ def d_simplicity(ring: QuotientRing, derivations, *,
     """D-simplicity of R = k[x_1..x_n]/I; the first criterion that applies decides:
 
     1. characteristic p: prime_char_obstruction, NotSimple in positive
-       dimension, with the witness (x_i^p - r) + I when a try finds one;
+       dimension, with the witness (g^p) + I when a shift g finds one;
     2. a polynomial ring with every partial in D: Simple;
-    3. a variable or image generating a proper nonzero D-stable ideal: NotSimple;
+    3. a variable or image g with (g) + I proper and D-stable (`_witness`): NotSimple;
     4. the image ideal J_D = (d(x_i) : d in D, all i) + I is D-stable; proper
        with some d nonzero on R, it is a NotSimple witness in any dimension;
-    5. dimension 1, J_D proper and every d zero on R: NotSimple without a
-       witness (R is not a field);
+    5. dimension 1, J_D proper and every d zero on R: NotSimple (R is not a
+       field), with a stable shift as in rule 7 when a try finds one;
     6. dimension 1 and 1 in J_D: Simple when I is certified prime (every
        D-stable maximal ideal contains J_D, and the minimal primes of R are
        D-stable), else Unknown;
-    7. anything else: Unknown.
+    7. anything else: NotSimple with a stable shift (`_shifts`), else Unknown.
 
     Inside a session statement (see `groebner._MEMO`) the verdict is
     decided once per (ring, defining generators, images of D, budget): the
@@ -246,17 +258,18 @@ def _decide(ring: QuotientRing, derivations: tuple, *,
     """The verdict of `d_simplicity`, decided afresh."""
     if ring.context.field.characteristic != 0:
         return prime_char_obstruction(ring, budget=budget)
-    if _all_partials_present(ring, derivations):
+    if ring.is_trivial and set(derivations) >= {
+            Derivation.partial(ring, i) for i in range(ring.context.nvars)}:
         return SimplicityVerdict(
             SimplicityStatus.SIMPLE,
             criterion="polynomial base with all partial derivatives")
-    witness = _principal_witness(ring, derivations, budget=budget)
+    images = [g for d in derivations for g in d.images]
+    witness = _witness(ring, derivations, (*ring.generators(), *images), budget=budget)
     if witness is not None:
         return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=witness,
                                  criterion="stable principal ideal witness")
     # J_D = (d(x_i) for every d in D and every i) + I, lifted to k[x]
-    J = IdealHandle(ring.context, [g for d in derivations for g in d.images]
-                    + list(ring.defining.generators))
+    J = IdealHandle(ring.context, images + list(ring.defining.generators))
     proper = not is_unit_ideal(J, budget=budget)
     dim1 = ring.dimension() == 1
     criterion = ("dimension-1 unit-ideal criterion" if dim1
@@ -264,6 +277,11 @@ def _decide(ring: QuotientRing, derivations: tuple, *,
     if proper and any(not d.is_zero() for d in derivations):
         return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=J,
                                  criterion=criterion)
+    if proper or not dim1:
+        witness = _witness(ring, derivations, _shifts(ring), budget=budget)
+        if witness is not None:
+            return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=witness,
+                                     criterion="stable principal ideal witness")
     if not dim1:
         return SimplicityVerdict(SimplicityStatus.UNKNOWN,
                                  reason="no applicable criterion")
@@ -322,31 +340,18 @@ def prime_char_obstruction(ring: QuotientRing, *,
     the check takes no derivations and positive dimension means NotSimple.
     For any g, d(g^p) = p g^(p-1) d(g) = 0, so (g^p) + I is D-stable; it is
     proper when (g) + I is, and g^p is not in I when dim((g) + I) < dim R
-    (else g is nilpotent on R).  The tries g = x_i - r, for r = 0, 1, 2, ...
-    and in each r every variable in turn, take one basis each; the first
-    proper one of lower dimension gives the witness (x_i^p - r) + I, as
-    (x_i - r)^p = x_i^p - r.  After `budget` tries, or all p * n of them,
-    the verdict is NotSimple without a witness; a basis past the budget
-    raises BudgetExceededError.  Dimension 0 leaves the question open.
+    (else g is nilpotent on R).  The witness is the first such (g^p) + I
+    for g in `_shifts`; after `budget` tries, or all of them, there is none.
+    A basis past the budget raises BudgetExceededError.  Dimension 0 leaves
+    the question open.
     """
-    p = ring.context.field.characteristic
-    if p == 0:
+    if ring.context.field.characteristic == 0:
         return SimplicityVerdict(SimplicityStatus.UNKNOWN,
                                  reason="characteristic is 0")
-    dim = ring.dimension()
-    if dim == 0:
+    if ring.dimension() == 0:
         return SimplicityVerdict(SimplicityStatus.UNKNOWN,
                                  reason="necessary condition passed")
-    context, n = ring.context, ring.context.nvars
-    gens = list(ring.defining.generators)
-    witness = None
-    for k in range(min(budget, p * n)):
-        r, i = divmod(k, n)
-        x, c = context.var(i), context.const(r)
-        basis = groebner_basis(IdealHandle(context, [x - c] + gens), budget=budget)
-        if not basis.is_unit and _initial_dimension(basis) < dim:
-            witness = IdealHandle(context, [x ** p - c] + gens)
-            break
+    witness = _witness(ring, None, _shifts(ring), budget=budget)
     reason = None if witness is not None else (
         "positive dimension forces NotSimple; no (x_i - r)^p witness found")
     return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=witness,
@@ -585,8 +590,9 @@ def _extract_point(basis, nvars: int, budget: int, depth: int):
     if not basis:
         return {}
     for g in basis:
-        var = _sole_variable(g)
-        if var is not None:
+        present = {i for m in g._terms for i, e in enumerate(m) if e}
+        if len(present) == 1:
+            var = present.pop()
             candidates = _rational_roots(g, var, budget)
             break
     else:
@@ -609,12 +615,6 @@ def _extract_point(basis, nvars: int, budget: int, depth: int):
             point[var] = value
             return point
     return None
-
-
-def _sole_variable(g: Poly):
-    """The index of the one variable g involves, or None."""
-    present = {i for m in g._terms for i, e in enumerate(m) if e}
-    return present.pop() if len(present) == 1 else None
 
 
 def _rational_roots(g: Poly, var: int, budget: int):

@@ -245,15 +245,32 @@ def test_check_dsimple_charp_witness_without_repeats():
     ("GF(1000000000000000003)", "x^2 + y^2 - 1", "x -> -y, y -> x",
      "NotSimple witness (x^1000000000000000003, x^2 + y^2 + 1000000000000000002)"),
     ("GF(2)", "(x^2 + x)*(y^2 + y) - 1", "x -> 0, y -> 0",
-     "NotSimple (positive dimension forces NotSimple; no (x_i - r)^p witness found)"),
+     # every x_i - r is a unit; x^2 + x + 1 has no root in GF(2)
+     "NotSimple witness (x^4 + x^2 + 1, x^2*y^2 + x^2*y + x*y^2 + x*y + 1)"),
 ], ids=["GF32003-circle", "GF443-no-rational-point", "GF2-y-shifted",
-        "GF(10^18+3)-circle", "GF2-no-witness"])
+        "GF(10^18+3)-circle", "GF2-quadratic"])
 def test_check_dsimple_charp_witness_of_a_shifted_variable(field, ideal, der, line):
     out = run_cli("check", "dsimple", "--ring", f"{field}[x, y]", "--ideal", ideal,
                   "--der", der)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == (
         f"check dsimple: {line} [positive Krull dimension in characteristic p]")
+
+
+@pytest.mark.parametrize("ring, ideal, der, witness", [
+    ("QQ[x, y]", "x*y - 1", "x -> 0, y -> 0", ["x - 1", "x*y - 1"]),
+    ("QQ[x, y, z]", "x*y*z - 1", "x -> 0, y -> 0, z -> 0", ["x - 1", "x*y*z - 1"]),
+    ("QQ[x, y, z]", "x*y*z - 1", "x -> x, y -> -y, z -> 0", ["z - 1", "x*y*z - 1"]),
+], ids=["hyperbola-zero", "xyz-zero", "xyz-z-constant"])
+def test_check_dsimple_shift_witness_in_characteristic_0(ring, ideal, der, witness):
+    # every variable is a unit modulo the ideal; the first stable shift
+    # x_i - r is the witness
+    out = run_cli("--json", "check", "dsimple", "--ring", ring, "--ideal", ideal,
+                  "--der", der)
+    assert out.returncode == 0, out.stderr
+    record = json.loads(out.stdout.splitlines()[-1])
+    assert (record["status"], record["witness"], record["criterion"]) == (
+        "NotSimple", witness, "stable principal ideal witness")
 
 
 def test_integers_past_the_int_digit_limit():

@@ -1,6 +1,7 @@
 """Simplicity deciders: certificates, unit-ideal criteria, char-p
 obstruction, and the bounded Darboux search."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -300,14 +301,17 @@ def test_d_simplicity_ellipse_attaches_image_ideal(ctx_xy):
     assert dim1_simplicity(ring, d) == verdict
 
 
-def test_d_simplicity_zero_derivation_attaches_nothing(ctx_xy):
-    # on the hyperbola both variables are units, so no principal witness
+def test_d_simplicity_zero_derivation_attaches_a_shift(ctx_xy):
+    # on the hyperbola both variables are units, so no variable is a
+    # witness; with d = 0 every ideal is stable, and x - 1 is not a unit
     x, y = ctx_xy.var(0), ctx_xy.var(1)
     ring = QuotientRing.of(IdealHandle(ctx_xy, [x * y - 1]))
-    verdict = d_simplicity(ring, [Derivation(ring, [ctx_xy.zero] * 2)])
+    D = [Derivation(ring, [ctx_xy.zero] * 2)]
+    verdict = d_simplicity(ring, D)
     assert verdict.status is SimplicityStatus.NOT_SIMPLE
-    assert verdict.witness is None
-    assert verdict.criterion == "dimension-1 unit-ideal criterion"
+    assert list(verdict.witness.generators) == [x - 1, x * y - 1]
+    assert verdict.criterion == "stable principal ideal witness"
+    _assert_witness(ring, D, verdict)
 
 
 def test_d_simplicity_no_applicable_criterion(ctx_xyz):
@@ -447,6 +451,109 @@ def _assert_charp_witness(ring, D, verdict):
     assert all(d(g).is_zero() for d in D)
 
 
+def _assert_witness(ring, D, verdict):
+    # a witness checked without trusting the decider: it is not the unit
+    # ideal and its first generator is nonzero modulo I; in characteristic
+    # 0, d_ideal_check accepts it; in characteristic p, its first generator
+    # is g with its exponents times p, (g) + I is proper and of lower
+    # dimension, and every d sends the generator to 0
+    ctx = ring.context
+    p = ctx.field.characteristic
+    assert verdict.status is SimplicityStatus.NOT_SIMPLE
+    first, *rest = verdict.witness.generators
+    assert rest == list(ring.defining.generators)
+    assert not groebner_basis(verdict.witness).is_unit
+    assert not ring.reduce(first).is_zero()
+    if p == 0:
+        assert d_ideal_check(verdict.witness, D)
+        return
+    assert all(e % p == 0 for m in first._terms for e in m)
+    g = Poly(ctx, {tuple(e // p for e in m): c for m, c in first._terms.items()})
+    if p < 100:
+        assert g ** p == first
+    basis = groebner_basis(IdealHandle(ctx, [g] + rest))
+    assert not basis.is_unit
+    assert _initial_dimension(basis) < ring.dimension()
+    assert all(d(first).is_zero() for d in D)
+
+
+def _ring_case(field, names, case):
+    # the ring field[names]/(f) and D = [d], for (f, (d(x_1), ...)) =
+    # case(x_1, ..., 1)
+    ctx = VarContext(names, field)
+    f, images = case(*(ctx.var(i) for i in range(len(names))), ctx.one)
+    ring = QuotientRing.of(IdealHandle(ctx, [f]))
+    return ring, [Derivation(ring, images)]
+
+
+STABLE = "stable principal ideal witness"
+CHARP = "positive Krull dimension in characteristic p"
+
+
+@pytest.mark.parametrize("field, names, case, text", [
+    (QQ, ("x", "y"), lambda x, y, one: (x * y - 1, (0 * one, 0 * one)),
+     f"(x - 1, x*y - 1) [{STABLE}]"),
+    (QQ, ("x", "y", "z"), lambda x, y, z, one: (x * y * z - 1, (0 * one,) * 3),
+     f"(x - 1, x*y*z - 1) [{STABLE}]"),
+    # z is a constant of x d/dx - y d/dy
+    (QQ, ("x", "y", "z"), lambda x, y, z, one: (x * y * z - 1, (x, -y, 0 * one)),
+     f"(z - 1, x*y*z - 1) [{STABLE}]"),
+    (GF(2), ("x", "y"), lambda x, y, one: (
+        (x ** 2 + x) * (y ** 2 + y) - 1, (0 * one, 0 * one)),
+     f"(x^4 + x^2 + 1, x^2*y^2 + x^2*y + x*y^2 + x*y + 1) [{CHARP}]"),
+], ids=["QQ-hyperbola-zero", "QQ-xyz-zero", "QQ-xyz-z-constant", "GF2-zero"])
+def test_shift_witness_where_variables_and_images_give_none(field, names, case,
+                                                             text):
+    # each of these rings is not D-simple, and no variable or image of D
+    # generates a proper D-stable ideal
+    ring, D = _ring_case(field, names, case)
+    verdict = d_simplicity(ring, D)
+    assert str(verdict) == f"NotSimple witness {text}"
+    _assert_witness(ring, D, verdict)
+
+
+def test_shift_tries_stop_at_the_budget_in_characteristic_0(monkeypatch):
+    # x and y are units modulo xyz - 1 and z - 1 is the first stable shift:
+    # a budget of 3 allows three bases in each pass of _witness, so z - 1
+    # is never tried, and the default budget finds it at the ninth basis
+    ring, D = _ring_case(QQ, ("x", "y", "z"), lambda x, y, z, one: (
+        x * y * z - 1, (x, -y, 0 * one)))
+    x, y, z = ring.generators()
+    bases = []
+    compute = simplicity.groebner_basis
+    monkeypatch.setattr(simplicity, "groebner_basis", lambda handle, *a, **k: (
+        bases.append(handle.generators[0]) or compute(handle, *a, **k)))
+    verdict = d_simplicity(ring, D, budget=3)
+    assert verdict.status is SimplicityStatus.UNKNOWN
+    assert verdict.reason == "no applicable criterion"
+    assert bases == [x, y, z] * 2
+    bases.clear()
+    verdict = d_simplicity(ring, D)
+    assert list(verdict.witness.generators) == [z - 1, x * y * z - 1]
+    assert bases == [x, y, z] * 2 + [x - 1, y - 1, z - 1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_shifts_list_each_value_then_each_quadratic_without_a_root(p):
+    ctx = VarContext(("x",), GF(p))
+    x = ctx.var(0)
+    rootless = [x ** 2 + a * x + b for a in range(p) for b in range(p)
+                if all((r * r + a * r + b) % p for r in range(p))]
+    assert len(rootless) == (p * p - p) // 2   # the monic irreducibles
+    shifts = list(simplicity._shifts(QuotientRing.trivial(ctx)))
+    assert shifts == [x - r for r in range(p)] + rootless
+
+
+def test_shifts_over_qq_and_at_a_large_prime(ctx_xy):
+    x, y = ctx_xy.var(0), ctx_xy.var(1)
+    shifts = list(simplicity._shifts(QuotientRing.trivial(ctx_xy)))
+    assert shifts == [v - r for r in (0, 1, -1, 2, -2) for v in (x, y)]
+    # the values of F_p are listed lazily
+    ctx = VarContext(("x",), GF(10 ** 18 + 3))
+    first = list(itertools.islice(simplicity._shifts(QuotientRing.trivial(ctx)), 3))
+    assert first == [ctx.var(0) - r for r in range(3)]
+
+
 def _charp_case(p, case):
     # the ring GF(p)[x, y]/(f) and the derivation d, for (f, (d(x), d(y)))
     # = case(x, y, 1)
@@ -481,15 +588,17 @@ NO_WITNESS = ("positive dimension forces NotSimple; "
               "no (x_i - r)^p witness found")
 
 
-def test_charp_every_try_fails_without_a_witness():
+def test_charp_quadratic_witness_after_every_linear_try_fails():
     # over GF(2) both x^2 + x and y^2 + y are units modulo I, so every
-    # x_i - r with r in GF(2) generates the unit ideal with I
+    # x_i - r with r in GF(2) generates the unit ideal with I; x^2 + x + 1,
+    # without a root in GF(2), does not, and its square is the witness
     ring, D = _charp_case(2, lambda x, y, one: (
         (x ** 2 + x) * (y ** 2 + y) - 1, (x ** 2 + x, y ** 2 + y)))
     verdict = d_simplicity(ring, D)
-    assert verdict.status is SimplicityStatus.NOT_SIMPLE
-    assert verdict.witness is None
-    assert verdict.reason == NO_WITNESS
+    x = ring.context.var(0)
+    assert verdict.witness.generators[0] == x ** 4 + x ** 2 + 1
+    assert verdict.reason is None
+    _assert_witness(ring, D, verdict)
 
 
 def test_charp_tries_stop_at_the_budget(monkeypatch):
@@ -527,8 +636,7 @@ def test_principal_stability_examples():
     assert _stable_principal(relation, [d1, d2])
 
 
-def test_principal_witness_tries_each_constant_multiple_once(circle_rotation,
-                                                            monkeypatch):
+def test_witness_tries_each_constant_multiple_once(circle_rotation, monkeypatch):
     # the candidates are x1, x2 and the images -x2, x1; (-x2) + I is the
     # ideal (x2) + I already refused, so two bases are computed, not three
     ring, rot = circle_rotation
@@ -540,8 +648,9 @@ def test_principal_witness_tries_each_constant_multiple_once(circle_rotation,
         return compute(handle, *args, **kwargs)
 
     monkeypatch.setattr(simplicity, "groebner_basis", counted)
-    assert simplicity._principal_witness(ring, [rot],
-                                         budget=DEFAULT_BUDGET) is None
+    candidates = (*ring.generators(), *rot.images)
+    assert simplicity._witness(ring, [rot], candidates,
+                               budget=DEFAULT_BUDGET) is None
     x1, x2 = ring.context.var(0), ring.context.var(1)
     assert bases == [x1, x2]
 
