@@ -27,13 +27,18 @@ Inside the engine a monomial is one int (`_Packer`; Monagan & Pearce,
 J. Symbolic Comput. 46, 2011; Bachmann & Schoenemann, ISSAC 1998): a
 product is a sum of keys, LM(g) | m is one addition and one mask test, and
 a heap of keys pops the leading term.  Signatures are packed by the same
-packer.  `_divide`, the one division, takes a packed dividend and divisor
-records (see `_Packer.record`) and returns a packed remainder (`_Packed`)
-and packed quotients.  `buchberger` packs each input generator once and
-holds every element as its record until `_monic` unpacks the reduced
-basis.  `normal_form` and `normal_form_with_cofactors` are the one Poly
-boundary (`_normal_form`): they pack f in the records a `GroebnerBasis`
-keeps beside its elements, and unpack the results.  A key never wraps:
+packer, and one packer serves every call with the same (nvars, order,
+field width).  `_divide`, the one division, takes a packed dividend and
+divisor records (see `_Packer.record`) and returns a packed remainder
+(`_Packed`) and packed quotients; it runs only where some leading monomial
+divides a term, as any other polynomial is its own remainder.
+`buchberger` packs each input generator once and holds every element as
+its record until `_monic` unpacks the reduced basis.  `normal_form` and
+`normal_form_with_cofactors` are the one Poly boundary (`_normal_form`):
+a zero or reduced f comes back itself, after a test of its exponent
+tuples against the leading monomials a `GroebnerBasis` keeps; any other f
+is packed in the records the basis keeps beside its elements, and the
+results are unpacked.  A key never wraps:
 field widths follow the input degrees with headroom.  Grevlex never raises
 the degree while dividing, so fields that hold the dividend's degree cover
 every key; lex can (x reduced by x - y^300, then y - z^300, is z^90000),
@@ -54,7 +59,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations
 from math import gcd, lcm
-from operator import mul
+from operator import ge, itemgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, ContextMismatchError, UnitIdealError
@@ -104,13 +109,15 @@ class GroebnerBasis(_Keyed):
     Reduced means: every element is monic, and no leading monomial divides
     any term of another element.  Such a basis is unique for (ideal, order),
     which makes ideal equality and membership decidable by normal forms.
-    The constructor makes each given element monic; the elements' packed
-    divisor records (see `_Packer`) are built on the first normal form, and
-    again wider for a dividend that needs it.  `buchberger` hands in monic
-    elements and their records (`_reduced`).
+    The constructor makes each given element monic and keeps the leading
+    monomials, which decide whether a normal form needs any division (see
+    `normal_form`); the elements' packed divisor records (see `_Packer`)
+    are built on the first division, and again wider for a dividend that
+    needs it.  `buchberger` hands in monic elements, their leading
+    monomials and their records (`_reduced`).
     """
 
-    __slots__ = ("context", "order", "polys", "_packed")
+    __slots__ = ("context", "order", "polys", "_leads", "_packed")
 
     def __init__(self, context: VarContext, order: TermOrder,
                  polys: Sequence[Poly]):
@@ -122,6 +129,7 @@ class GroebnerBasis(_Keyed):
         self.context = context
         self.order = order
         self.polys = polys
+        self._leads = tuple([g._lead(order)[0] for g in polys])
         self._packed = None
 
     def __iter__(self):
@@ -132,19 +140,22 @@ class GroebnerBasis(_Keyed):
 
     @property
     def is_unit(self) -> bool:
-        return len(self.polys) == 1 and self.polys[0] == self.context.one
+        # a monic element whose leading monomial is 1 is the constant 1
+        return len(self._leads) == 1 and not any(self._leads[0])
 
     def leading_monomials(self):
-        return [g._lead(self.order)[0] for g in self.polys]
+        return list(self._leads)
 
     @classmethod
-    def _reduced(cls, context: VarContext, order: TermOrder, polys, packed):
-        """The basis of monic elements whose (packer, divisor records)
-        `buchberger` built already: nothing is rescanned."""
+    def _reduced(cls, context: VarContext, order: TermOrder, polys, leads,
+                 packed):
+        """The basis of monic elements whose leading monomials and (packer,
+        divisor records) `buchberger` built already: nothing is rescanned."""
         self = object.__new__(cls)
         self.context = context
         self.order = order
-        self.polys = tuple(polys)
+        self.polys = polys
+        self._leads = leads
         self._packed = packed
         return self
 
@@ -173,12 +184,22 @@ class _Packer:
     a top half holding limit - e_i, with x_1 highest.  With every exponent
     at most `limit`, a | m iff (K(m) & low) + (guard - (K(a) & low)) has all
     its guard bits set.
+
+    A packer is never changed once built, so one serves every caller:
+    `_Packer(nvars, order, need)` returns the packer of (nvars, order, the
+    field width `need` asks for), built on the first call and shared by
+    every basis, division and normal form after it.
     """
 
     __slots__ = ("limit", "weights", "one", "low", "guard", "shifts")
 
-    def __init__(self, nvars: int, order: TermOrder, need: int):
+    def __new__(cls, nvars: int, order: TermOrder, need: int):
         bits = max(_MIN_BITS, (2 * need).bit_length())
+        key = (nvars, order, bits)
+        self = _PACKERS.get(key)
+        if self is not None:
+            return self
+        self = _PACKERS[key] = object.__new__(cls)
         width = bits + 1
         self.limit = limit = (1 << bits) - 1
         self.shifts = range(0, width * nvars, width)
@@ -193,6 +214,7 @@ class _Packer:
         else:
             self.one = 0
             self.weights = [(1 << s) - top for s in self.shifts]
+        return self
 
     def pack(self, m: tuple) -> int:
         return sum(map(mul, m, self.weights), self.one)
@@ -208,17 +230,49 @@ class _Packer:
 
     def packed(self, g: Poly) -> "_Packed":
         """g with packed keys, leading term first."""
-        pack = self.pack
-        return _Packed(g.context, sorted([(pack(m), c)
-                                          for m, c in g._terms.items()]))
+        weights, one = self.weights, self.one
+        packed = _Packed(sorted([(sum(map(mul, m, weights), one), c)
+                                 for m, c in g._terms.items()]))
+        packed.context = g.context
+        return packed
 
     def record(self, g: "_Packed"):
         """g (nonzero, leading term first) as a divisor: (test constant, lead
-        key, raw LC, packed tail), the tail as (K(m) - K(LM), -c) pairs."""
+        key, raw LC, packed tail), the tail as (K(m) - K(LM), c) pairs."""
         terms = iter(g.items())
         lead, lc = next(terms)
         return (self.guard - (lead & self.low), lead, lc,
-                [(k - lead, -c) for k, c in terms])
+                [(k - lead, c) for k, c in terms])
+
+    def working(self, terms: list, p) -> tuple:
+        """The divisor record (see `record`) of a nonzero element, from its
+        (key, raw coeff) pairs, leading term first, put in working form:
+        over F_p (p given) monic; over QQ integer primitive, i.e.
+        denominators cleared, content divided out and leading coefficient
+        > 0.  Over QQ only an input generator can hold a Fraction, so the
+        denominators are looked at only when one is met."""
+        lead, lc = terms[0]
+        if p is not None:
+            scale = 1 if lc == 1 else pow(lc, -1, p)
+        else:
+            try:
+                scale = gcd(*[c for _, c in terms])
+            except TypeError:        # a Fraction: clear the denominators
+                denominator = lcm(*[c.denominator for _, c in terms])
+                terms = [(k, c.numerator * (denominator // c.denominator))
+                         for k, c in terms]
+                lc = terms[0][1]
+                scale = gcd(*[c for _, c in terms])
+            if lc < 0:
+                scale = -scale
+        test = self.guard - (lead & self.low)
+        if scale == 1:
+            return test, lead, lc, [(k - lead, c) for k, c in terms[1:]]
+        if p is not None:
+            return test, lead, 1, [(k - lead, c * scale % p)
+                                   for k, c in terms[1:]]
+        return test, lead, lc // scale, [(k - lead, c // scale)
+                                         for k, c in terms[1:]]
 
     def need(self, key: int) -> int:
         """The `_need` of the monomial of `key`.  Under grevlex a key is
@@ -228,15 +282,17 @@ class _Packer:
         return max(self.unpack(key))
 
 
+# the packer of each (nvars, order, bits) built so far: see `_Packer`
+_PACKERS: dict = {}
+
+
 class _Packed(dict):
     """A polynomial inside the engine: {key: raw coeff} in one packer's
-    keys, the leading term first.  It answers `is_zero` like a Poly."""
+    keys, the leading term first, with its `context` set after the map is
+    built (`_Packed(terms)` is dict's own constructor).  It answers
+    `is_zero` like a Poly."""
 
     __slots__ = ("context",)
-
-    def __init__(self, context: VarContext, terms):
-        dict.__init__(self, terms)
-        self.context = context
 
     def is_zero(self) -> bool:
         return not self
@@ -262,7 +318,9 @@ def _multiple(context: VarContext, record, shift: int = 0) -> _Packed:
     """u*g for the element g of a divisor record, with K(u) = one + shift."""
     _, lead, lc, tail = record
     top = lead + shift
-    return _Packed(context, [(top, lc)] + [(top + o, -c) for o, c in tail])
+    g = _Packed([(top, lc)] + [(top + o, c) for o, c in tail])
+    g.context = context
+    return g
 
 
 def _unpacked(context: VarContext, packer: _Packer, record) -> Poly:
@@ -373,73 +431,63 @@ def _divide(f: _Packed, packer: _Packer, records: Sequence,
                 if mono & guard:
                     # an exponent outgrew its field (lex only)
                     raise OverflowError("a packed key outgrew its fields")
-                p[mono] = d
+                p[mono] = -d
                 heappush(heap, mono)
             else:
-                p[mono] = acc + d
-    return _Packed(context, remainder), quotients
+                p[mono] = acc - d
+    r = _Packed(remainder)
+    r.context = context
+    return r, quotients
 
 
 def _normal_form(f: Poly, basis: GroebnerBasis, want_cofactors: bool):
     """(remainder, cofactors as Polys, or None) of f modulo the basis: the
-    Poly boundary of `_divide`.  f is packed in the basis's packing, made
-    wider first when f needs it, and again when the division outgrows it
-    (lex only); the basis keeps the widest packing built."""
-    if f.context != basis.context:
-        raise ContextMismatchError("polynomial and basis contexts differ")
-    if not basis.polys:
-        return f, [] if want_cofactors else None
+    Poly boundary of `_divide`.  When no leading monomial of the basis
+    divides a term of f (f zero, or already reduced), f is its own
+    remainder: f itself comes back, with zero cofactors, and nothing is
+    packed.  Otherwise f is packed in the basis's packing, made wider first
+    when f needs it, and again when the division outgrows it (lex only);
+    the basis keeps the widest packing built."""
     context = f.context
+    if context is not basis.context and context != basis.context:
+        raise ContextMismatchError("polynomial and basis contexts differ")
+    leads = basis._leads
+    if not any(all(map(ge, m, lm)) for m in f._terms for lm in leads):
+        return f, [context.zero] * len(leads) if want_cofactors else None
     need = _need(f._terms, basis.order)
     while True:
         packer, records = basis._divisors(need)
-        pack = packer.pack
-        dividend = _Packed(context, [(pack(m), c) for m, c in f._terms.items()])
+        weights, one = packer.weights, packer.one
+        dividend = _Packed([(sum(map(mul, m, weights), one), c)
+                            for m, c in f._terms.items()])
+        dividend.context = context
         try:
             r, quotients = _divide(dividend, packer, records, want_cofactors)
             break
         except OverflowError:
             need = packer.limit + 1      # lex only: divide again, wider
-    unpack = packer.unpack
-    r = Poly._raw(context, {unpack(k): c for k, c in r.items()})
+    shifts, limit = packer.shifts, packer.limit
+    r = Poly._raw(context, {tuple([k >> s & limit for s in shifts]): c
+                            for k, c in r.items()})
     if want_cofactors:
-        quotients = [Poly._raw(context, {unpack(k): c for k, c in q.items()})
+        quotients = [Poly._raw(context, {tuple([k >> s & limit for s in shifts]): c
+                                         for k, c in q.items()})
                      for q in quotients]
     return r, quotients
 
 
 def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
-    """The unique remainder of f modulo the basis; zero iff f lies in the ideal."""
+    """The unique remainder of f modulo the basis; zero iff f lies in the
+    ideal.  An f that no leading monomial of the basis divides a term of
+    is its own remainder and comes back itself, undivided."""
     return _normal_form(f, basis, False)[0]
 
 
 def normal_form_with_cofactors(f: Poly, basis: GroebnerBasis):
-    """(remainder, cofactors): f = sum(cofactor_i * basis_i) + remainder."""
+    """(remainder, cofactors): f = sum(cofactor_i * basis_i) + remainder.
+    As in `normal_form`, a reduced f comes back itself, undivided, with
+    zero cofactors."""
     return _normal_form(f, basis, True)
-
-
-def _normalize(g: _Packed) -> _Packed:
-    """The working form of a nonzero basis element: over QQ integer
-    primitive (denominators cleared, content divided out, leading
-    coefficient > 0), over F_p monic."""
-    field = g.context.field
-    lc = next(iter(g.values()))
-    if field.p is not None:
-        if lc == 1:
-            return g
-        inverse, p = field.raw_inverse(lc), field.p
-        return _Packed(g.context, [(k, c * inverse % p) for k, c in g.items()])
-    terms = g
-    denominator = lcm(*[c.denominator for c in terms.values()])
-    if denominator != 1:
-        terms = {k: c.numerator * (denominator // c.denominator)
-                 for k, c in terms.items()}
-    content = gcd(*terms.values())
-    if lc < 0:
-        content = -content
-    if content == 1 and terms is g:
-        return g
-    return _Packed(g.context, [(k, c // content) for k, c in terms.items()])
 
 
 def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
@@ -448,7 +496,7 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
 
     A signature-based loop, RB (Eder & Faugere, J. Symbolic Comput. 80,
     2017; Roune & Stillman, ISSAC 2012), in position-over-term order.  The
-    inputs, each in working form (see `_normalize`) and without
+    inputs, each in working form (see `_Packer.working`) and without
     duplicates, are sorted by LM, smallest first; input j has signature
     e_j and is reduced by the elements of lower index, all of which have
     smaller signatures.  Then the J-pairs of index j are taken in
@@ -464,14 +512,16 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
 
     Signatures are packed by the elements' packer (see `_Packer`), and the
     elements are held as its divisor records: each input is packed once,
-    and only the reduced basis is unpacked (`_monic`).  An element or
+    and only the reduced basis is unpacked (`_monic`).  An input is
+    divided by the elements before it only when one of their leading
+    monomials divides one of its terms.  An element or
     signature of index j too wide for every J-pair signature to fit, or a
     rewriter multiple or division that outgrows the fields, repacks every
     key wider; the division is then made again.  The budget counts the
     rewriter multiples reduced, a repacked one once: exceeding it raises
     BudgetExceededError rather than returning anything partial.
 
-    Over QQ the elements are kept integer primitive (see `_normalize`)
+    Over QQ the elements are kept integer primitive (see `_Packer.working`)
     from entry on, so associate generators deduplicate; `_divide` then
     pseudo-divides, and each nonzero remainder is made primitive again.  A
     pseudo-remainder is a nonzero rational multiple of the exact one, so
@@ -486,12 +536,12 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
     """
     if not isinstance(order, TermOrder):
         raise TypeError(f"not a term order: {order!r}")
-    gens = [g for g in generators if not g.is_zero()]
+    gens = [g for g in generators if g._terms]
     if not gens:
         raise ValueError("buchberger needs a context; use an IdealHandle for (0)")
     context = gens[0].context
     for g in gens:
-        if g.context != context:
+        if g.context is not context and g.context != context:
             raise ContextMismatchError("generators live in different contexts")
     memo = _MEMO.get()
     if memo is not None:
@@ -504,15 +554,20 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
                 raise BudgetExceededError(
                     f"Buchberger step budget ({budget}) exhausted")
             return basis
-    need = max(_need(g._terms, order) for g in gens)   # covers every LM
+    lex = order is TermOrder.LEX
+    need = _need([m for g in gens for m in g._terms], order)   # every LM
     sig_need = 0             # the need of the signatures of index j
     packer = _Packer(context.nvars, order, need)
-    inputs = []
+    p = context.field.p
+    weights, one = packer.weights, packer.one
+    input_records = []
     for g in gens:
-        g = _normalize(packer.packed(g))
-        if g not in inputs:
-            inputs.append(g)
-    input_records = [packer.record(g) for g in inputs]
+        record = packer.working(sorted([(sum(map(mul, m, weights), one), c)
+                                        for m, c in g._terms.items()]), p)
+        if record not in input_records:
+            input_records.append(record)
+    # smallest LM first: the largest key first, stably
+    input_records.sort(key=itemgetter(1), reverse=True)
     records = []             # the elements as divisor records, in the
                              # order they were added
     lead = []                # their LMs
@@ -536,52 +591,57 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
         heap[:] = [-key for key in packer.repack([-e for e in heap], old)]
 
     steps = 0
-    # smallest LM first: the largest key first, stably
-    for i in sorted(range(len(inputs)), key=lambda i: -input_records[i][1]):
-        r = None
-        while records and r is None:
-            try:
-                r, _ = _divide(_multiple(context, input_records[i]), packer,
-                               records)
-            except OverflowError:
-                widen(packer.limit + 1)      # lex only: divide again
-        if r is None:
-            record = input_records[i]
-        elif r.is_zero():
-            continue     # e_j is a syzygy: index j adds nothing
-        else:
-            record = packer.record(_normalize(r))
+    for i in range(len(input_records)):
         first = len(records)
         sig_need = 0
         koszul[:] = [r[0] for r in records]
         sigs[:] = [None] * first
-        syzygies.clear()
-        heap.clear()
+        syzygies.clear()     # the heap is empty: each index drains it
+        # input j reduced by the elements below index j, when one of their
+        # LMs divides one of its terms
+        record = input_records[i]
+        while koszul and _divides_any(_keys(record), koszul, packer.low,
+                                      packer.guard):
+            try:
+                r, _ = _divide(_multiple(context, record), packer, records)
+            except OverflowError:
+                widen(packer.limit + 1)      # lex only: divide again
+                record = input_records[i]
+                continue
+            record = packer.working(list(r.items()), p) if r else None
+            break
+        if record is None:
+            continue     # e_j is a syzygy: index j adds nothing
         t = packer.one       # e_j
         while record is not None:
             # append the element of `record` with signature t*e_j and queue
             # its J-pairs
             records.append(record)
             sigs.append(t)
-            need = max(need, packer.need(record[1]))
-            sig_need = max(sig_need, packer.need(t))
+            mn = packer.unpack(record[1])
+            lead.append(mn)
+            need = max(need, max(mn) if lex else sum(mn))
+            if t != packer.one:
+                sig_need = max(sig_need, packer.need(t))
             # a J-pair signature (lcm/LM(g))*sig(g) has fields of at most
             # need + sig_need; every other key is checked where it is made
             if need + sig_need > packer.limit:
                 widen(need + sig_need)
             n = len(records) - 1
             ln, t = records[n][1], sigs[n]
-            mn = packer.unpack(ln)
-            lead.append(mn)
+            low, guard = packer.low, packer.guard
+            weights, one = packer.weights, packer.one
             for k in range(n):
-                lcm_key = packer.pack(tuple(map(max, lead[k], mn)))
+                lcm_key = sum(map(mul, map(max, lead[k], mn), weights), one)
                 key = lcm_key - ln + t
                 if k >= first:
                     other = lcm_key - records[k][1] + sigs[k]
                     if other == key:
                         continue     # a singular pair
                     key = min(key, other)    # the larger signature
-                heappush(heap, -key)
+                # the F5 criterion: LM(h) | T for an h below index j
+                if not _divides_any((key,), koszul, low, guard):
+                    heappush(heap, -key)
             # the J-pairs in increasing signature, up to a new element
             record = None
             while heap and record is None:
@@ -590,11 +650,9 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
                     heappop(heap)
                 low, guard = packer.low, packer.guard
                 tl = t & low
-                # the F5 criterion: LM(h) | T for an h below index j; the
-                # syzygy criterion: a signature that reduced to 0 divides T
-                if (_divides_any(tl, koszul, guard)
-                        or any((tl + guard - (s & low)) & guard == guard
-                               for s in syzygies)):
+                # the syzygy criterion: a signature that reduced to 0 divides T
+                if syzygies and any((tl + guard - (s & low)) & guard == guard
+                                    for s in syzygies):
                     continue
                 k = n
                 while (tl + guard - (sigs[k] & low)) & guard != guard:
@@ -607,13 +665,12 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
                 # a regular top-reduction: by an element of index below j,
                 # or by h of index j with K((top/LM(h))*sig(h)) > K(T)
                 # (exact, as in `_divide`'s signature filter)
-                top = next(iter(dividend))   # K((T/sig(r))*LM(r))
+                top = records[k][1] + t - sigs[k]    # K((T/sig(r))*LM(r))
                 topl = top & low
-                for h, (test, lh, _, _) in enumerate(records):
-                    if ((topl + test) & guard == guard
-                            and (h < first or top - lh + sigs[h] > t)):
-                        break
-                else:
+                if not (_divides_any((top,), koszul, low, guard)
+                        or any((topl + records[h][0]) & guard == guard
+                               and top - records[h][1] + sigs[h] > t
+                               for h in range(first, n + 1))):
                     continue     # not regular-top-reducible: r covers T
                 if steps >= budget:
                     raise BudgetExceededError(
@@ -626,41 +683,61 @@ def buchberger(generators: Iterable[Poly], order: TermOrder = TermOrder.GREVLEX,
                     widen(packer.limit + 1)
                     continue
                 steps += 1
-                if r.is_zero():
-                    syzygies.append(t)
+                if r:
+                    record = packer.working(list(r.items()), p)
                 else:
-                    record = packer.record(_normalize(r))
+                    syzygies.append(t)
 
     packer, records = _reduce_basis(context, order, (packer, records))
-    monic = [_monic(context, packer, record) for record in records]
-    basis = GroebnerBasis._reduced(context, order, [g for g, _ in monic],
-                                   (packer, [record for _, record in monic]))
+    polys, monic, leads = zip(*[_monic(context, packer, r) for r in records])
+    basis = GroebnerBasis._reduced(context, order, polys, leads,
+                                   (packer, monic))
     if memo is not None:
         memo[memo_key] = (basis, steps)
     return basis
 
 
-def _divides_any(key_low: int, tests, guard: int) -> bool:
+def _keys(record) -> list:
+    """The keys of the element of a divisor record, leading key first."""
+    _, lead, _, tail = record
+    return [lead] + [lead + offset for offset, _ in tail]
+
+
+def _divides_any(keys, tests, low: int, guard: int) -> bool:
     """Whether some divisor test (see `_Packer.record`) passes for the
-    monomial whose key has low part `key_low`."""
-    for test in tests:
-        if (key_low + test) & guard == guard:
-            return True
+    monomial of one of the keys."""
+    for key in keys:
+        key &= low
+        for test in tests:
+            if (key + test) & guard == guard:
+                return True
     return False
 
 
 def _monic(context: VarContext, packer: _Packer, record):
-    """The Poly of a reduced basis element made monic, and its record.
+    """(Poly, divisor record, LM) of a reduced basis element made monic,
+    read off its record in one pass: each coefficient is divided by the
+    LC once, into one int or Fraction that the Poly and the record share.
     Over F_p the working form is monic already; over QQ it is integer
     primitive with lc > 0."""
     test, lead, lc, tail = record
-    if lc != 1:
+    shifts, limit = packer.shifts, packer.limit
+    lm = tuple([lead >> s & limit for s in shifts])
+    terms = {lm: 1}
+    if lc == 1:
+        for offset, c in tail:
+            key = lead + offset
+            terms[tuple([key >> s & limit for s in shifts])] = c
+    else:
         monic = []
         for offset, c in tail:
             q, r = divmod(c, lc)
-            monic.append((offset, Fraction(c, lc) if r else q))
+            c = Fraction(c, lc) if r else q
+            monic.append((offset, c))
+            key = lead + offset
+            terms[tuple([key >> s & limit for s in shifts])] = c
         record = (test, lead, 1, monic)
-    return _unpacked(context, packer, record), record
+    return Poly._raw(context, terms), record, lm
 
 
 def _reduce_basis(context: VarContext, order: TermOrder, packed):
@@ -669,36 +746,44 @@ def _reduce_basis(context: VarContext, order: TermOrder, packed):
     that `_monic` removes.
 
     `packed` holds the elements as records of its packer, in the working
-    form of `_normalize`, and each inter-reduced element is put in it
-    again.  A division whose keys outgrow the fields (lex only) starts the
-    whole pass again, wider; the elements reduced already stay reduced.
+    form of `_Packer.working`, and each inter-reduced element is put in it
+    again.  An element is divided only when another element's leading
+    monomial divides a key of its tail; any other is reduced already.  A
+    division whose keys outgrow the fields (lex only) starts the whole pass
+    again, wider; the elements reduced already stay reduced.
     """
     packer, records = packed
     low, guard = packer.low, packer.guard
     # minimal: drop any element whose LM is divisible by another's LM
+    tests = [record[0] for record in records]
     minimal = []
-    for i, (_, li, _, _) in enumerate(records):
-        if not any(((li & low) + test) & guard == guard and (li != lj or j < i)
-                   for j, (test, lj, _, _) in enumerate(records) if j != i):
-            minimal.append(records[i])
+    for i, record in enumerate(records):
+        li = record[1]
+        mi = li & low
+        for j, test in enumerate(tests):
+            if (mi + test) & guard == guard and (j < i or li != records[j][1]):
+                break
+        else:
+            minimal.append(record)
     # inter-reduce the tails in one pass: no other leading monomial divides
     # an element's own, so its leading monomial passes to the remainder and
-    # the cached LMs stay valid (over QQ the LC may be scaled); as the LMs
-    # never change, an element reduced once stays reduced
+    # the cached LMs and tests stay valid (over QQ the LC may be scaled); as
+    # the LMs never change, an element reduced once stays reduced
+    tests = [record[0] for record in minimal]
     for i in range(len(minimal)):
-        others = minimal[:i] + minimal[i + 1:]
-        if not others:
+        _, lead, _, tail = minimal[i]
+        if not (tail and _divides_any([lead + offset for offset, _ in tail],
+                                      tests[:i] + tests[i + 1:], low, guard)):
             continue
-        dividend = _multiple(context, minimal[i])
         try:
-            r, _ = _divide(dividend, packer, others)
+            r, _ = _divide(_multiple(context, minimal[i]), packer,
+                           minimal[:i] + minimal[i + 1:])
         except OverflowError:
             return _reduce_basis(context, order, _packing(
                 context, [_unpacked(context, packer, g) for g in minimal],
                 order, packer.limit + 1))
-        if r != dividend:
-            minimal[i] = packer.record(_normalize(r))
-    return packer, sorted(minimal, key=lambda record: record[1])
+        minimal[i] = packer.working(list(r.items()), context.field.p)
+    return packer, sorted(minimal, key=itemgetter(1))
 
 
 def groebner_basis(ideal: IdealHandle, order: TermOrder = TermOrder.GREVLEX,

@@ -174,20 +174,25 @@ def replay_certificate(cert: SimplicityCertificate, f: Poly) -> FieldElement:
     return g.constant_value()
 
 
-def _witness(ring: QuotientRing, derivations, candidates, *,
-             budget: int) -> IdealHandle | None:
+def _witness(ring: QuotientRing, derivations, candidates, *, budget: int,
+             tried: set | None = None) -> IdealHandle | None:
     """The first witness among the candidates g: (g) + I when it is proper
     and D-stable, or with derivations None (characteristic p), (g^p) + I
     when (g) + I is proper and of lower dimension than R.  Each try takes
     one basis of (g) + I, at most `budget` of them; constants, g zero on R
-    and constant multiples of an earlier g are skipped."""
-    context, gens, tried = ring.context, list(ring.defining.generators), set()
+    and constant multiples of an earlier g are skipped.  `tried` holds the
+    monic g of an earlier pass, which are skipped too and not counted; the
+    g tried here join it."""
+    context, gens = ring.context, list(ring.defining.generators)
+    tried = set() if tried is None else tried
+    tries = 0
     for g in candidates:
         key = None if g.is_constant() else g.monic(TermOrder.GREVLEX)
         if key is None or key in tried or ring.reduce(g).is_zero():
             continue
-        if len(tried) == budget:
+        if tries == budget:
             return None
+        tries += 1
         tried.add(key)
         handle = IdealHandle(context, [g] + gens)
         basis = groebner_basis(handle, budget=budget)
@@ -264,7 +269,9 @@ def _decide(ring: QuotientRing, derivations: tuple, *,
             SimplicityStatus.SIMPLE,
             criterion="polynomial base with all partial derivatives")
     images = [g for d in derivations for g in d.images]
-    witness = _witness(ring, derivations, (*ring.generators(), *images), budget=budget)
+    tried = set()    # the shift pass starts with x_i - 0: none is built again
+    witness = _witness(ring, derivations, (*ring.generators(), *images),
+                       budget=budget, tried=tried)
     if witness is not None:
         return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=witness,
                                  criterion="stable principal ideal witness")
@@ -278,7 +285,8 @@ def _decide(ring: QuotientRing, derivations: tuple, *,
         return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=J,
                                  criterion=criterion)
     if proper or not dim1:
-        witness = _witness(ring, derivations, _shifts(ring), budget=budget)
+        witness = _witness(ring, derivations, _shifts(ring), budget=budget,
+                           tried=tried)
         if witness is not None:
             return SimplicityVerdict(SimplicityStatus.NOT_SIMPLE, witness=witness,
                                      criterion="stable principal ideal witness")

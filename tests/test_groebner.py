@@ -10,6 +10,7 @@ import operator
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -558,9 +559,10 @@ def _assert_same_ideal_and_lex_groebner(lex, grevlex):
 
 
 @st.composite
-def _division_problems(draw):
-    """(reduced basis of a small random ideal, dividend) over QQ or GF(32003)."""
-    field = draw(st.sampled_from([QQ, GF(32003)]))
+def _division_problems(draw, fields=(QQ, GF(32003))):
+    """(reduced basis of a small random ideal, dividend) over one of the
+    fields."""
+    field = draw(st.sampled_from(fields))
     nvars = draw(st.integers(1, 3))
     ctx = VarContext(tuple("xyz"[:nvars]), field)
     monomials = st.sampled_from(
@@ -590,6 +592,27 @@ def test_division_property(problem):
     for mono, _ in r.terms():
         assert not any(monomial_divides(lead, mono)
                        for lead in basis.leading_monomials())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_division_problems(fields=(QQ, GF(7))), st.booleans())
+def test_normal_form_without_division_is_the_division(problem, zero):
+    # a normal form that no leading monomial divides a term of skips
+    # _divide: it must give what _divide gives, and give f itself
+    basis, f = problem
+    if zero:
+        f = f.context.zero
+    reduced = normal_form(f, basis)
+    for g in (f, reduced):
+        r, cofactors = _packed_division(g, basis.polys, basis.order, True)
+        assert normal_form(g, basis) == r
+        assert normal_form_with_cofactors(g, basis) == (r, cofactors)
+    assert normal_form(reduced, basis) is reduced
+    assert normal_form_with_cofactors(reduced, basis)[0] is reduced
+    with mock.patch.object(groebner, "_divide", side_effect=AssertionError):
+        assert normal_form(reduced, basis) is reduced
+        assert normal_form_with_cofactors(reduced, basis) == (
+            reduced, [f.context.zero] * len(basis))
 
 
 def test_division_cofactors_golden():
@@ -997,6 +1020,10 @@ def test_every_division_meets_the_coefficient_invariant(field, monkeypatch):
         return divide(f, packer, records, *args, **kwargs)
 
     monkeypatch.setattr(groebner, "_divide", checked)
+    # x^2 - y and x^2 + y make the element y, whose leading monomial divides
+    # the tail of x^2 - y: _reduce_basis divides it, in every field
+    for order in TermOrder:
+        assert buchberger([x ** 2 - y, x ** 2 + y], order).polys == (x ** 2, y)
     rng = random.Random(4242)
     for trial in range(30):
         nvars = rng.randint(1, 3)

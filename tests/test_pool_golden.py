@@ -15,6 +15,8 @@ and each shape's quotient with a lex basis gets the verdicts of the grevlex
 one.
 """
 
+import contextlib
+import io
 import pathlib
 import subprocess
 import sys
@@ -34,6 +36,7 @@ from derivalg import (
     dim1_simplicity,
     skew_simplicity,
 )
+from derivalg import cli, groebner
 
 DATA = pathlib.Path(__file__).parent / "data"
 SHAPES = ["ellipse", "circle", "two_lines", "crossing_lines"]
@@ -97,3 +100,38 @@ def test_lex_quotient_meets_grevlex_verdicts(shape):
             == skew_simplicity(SkewRingDescriptor(ring, ["t"], [d])))
     for ideal in (I, J):
         assert d_ideal_check(ideal, [d_lex]) == d_ideal_check(ideal, [d])
+
+
+def test_pool_sessions_pin_the_engine_work(monkeypatch):
+    # the divisions the engine makes on the four pool sessions, pinned: a
+    # normal form of a reduced polynomial, and an input or basis element
+    # that no other leading monomial divides a term of, divide nothing; and
+    # each (nvars, order, field width) has one packer, however many bases
+    # and normal forms ask for it
+    divisions = 0
+    divide = groebner._divide
+
+    def counting(*args, **kwargs):
+        nonlocal divisions
+        divisions += 1
+        return divide(*args, **kwargs)
+
+    packers = {}
+    build = groebner._Packer.__new__
+
+    def shared(cls, nvars, order, need):
+        packer = build(cls, nvars, order, need)
+        packers.setdefault((nvars, order, packer.limit), set()).add(packer)
+        return packer
+
+    monkeypatch.setattr(groebner, "_divide", counting)
+    monkeypatch.setattr(groebner, "_PACKERS", {})
+    monkeypatch.setattr(groebner._Packer, "__new__", staticmethod(shared))
+    for shape in SHAPES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["--json", "run", str(DATA / f"pool_{shape}.dsl")]) == 0
+        assert out.getvalue() == (
+            DATA / f"pool_{shape}_transcript.jsonl").read_text()
+    assert divisions == 51
+    assert packers and all(len(built) == 1 for built in packers.values())
