@@ -9,6 +9,7 @@ replaying a session file yields byte-identical output.
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING
 
 from . import parser as P
@@ -28,7 +29,7 @@ from .groebner import (
     groebner_basis,
     normal_form_with_cofactors,
 )
-from .poly import Poly, VarContext
+from .poly import Poly, VarContext, _canonical, _mul_into
 
 # The derivation, simplicity and skew layers are imported by the handlers
 # that use them, so a session of Groebner commands never loads them.
@@ -52,20 +53,43 @@ def skew_json(u: SkewPoly) -> dict:
     }
 
 
-def _walk(node, leaf, power=pow):
-    """The value of an expression AST: `leaf` gives each Num and Name node its
-    value, the values' own + - * and `power` combine them, left operand first."""
+def _walk(node, leaf, ops):
+    """The value of an expression AST: `leaf` gives each Num and Name node
+    its value, and `ops` maps "+", "-", "*", "neg" and "^" (with an int
+    exponent) to the arithmetic that combines the values, left operand
+    first."""
     cls = node.__class__
     if cls is P.Binary:
-        op, left = node.op, _walk(node.left, leaf, power)
+        op, left = node.op, _walk(node.left, leaf, ops)
         if op == "^":
-            return power(left, node.right.numerator)
-        right = _walk(node.right, leaf, power)
-        return (left + right if op == "+" else left - right if op == "-"
-                else left * right)
+            return ops[op](left, node.right.numerator)
+        return ops[op](left, _walk(node.right, leaf, ops))
     if cls is P.Unary:
-        return -_walk(node.operand, leaf, power)
+        return ops["neg"](_walk(node.operand, leaf, ops))
     return leaf(node)
+
+
+def _merge(a: dict, b: dict, sign: int = 1) -> dict:
+    """a + sign*b for raw term maps, unreduced."""
+    acc = dict(a)
+    for m, c in b.items():
+        acc[m] = acc.get(m, 0) + sign * c
+    return acc
+
+
+def _product(a: dict, b: dict) -> dict:
+    """a * b for raw term maps, unreduced."""
+    acc = {}
+    _mul_into(acc, a, b)
+    return acc
+
+
+# the arithmetic of `Session.eval_poly`, on raw term maps, and of
+# `Session.eval_in`, on SkewPoly; each caller adds its "^"
+_TERM_OPS = {"+": _merge, "-": lambda a, b: _merge(a, b, -1), "*": _product,
+             "neg": lambda a: {m: -c for m, c in a.items()}}
+_SKEW_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+             "neg": operator.neg}
 
 
 class Session:
@@ -145,27 +169,47 @@ class Session:
                     f"product{'s' if n > 2 else ''}, "
                     f"over the step budget ({self.budget})")
             return u ** n
-        return _walk(node, leaf, power)
+        return _walk(node, leaf, {**_SKEW_OPS, "^": power})
 
     def eval_poly(self, node, ring: QuotientRing) -> Poly:
-        """The normal form of an expression in a polynomial or quotient ring:
-        an integer literal is a raw coefficient (see `poly`), and the result
-        is reduced once, at the end, which gives the unique normal form."""
+        """The normal form of an expression in a polynomial or quotient ring.
+
+        The tree folds into one raw, unreduced term map (see `poly`): + and
+        - merge maps, * runs `poly._mul_into`, and a power squares and
+        multiplies, each product made canonical so that its coefficients
+        stay reduced mod p.  One `_canonical` finishes the map, and it is
+        reduced once, at the end, which gives the unique normal form."""
         context = ring.context
+        field, names = context.field, context.names
+        one = (0,) * len(names)
 
         def leaf(node):
-            if node.__class__ is P.Num:  # an integer stays a raw coefficient
+            if node.__class__ is P.Num:
                 n, d = node.numerator, node.denominator
-                return context.const(n if d == 1 else context.field.from_ratio(n, d))
+                return {one: n if d == 1 else field.from_ratio(n, d).value}
             name = node.text
-            if name in context.names:
-                return context.var_by_name(name)
+            if name in names:
+                i = names.index(name)
+                return {one[:i] + (1,) + one[i + 1:]: 1}
             bound = self.elements.get(name)
             if isinstance(bound, Poly) and bound.context == context:
-                return bound
+                return bound._terms
             raise UnknownIdentifierError(f"unknown identifier {name!r}",
                                          node.line, node.col)
-        return ring.reduce(_walk(node, leaf))
+
+        def power(a, n):
+            result = None
+            while n:
+                if n & 1:
+                    result = a if result is None else _canonical(
+                        _product(result, a), field.p)
+                n >>= 1
+                if n:
+                    a = _canonical(_product(a, a), field.p)
+            return {one: 1} if result is None else result
+
+        terms = _walk(node, leaf, {**_TERM_OPS, "^": power})
+        return ring.reduce(Poly._raw(context, _canonical(terms, field.p)))
 
     # -- statement dispatch --------------------------------------------------
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -37,7 +36,7 @@ from .errors import (
     PreconditionError,
     ZeroPolynomialError,
 )
-from .field import FieldElement
+from .field import FieldElement, FieldSpec
 from .groebner import (
     DEFAULT_BUDGET,
     _MEMO,
@@ -380,9 +379,11 @@ def darboux_search(F: Poly, bound: int,
     cofactor of degree <= max(deg F - 1, 0), whatever the bound: comparing
     degrees in d(h) = cofactor*h forces this, since d(x) = 1 (F = x^2*y has
     h = y with cofactor x^2 at bound 1).  The unknowns are the coefficients
-    c_0..c_{M-1} of h and l_0..l_{L-1} of the cofactor, the variables of
-    one context; each equation is the coefficient of one x,y-monomial in
-    d(h) - cofactor*h, and the system is built once, as raw term maps.
+    c_0..c_{M-1} of h and l_0..l_{L-1} of the cofactor, numbered 0..M+L-1;
+    each equation is the coefficient of one x,y-monomial in
+    d(h) - cofactor*h, built once as a raw term map keyed by the sorted
+    tuple of the indices of each term's unknowns: (k,) for c_k and
+    (k, M+j) for c_k*l_j (see `_eliminate`).
 
     The candidate leading monomials of h, the pivots, are tried in
     ascending grevlex order; the pivot's coefficient is fixed to 1 and
@@ -409,10 +410,8 @@ def darboux_search(F: Poly, bound: int,
     h_monos = _monomials_up_to(bound)
     cof_monos = _monomials_up_to(max(F.total_degree() - 1, 0))
     M = len(h_monos)
-    n = M + len(cof_monos)
     unknowns = VarContext([f"c{k}" for k in range(M)]
-                          + [f"l{j}" for j in range(n - M)], ctx.field)
-    unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+                          + [f"l{j}" for j in range(len(cof_monos))], ctx.field)
 
     # the coefficient of each x,y-monomial in h_x + F*h_y - cofactor*h
     equations = {}
@@ -423,39 +422,34 @@ def darboux_search(F: Poly, bound: int,
 
     for k, (a, b) in enumerate(h_monos):
         if a:
-            add((a - 1, b), a, unit[k])
+            add((a - 1, b), a, (k,))
     for (p, q), f in F._terms.items():
         for k, (a, b) in enumerate(h_monos):
             if b:
-                add((a + p, b + q - 1), b * f, unit[k])
+                add((a + p, b + q - 1), b * f, (k,))
     for j, (p, q) in enumerate(cof_monos):
         for k, (a, b) in enumerate(h_monos):
-            add((a + p, b + q), -1, tuple(map(operator.add, unit[k], unit[M + j])))
+            add((a + p, b + q), -1, (k, M + j))
     # listed by x,y-monomial under grevlex, so that equal F's take one path
     # whatever the insertion order of their terms; each term holds exactly
-    # one c_k and is kept as (the grevlex rank of h_monos[k], its exponents,
-    # its exponents without c_k, its coefficient)
+    # one c_k, first in its key, and is kept as (the grevlex rank of
+    # h_monos[k], its key, its key without c_k, its coefficient)
     grevlex = TermOrder.GREVLEX.key
     ascending = sorted(h_monos, key=grevlex)
     rank = [ascending.index(m) for m in h_monos]
-    system = []
-    for xy in sorted(equations, key=grevlex):
-        terms = []
-        for u, c in _canonical(equations[xy], ctx.field.p).items():
-            k = u.index(1)
-            terms.append((rank[k], u, u[:k] + (0,) + u[k + 1:], c))
-        system.append(terms)
+    system = [[(rank[u[0]], u, u[1:], c)
+               for u, c in _canonical(equations[xy], ctx.field.p).items()]
+              for xy in sorted(equations, key=grevlex)]
     unresolved = None
     for r in range(1, M):   # the pivots; rank 0 is the constant monomial
         # c_k = 1 at the pivot and 0 above it: keep, strip or drop each term
         eqs = ({bare if q == r else u: c for q, u, bare, c in terms if q <= r}
                for terms in system)
         eqs = [e for e in eqs if e]
-        if _refuted(eqs, unknowns):
+        if _refuted(eqs, ctx.field):
             continue
         try:
-            values = _solve_rational([Poly._raw(unknowns, e) for e in eqs],
-                                     unknowns, budget)
+            values = _solve_rational(eqs, unknowns, budget)
         except _NoRationalPoint:
             if unresolved is None:
                 unresolved = ascending[r]
@@ -488,103 +482,145 @@ class _NoRationalPoint(Exception):
     """A consistent system whose rational point the extraction missed."""
 
 
-def _refuted(equations, context: VarContext) -> bool:
-    """Whether `_eliminate` on the raw term maps, last equation first,
-    derives a nonzero constant.  Substituting a linear solution keeps the
-    solution set, so True proves that `_solve_rational` returns None."""
-    return _eliminate(equations[::-1], context) is None
+def _refuted(equations, field: FieldSpec) -> bool:
+    """Whether `_eliminate` on the term maps, last equation first, derives
+    a nonzero constant.  Substituting a linear solution keeps the solution
+    set, so True proves that `_solve_rational` returns None."""
+    return _eliminate(equations[::-1], field) is None
 
 
-def _solve_rational(equations, context: VarContext, budget: int):
+def _solve_rational(equations, unknowns: VarContext, budget: int):
     """A rational common zero of the system, as a list of raw values indexed
-    like the context's variables, or None when the system has no zero.
+    like the unknowns, or None when the system has no zero.
 
-    Linear elimination (`_eliminate`, on the term maps in the given order)
-    comes first.  What remains goes through Buchberger; a unit basis means
-    no zero, otherwise `_extract_point` looks for a rational point of it.
-    Unknowns left free are set to 0, and the eliminated ones are evaluated
-    back in reverse order.  A consistent system whose point was not
-    extracted raises _NoRationalPoint.
+    Linear elimination (`_eliminate`, on the nonzero term maps in the
+    given order) comes first.  What remains goes through Buchberger in the
+    context of the unknowns it holds, in their order, so grevlex orders its
+    monomials as among all the unknowns; a unit basis means no zero,
+    otherwise `_extract_point` looks for a rational point of it.  Unknowns
+    left free are set to 0, and the eliminated ones are evaluated back in
+    reverse order.  A consistent system whose point was not extracted
+    raises _NoRationalPoint.
     """
-    eliminated = _eliminate([e._terms for e in equations if e._terms], context)
+    field = unknowns.field
+    eliminated = _eliminate(equations, field)
     if eliminated is None:
         return None
     eqs, solved = eliminated
-    point = {}
+    values = [0] * unknowns.nvars
     if eqs:
-        basis = buchberger([Poly._raw(context, e) for e in eqs],
-                           TermOrder.GREVLEX, budget)
+        present = sorted({i for e in eqs for m in e for i in m})
+        context = VarContext([unknowns.names[i] for i in present], field)
+        basis = buchberger([Poly._raw(context, {tuple(map(m.count, present)): c
+                                                for m, c in e.items()})
+                            for e in eqs], TermOrder.GREVLEX, budget)
         if basis.is_unit:
             return None
-        point = _extract_point(list(basis.polys), context.nvars, budget, 0)
+        point = _extract_point(list(basis.polys), unknowns.nvars, budget, 0)
         if point is None:
             raise _NoRationalPoint
-    values = [point.get(i, 0) for i in range(context.nvars)]
-    # later-solved unknowns may appear in the values of earlier ones
-    for i in reversed(list(solved)):
-        values[i] = context.field.raw(solved[i].evaluate(values))
-    return values
+        for at, value in point.items():
+            values[present[at]] = value
+    return _back_substitute(solved, values, field)
 
 
-def _eliminate(equations, context: VarContext):
-    """Linear elimination on nonzero raw term maps, which it leaves as
-    they are.
+def _eliminate(equations, field: FieldSpec):
+    """Linear elimination on nonzero raw term maps in unknowns u_0, u_1,
+    ..., which it leaves as they are.  A term's key is the sorted tuple of
+    the indices of its unknowns, one entry per factor: () for the constant,
+    (i,) for u_i, (i, j) for u_i*u_j.
 
     Each step takes the first equation a*u_i + r with a linear unknown (see
     `_linear_unknown`) and puts -r/a for u_i into the equations that hold
-    u_i, dropping zero results; an equation's linear unknown is kept until
-    the equation changes.  Returns (the remaining maps, {i: the value of
-    u_i as a Poly} in the order solved), or None as soon as an equation is
-    a nonzero constant.
+    u_i, dropping zero results; an equation's linear unknown is looked for
+    when a step reaches it and kept until the equation changes.  Returns
+    (the remaining maps, {i: the value of u_i as such a map} in the order
+    solved), or None as soon as an equation is a nonzero constant.
     """
-    field = context.field
-    constant = (0,) * context.nvars
+    p = field.p
     eqs = list(equations)
-    if any(len(e) == 1 and constant in e for e in eqs):
+    if any(len(e) == 1 and () in e for e in eqs):
         return None
-    hits = [_linear_unknown(e) for e in eqs]
+    hits = [False] * len(eqs)   # False: not yet looked for
     solved = {}
     while True:
-        at = next((at for at, i in enumerate(hits) if i is not None), None)
-        if at is None:
+        for at, e in enumerate(eqs):
+            if hits[at] is False:
+                hits[at] = _linear_unknown(e)
+            if hits[at] is not None:
+                break
+        else:
             return eqs, solved
-        i, e = hits[at], eqs[at]
-        unit = constant[:i] + (1,) + constant[i + 1:]
+        i = hits.pop(at)
+        del eqs[at]
+        unit = (i,)
         inverse = -field.raw_inverse(e[unit])
-        value = Poly._raw(context, {m: c for m, c in e.items() if m != unit}
-                          ).scale(inverse)
+        value = _canonical({m: c * inverse for m, c in e.items() if m != unit}, p)
+        powers = [None, value]
         kept, kept_hits = [], []
         for q, hit in zip(eqs, hits):
-            if q is e:
-                continue
-            if any(m[i] for m in q):
-                q = Poly._raw(context, q).substitute({i: value})._terms
+            if i in set().union(*q):
+                q = _substitute(q, i, powers, p)
                 if not q:
                     continue
-                if len(q) == 1 and constant in q:
+                if len(q) == 1 and () in q:
                     return None
-                hit = _linear_unknown(q)
+                hit = False
             kept.append(q)
             kept_hits.append(hit)
         eqs, hits = kept, kept_hits
         solved[i] = value
 
 
+def _substitute(terms, i, powers, p):
+    """The canonical term map of `terms` with powers[1] put for u_i, where
+    powers = [None, value, value^2, ...] grows as needed."""
+    acc = {}
+    get = acc.get
+    for m, c in terms.items():
+        if i not in m:
+            acc[m] = get(m, 0) + c
+            continue
+        e = m.count(i)
+        while len(powers) <= e:
+            power = {}
+            for ma, ca in powers[-1].items():
+                for mb, cb in powers[1].items():
+                    key = tuple(sorted(ma + mb))
+                    power[key] = power.get(key, 0) + ca * cb
+            powers.append(_canonical(power, p))
+        at = m.index(i)
+        rest = m[:at] + m[at + e:]
+        for mv, cv in powers[e].items():
+            key = tuple(sorted(rest + mv)) if rest and mv else rest or mv
+            acc[key] = get(key, 0) + c * cv
+    return _canonical(acc, p)
+
+
 def _linear_unknown(terms):
     """The lowest i with terms == a*u_i + r, a a nonzero constant and u_i
-    absent from r, or None; one pass over the terms."""
-    lone = []
-    blocked = set()
-    for m in terms:
-        if sum(m) == 1:
-            lone.append(m.index(1))
-        else:
-            blocked.update(i for i, e in enumerate(m) if e)
-    return min((i for i in lone if i not in blocked), default=None)
+    absent from r, or None."""
+    blocked = {k for m in terms if len(m) != 1 for k in m}
+    lone = [m[0] for m in terms if len(m) == 1 and m[0] not in blocked]
+    return min(lone) if lone else None
+
+
+def _back_substitute(solved, values: list, field: FieldSpec) -> list:
+    """`values` with each unknown that `_eliminate` solved set to its value
+    there, last solved first, as later-solved unknowns may appear in the
+    values of earlier ones."""
+    for i in reversed(list(solved)):
+        total = 0
+        for m, c in solved[i].items():
+            for k in m:
+                c *= values[k]
+            total += c
+        values[i] = field.raw(total)
+    return values
 
 
 def _extract_point(basis, nvars: int, budget: int, depth: int):
-    """A rational point {unknown index: raw value} of the variety of a
+    """A rational point {variable index: raw value} of the variety of a
     reduced non-unit Groebner basis, or None; backtracking.
 
     The first univariate element's rational roots are tried in order of
@@ -629,10 +665,12 @@ def _rational_roots(g: Poly, var: int, budget: int):
     """All rational roots, as raw values ordered by |r| with the positive
     one first, of a univariate (in `var`) polynomial over QQ.
 
-    Candidates p/q come from the divisors of the constant and leading
-    integer coefficients.  Finding them takes sqrt(|a0|) + sqrt(|an|) trial
-    divisions; when that exceeds `budget`, BudgetExceededError is raised
-    before any is made.
+    With integer coefficients c_0..c_n and c_0 != 0, a root is p/q in
+    lowest terms with p dividing c_0 and q dividing c_n; each such
+    candidate is tested in integers, q^n * f(p/q) by Horner's rule.
+    Finding the divisors takes sqrt(|c_0|) + sqrt(|c_n|) trial divisions;
+    when that exceeds `budget`, BudgetExceededError is raised before any is
+    made.
     """
     coeffs = {m[var]: c for m, c in g._terms.items()}
     if max(coeffs) == 0:
@@ -640,25 +678,33 @@ def _rational_roots(g: Poly, var: int, budget: int):
     # clear denominators to integer coefficients
     denom = math.lcm(*[c.denominator for c in coeffs.values()])
     ints = {e: int(c * denom) for e, c in coeffs.items()}
-    roots = set()
+    roots = []
     if 0 not in ints:
-        roots.add(0)
+        roots.append(0)
         low = min(ints)
         ints = {e - low: c for e, c in ints.items()}
-    if max(ints) > 0:
-        a0 = abs(ints[0])
-        an = abs(ints[max(ints)])
+    n = max(ints)
+    if n > 0:
+        a0, an = abs(ints[0]), abs(ints[n])
         trials = math.isqrt(a0) + math.isqrt(an)
         if trials > budget:
             raise BudgetExceededError(
                 f"rational root search needs {trials} trial divisions, "
                 f"over the budget of {budget}")
+        top, *rest = [ints.get(e, 0) for e in range(n, -1, -1)]
         denominators = _divisors(an)
+        raw = g.context.field.raw
         for p in _divisors(a0):
             for q in denominators:
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if sum(c * cand ** e for e, c in ints.items()) == 0:
-                        roots.add(g.context.field.raw(cand))
+                if math.gcd(p, q) != 1:
+                    continue
+                for s in (p, -p):
+                    total, scale = top, 1
+                    for c in rest:
+                        scale *= q
+                        total = total * s + c * scale
+                    if not total:
+                        roots.append(raw(Fraction(s, q)))
     return sorted(roots, key=lambda r: (abs(r), r < 0))
 
 

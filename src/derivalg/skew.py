@@ -496,22 +496,21 @@ def _central_relation(ring: SkewRingDescriptor) -> SkewPoly | None:
     k-linear, so c solves one homogeneous linear equation per generator and
     monomial; `_eliminate` solves every one of them, and the lowest free c_j
     is set to 1, the other free ones to 0."""
-    from .simplicity import _eliminate
+    from .simplicity import _back_substitute, _eliminate
     m, context = ring.nskew, ring.base.context
-    unit = [tuple(int(i == j) for i in range(m)) for j in range(m)]
     equations = {}
     for j, d in enumerate(ring.derivations):
         for i, g in enumerate(d.images):
             for mono, c in g._terms.items():
-                equations.setdefault((i, mono), {})[unit[j]] = c
+                equations.setdefault((i, mono), {})[(j,)] = c
     _, solved = _eliminate([e for _, e in sorted(equations.items())],
-                           VarContext([f"c{j}" for j in range(m)], context.field))
+                           context.field)
     free = next((j for j in range(m) if j not in solved), None)
     if free is None:
         return None
-    c = [int(j == free) for j in range(m)]
-    for j in reversed(list(solved)):
-        c[j] = context.field.raw(solved[j].evaluate(c))
+    c = _back_substitute(solved, [int(j == free) for j in range(m)],
+                         context.field)
+    unit = [tuple(int(i == j) for i in range(m)) for j in range(m)]
     z = SkewPoly(ring, {unit[j]: context.const(v) for j, v in enumerate(c)})
     if any(skew_commutator(z, ring.variable(n)) for n in context.names + ring.names):
         raise AssertionError(f"the constant relation {z} is not central")

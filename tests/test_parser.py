@@ -411,3 +411,31 @@ def test_evaluator_reports_the_first_bad_leaf(field, ring, tree):
             assert str(err.value) == "denominator 14 vanishes in GF(7)"
             return
     session.execute(stmt)
+
+
+# powers of sums, over sums, products and negations of further trees
+_POWERS_OF_SUMS = st.tuples(
+    st.just("^"),
+    st.tuples(st.sampled_from("+-"), _trees(_GOOD_LEAVES, 1),
+              _trees(_GOOD_LEAVES, 1)),
+    st.integers(3, 5))
+
+
+@pytest.mark.parametrize("field, ring", _CASES)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tree=st.one_of(
+    _POWERS_OF_SUMS,
+    st.tuples(st.just("neg"), _POWERS_OF_SUMS),
+    st.tuples(st.sampled_from("+-*"), _POWERS_OF_SUMS, _trees(_GOOD_LEAVES, 2))))
+def test_evaluator_powers_of_sums_match_poly_arithmetic(field, ring, tree):
+    # the term-map fold and its powers give Poly's + - * ** normal form, and
+    # a bound element's terms are read, never changed
+    session = _eval_session(field)
+    quotient = session.rings[ring]
+    f = session.elements["f"]
+    before = dict(f._terms)
+    stmt, _ = _statement(tree, ring)
+    expected = quotient.reduce(_oracle(tree, quotient.context, f))
+    expr, _ = stmt.operands
+    assert session.eval_poly(expr, quotient) == expected
+    assert f._terms == before

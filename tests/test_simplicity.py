@@ -2,10 +2,13 @@
 obstruction, and the bounded Darboux search."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from derivalg import (
     DEFAULT_BUDGET,
@@ -771,6 +774,13 @@ def test_darboux_answer_ignores_term_insertion_order(ctx_xy):
         assert result.cofactor == -9 * y - 8
 
 
+def _keyed(f):
+    """The term map of f keyed as `_eliminate` keys terms: the sorted tuple
+    of the indices of the variables, one entry per factor."""
+    return {tuple(i for i, e in enumerate(m) for _ in range(e)): c
+            for m, c in f._terms.items()}
+
+
 def test_refuted_pivot_systems_have_no_zero(ctx_xy, monkeypatch):
     # every pivot system that the top-down pass rules out is one on which
     # the bottom-up `_solve_rational` returns None; the point search is
@@ -784,9 +794,9 @@ def test_refuted_pivot_systems_have_no_zero(ctx_xy, monkeypatch):
     fields += [rand_poly(rng, ctx_xy, 3, 3, -3, 3) for _ in range(12)]
     systems = []
 
-    def record(equations, unknowns):
-        refuted = _refuted(equations, unknowns)
-        systems.append((equations, unknowns, refuted))
+    def record(equations, field):
+        refuted = _refuted(equations, field)
+        systems.append((equations, refuted))
         return refuted
 
     monkeypatch.setattr(simplicity, "_refuted", record)
@@ -794,11 +804,12 @@ def test_refuted_pivot_systems_have_no_zero(ctx_xy, monkeypatch):
     for F in fields:
         for bound in (1, 2, 3):
             darboux_search(F, bound)
-    refuted = [(eqs, u) for eqs, u, r in systems if r]
+    refuted = [eqs for eqs, r in systems if r]
     assert 0 < len(refuted) < len(systems)
-    for eqs, unknowns in refuted:
-        system = [Poly._raw(unknowns, e) for e in eqs]
-        assert _solve_rational(system, unknowns, DEFAULT_BUDGET) is None
+    for eqs in refuted:
+        n = 1 + max((i for e in eqs for m in e for i in m), default=0)
+        unknowns = VarContext([f"u{i}" for i in range(n)], QQ)
+        assert _solve_rational(eqs, unknowns, DEFAULT_BUDGET) is None
 
 
 def test_solve_rational_specialisation_fallback():
@@ -806,18 +817,124 @@ def test_solve_rational_specialisation_fallback():
     # specialised, 0 fails (-1 = 0), 1 leaves u - 1
     ctx = VarContext(("u", "v"), QQ)
     u, v = ctx.var(0), ctx.var(1)
-    assert _solve_rational([u * v - 1], ctx, DEFAULT_BUDGET) == [1, 1]
+    assert _solve_rational([_keyed(u * v - 1)], ctx, DEFAULT_BUDGET) == [1, 1]
 
 
 def test_solve_rational_inconsistent_and_linear():
     ctx = VarContext(("u", "v", "w"), QQ)
     u, v, w = (ctx.var(i) for i in range(3))
-    assert _solve_rational([u * v - 1, u * v - 2], ctx, DEFAULT_BUDGET) is None
+    assert _solve_rational([_keyed(u * v - 1), _keyed(u * v - 2)], ctx,
+                           DEFAULT_BUDGET) is None
     # the lowest-index linear unknown u = (v + 1)/2 is eliminated, v is
     # free (0), and of the roots of 4w^2 - 9 the positive one comes first
-    values = _solve_rational([2 * u - v - 1, 4 * w ** 2 - 9], ctx,
-                             DEFAULT_BUDGET)
+    values = _solve_rational([_keyed(2 * u - v - 1), _keyed(4 * w ** 2 - 9)],
+                             ctx, DEFAULT_BUDGET)
     assert values == [Fraction(1, 2), 0, Fraction(3, 2)]
+
+
+_COEFFS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@st.composite
+def _darboux_shaped(draw):
+    """(M + L, equations): terms of a pivot system of `darboux_search`, a
+    constant, c_k, l_j or c_k*l_j, with c_k = u_k and l_j = u_{M+j}."""
+    M, L = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    keys = ([()] + [(k,) for k in range(M + L)]
+            + [(k, M + j) for k in range(M) for j in range(L)])
+    equations = []
+    for _ in range(draw(st.integers(1, 5))):
+        terms = draw(st.dictionaries(st.sampled_from(keys), _COEFFS,
+                                     min_size=1, max_size=4))
+        terms = {m: c.numerator if c.denominator == 1 else c
+                 for m, c in terms.items() if c}
+        if terms:
+            equations.append(terms)
+    return M + L, equations
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(system=_darboux_shaped())
+def test_elimination_agrees_with_sympy(system):
+    # None from `_eliminate` means the unit ideal; a point from
+    # `_solve_rational` zeroes every input equation, and None from it
+    # means the unit ideal too
+    sympy = pytest.importorskip("sympy")
+    n, equations = system
+    unknowns = VarContext([f"u{i}" for i in range(n)], QQ)
+    symbols = sympy.symbols(unknowns.names)
+    exprs = [sum(sympy.Rational(c.numerator, c.denominator)
+                 * sympy.Mul(*[symbols[i] for i in m])
+                 for m, c in e.items()) for e in equations]
+    unit = list(sympy.groebner(exprs, *symbols, order="grevlex").exprs) == [1]
+    eliminated = simplicity._eliminate(equations, QQ)
+    if eliminated is None:
+        assert unit
+    else:
+        # every map it returns is keyed as its input: sorted index tuples,
+        # nonzero coefficients
+        rest, solved = eliminated
+        for e in rest + list(solved.values()):
+            assert all(list(m) == sorted(m) and c for m, c in e.items())
+    try:
+        values = _solve_rational(equations, unknowns, DEFAULT_BUDGET)
+    except (simplicity._NoRationalPoint, BudgetExceededError):
+        assert not unit
+        return
+    if values is None:
+        assert unit
+        return
+    for e in equations:
+        total = Fraction(0)
+        for m, c in e.items():
+            for i in m:
+                c *= values[i]
+            total += c
+        assert total == 0
+
+
+def _roots_by_fractions(coeffs):
+    """The rational roots of sum(c * t^e for e, c in coeffs), by trying
+    every +-p/q with p, q dividing the integer ends, as Fractions, ordered
+    by |r| with the positive one first."""
+    denom = math.lcm(*[Fraction(c).denominator for c in coeffs.values()])
+    ints = {e: int(c * denom) for e, c in coeffs.items()}
+    roots = set()
+    if 0 not in ints:
+        roots.add(Fraction(0))
+        ints = {e - min(ints): c for e, c in ints.items()}
+    if max(ints) > 0:
+        for p in simplicity._divisors(ints[0]):
+            for q in simplicity._divisors(ints[max(ints)]):
+                for r in (Fraction(p, q), Fraction(-p, q)):
+                    if sum(c * r ** e for e, c in ints.items()) == 0:
+                        roots.add(r)
+    return sorted(roots, key=lambda r: (abs(r), r < 0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(roots=st.lists(st.builds(Fraction, st.integers(-12, 12),
+                                st.integers(1, 6)), max_size=4),
+       extra=st.lists(_COEFFS, max_size=4),
+       scale=_COEFFS.filter(bool), var=st.integers(0, 1))
+def test_rational_roots_match_the_fraction_definition(roots, extra, scale, var):
+    # planted roots times a random rational factor: the integer Horner test
+    # finds the roots the Fraction definition finds, in the same order
+    ctx = VarContext(("s", "t"), QQ)
+    t = ctx.var(var)
+    g = ctx.const(scale) * sum((e * t ** k for k, e in enumerate(extra)),
+                               ctx.one)
+    for r in roots:
+        g = g * (t - r)
+    if g.is_zero():
+        return
+    found = _rational_roots(g, var, DEFAULT_BUDGET)
+    coeffs = {m[var]: c for m, c in g._terms.items()}
+    expected = [] if max(coeffs) == 0 else _roots_by_fractions(coeffs)
+    assert found == expected
+    assert [type(r) for r in found] == [int if r.denominator == 1 else Fraction
+                                        for r in expected]
+    assert set(roots) <= set(found)
 
 
 # --------------------------------------------------------------------------
